@@ -45,7 +45,8 @@ from repro.overload import (
     RetryBudgetConfig,
 )
 from repro.serve import ChaosConfig
-from repro.serve.driver import _matrix_pool, _ModeledDevice, auto_rate
+from repro.serve.driver import _matrix_pool, auto_rate
+from repro.serve.execute import CostModel
 
 N_REQUESTS = 6_000
 N_REPLICAS = 4
@@ -58,9 +59,7 @@ SEED = int(os.environ.get("OVERLOAD_SEED", "3"))
 def _capacity_rps(cfg: ClusterConfig) -> float:
     """Modeled aggregate saturating rate of the cluster's pool."""
     pool = _matrix_pool(cfg)
-    modeled = _ModeledDevice(get_device(cfg.device),
-                             np.dtype(cfg.dtype).itemsize * 8,
-                             workers=cfg.shard_workers)
+    modeled = CostModel(get_device(cfg.device), workers=cfg.shard_workers)
     return cfg.n_replicas * auto_rate(pool, modeled, replicas=1)
 
 
@@ -208,7 +207,7 @@ def test_admission_shed_is_typed_and_fast():
     import pytest
 
     from repro.overload import AdmissionRejectedError
-    from repro.serve import QueueFullError, SpMVServer
+    from repro.serve import QueueFullError, SpMVRequest, SpMVServer
     from tests.conftest import random_csr
 
     rng = np.random.default_rng(SEED)
@@ -218,10 +217,10 @@ def test_admission_shed_is_typed_and_fast():
                                               burst=1.0)) as server:
         fp = server.register(csr)
         x = np.zeros(csr.shape[1])
-        assert server.submit(fp, x).result(timeout=30) is not None
+        assert server.submit(SpMVRequest(fp, x)).result(timeout=30) is not None
         t0 = time.perf_counter()
         with pytest.raises(AdmissionRejectedError) as exc_info:
-            server.submit(fp, x)
+            server.submit(SpMVRequest(fp, x))
         shed_wall = time.perf_counter() - t0
         assert shed_wall < 0.1, f"shed took {shed_wall:.3f}s, not fast"
         # typed: an admission shed is NOT queue-full backpressure

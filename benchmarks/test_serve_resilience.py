@@ -32,7 +32,8 @@ from repro.resilience import (
     FaultRule,
     RetryPolicy,
 )
-from repro.serve import ChaosConfig, SpMVServer, WorkloadConfig, run_workload
+from repro.serve import (ChaosConfig, SpMVRequest, SpMVServer, WorkloadConfig,
+                         run_workload)
 from tests.conftest import random_csr
 
 CHAOS_SEED = int(os.environ.get("CHAOS_SEED", "7"))
@@ -70,7 +71,7 @@ def test_real_server_survives_chaos():
     for i in range(N_REQUESTS):
         j = int(choices[i])
         x = rng.uniform(-1, 1, pool[j].shape[1])
-        submitted.append((j, x, server.submit(fps[j], x)))
+        submitted.append((j, x, server.submit(SpMVRequest(fps[j], x))))
     server.drain(timeout=60.0)
     server.close(timeout=60.0)
     stats = server.stats

@@ -21,7 +21,7 @@ from benchmarks.conftest import emit
 from repro.bench import markdown_table, record_bench
 from repro.core import choose_shards
 from repro.formats import CSRMatrix
-from repro.serve import SpMVServer
+from repro.serve import SpMVRequest, SpMVServer
 from repro.shard import build_sharded_plan, sharded_batch_cost
 
 WORKERS = 4
@@ -48,7 +48,7 @@ def _serve(csr, xs, **kw):
                     **kw) as s:
         fp = s.register(csr)
         t0 = time.perf_counter()
-        futs = [s.submit(fp, x) for x in xs]
+        futs = [s.submit(SpMVRequest(fp, x)) for x in xs]
         s.flush()
         ys = [f.result(timeout=60.0) for f in futs]
         wall = time.perf_counter() - t0

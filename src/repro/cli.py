@@ -46,11 +46,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
 
+from ._util import ValidationError
 from .analysis import speedup_summary
 from .baselines import PAPER_METHODS, paper_methods
 from .bench import markdown_table, run_comparison
@@ -66,12 +66,22 @@ from .matrices import (
 )
 
 
-def _load_matrix(spec: str):
-    """Deprecated shim — use :func:`repro.matrices.load` instead."""
-    warnings.warn(
-        "repro.cli._load_matrix is deprecated; use repro.matrices.load",
-        DeprecationWarning, stacklevel=2)
-    return load_matrix(spec)
+def _positive_float(text: str) -> float:
+    """argparse type: a float strictly above zero."""
+    value = float(text)
+    if not value > 0.0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    return value
+
+
+def _chaos(args):
+    """The ``--chaos`` fault mix, or ``None`` when chaos is off."""
+    if not args.chaos:
+        return None
+    from .serve import ChaosConfig
+
+    knobs = {"fault_rate": args.chaos_rate, "seed": args.chaos_seed}
+    return ChaosConfig(**{k: v for k, v in knobs.items() if v is not None})
 
 
 def cmd_list(_args) -> int:
@@ -280,12 +290,10 @@ def _parse_shards(value):
 
 def cmd_serve_sim(args) -> int:
     from .obs import Obs, Tracer
-    from .serve import (ChaosConfig, WorkloadConfig,
-                        compare_batched_unbatched, run_workload)
+    from .serve import (WorkloadConfig, compare_batched_unbatched,
+                        run_workload)
 
-    chaos = None
-    if args.chaos:
-        chaos = ChaosConfig(fault_rate=args.chaos_rate, seed=args.chaos_seed)
+    chaos = _chaos(args)
     shards = _parse_shards(args.shards)
     cfg = WorkloadConfig(
         n_requests=args.requests,
@@ -299,7 +307,8 @@ def cmd_serve_sim(args) -> int:
         flush_timeout_s=args.timeout_us * 1e-6,
         cache_budget_bytes=int(args.cache_mb * 1024 * 1024),
         queue_depth=args.queue_depth,
-        deadline_s=args.deadline_us * 1e-6 if args.deadline_us else None,
+        deadline_s=(args.deadline_us * 1e-6
+                    if args.deadline_us is not None else None),
         chaos=chaos,
         shards=shards,
         shard_workers=args.shard_workers,
@@ -344,11 +353,8 @@ def cmd_cluster_sim(args) -> int:
         run_cluster_workload,
     )
     from .obs import Obs, Tracer
-    from .serve import ChaosConfig
 
-    chaos = None
-    if args.chaos:
-        chaos = ChaosConfig(fault_rate=args.chaos_rate, seed=args.chaos_seed)
+    chaos = _chaos(args)
     entries = (synthetic_collection(args.synthetic, seed=args.seed)
                if args.synthetic else None)
     elastic = None
@@ -384,7 +390,8 @@ def cmd_cluster_sim(args) -> int:
         max_batch=args.max_batch,
         flush_timeout_s=args.timeout_us * 1e-6,
         queue_depth=args.queue_depth,
-        deadline_s=args.deadline_us * 1e-6 if args.deadline_us else None,
+        deadline_s=(args.deadline_us * 1e-6
+                    if args.deadline_us is not None else None),
         chaos=chaos,
         store=args.store,
         warm_start=bool(args.warm_start),
@@ -733,18 +740,19 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also run request-at-a-time and print the speedup")
     p.add_argument("--chaos", action="store_true",
                    help="inject a seeded fault mix (repro.resilience)")
-    p.add_argument("--chaos-rate", type=float, default=0.05,
-                   help="total fault rate split over the fault kinds")
-    p.add_argument("--chaos-seed", type=int, default=7,
-                   help="fault-injector RNG seed")
+    p.add_argument("--chaos-rate", type=float, default=None,
+                   help="total fault rate split over the fault kinds "
+                        "(default 0.05; needs --chaos)")
+    p.add_argument("--chaos-seed", type=int, default=None,
+                   help="fault-injector RNG seed (default 7; needs --chaos)")
     p.add_argument("--shards", default=None, metavar="S|auto",
                    help="row-shard every matrix into S bands ('auto' picks "
                         "S per matrix from the makespan cost model)")
     p.add_argument("--shard-workers", type=int, default=4,
                    help="concurrent lanes the sharded makespan is modeled "
                         "over (default 4)")
-    p.add_argument("--deadline-us", type=float, default=None,
-                   help="per-request deadline (modeled us); expired "
+    p.add_argument("--deadline-us", type=_positive_float, default=None,
+                   help="per-request deadline (modeled us, > 0); expired "
                         "requests fail fast")
     p.add_argument("--store", metavar="DIR", default=None,
                    help="back the plan cache with an on-disk artifact "
@@ -811,7 +819,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-batch", type=int, default=8)
     p.add_argument("--timeout-us", type=float, default=200.0)
     p.add_argument("--queue-depth", type=int, default=256)
-    p.add_argument("--deadline-us", type=float, default=None)
+    p.add_argument("--deadline-us", type=_positive_float, default=None,
+                   help="per-request deadline (modeled us, > 0)")
     p.add_argument("--seed", type=int, default=2023)
     p.add_argument("--vnodes", type=int, default=128,
                    help="virtual nodes per replica on the hash ring")
@@ -826,8 +835,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fail-rate", type=float, default=1.0)
     p.add_argument("--chaos", action="store_true",
                    help="inject a seeded fault mix on every replica")
-    p.add_argument("--chaos-rate", type=float, default=0.05)
-    p.add_argument("--chaos-seed", type=int, default=7)
+    p.add_argument("--chaos-rate", type=float, default=None,
+                   help="total fault rate (default 0.05; needs --chaos)")
+    p.add_argument("--chaos-seed", type=int, default=None,
+                   help="fault-injector RNG seed (default 7; needs --chaos)")
     p.add_argument("--elastic", action="store_true",
                    help="enable queue-depth-driven elastic scaling")
     p.add_argument("--min-replicas", type=int, default=1)
@@ -967,11 +978,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if not getattr(args, "chaos", True) and (
+            args.chaos_rate is not None or args.chaos_seed is not None):
+        parser.error("--chaos-rate/--chaos-seed need --chaos")
     try:
         return args.fn(args)
     except BrokenPipeError:  # e.g. `repro list | head`
         return 0
+    except ValidationError as exc:
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -93,6 +93,9 @@ class ElasticConfig:
 class ClusterConfig(WorkloadConfig):
     """One cluster workload: the single-replica knobs plus placement.
 
+    The cluster driver replays SpMV reads (and matrix updates) only: an
+    inherited ``spmm_mix > 0`` is rejected rather than ignored.
+
     Attributes
     ----------
     n_replicas:
@@ -417,7 +420,7 @@ class _Cluster:
             # deltas are drawn against the evolved CSRs, and replaying
             # e.g. a delete of a never-inserted entry would fault.
             src = next(iter(self.replicas.values()))
-            replica.csr_by_fp = dict(src.csr_by_fp)
+            replica.csr_by_fp.update(src.csr_by_fp)
         self.replicas[rid] = replica
         self.ring.add(rid)
         self._prev[rid] = (0, 0)
@@ -624,6 +627,9 @@ def run_cluster_workload(cfg: ClusterConfig, *,
     """
     check(cfg.n_requests >= 1, "n_requests must be >= 1")
     check(cfg.n_replicas >= 1, "n_replicas must be >= 1")
+    check(cfg.spmm_mix == 0.0,
+          "ClusterConfig.spmm_mix is not supported by run_cluster_workload "
+          "(it replays SpMV reads only); use run_workload for SpMM traffic")
     if cfg.fail_replica is not None:
         check(0 <= cfg.fail_replica < cfg.n_replicas,
               "fail_replica outside the initial replica set")
@@ -644,7 +650,7 @@ def run_cluster_workload(cfg: ClusterConfig, *,
     rng = default_rng(cfg.seed)
     pool = _matrix_pool(cfg)
     weights = zipf_weights(len(pool), cfg.zipf_s)
-    modeled = _modeled_for(cfg, device, dtype)
+    modeled = _modeled_for(cfg, device)
     retry_rng = default_rng(cfg.seed + 1)  # shared jitter stream
     cluster = _Cluster(cfg, device=device, dtype=dtype, pool=pool,
                        modeled=modeled, retry_rng=retry_rng, obs=obs)

@@ -40,16 +40,12 @@ from __future__ import annotations
 
 import threading
 import time
-import warnings
 from concurrent.futures import Future
-
-import numpy as np
 
 from .._util import ReproError, check
 from ..obs import Obs
 from ..overload import HedgePair, OverloadConfig, OverloadContext
 from ..resilience.errors import ServerClosedError
-from ..serve.plan_cache import matrix_fingerprint
 from ..serve.request import SpMMRequest, SpMVRequest
 from ..serve.scheduler import QueueFullError
 from .health import HealthConfig, ReplicaHealth, ReplicaSignals
@@ -183,17 +179,14 @@ class Router:
         future.add_done_callback(
             lambda _f: ctx.latency.observe(rid, time.monotonic() - start))
 
-    def submit(self, request, x=None, deadline_s: float | None = None,
-               priority: str = "interactive"):
+    def submit(self, request):
         """Route one typed request; returns a Future for its result.
 
         Takes the same :class:`~repro.serve.SpMVRequest` /
         :class:`~repro.serve.SpMMRequest` objects as
         :meth:`repro.serve.SpMVServer.submit` — one request vocabulary
         across the stack, with ``deadline_us`` / ``priority`` /
-        ``shards`` keyword-only on the request.  The old positional
-        ``submit(fingerprint, x, deadline_s=...)`` form routes
-        identically for one release behind a ``DeprecationWarning``.
+        ``shards`` keyword-only on the request.
 
         Walks :meth:`select`, skipping replicas that refuse with
         queue-full backpressure; counts a failover whenever the serving
@@ -206,21 +199,8 @@ class Router:
         With hedging enabled the returned Future is a router-owned
         wrapper resolved by whichever replica answers first.
         """
-        if not isinstance(request, (SpMVRequest, SpMMRequest)):
-            warnings.warn(
-                "Router.submit(fingerprint, x, ...) is deprecated; pass "
-                "a repro.serve.SpMVRequest (or SpMMRequest) instead — "
-                "the positional form will be removed next release",
-                DeprecationWarning, stacklevel=2)
-            deadline_us = None if deadline_s is None else deadline_s * 1e6
-            request = SpMVRequest(request, np.asarray(x),
-                                  deadline_us=deadline_us,
-                                  priority=priority)
-        else:
-            check(x is None and deadline_s is None
-                  and priority == "interactive",
-                  "pass deadline/priority on the request object, not "
-                  "as submit() arguments")
+        check(isinstance(request, (SpMVRequest, SpMMRequest)),
+              "submit() takes an SpMVRequest or SpMMRequest")
         if self._closed:
             raise RouterClosedError("router is closed")
         ctx = self.overload

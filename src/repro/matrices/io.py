@@ -57,8 +57,7 @@ def load(spec) -> CSRMatrix:
     * otherwise — a named matrix from the representative/highlight
       suite (:func:`repro.matrices.suite_by_name`).
 
-    This is the one public loader every tool should use (the CLI's
-    private ``_load_matrix`` is a deprecated shim over it).
+    This is the one public loader every tool should use.
     """
     path = Path(str(spec))
     if path.suffix == ".mtx":

@@ -65,10 +65,11 @@ class FaultRule:
         Firing probability per eligible call in ``[0, 1]``.
     fingerprint:
         Restrict the rule to one matrix (``None`` = every matrix).
-        Sharded execution checks faults under ``{fingerprint}#s{i}``
+        Sharded preprocessing checks faults under ``{fingerprint}#s{i}``
         scoped keys: a rule pinned to the base fingerprint matches
-        every shard of that matrix, while a rule pinned to a scoped
-        key targets that single shard.
+        every band of that matrix, while a rule pinned to a scoped key
+        targets that single band.  Kernel faults are checked once per
+        batch attempt under the base fingerprint.
     stage:
         For ``latency`` rules: ``"kernel"`` or ``"preprocess"``.
     latency_s:
@@ -128,12 +129,16 @@ class FaultInjector:
     """Applies a :class:`FaultPlan` deterministically (thread-safe).
 
     One RNG stream drives every probability draw; per-rule hit counts
-    enforce ``max_count`` and feed the :meth:`snapshot` report.
+    enforce ``max_count`` and feed the :meth:`snapshot` report.  The
+    NaN position of :meth:`corrupt_output` comes from a second stream,
+    so whether a caller computes (and poisons) outputs never shifts
+    which faults fire next.
     """
 
     def __init__(self, plan: FaultPlan, *, obs=None) -> None:
         self.plan = plan
         self._rng = default_rng(plan.seed)
+        self._nan_rng = default_rng(plan.seed + 1)
         self._lock = threading.Lock()
         self._hits: dict[int, int] = {}
         self.counts: dict[str, int] = {}
@@ -223,7 +228,7 @@ class FaultInjector:
         """Poison one seeded entry of *Y* with NaN (in place)."""
         if Y.size:
             with self._lock:
-                flat = int(self._rng.integers(Y.size))
+                flat = int(self._nan_rng.integers(Y.size))
             Y.reshape(-1)[flat] = float("nan")
         return Y
 

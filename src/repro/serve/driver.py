@@ -20,9 +20,10 @@ requests past their deadline fail fast and are counted.
 
 Being single-threaded and clocked virtually, the driver is exactly
 reproducible for a given seed — the property the serving benchmarks
-rely on — while exercising the same :class:`RequestBatcher`,
-:class:`PlanRegistry`, breaker, retry and fallback code the
-real-threaded server runs.
+rely on — while running the same :class:`RequestBatcher`,
+:class:`PlanRegistry` and per-batch policy
+(:class:`~repro.serve.execute.ExecutionCore`: breaker, plan
+acquisition, retry, fallback, pricing) as the real-threaded server.
 
 The per-replica simulation state (device clock, backlog, batcher, plan
 registry, breaker, stats) lives in :class:`ReplicaSim` so that
@@ -42,34 +43,15 @@ import numpy as np
 from .._util import ReproError, check, default_rng
 from ..core.delta import apply_delta_to_csr, random_delta
 from ..core.format import DASPMatrix
-from ..core.preprocess import traced_preprocess
-from ..core.spmm import mma_phase_fraction, mma_utilization, spmm_events
-from ..gpu.cost_model import estimate_time
 from ..gpu.device import get_device
 from ..obs import Obs
 from ..resilience import (
     BreakerConfig,
     CircuitBreaker,
-    FallbackExecutor,
     FaultInjector,
     FaultPlan,
     FaultRule,
-    KernelFault,
-    NumericFault,
     RetryPolicy,
-)
-from ..shard import (
-    ShardedPlan,
-    choose_shards,
-    sharded_batch_cost,
-    sharded_phase_fraction,
-    sharded_spmm_events,
-    traced_preprocess_sharded,
-)
-from ..core.spmm_block import (
-    choose_spmm_strategy,
-    reorder_from_perm,
-    spmm_tiled_overlap_cost,
 )
 from ..pipeline import (
     PipelineConfig,
@@ -79,6 +61,7 @@ from ..pipeline import (
     warm_action,
 )
 from .batcher import Batch, DEFAULT_FLUSH_TIMEOUT_S, MMA_N, RequestBatcher
+from .execute import CostModel, ExecutionCore, ModeledExecutor, VirtualClock
 from .plan_cache import DEFAULT_BUDGET_BYTES, PlanRegistry, matrix_fingerprint
 from .request import SpMMRequest, SpMVRequest
 from .stats import ServerStats
@@ -251,15 +234,12 @@ def _resolve_warmer(cfg: WorkloadConfig) -> WarmerConfig | None:
     return WarmerConfig() if cfg.warmer else None
 
 
-def _modeled_for(cfg: WorkloadConfig, device, dtype) -> "_ModeledDevice":
-    """The run's memoized device model, with pipeline pricing switched
-    on only when the workload can exercise it (strategy-priced large-k
-    batches change modeled times, so pre-mix runs must not see them)."""
+def _modeled_for(cfg: WorkloadConfig, device) -> CostModel:
+    """The run's memoized cost model (shareable across replicas)."""
     pcfg = _resolve_pipeline(cfg)
-    return _ModeledDevice(
-        device, np.dtype(dtype).itemsize * 8, workers=cfg.shard_workers,
-        double_buffer=pcfg.double_buffer if pcfg is not None else False,
-        strategy_large_k=pcfg is not None or cfg.spmm_mix > 0.0)
+    return CostModel(
+        device, workers=cfg.shard_workers,
+        double_buffer=pcfg.double_buffer if pcfg is not None else False)
 
 
 def _matrix_pool(cfg: WorkloadConfig):
@@ -294,111 +274,17 @@ def _build_injector(cfg: WorkloadConfig, pool) -> FaultInjector | None:
     return FaultInjector(plan)
 
 
-class _ModeledDevice:
-    """Lazily-memoized modeled batch times for (matrix, k) pairs.
-
-    A :class:`~repro.shard.ShardedPlan` entry is charged the LPT
-    makespan of its per-shard times over ``workers`` lanes (the fan-out
-    the real-threaded server performs), with the shards' events combined
-    for span attributes.
-
-    ``double_buffer`` prices shard bands (and large-k column tiles)
-    with the overlapped schedule of :func:`repro.core.overlap_schedule`
-    — the pipeline mode's clock.  ``strategy_large_k`` prices
-    ``k > MMA_N`` unsharded batches with the tuner-chosen large-k
-    strategy (what the real server executes) instead of the flat
-    ``spmm_events`` pass; it is enabled only when the workload
-    actually produces large-k traffic so pre-mix runs stay bit-exact.
-    """
-
-    def __init__(self, device, dtype_bits: int, *, workers: int = 1,
-                 double_buffer: bool = False,
-                 strategy_large_k: bool = False) -> None:
-        self.device = device
-        self.dtype_bits = dtype_bits
-        self.workers = int(workers)
-        self.double_buffer = bool(double_buffer)
-        self.strategy_large_k = bool(strategy_large_k)
-        #: fingerprint -> ReorderResult rebuilt from a stored ``aux.``
-        #: permutation (fed by the warmer; consulted by the tuner).
-        self.reorder_hints: dict[str, object] = {}
-        self._times: dict[tuple[str, int], tuple] = {}
-        self._frac: dict[str, float] = {}
-        self._strategies: dict[tuple[str, int], object] = {}
-
-    def strategy(self, fingerprint: str, plan, k: int):
-        """Memoized tuner choice for one unsharded (matrix, k) pair."""
-        key = (fingerprint, k)
-        strat = self._strategies.get(key)
-        if strat is None:
-            hint = self.reorder_hints.get(fingerprint)
-            strat = choose_spmm_strategy(plan, k, self.device,
-                                         reorder_hint=hint)
-            self._strategies[key] = strat
-        return strat
-
-    def _entry(self, fingerprint: str, plan, k: int) -> tuple:
-        key = (fingerprint, k)
-        got = self._times.get(key)
-        if got is None:
-            if isinstance(plan, ShardedPlan):
-                cost = sharded_batch_cost(plan, self.device, k,
-                                          workers=self.workers,
-                                          dtype_bits=self.dtype_bits,
-                                          double_buffer=self.double_buffer)
-                evs = sharded_spmm_events(plan, self.device, k)
-                combined = evs[0]
-                for e in evs[1:]:
-                    combined = combined.combine(e)
-                got = (cost.makespan, cost.useful_mma, cost.issued_mma,
-                       combined)
-            elif self.strategy_large_k and k > plan.mma_shape.n:
-                strat = self.strategy(fingerprint, plan, k)
-                t = strat.modeled_s
-                if self.double_buffer and strat.name != "looped":
-                    _, t = spmm_tiled_overlap_cost(
-                        plan, self.device, k, tile_k=strat.tile_k,
-                        stats=strat.stats, dtype_bits=self.dtype_bits)
-                ev = spmm_events(plan, self.device, k)
-                util = mma_utilization(plan, k)
-                got = (t, util * ev.flops_mma, ev.flops_mma, ev)
-            else:
-                ev = spmm_events(plan, self.device, k)
-                t = estimate_time(ev, self.device,
-                                  dtype_bits=self.dtype_bits).total
-                util = mma_utilization(plan, k)
-                got = (t, util * ev.flops_mma, ev.flops_mma, ev)
-            self._times[key] = got
-        return got
-
-    def batch_cost(self, fingerprint: str, plan,
-                   k: int) -> tuple[float, float, float]:
-        """(device seconds, useful MMA flops, issued MMA flops)."""
-        return self._entry(fingerprint, plan, k)[:3]
-
-    def events(self, fingerprint: str, plan, k: int):
-        """The memoized :class:`KernelEvents` behind :meth:`batch_cost`."""
-        return self._entry(fingerprint, plan, k)[3]
-
-    def phase_fraction(self, fingerprint: str, plan) -> float:
-        """Memoized phase split for span attribution."""
-        frac = self._frac.get(fingerprint)
-        if frac is None:
-            frac = (sharded_phase_fraction(plan)
-                    if isinstance(plan, ShardedPlan)
-                    else mma_phase_fraction(plan))
-            self._frac[fingerprint] = frac
-        return frac
-
-
 class ReplicaSim:
     """One modeled serving replica in virtual time.
 
-    Owns everything the single-replica driver used to keep in closures:
-    the modeled device clock (``device_free``), the bounded backlog, a
-    :class:`RequestBatcher`, a :class:`PlanRegistry` (optionally backed
-    by a :class:`repro.store.PlanStore`), a :class:`CircuitBreaker`, a
-    :class:`FallbackExecutor` and the per-replica :class:`ServerStats`.
+    A thin shell around :class:`~repro.serve.execute.ExecutionCore`:
+    it supplies the virtual clock (``device_free``), the modeled
+    executor and the outcome hooks (the ``completed`` list and hedge
+    pairs), and owns the event-loop state the core does not — the
+    bounded backlog, a :class:`RequestBatcher`, a :class:`PlanRegistry`
+    (optionally backed by a :class:`repro.store.PlanStore`), a
+    :class:`CircuitBreaker`, plan-prefetch parking and the per-replica
+    :class:`ServerStats`.
 
     :func:`run_workload` drives exactly one instance; the cluster
     driver drives N of them behind a consistent-hash router, each with
@@ -424,8 +310,8 @@ class ReplicaSim:
         Retry-jitter RNG stream; *shared* across the run's replicas so
         the N=1 cluster draws exactly the single-driver sequence.
     modeled:
-        Memoized :class:`_ModeledDevice`; shareable across replicas
-        (plan costs are deterministic per fingerprint).
+        Memoized :class:`~repro.serve.execute.CostModel`; shareable
+        across replicas (plan costs are deterministic per version).
     store:
         Optional disk tier for this replica's plan registry (a
         :class:`repro.store.PlanStore` or a path-like; replicas of one
@@ -440,8 +326,6 @@ class ReplicaSim:
         Multiplier on every modeled device second this replica charges
         (kernels, preprocessing, fallback) — the ``slow_replica`` chaos
         scenario: a straggler that is alive and correct, just slow.
-        The default 1.0 skips the multiply entirely, keeping bit-exact
-        parity with pre-overload runs.
     overload:
         Shared :class:`repro.overload.OverloadContext` of the run
         (cluster-wide retry budget, hedge counters and pair
@@ -450,7 +334,7 @@ class ReplicaSim:
 
     def __init__(self, cfg: WorkloadConfig, *, device, dtype, pool,
                  obs: Obs | None = None, injector=None, retry_rng=None,
-                 modeled: _ModeledDevice | None = None, store=None,
+                 modeled: CostModel | None = None, store=None,
                  replica_id: str = "r0",
                  materialize_results: bool = True,
                  time_scale: float = 1.0,
@@ -464,28 +348,35 @@ class ReplicaSim:
         self.tracing = obs.tracing
         self.replica_id = replica_id
         self.materialize_results = bool(materialize_results)
-        self.injector = injector
         if injector is not None:
             injector.bind(obs)
         self.registry = PlanRegistry(cfg.cache_budget_bytes,
                                      fault_injector=injector, obs=obs,
                                      store=store, device=device)
         self.batcher = RequestBatcher(cfg.max_batch, cfg.flush_timeout_s)
-        self.modeled = modeled if modeled is not None \
-            else _modeled_for(cfg, device, dtype)
         self.stats = ServerStats(device=device.name, dtype=str(dtype), obs=obs)
         self.breaker = CircuitBreaker(cfg.breaker, obs=obs)
-        self.fallback = FallbackExecutor(device)
-        self.retry_rng = retry_rng if retry_rng is not None \
-            else default_rng(cfg.seed + 1)
-        self.csr_by_fp = {fp: csr for _, fp, csr in pool}
-        check(time_scale > 0.0, "time_scale must be > 0")
-        self.time_scale = float(time_scale)
         self.overload = overload
-        self.device_free = 0.0      # when the modeled device next idles
+        self.clock = VirtualClock(time_scale)
+        self.core = ExecutionCore(
+            device=device, registry=self.registry, stats=self.stats, obs=obs,
+            cost=modeled if modeled is not None
+            else _modeled_for(cfg, device),
+            clock=self.clock, executor=ModeledExecutor(), outcomes=self,
+            matrices={fp: csr for _, fp, csr in pool},
+            breaker=self.breaker, injector=injector, retry=cfg.retry,
+            retry_rng=retry_rng if retry_rng is not None
+            else default_rng(cfg.seed + 1),
+            retry_budget=overload.retry_budget if overload is not None
+            else None,
+            fallback=cfg.fallback, shards=cfg.shards,
+            shard_workers=cfg.shard_workers, shard_k=cfg.max_batch,
+            plan_cache=cfg.plan_cache)
+        #: fingerprint -> CSR at the head of its version chain (shared
+        #: with the core: the build source on a plan miss)
+        self.csr_by_fp = self.core.matrices
         self.backlog: deque = deque()  # flushed batches awaiting the device
         self.completed: list[SpMVRequest] = []
-        self._shard_choice: dict[str, int] = {}
         # --- async pipeline / speculative warming state ---------------
         self.pipeline_cfg = _resolve_pipeline(cfg)
         warmer_cfg = _resolve_warmer(cfg)
@@ -511,12 +402,14 @@ class ReplicaSim:
         self._parked: list[tuple[float, int, Batch]] = []
         self._park_seq = 0
 
-    def _scaled(self, seconds: float) -> float:
-        """Apply the slow-replica time multiplier (identity at 1.0 —
-        not even a float multiply, so default runs stay bit-exact)."""
-        if self.time_scale == 1.0:
-            return seconds
-        return seconds * self.time_scale
+    @property
+    def device_free(self) -> float:
+        """When the modeled device next idles (the virtual clock)."""
+        return self.clock.free
+
+    @device_free.setter
+    def device_free(self, value: float) -> None:
+        self.clock.free = value
 
     # ------------------------------------------------------------------
     # signals (consumed by the cluster health monitor)
@@ -563,19 +456,6 @@ class ReplicaSim:
                 continue
             self._speculative_warm(fp, now)
 
-    def _load_reorder_hint(self, fp: str, plan) -> None:
-        """Stash a stored ``spmm.reorder_perm`` as the tuner's hint so
-        the large-k tier never re-derives a persisted decision."""
-        if isinstance(plan, ShardedPlan) or fp in self.modeled.reorder_hints:
-            return
-        aux = self.registry.load_aux(fp)
-        if not aux or "spmm.reorder_perm" not in aux:
-            return
-        perm = np.asarray(aux["spmm.reorder_perm"])
-        self.modeled.reorder_hints[fp] = reorder_from_perm(
-            plan.csr, perm, mma_shape=plan.mma_shape)
-        self.obs.counter("spmm.reorder.loaded_total").inc()
-
     def _start_prefetch(self, fp: str, now: float) -> None:
         """Acquire *fp*'s plan off the device clock (pipeline mode).
 
@@ -586,7 +466,7 @@ class ReplicaSim:
         pre_cell: dict[str, float] = {}
 
         def build(matrix):
-            plan, pre = self._build_plan(fp, matrix)
+            plan, pre = self.core.build(fp, matrix)
             pre_cell["s"] = pre
             return plan
 
@@ -599,10 +479,9 @@ class ReplicaSim:
             self.obs.counter("pipeline.warm_failed_total").inc()
             return
         if source == "built":
-            cost, kind = self._scaled(pre_cell.get("s", 0.0)), "build"
+            cost, kind = self.clock.scale(pre_cell.get("s", 0.0)), "build"
         elif source == "store":
-            cost, kind = self._scaled(load_s), "load"
-            self._load_reorder_hint(fp, plan)
+            cost, kind = self.clock.scale(load_s), "load"
         else:                       # already resident (or pending)
             return
         if cost:
@@ -619,10 +498,9 @@ class ReplicaSim:
             if load_s is None:      # quarantined/corrupt: rebuild
                 self._start_prefetch(fp, now)
                 return
-            cost = self._scaled(load_s)
+            cost = self.clock.scale(load_s)
             if cost:
                 self.stats.observe_preprocess(cost)
-            self._load_reorder_hint(fp, self.registry.peek(fp))
             self.obs.counter("pipeline.warm_load_total").inc()
             self._prefetching[fp] = self._lane.schedule(now, cost,
                                                         kind="warm.load")
@@ -666,79 +544,6 @@ class ReplicaSim:
             batch.formed_s = max(batch.formed_s, ready)
             self.backlog.append(batch)
 
-    def _shards_for(self, fp: str, csr) -> int:
-        """Resolve the shard count for one matrix (memoized for auto)."""
-        cfg = self.cfg
-        if cfg.shards in (None, 1):
-            return 1
-        if cfg.shards == "auto":
-            S = self._shard_choice.get(fp)
-            if S is None:
-                # Offline model sweep; the winning plan is built — and
-                # charged — through the traced path in ``_build_plan``.
-                S = int(choose_shards(csr, cfg.shard_workers,
-                                      device=self.device,
-                                      k=cfg.max_batch).best_value)
-                self._shard_choice[fp] = S
-            return S
-        return int(cfg.shards)
-
-    def _build_plan(self, fp: str, csr):
-        S = self._shards_for(fp, csr)
-        if S > 1:
-            return traced_preprocess_sharded(
-                csr, self.device, S, obs=self.obs, injector=self.injector,
-                fingerprint=fp)
-        return traced_preprocess(csr, self.device, obs=self.obs,
-                                 injector=self.injector, fingerprint=fp)
-
-    def _batch_key(self, fp: str, batch) -> str:
-        """Registry/cost key for *batch*: the version its requests were
-        admitted against.  Static runs (version 0, no chain) keep the
-        bare fingerprint so every pre-delta code path — and its memo
-        keys — stays bit-identical."""
-        v = batch.requests[0].version if batch.requests else 0
-        if v == 0 and self.registry.version_of(fp) == 0:
-            return fp
-        return self.registry.versioned_key(fp, v)
-
-    def plan_for(self, fp: str, csr, *, key: str | None = None):
-        """Fetch/build a plan, charging (and possibly failing) the
-        preprocessing pass.  Raises on injected preprocess faults and
-        on plans over the cache budget.
-
-        ``key`` is the (possibly versioned) registry key; the bare
-        *fp* still names the matrix for the injector and traced spans.
-        """
-        pre_cell: dict[str, float] = {}
-
-        def build(matrix):
-            plan, pre = self._build_plan(fp, matrix)
-            pre_cell["s"] = pre
-            return plan
-
-        if self.cfg.plan_cache:
-            plan, source, load_s = self.registry.get_ex(
-                csr, fingerprint=key if key is not None else fp,
-                builder=build)
-            if source == "built":
-                pre = self._scaled(pre_cell.get("s", 0.0))
-                self.stats.observe_preprocess(pre)
-                self.device_free += pre
-            elif source == "store":
-                # an in-band disk load occupies the serving timeline
-                # just like the rebuild it replaces — at modeled cost
-                load_s = self._scaled(load_s)
-                self.stats.observe_preprocess(load_s)
-                self.device_free += load_s
-            return plan
-        # no-cache baseline: rebuild (and pay for) the plan every batch
-        plan, pre = self._build_plan(fp, csr)
-        pre = self._scaled(pre)
-        self.stats.observe_preprocess(pre)
-        self.device_free += pre
-        return plan
-
     # ------------------------------------------------------------------
     # dynamic matrices — delta application
     # ------------------------------------------------------------------
@@ -773,26 +578,26 @@ class ReplicaSim:
                            if self.tracing else None) as sp:
             version, info, plan = self.registry.update(
                 fp, delta, csr=self.csr_by_fp[fp], persist=persist)
-            patch_s = self._scaled(info.seconds(self.device))
+            patch_s = self.clock.scale(info.seconds(self.device))
             sp.set_device_time(patch_s)
             if self.tracing:
                 sp.set_attr("version", version)
                 sp.set_attr("kind", info.kind)
         self.stats.observe_preprocess(patch_s)
-        self.device_free += patch_s
+        self.clock.charge(patch_s)
         # keep the reference CSR at the head of the chain — the next
         # delta is drawn against (and the fallback partitions) this
         self.csr_by_fp[fp] = plan.csr
         return version
 
     # ------------------------------------------------------------------
-    # batch execution on the modeled device
+    # batch execution: outcome hooks of the shared core
     # ------------------------------------------------------------------
     @staticmethod
     def _side(req: SpMVRequest) -> str:
         return "hedge" if req.shadow else "primary"
 
-    def _terminal_count(self, reqs) -> int:
+    def terminal(self, reqs) -> int:
         """How many of *reqs* are terminal *logical* failures.
 
         Pair-less requests always are; a hedged copy only when its
@@ -804,136 +609,38 @@ class ReplicaSim:
         return sum(1 for r in reqs
                    if r.pair is None or r.pair.mark_failed(self._side(r)))
 
-    def _allow_retry(self) -> bool:
-        """Spend a global retry token (always allowed with no budget)."""
-        ctx = self.overload
-        if ctx is None or ctx.retry_budget is None:
-            return True
-        return ctx.retry_budget.try_spend()
-
-    def _finish(self, batch, done: float, t: float, useful: float,
-                issued: float, degraded: bool) -> None:
-        self.device_free = done
+    def settle(self, batch, Y, done: float, degraded: bool) -> list:
+        """Stamp completions; returns the requests that win (the first
+        processed copy of a hedge pair — the loser's device time is
+        burned but produces no user-visible outcome)."""
         if self.materialize_results:
-            plan_rows = self.csr_by_fp[batch.fingerprint].shape[0]
-            batch.scatter(np.zeros((plan_rows, batch.k)), done)
+            rows = self.csr_by_fp[batch.fingerprint].shape[0]
+            batch.scatter(np.zeros((rows, batch.k)), done)
         else:
             for req in batch.requests:
                 req.completion_s = done
         ctx = self.overload
         if ctx is None:
-            winners = batch.requests
-        else:
-            # first processed completion wins a hedge pair; the loser's
-            # work is burned (device time above) but produces no
-            # user-visible outcome
-            winners = []
-            for req in batch.requests:
-                if req.pair is None or req.pair.resolve(self._side(req)):
-                    if req.pair is not None and req.shadow:
-                        ctx.hedges_won.inc()
-                    winners.append(req)
-                else:
-                    ctx.hedges_wasted.inc()
-        if degraded:
-            self.stats.observe_degraded(len(winners))
-        self.stats.observe_batch(batch.k, t, useful_mma=useful,
-                                 issued_mma=issued, completed=len(winners))
-        for req in winners:
-            self.stats.observe_latency(req.latency_s)
-            self.completed.append(req)
+            return batch.requests
+        winners = []
+        for req in batch.requests:
+            if req.pair is None or req.pair.resolve(self._side(req)):
+                if req.pair is not None and req.shadow:
+                    ctx.hedges_won.inc()
+                winners.append(req)
+            else:
+                ctx.hedges_wasted.inc()
+        return winners
 
-    def _degrade(self, batch, start: float) -> None:
-        fp = batch.fingerprint
-        with self.obs.span("fallback", attrs={"matrix": fp[:8]}
-                           if self.tracing else None) as sp:
-            # memoized per version key: the merge-CSR cost of an
-            # updated matrix must not reuse the pre-update partition
-            t, pre_s = self.fallback.modeled_cost(self._batch_key(fp, batch),
-                                                  self.csr_by_fp[fp],
-                                                  batch.k)
-            t, pre_s = self._scaled(t), self._scaled(pre_s)
-            sp.set_device_time(t)
-            if pre_s:
-                self.stats.observe_preprocess(pre_s)
-                start += pre_s
-                if self.tracing:
-                    sp.child("preprocess", device_s=pre_s)
-        self._finish(batch, start + t, t, 0.0, 0.0, degraded=True)
-
-    def _run_kernel_attempt(self, fp: str, plan, batch, attempt: int,
-                            cost_key: str | None = None):
-        """One modeled kernel attempt inside a ``kernel`` span.
-
-        ``cost_key`` keys the memoized device model (a versioned key
-        once the matrix has a delta chain — patched plans must not
-        reuse pre-update modeled times); the bare *fp* still names the
-        matrix for the chaos injector, whose poison rules match bare
-        fingerprints.
-        """
-        cfg, device, dtype = self.cfg, self.device, self.dtype
-        ck = cost_key if cost_key is not None else fp
-        with self.obs.span("kernel", attrs={"attempt": attempt}
-                           if self.tracing else None) as sp:
-            t, useful, issued = self.modeled.batch_cost(ck, plan, batch.k)
-            t = self._scaled(t)
-            fault: Exception | None = None
-            extra_s = 0.0
-            if self.injector is not None:
-                try:
-                    decision = self.injector.check_kernel(fp)
-                    extra_s = self._scaled(decision.latency_s)
-                    if decision.corrupt:
-                        fault = NumericFault("injected NaN output")
-                except KernelFault as exc:
-                    fault = exc
-            if self.tracing:
-                if fault is not None:
-                    sp.status = "error"
-                    sp.set_attr("fault", type(fault).__name__)
-                else:
-                    # only successful attempts reach the stats counters
-                    total = t + extra_s
-                    if isinstance(plan, ShardedPlan):
-                        # one `shard` span per band; phase children are
-                        # scaled so the attributed sum equals the
-                        # makespan the batch is charged.
-                        sp.set_attr("shards", plan.n_shards)
-                        cost = sharded_batch_cost(
-                            plan, device, batch.k, workers=cfg.shard_workers,
-                            dtype_bits=dtype.itemsize * 8)
-                        scale = (total / cost.serial) if cost.serial else 0.0
-                        for i, band in enumerate(plan.shards):
-                            t_i = cost.per_shard[i]
-                            frac_i = mma_phase_fraction(band.dasp)
-                            ssp = sp.child("shard", attrs={
-                                "shard": i, "modeled_s": t_i})
-                            ssp.child("regular_mma",
-                                      device_s=t_i * scale * frac_i)
-                            ssp.child("irregular_csr",
-                                      device_s=t_i * scale * (1.0 - frac_i))
-                    else:
-                        frac = self.modeled.phase_fraction(ck, plan)
-                        sp.child("regular_mma", device_s=total * frac)
-                        sp.child("irregular_csr",
-                                 device_s=total * (1.0 - frac))
-                    ev = self.modeled.events(ck, plan, batch.k)
-                    for key, value in ev.as_attrs().items():
-                        sp.set_attr(key, value)
-        return t, useful, issued, extra_s, fault
+    def deliver(self, reqs, error=None) -> None:
+        if error is None:
+            self.completed.extend(reqs)
 
     def _run_one(self, batch) -> None:
         """Execute one batch on the modeled device, chaos included."""
-        fp = batch.fingerprint
-        if self._lane is not None and self._park_if_pending(batch, fp):
+        if self._lane is not None and self._park_if_pending(
+                batch, batch.fingerprint):
             return
-        with self.obs.span("batch", attrs={"matrix": fp[:8], "k": batch.k}
-                           if self.tracing else None):
-            self._run_one_inner(batch, fp)
-
-    def _run_one_inner(self, batch, fp: str) -> None:
-        cfg = self.cfg
-        start = max(self.device_free, batch.formed_s)
         if self.overload is not None:
             # drop copies whose hedge pair the other replica already
             # won — first-wins cancellation before any work or expiry
@@ -947,63 +654,7 @@ class ReplicaSim:
             batch.requests = live
             if not batch.requests:
                 return
-        if cfg.deadline_s is not None:
-            expired = batch.split_expired(start)
-            if expired:
-                self.stats.observe_deadline_exceeded(
-                    self._terminal_count(expired))
-            if not batch.requests:
-                return
-        if self.injector is not None and not self.breaker.allow(fp, start):
-            if cfg.fallback:
-                self._degrade(batch, start)
-            else:
-                self.stats.observe_failed(
-                    self._terminal_count(batch.requests))
-            return
-        key = self._batch_key(fp, batch)
-        try:
-            plan = self.plan_for(fp, self.csr_by_fp[fp], key=key)
-        except ReproError:
-            if self.injector is not None:
-                self.breaker.record_failure(fp, start)
-            if cfg.fallback:
-                self._degrade(batch, max(self.device_free, start))
-            else:
-                self.stats.observe_failed(
-                    self._terminal_count(batch.requests))
-            return
-        if self.modeled.strategy_large_k and not isinstance(plan, ShardedPlan) \
-                and batch.k > plan.mma_shape.n:
-            strat = self.modeled.strategy(key, plan, batch.k)
-            self.stats.observe_spmm_large(strat.name)
-        for attempt in range(cfg.retry.max_retries + 1):
-            t, useful, issued, extra_s, fault = self._run_kernel_attempt(
-                fp, plan, batch, attempt, cost_key=key)
-            start = max(self.device_free, batch.formed_s)
-            if fault is None:
-                if self.injector is not None:
-                    self.breaker.record_success(fp, start + t + extra_s)
-                self._finish(batch, start + t + extra_s, t + extra_s,
-                             useful, issued, degraded=False)
-                return
-            # failed attempt: the wasted kernel time is still burned
-            self.device_free = start + t + extra_s
-            self.breaker.record_failure(fp, self.device_free)
-            if attempt < cfg.retry.max_retries and self._allow_retry():
-                self.stats.observe_retry()
-                self.device_free += cfg.retry.backoff_s(attempt + 1,
-                                                        self.retry_rng)
-                continue
-            # out of attempts — or the global retry budget is dry, in
-            # which case remaining attempts are skipped and the batch
-            # goes straight to the merge-CSR fallback
-            if cfg.fallback:
-                self._degrade(batch, self.device_free)
-            else:
-                self.stats.observe_failed(
-                    self._terminal_count(batch.requests))
-            return
+        self.core.execute(batch)
 
     # ------------------------------------------------------------------
     # virtual-time event loop hooks
@@ -1092,7 +743,7 @@ class ReplicaSim:
         return end
 
 
-def auto_rate(pool, modeled: _ModeledDevice, *, replicas: int = 1) -> float:
+def auto_rate(pool, modeled: CostModel, *, replicas: int = 1) -> float:
     """Saturating default offered rate: 4x the unbatched modeled
     capacity of the most popular matrix per replica (open-loop overload
     is the regime where batching pays; an idle server degenerates to
@@ -1101,7 +752,7 @@ def auto_rate(pool, modeled: _ModeledDevice, *, replicas: int = 1) -> float:
     must give the same rate (hence the same traffic trace) whether or
     not a warm-start already populated the cache."""
     plan0 = DASPMatrix.from_csr(pool[0][2])
-    t1, _, _ = modeled.batch_cost(pool[0][1], plan0, 1)
+    t1 = modeled.batch_cost(pool[0][1], plan0, 1)[0]
     return 4.0 * replicas / t1
 
 
@@ -1126,7 +777,7 @@ def run_workload(cfg: WorkloadConfig, *, obs: Obs | None = None) -> ServerStats:
     pool = _matrix_pool(cfg)
     weights = zipf_weights(len(pool), cfg.zipf_s)
     injector = _build_injector(cfg, pool)
-    modeled = _modeled_for(cfg, device, dtype)
+    modeled = _modeled_for(cfg, device)
     replica = ReplicaSim(cfg, device=device, dtype=dtype, pool=pool, obs=obs,
                          injector=injector, modeled=modeled, store=cfg.store)
     stats = replica.stats

@@ -6,9 +6,8 @@ One request vocabulary for every entry point: :class:`SpMVRequest`
 tier) are accepted by both :meth:`repro.serve.SpMVServer.submit` and
 :meth:`repro.cluster.Router.submit`.  The caller-facing knobs —
 ``deadline_us``, ``priority``, ``shards`` — are keyword-only on the
-request object, so the server and the router no longer grow divergent
-positional signatures (the old ``submit(fingerprint, x, deadline_s)``
-shape still works for one release behind a ``DeprecationWarning``).
+request object, so the server and the router never grow divergent
+positional signatures.
 
 The same dataclasses double as the stack's internal bookkeeping
 records: the server stamps ``req_id``/``arrival_s``/``deadline_s`` on

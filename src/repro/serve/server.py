@@ -15,9 +15,12 @@ column-tiled / reordered+tiled, all bitwise-identical).  Each submit
 returns a ``concurrent.futures.Future`` resolving to the result.
 
 Alongside the numeric result, every batch is charged its *modeled*
-device time (A100/H800 cost model over the measured SpMM events), so
-the server reports hardware-meaningful throughput even though the
-kernels run as NumPy on the host.
+device time (A100/H800 cost model over the measured SpMM events,
+memoized per plan version and width), so the server reports
+hardware-meaningful throughput even though the kernels run as NumPy on
+the host.  The per-batch policy below is
+:class:`~repro.serve.execute.ExecutionCore` — the same code the
+virtual-time driver runs, here with a wall clock and numeric kernels.
 
 Partial failure is a first-class citizen (see :mod:`repro.resilience`):
 
@@ -39,18 +42,12 @@ Partial failure is a first-class citizen (see :mod:`repro.resilience`):
 from __future__ import annotations
 
 import threading
-import time
-import warnings
 from concurrent.futures import Future
 from dataclasses import replace
 
 import numpy as np
 
 from .._util import ReproError, check, default_rng
-from ..core.preprocess import traced_preprocess
-from ..core.spmm import dasp_spmm, mma_phase_fraction, mma_utilization, spmm_events
-from ..core.spmm_block import choose_spmm_strategy, dasp_spmm_large, reorder_from_perm
-from ..gpu.cost_model import estimate_time
 from ..gpu.device import get_device
 from ..obs import Obs
 from ..overload import (
@@ -63,14 +60,11 @@ from ..pipeline import PlanPrefetcher, SpeculativeWarmer, WarmerConfig
 from ..resilience import (
     BreakerConfig,
     CircuitBreaker,
-    CircuitOpenError,
-    DeadlineExceededError,
-    FallbackExecutor,
-    NumericFault,
     RetryPolicy,
     ServerClosedError,
 )
 from .batcher import DEFAULT_FLUSH_TIMEOUT_S, MMA_N, Batch, RequestBatcher
+from .execute import CostModel, ExecutionCore, NumericExecutor, WallClock
 from .plan_cache import DEFAULT_BUDGET_BYTES, PlanRegistry, matrix_fingerprint
 from .request import SpMMRequest, SpMVRequest
 from .scheduler import QueueFullError, Scheduler
@@ -132,10 +126,9 @@ class SpMVServer:
         a batch's shards concurrently across this server's worker
         pool, gathering bit-identically; ``"auto"`` picks ``S`` per
         matrix from the makespan cost model
-        (:func:`repro.shard.choose_shards`).  Fault rules can target
-        one shard via the ``{fingerprint}#s{i}`` fingerprint; a
-        transiently-failed shard is retried at shard granularity
-        before the whole batch retries or degrades.
+        (:func:`repro.shard.choose_shards`).  Kernel faults are
+        checked, retried and degraded per batch, exactly as for an
+        unsharded plan.
     store:
         Optional durable plan tier: a :class:`repro.store.PlanStore`
         (or a path-like to open one at) backing the plan registry.
@@ -204,12 +197,9 @@ class SpMVServer:
             check(shards >= 1, "shards must be >= 1 (or 'auto')")
             if shards == 1:
                 shards = None  # S=1 is exactly the unsharded path
-        self.shards = shards
-        self._shard_choice: dict[str, int] = {}
         if obs is None or not obs.enabled:
             obs = Obs()
         self.obs = obs
-        self.fault_injector = fault_injector
         if fault_injector is not None:
             fault_injector.bind(obs)
         self.registry = PlanRegistry(cache_budget_bytes,
@@ -219,11 +209,8 @@ class SpMVServer:
         self.batcher = RequestBatcher(max_batch, flush_timeout_s)
         self.stats = ServerStats(device=self.device.name, obs=obs)
         self.default_deadline_s = default_deadline_s
-        self.preprocess_deadline_s = preprocess_deadline_s
-        self.retry = retry if retry is not None else RetryPolicy()
         self.breaker = (CircuitBreaker(breaker, obs=obs)
                         if breaker is not None else None)
-        self.fallback_enabled = bool(fallback)
         if admission is None or isinstance(admission, AdmissionController):
             self.admission = admission
         else:
@@ -232,13 +219,23 @@ class SpMVServer:
             self.retry_budget = retry_budget
         else:
             self.retry_budget = RetryBudget(retry_budget, obs=obs)
-        self._fallback = FallbackExecutor(self.device)
-        self._retry_rng = default_rng(seed)
-        self._rng_lock = threading.Lock()
         self.scheduler = Scheduler(
             self._execute_batch, workers=workers, queue_depth=queue_depth,
             policy=policy, on_shed=self._shed_batch,
             on_error=self._fail_batch, prune=self._prune_batch, obs=obs)
+        self._matrices: dict[str, object] = {}
+        self.clock = WallClock()
+        self.core = ExecutionCore(
+            device=self.device, registry=self.registry, stats=self.stats,
+            obs=obs, cost=CostModel(self.device, workers=workers),
+            clock=self.clock,
+            executor=NumericExecutor(obs, lanes=workers,
+                                     submit_task=self.scheduler.submit_task),
+            outcomes=self, matrices=self._matrices, breaker=self.breaker,
+            injector=fault_injector, retry=retry, retry_rng=default_rng(seed),
+            retry_budget=self.retry_budget, fallback=fallback, shards=shards,
+            shard_workers=workers, shard_k=max_batch,
+            preprocess_deadline_s=preprocess_deadline_s)
         if warmer:
             self._warmer = SpeculativeWarmer(
                 warmer if isinstance(warmer, WarmerConfig) else None, obs=obs)
@@ -246,25 +243,25 @@ class SpMVServer:
             self._warmer = None
         self.prefetcher = (PlanPrefetcher(self.registry, obs=obs)
                            if (pipeline or self._warmer is not None) else None)
-        self._matrices: dict[str, object] = {}
-        # (fingerprint, k) -> tuner-chosen large-k SpMM strategy; the
-        # reorder pass and permuted-plan build run once per width.
-        self._spmm_strategies: dict[tuple[str, int], object] = {}
-        # fingerprint -> ReorderResult from a persisted aux permutation
-        # (or None once the lookup came back empty).
-        self._reorder_hints: dict[str, object] = {}
-        # fingerprint -> per-request shard hint (SpMVRequest.shards),
-        # consulted only before the matrix's plan is first built.
-        self._shard_hints: dict[str, int | str] = {}
         self._futures: dict[int, Future] = {}
         self._lock = threading.Lock()
         self._next_id = 0
-        self._t0 = time.perf_counter()
         self._closed = False
         self._stop = threading.Event()
         self._flusher = threading.Thread(target=self._flush_loop,
                                          name="serve-flusher", daemon=True)
         self._flusher.start()
+
+    @property
+    def fault_injector(self):
+        """The installed :class:`~repro.resilience.FaultInjector` (may be
+        swapped after construction; also set ``registry.fault_injector``
+        to reach the plan cache)."""
+        return self.core.injector
+
+    @fault_injector.setter
+    def fault_injector(self, injector) -> None:
+        self.core.injector = injector
 
     # ------------------------------------------------------------------
     def register(self, csr) -> str:
@@ -292,13 +289,11 @@ class SpMVServer:
                     self.stats.observe_preprocess(load_s)
         return fp
 
-    def submit(self, request, x=None, deadline_s: float | None = None,
-               priority: str = "interactive") -> Future:
+    def submit(self, request) -> Future:
         """Queue one request; the future resolves to its result.
 
-        The unified entry point takes a typed request object —
-        :class:`~repro.serve.SpMVRequest` for ``y = A @ x`` (future
-        resolves to the ``(m,)`` vector) or
+        Takes a typed request object — :class:`~repro.serve.SpMVRequest`
+        for ``y = A @ x`` (future resolves to the ``(m,)`` vector) or
         :class:`~repro.serve.SpMMRequest` for ``Y = A @ X`` (future
         resolves to the ``(m, k)`` block) — carrying its keyword-only
         ``deadline_us`` / ``priority`` / ``shards``.  The submitted
@@ -306,42 +301,23 @@ class SpMVServer:
         copy, so the same request may be re-issued (e.g. by the
         router's hedging path).
 
-        .. deprecated::
-            The positional form ``submit(fingerprint, x, deadline_s=...,
-            priority=...)`` still routes identically for one release,
-            emitting a :class:`DeprecationWarning`.
-
-        Invalid inputs fail immediately on the caller thread: an
-        unknown fingerprint, a wrong-shape or non-finite payload, or a
-        closed server (:class:`ServerClosedError`).  Deadlines are
-        relative budgets from now (falling back to the server-wide
-        default); once passed, the future fails with
-        :class:`DeadlineExceededError` instead of occupying a slot.
-        With admission control installed, an over-rate request fails
-        here with :class:`~repro.overload.AdmissionRejectedError`
+        Invalid inputs fail immediately on the caller thread: not a
+        request object, an unknown fingerprint, a wrong-shape or
+        non-finite payload, or a closed server
+        (:class:`ServerClosedError`).  Deadlines are relative budgets
+        from now (falling back to the server-wide default); once
+        passed, the future fails with :class:`DeadlineExceededError`
+        instead of occupying a slot.  With admission control
+        installed, an over-rate request fails here with
+        :class:`~repro.overload.AdmissionRejectedError`
         (``priority="batch"`` traffic is shed first).  Raises
-        :class:`~repro.serve.scheduler.QueueFullError` under
-        ``"reject"`` backpressure; under ``"shed"`` the displaced
-        batch's futures fail with :class:`RequestShedError`.
+        :class:`~repro.serve.scheduler.QueueFullError` when the batch
+        this request completes meets ``"reject"`` backpressure (the
+        batch's other futures fail with it); under ``"shed"`` the
+        displaced batch's futures fail with :class:`RequestShedError`.
         """
-        if isinstance(request, (SpMVRequest, SpMMRequest)):
-            check(x is None and deadline_s is None
-                  and priority == "interactive",
-                  "pass deadline/priority on the request object, not "
-                  "as submit() arguments")
-            return self._submit_request(request)
-        warnings.warn(
-            "submit(fingerprint, x, ...) is deprecated; pass a "
-            "repro.serve.SpMVRequest (or SpMMRequest) instead — the "
-            "positional form will be removed next release",
-            DeprecationWarning, stacklevel=2)
-        deadline_us = None if deadline_s is None else deadline_s * 1e6
-        return self._submit_request(SpMVRequest(
-            request, np.asarray(x), deadline_us=deadline_us,
-            priority=priority))
-
-    def _submit_request(self, request) -> Future:
-        """Validate, admit, and route one typed request."""
+        check(isinstance(request, (SpMVRequest, SpMMRequest)),
+              "submit() takes an SpMVRequest or SpMMRequest")
         fingerprint = request.fingerprint
         with self._lock:
             if self._closed:
@@ -359,14 +335,13 @@ class SpMVServer:
                   f"x must have shape ({csr.shape[1]},)")
         check(bool(np.isfinite(x).all()), "x must be finite (no NaN/Inf)")
         if self.admission is not None:
-            self.admission.admit(request.priority, self._now())  # may raise
+            self.admission.admit(request.priority, self.clock.now())  # may raise
         if request.shards is not None:
-            with self._lock:
-                self._shard_hints.setdefault(fingerprint, request.shards)
+            self.core.shard_hints.setdefault(fingerprint, request.shards)
         deadline_rel = (request.deadline_us * 1e-6
                         if request.deadline_us is not None
                         else self.default_deadline_s)
-        now = self._now()
+        now = self.clock.now()
         deadline = (float("inf") if deadline_rel is None
                     else now + deadline_rel)
         future: Future = Future()
@@ -382,21 +357,18 @@ class SpMVServer:
         if self._warmer is not None:
             self._warmer.observe(fingerprint)
             self._warm_tick()
-        try:
-            if isinstance(req, SpMMRequest):
-                # A block is already a batch — skip the coalescer.
-                self.scheduler.submit(Batch(
-                    fingerprint=fingerprint, requests=[req],
-                    formed_s=self._now()))
-            else:
-                full = self.batcher.add(req, self._now())
-                if full is not None:
-                    self.scheduler.submit(full)
-        except QueueFullError:
+        if isinstance(req, SpMMRequest):
+            # A block is already a batch — skip the coalescer.
+            full = Batch(fingerprint=fingerprint, requests=[req],
+                         formed_s=self.clock.now())
+        else:
+            full = self.batcher.add(req, self.clock.now())
+        if full is not None and not self._dispatch(full):
+            # the caller hears about its own request synchronously
             with self._lock:
                 self._futures.pop(req_id, None)
-            self.stats.observe_rejected()
-            raise
+            raise QueueFullError(
+                f"batch queue full ({self.scheduler.queue_depth} batches)")
         if self.retry_budget is not None:
             self.retry_budget.on_request()
         return future
@@ -418,8 +390,8 @@ class SpMVServer:
 
     def flush(self) -> None:
         """Force-flush all pending partial batches to the workers."""
-        for batch in self.batcher.flush_all(self._now()):
-            self.scheduler.submit(batch)
+        for batch in self.batcher.flush_all(self.clock.now()):
+            self._dispatch(batch)
 
     def drain(self, timeout: float | None = None) -> bool:
         """Flush then wait for every in-flight batch to finish."""
@@ -450,7 +422,7 @@ class SpMVServer:
         self.scheduler.close(drain=drain, timeout=timeout)
         self._flusher.join(timeout)
         self._fail_parked()
-        self.stats.duration_s = self._now()
+        self.stats.duration_s = self.clock.now()
         # Cache, breaker and fault counters already live in the shared
         # registry (one source of truth); only the non-counter breaker
         # state map is copied for the report.
@@ -464,8 +436,23 @@ class SpMVServer:
         self.close()
 
     # ------------------------------------------------------------------
-    def _now(self) -> float:
-        return time.perf_counter() - self._t0
+    def _dispatch(self, batch: Batch) -> bool:
+        """Hand *batch* to the workers; False when it was rejected.
+
+        Under ``"reject"`` backpressure the batch's futures fail with
+        :class:`QueueFullError` and count as rejected — a batch already
+        popped from the batcher must never be dropped silently.  A
+        closed scheduler leaves the futures to :meth:`close`'s sweep.
+        """
+        try:
+            self.scheduler.submit(batch)
+        except QueueFullError as exc:
+            self.stats.observe_rejected(len(batch.requests))
+            self._fail_batch(batch, exc)
+            return False
+        except ReproError:
+            pass  # shutting down: close() fails what is left
+        return True
 
     def _flush_loop(self) -> None:
         # Wake a few times per timeout window; wall-clock flushing only
@@ -474,15 +461,12 @@ class SpMVServer:
         # flush timeout is long.
         interval = max(self.batcher.flush_timeout_s / 4, 1e-4)
         while not self._stop.wait(interval):
-            try:
-                for batch in self.batcher.due(self._now()):
-                    self.scheduler.submit(batch)
-            except (QueueFullError, ReproError):
-                continue  # backpressure: leave batches queued in batcher
+            for batch in self.batcher.due(self.clock.now()):
+                self._dispatch(batch)
 
     def _fail_parked(self) -> None:
         """Fail every still-unresolved future with ServerClosedError."""
-        for batch in self.batcher.flush_all(self._now()):
+        for batch in self.batcher.flush_all(self.clock.now()):
             for req in batch.requests:
                 fut = self._pop_future(req.req_id)
                 if fut is not None:
@@ -498,80 +482,19 @@ class SpMVServer:
                 f"request {req_id} unserved at shutdown"))
 
     # ------------------------------------------------------------------
-    # batch execution (scheduler worker context)
+    # batch execution (scheduler worker context): outcome hooks of the
+    # shared core
     # ------------------------------------------------------------------
     def _prune_batch(self, batch: Batch) -> Batch | None:
         """Scheduler dequeue hook: drop expired requests before work."""
-        self._fail_expired(batch, self._now())
+        self.core.expire(batch)
         return batch if batch.requests else None
 
-    def _fail_expired(self, batch: Batch, now: float) -> None:
-        for req in batch.split_expired(now):
-            self.stats.observe_deadline_exceeded()
-            fut = self._pop_future(req.req_id)
-            if fut is not None:
-                fut.set_exception(DeadlineExceededError(
-                    f"request {req.req_id} missed its deadline "
-                    f"({req.deadline_s - req.arrival_s:.6f}s budget)"))
-
     def _execute_batch(self, batch: Batch) -> None:
-        self._fail_expired(batch, self._now())
-        if not batch.requests:
-            return
-        fp = batch.fingerprint
-        attrs = None
-        if self.obs.tracing:
-            attrs = {"matrix": fp[:8], "k": batch.k}
-        with self.obs.span("batch", attrs=attrs):
-            self._execute_batch_inner(batch, fp)
-
-    def _execute_batch_inner(self, batch: Batch, fp: str) -> None:
-        csr = self._matrices[fp]
-        if self.breaker is not None and not self.breaker.allow(fp, self._now()):
-            self._degrade(batch, csr, CircuitOpenError(
-                f"circuit open for matrix {fp[:8]}…"))
-            return
-        try:
-            plan = self._get_plan(fp, csr)
-        except Exception as exc:  # noqa: BLE001 — degrade, never crash a worker
-            if self.breaker is not None:
-                self.breaker.record_failure(fp, self._now())
-            self._degrade(batch, csr, exc)
-            return
-        for attempt in range(self.retry.max_retries + 1):
-            try:
-                Y, device_s, useful, issued = self._run_kernel(
-                    batch, plan, fp, attempt)
-                break
-            except Exception as exc:  # noqa: BLE001
-                if self.breaker is not None:
-                    self.breaker.record_failure(fp, self._now())
-                transient = getattr(exc, "transient", False)
-                if (transient and attempt < self.retry.max_retries
-                        and self._allow_retry()):
-                    self.stats.observe_retry()
-                    with self._rng_lock:
-                        backoff = self.retry.backoff_s(attempt + 1,
-                                                       self._retry_rng)
-                    time.sleep(backoff)
-                    self._fail_expired(batch, self._now())
-                    if not batch.requests:
-                        return
-                    continue
-                self._degrade(batch, csr, exc)
-                return
-        if self.breaker is not None:
-            self.breaker.record_success(fp, self._now())
-        self._complete(batch, Y, device_s, useful, issued)
-
-    def _allow_retry(self) -> bool:
-        """Spend one global retry token (always allowed with no budget).
-
-        A denial sends the batch straight to the merge-CSR fallback —
-        under a cluster-wide fault that is strictly better than N
-        replicas independently hammering the device with retries.
-        """
-        return self.retry_budget is None or self.retry_budget.try_spend()
+        # no version fence on the server: a batch reads the matrix
+        # version current when it executes
+        self.core.execute(batch, version=self.registry.version_of(
+            batch.fingerprint))
 
     def _warm_tick(self) -> None:
         """Dispatch the warmer's nominations to the prefetcher."""
@@ -584,358 +507,32 @@ class SpMVServer:
                 csr = self._matrices.get(fp)
             self.prefetcher.prefetch(fp, csr)
 
-    def _reorder_hint(self, fp: str, plan):
-        """Persisted ``spmm.reorder_perm`` as a tuner hint, or ``None``.
+    @staticmethod
+    def terminal(reqs) -> int:
+        return len(reqs)
 
-        Consulting the store *before* re-deriving the permutation is
-        what makes a tuned-offline matrix serve its first large-k batch
-        without paying the reorder sweep again; the outcome is counted
-        (``spmm.reorder.{loaded,derived}``) once per matrix.
-        """
-        with self._lock:
-            if fp in self._reorder_hints:
-                return self._reorder_hints[fp]
-        aux = self.registry.load_aux(fp)
-        hint = None
-        if aux and "spmm.reorder_perm" in aux:
-            hint = reorder_from_perm(plan.csr,
-                                     np.asarray(aux["spmm.reorder_perm"]),
-                                     mma_shape=plan.mma_shape)
-            self.obs.counter("spmm.reorder.loaded_total").inc()
-        else:
-            self.obs.counter("spmm.reorder.derived_total").inc()
-        with self._lock:
-            if fp not in self._reorder_hints:
-                self._reorder_hints[fp] = hint
-            return self._reorder_hints[fp]
+    @staticmethod
+    def settle(batch: Batch, Y, done: float, degraded: bool) -> list:
+        batch.scatter(Y, done)
+        return batch.requests
 
-    def _spmm_strategy(self, fp: str, plan, k: int):
-        """Tuner-chosen large-k strategy, memoized per (matrix, k).
-
-        The tuner's reorder pass and permuted-plan build are paid once;
-        concurrent workers racing the first build keep the first-stored
-        strategy so every batch of a given width executes identically.
-        A reorder permutation persisted alongside the plan artifact
-        (the ``spmm.reorder_perm`` aux record) is loaded instead of
-        re-derived.
-        """
-        key = (fp, int(k))
-        with self._lock:
-            strat = self._spmm_strategies.get(key)
-        if strat is None:
-            hint = self._reorder_hint(fp, plan)
-            built = choose_spmm_strategy(plan, k, self.device,
-                                         reorder_hint=hint)
-            with self._lock:
-                strat = self._spmm_strategies.setdefault(key, built)
-        return strat
-
-    def _shards_for(self, fp: str, csr) -> int:
-        """Resolve the shard count for one matrix (memoized for auto).
-
-        A per-request shard hint (``SpMVRequest.shards`` /
-        ``SpMMRequest.shards``) recorded before the plan was first
-        built overrides the server-wide policy for that matrix.
-        """
-        with self._lock:
-            policy = self._shard_hints.get(fp, self.shards)
-        if policy is None:
-            return 1
-        if policy == "auto":
-            S = self._shard_choice.get(fp)
-            if S is None:
-                from ..shard import choose_shards
-
-                # Offline model sweep (candidate plans are modeling-only
-                # throwaways); the winning plan is built — and charged —
-                # through the traced preprocessing path below.
-                S = int(choose_shards(csr, self.scheduler.workers,
-                                      device=self.device,
-                                      k=self.batcher.max_batch).best_value)
-                self._shard_choice[fp] = S
-            return S
-        return int(policy)
-
-    def _get_plan(self, fp: str, csr):
-        """Fetch or build the (possibly sharded) plan, charging modeled
-        preprocess time and enforcing the preprocess deadline on
-        misses."""
-        pre_cell: dict[str, float] = {}
-
-        def build(matrix):
-            S = self._shards_for(fp, matrix)
-            if S > 1:
-                from ..shard import traced_preprocess_sharded
-
-                plan, pre = traced_preprocess_sharded(
-                    matrix, self.device, S, obs=self.obs,
-                    injector=self.fault_injector, fingerprint=fp)
-            else:
-                plan, pre = traced_preprocess(
-                    matrix, self.device, obs=self.obs,
-                    injector=self.fault_injector, fingerprint=fp)
-            if (self.preprocess_deadline_s is not None
-                    and pre > self.preprocess_deadline_s):
-                raise DeadlineExceededError(
-                    f"preprocess needs {pre:.6f}s modeled, over the "
-                    f"{self.preprocess_deadline_s:.6f}s budget")
-            pre_cell["s"] = pre
-            return plan
-
-        plan, source, load_s = self.registry.get_ex(csr, fingerprint=fp,
-                                                    builder=build)
-        if source == "built":
-            self.stats.observe_preprocess(pre_cell.get("s", 0.0))
-        elif source == "store":
-            # A disk load replaces the rebuild it saved; charge its
-            # modeled cost to the same plan-acquisition bucket.
-            self.stats.observe_preprocess(load_s)
-        return plan
-
-    def _run_kernel(self, batch: Batch, plan, fp: str, attempt: int = 0):
-        """One DASP SpMV/SpMM attempt; raises on (injected) failure."""
-        from ..shard import ShardedPlan
-
-        if isinstance(plan, ShardedPlan):
-            return self._run_kernel_sharded(batch, plan, fp, attempt)
-        attrs = {"attempt": attempt} if self.obs.tracing else None
-        with self.obs.span("kernel", attrs=attrs) as sp:
-            extra_s = 0.0
-            corrupt = False
-            if self.fault_injector is not None:
-                decision = self.fault_injector.check_kernel(fp)  # may raise
-                extra_s, corrupt = decision.latency_s, decision.corrupt
-            k = batch.k
-            ev = spmm_events(plan, self.device, k)
-            bits = plan.dtype.itemsize * 8
-            util = mma_utilization(plan, k)
-            if k > MMA_N:
-                # Large-k tier: tuner-chosen strategy (looped / tiled /
-                # reordered), memoized per (matrix, k).  All strategies
-                # are bitwise-identical to column-wise dasp_spmv; the
-                # batch is charged the chosen strategy's modeled time.
-                strat = self._spmm_strategy(fp, plan, k)
-                device_s = strat.modeled_s + extra_s
-                Y = dasp_spmm_large(plan, batch.assemble_x(), strat)
-                self.obs.counter("serve.spmm_large_total",
-                                 {"strategy": strat.name}).inc()
-                if self.obs.tracing:
-                    sp.set_attr("spmm_strategy", strat.name)
-                    sp.set_attr("tile_k", strat.tile_k)
-            else:
-                # k == 1 routes through the same SpMM path as 2..8 —
-                # dasp_spmm's column folds are bitwise dasp_spmv, and
-                # scale_rhs(k=1) preserves every event field.
-                device_s = (estimate_time(ev, self.device,
-                                          dtype_bits=bits).total + extra_s)
-                Y = dasp_spmm(plan, batch.assemble_x(), obs=self.obs)
-            if corrupt:
-                Y = self.fault_injector.corrupt_output(Y)
-            if not np.isfinite(Y).all():
-                raise NumericFault(
-                    f"non-finite kernel output for matrix {fp[:8]}…")
-            # Attribute device time only on success: a failed attempt's
-            # time never reaches the stats counters either, so the span
-            # tree and `device_busy_s` stay in lockstep.
-            if self.obs.tracing:
-                frac = mma_phase_fraction(plan)
-                sp.child("regular_mma", device_s=device_s * frac)
-                sp.child("irregular_csr", device_s=device_s * (1.0 - frac))
-                for key, value in ev.as_attrs().items():
-                    sp.set_attr(key, value)
-        return Y, device_s, util * ev.flops_mma, ev.flops_mma
-
-    def _run_kernel_sharded(self, batch: Batch, plan, fp: str,
-                            attempt: int = 0):
-        """One sharded attempt: fan the shards out over idle workers.
-
-        The join is **claim-based** and deadlock-free: helper closures
-        submitted via :meth:`Scheduler.submit_task` and this (worker)
-        thread all pull shard indices from a shared claim counter, so
-        the batch's worker finishes every shard no helper picked up —
-        whether the pool is busy, sized 1, or mid-shutdown — and then
-        waits only on shards a live helper is actively executing.
-
-        The batch is charged the modeled LPT makespan of the per-shard
-        times over the participating lanes (deterministic, unlike the
-        wall-clock interleaving); useful/issued MMA flops are sums.
-        """
-        attrs = {"attempt": attempt, "shards": plan.n_shards} \
-            if self.obs.tracing else None
-        with self.obs.span("kernel", attrs=attrs) as sp:
-            k = batch.k
-            X = batch.assemble_x()
-            S = plan.n_shards
-            results: list = [None] * S
-            errors: list[Exception] = []
-            state = {"next": 0, "done": 0}
-            cond = threading.Condition()
-
-            def helper() -> None:
-                while True:
-                    with cond:
-                        if state["next"] >= S or errors:
-                            return
-                        i = state["next"]
-                        state["next"] += 1
-                    try:
-                        out = self._run_shard(plan.shards[i], X, k, fp)
-                        with cond:
-                            results[i] = out
-                    except Exception as exc:  # noqa: BLE001 — joined below
-                        with cond:
-                            errors.append(exc)
-                    finally:
-                        with cond:
-                            state["done"] += 1
-                            cond.notify_all()
-
-            lanes = min(S, self.scheduler.workers)
-            for _ in range(lanes - 1):
-                self.scheduler.submit_task(helper)
-            helper()  # this worker participates; returns when all claimed
-            with cond:
-                cond.wait_for(lambda: state["done"] >= state["next"])
-                if errors:
-                    raise errors[0]
-            from ..shard import lpt_makespan
-
-            parts = [r[0] for r in results]
-            times = [r[1] for r in results]
-            serial = sum(times)
-            device_s = lpt_makespan(times, lanes)
-            useful = sum(r[3] * r[2].flops_mma for r in results)
-            issued = sum(r[2].flops_mma for r in results)
-            Y = np.concatenate(parts, axis=0)
-            if self.obs.tracing:
-                # Scale per-shard phase children so the attributed total
-                # equals the makespan the batch is actually charged.
-                scale = device_s / serial if serial > 0 else 0.0
-                combined = None
-                for i, r in enumerate(results):
-                    _, t, ev, _, frac = r
-                    shard_sp = sp.child("shard", attrs={
-                        "shard": i, "modeled_s": t})
-                    shard_sp.child("regular_mma",
-                                   device_s=t * scale * frac)
-                    shard_sp.child("irregular_csr",
-                                   device_s=t * scale * (1.0 - frac))
-                    combined = ev if combined is None else combined.combine(ev)
-                if combined is not None:
-                    for key, value in combined.as_attrs().items():
-                        sp.set_attr(key, value)
-        return Y, device_s, useful, issued
-
-    def _run_shard(self, shard, X, k: int, fp: str):
-        """Run one shard's kernels with shard-level retry.
-
-        Fault rules target a shard via the ``{fp}#s{i}`` fingerprint;
-        a transient shard fault burns retry budget here — at shard
-        granularity — before the whole batch's retry/degrade machinery
-        sees anything.  Returns ``(Y_band, modeled_s, events,
-        utilization, phase_fraction)``.
-        """
-        from ..core.spmm import dasp_spmm_on_plan
-        from ..core.spmm_block import DEFAULT_TILE_K, dasp_spmm_tiled
-
-        self.obs.counter("core.shard_executions_total").inc()
-        for attempt in range(self.retry.max_retries + 1):
-            try:
-                extra_s, corrupt = 0.0, False
-                if self.fault_injector is not None:
-                    decision = self.fault_injector.check_kernel(
-                        f"{fp}#s{shard.index}")  # may raise
-                    extra_s, corrupt = decision.latency_s, decision.corrupt
-                ev = spmm_events(shard.dasp, self.device, k)
-                bits = shard.dasp.dtype.itemsize * 8
-                t = (estimate_time(ev, self.device, dtype_bits=bits).total
-                     + self.device.launch_overhead_s + extra_s)
-                # The un-spanned kernel entry point: helper threads must
-                # not open root spans in the thread-local tracer.
-                # Column-tile wide blocks; both calls are bitwise the
-                # column-wise dasp_spmv (k == 1 included).
-                if k > MMA_N:
-                    Yi = dasp_spmm_tiled(shard.dasp, X,
-                                         tile_k=DEFAULT_TILE_K)
-                else:
-                    Yi = dasp_spmm_on_plan(shard.dasp, X)
-                if corrupt:
-                    Yi = self.fault_injector.corrupt_output(Yi)
-                if not np.isfinite(Yi).all():
-                    raise NumericFault(
-                        f"non-finite output in shard {shard.index} of "
-                        f"matrix {fp[:8]}…")
-                return (Yi, t, ev, mma_utilization(shard.dasp, k),
-                        mma_phase_fraction(shard.dasp))
-            except Exception as exc:  # noqa: BLE001
-                if (getattr(exc, "transient", False)
-                        and attempt < self.retry.max_retries
-                        and self._allow_retry()):
-                    self.stats.observe_retry()
-                    with self._rng_lock:
-                        backoff = self.retry.backoff_s(attempt + 1,
-                                                       self._retry_rng)
-                    time.sleep(backoff)
-                    continue
-                raise
-        raise AssertionError("unreachable")  # pragma: no cover
-
-    def _degrade(self, batch: Batch, csr, cause: Exception) -> None:
-        """Serve the batch from the merge-CSR path (or fail it)."""
-        if not self.fallback_enabled:
-            self.stats.observe_failed(len(batch.requests))
-            self._fail_batch(batch, cause)
-            return
-        attrs = None
-        if self.obs.tracing:
-            attrs = {"cause": type(cause).__name__}
-        with self.obs.span("fallback", attrs=attrs) as sp:
-            try:
-                Y = self._fallback.run(batch.fingerprint, csr,
-                                       batch.assemble_x())
-                device_s, pre_s = self._fallback.modeled_cost(
-                    batch.fingerprint, csr, batch.k)
-            except Exception as exc:  # noqa: BLE001 — fallback itself broke
-                if self.obs.tracing:
-                    sp.status = "error"
-                self.stats.observe_failed(len(batch.requests))
-                self._fail_batch(batch, exc)
-                return
-            sp.set_device_time(device_s)
-            if pre_s:
-                self.stats.observe_preprocess(pre_s)
-                if self.obs.tracing:
-                    sp.child("preprocess", device_s=pre_s)
-        self.stats.observe_degraded(len(batch.requests))
-        # degraded batches issue no MMA work — utilization stays honest
-        self._complete(batch, Y, device_s, 0.0, 0.0)
-
-    def _complete(self, batch: Batch, Y, device_s: float,
-                  useful: float, issued: float) -> None:
-        now = self._now()
-        batch.scatter(Y, now)
-        self.stats.observe_batch(batch.k, device_s,
-                                 useful_mma=useful, issued_mma=issued,
-                                 completed=len(batch.requests))
-        for req in batch.requests:
-            self.stats.observe_latency(req.latency_s)
+    def deliver(self, reqs, error: Exception | None = None) -> None:
+        for req in reqs:
             fut = self._pop_future(req.req_id)
-            if fut is not None:
+            if fut is None:
+                continue
+            if error is None:
                 fut.set_result(req.result)
+            else:
+                fut.set_exception(error)
 
     def _shed_batch(self, batch: Batch) -> None:
         self.stats.observe_shed(len(batch.requests))
-        for req in batch.requests:
-            fut = self._pop_future(req.req_id)
-            if fut is not None:
-                fut.set_exception(RequestShedError(
-                    f"request {req.req_id} shed under backpressure"))
+        self.deliver(batch.requests, RequestShedError(
+            f"{len(batch.requests)} request(s) shed under backpressure"))
 
     def _fail_batch(self, batch: Batch, exc: Exception) -> None:
-        for req in batch.requests:
-            fut = self._pop_future(req.req_id)
-            if fut is not None:
-                fut.set_exception(exc)
+        self.deliver(batch.requests, exc)
 
     def _pop_future(self, req_id: int) -> Future | None:
         with self._lock:

@@ -167,6 +167,35 @@ class TestParser:
         with pytest.raises(KeyError):
             main(["analyze", "not_a_matrix"])
 
+    @pytest.mark.parametrize("cmd", ["serve-sim", "cluster-sim"])
+    @pytest.mark.parametrize("flag", [["--chaos-rate", "0.2"],
+                                      ["--chaos-seed", "3"]])
+    def test_chaos_knobs_without_chaos_rejected(self, cmd, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([cmd, "--requests", "10", *flag])
+        assert exc.value.code == 2
+        assert "need --chaos" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cmd", ["serve-sim", "cluster-sim"])
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_nonpositive_deadline_rejected(self, cmd, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([cmd, "--requests", "10", "--deadline-us", value])
+        assert exc.value.code == 2
+        assert "--deadline-us" in capsys.readouterr().err
+
+    def test_validation_error_is_a_clean_exit(self, capsys):
+        assert main(["serve-sim", "--requests", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: ")
+        assert "n_requests" in err and "Traceback" not in err
+
+    def test_chaos_knobs_apply_with_chaos(self, capsys):
+        assert main(["serve-sim", "--requests", "200", "--matrices", "2",
+                     "--chaos", "--chaos-rate", "0.3",
+                     "--chaos-seed", "3"]) == 0
+        assert "faults injected" in capsys.readouterr().out
+
 
 class TestConvert:
     def test_mtx_to_npz_roundtrip(self, tmp_path, capsys, rng):

@@ -9,6 +9,7 @@ from repro.cluster import (
     HealthConfig,
     run_cluster_workload,
 )
+from repro._util import ValidationError
 from repro.matrices import synthetic_collection
 from repro.obs import Obs, Tracer
 from repro.serve import WorkloadConfig, run_workload
@@ -133,6 +134,15 @@ class TestElastic:
             ElasticConfig(min_replicas=0)
         with pytest.raises(Exception):
             ElasticConfig(scale_up_depth=1.0, scale_down_depth=2.0)
+
+
+class TestConfigValidation:
+    def test_spmm_mix_rejected_naming_the_field(self):
+        """The cluster driver replays SpMV reads only; an SpMM mix it
+        inherits from WorkloadConfig must fail, not be ignored."""
+        with pytest.raises(ValidationError, match="spmm_mix"):
+            run_cluster_workload(cluster_cfg(spmm_mix=0.1,
+                                             spmm_ks=(16, 32)))
 
 
 class TestObservability:

@@ -9,6 +9,7 @@ from repro.cluster import (
     Router,
 )
 from repro.obs import Obs
+from repro.serve import SpMVRequest
 from repro.store import PlanStore
 from tests.conftest import random_csr
 
@@ -34,7 +35,7 @@ class TestRouting:
             fp = router.register(csr)
             for server in router.servers.values():
                 assert csr is not None
-                assert server.submit(fp, np.zeros(csr.shape[1])) is not None
+                assert server.submit(SpMVRequest(fp, np.zeros(csr.shape[1]))) is not None
 
     def test_affinity_routes_to_ring_home(self):
         obs = Obs()
@@ -43,7 +44,7 @@ class TestRouting:
             fps = [router.register(c) for c in make_matrices(4)]
             shapes = {fp: c.shape[1]
                       for fp, c in zip(fps, make_matrices(4))}
-            futs = [router.submit(fp, rng.uniform(-1, 1, shapes[fp]))
+            futs = [router.submit(SpMVRequest(fp, rng.uniform(-1, 1, shapes[fp])))
                     for fp in fps for _ in range(5)]
             for f in futs:
                 assert f.result(timeout=30) is not None
@@ -79,7 +80,7 @@ class TestRouting:
 
             router.health.observe(router.home(fp),
                                   ReplicaSignals(queue_depth=10**6))
-            fut = router.submit(fp, rng.uniform(-1, 1, csr.shape[1]))
+            fut = router.submit(SpMVRequest(fp, rng.uniform(-1, 1, csr.shape[1])))
             assert fut.result(timeout=30) is not None
             assert obs.registry.counter(
                 "cluster.router.failover_total").value == 1
@@ -107,7 +108,7 @@ class TestRouting:
                 server.scheduler.submit_task(gate.wait)
             with pytest.raises(NoHealthyReplicaError):
                 for _ in range(64):
-                    blocked.append(router.submit(fp, x))
+                    blocked.append(router.submit(SpMVRequest(fp, x)))
         finally:
             gate.set()
             router.close()
@@ -157,7 +158,7 @@ class TestClosed:
         fp = router.register(csr)
         router.close()
         with pytest.raises(RouterClosedError):
-            router.submit(fp, np.zeros(csr.shape[1]))
+            router.submit(SpMVRequest(fp, np.zeros(csr.shape[1])))
         with pytest.raises(RouterClosedError):
             router.warm([fp])
         assert issubclass(RouterClosedError, ReproError)
@@ -187,7 +188,7 @@ class TestClosed:
             start.wait()
             for _ in range(50):
                 try:
-                    futures.append(router.submit(fp, x))
+                    futures.append(router.submit(SpMVRequest(fp, x)))
                 except (RouterClosedError, NoHealthyReplicaError):
                     pass
                 except Exception as exc:  # pragma: no cover - regression
@@ -224,7 +225,7 @@ class TestAllUnhealthy:
                                       ReplicaSignals(queue_depth=10**6))
             assert not any(router.health.is_healthy(r)
                            for r in router.servers)
-            fut = router.submit(fp, rng.uniform(-1, 1, csr.shape[1]))
+            fut = router.submit(SpMVRequest(fp, rng.uniform(-1, 1, csr.shape[1])))
             assert fut.result(timeout=30) is not None
 
     def test_all_refusing_raises_then_recovers_without_lost_futures(self):
@@ -248,11 +249,11 @@ class TestAllUnhealthy:
             accepted = []
             with pytest.raises(NoHealthyReplicaError):
                 for _ in range(64):
-                    accepted.append(router.submit(fp, x))
+                    accepted.append(router.submit(SpMVRequest(fp, x)))
             gate.set()  # recovery: replicas drain their queues
             for fut in accepted:
                 assert fut.result(timeout=30) is not None
-            assert router.submit(fp, x).result(timeout=30) is not None
+            assert router.submit(SpMVRequest(fp, x)).result(timeout=30) is not None
         finally:
             gate.set()
             router.close()

@@ -112,11 +112,3 @@ class TestLoad:
 
         with pytest.raises(KeyError, match="no-such-matrix"):
             load("no-such-matrix")
-
-    def test_cli_shim_warns_but_works(self):
-        from repro.cli import _load_matrix
-        from repro.matrices import load
-
-        with pytest.warns(DeprecationWarning, match="repro.matrices.load"):
-            csr = _load_matrix("scircuit")
-        assert csr.nnz == load("scircuit").nnz

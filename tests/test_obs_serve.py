@@ -8,7 +8,7 @@ import pytest
 
 from repro.obs import Obs, Tracer, export
 from repro.resilience import FaultInjector, FaultPlan, FaultRule
-from repro.serve import ServerStats, SpMVServer
+from repro.serve import ServerStats, SpMVRequest, SpMVServer
 from repro.serve.driver import WorkloadConfig, run_workload
 
 from tests.conftest import random_csr
@@ -43,8 +43,8 @@ class TestStatsFacade:
         with SpMVServer(max_batch=2, flush_timeout_s=0.01, workers=1, obs=obs) as server:
             fp = server.register(random_csr(64, 64, rng))
             x = rng.standard_normal(64)
-            server.submit(fp, x).result()
-            server.submit(fp, x).result()
+            server.submit(SpMVRequest(fp, x)).result()
+            server.submit(SpMVRequest(fp, x)).result()
             # Live (pre-close) facade equality with the plan registry.
             assert server.stats.cache_misses == server.registry.misses
             assert server.stats.cache_hits == server.registry.hits
@@ -72,7 +72,7 @@ class TestServerTracing:
             fps = [server.register(random_csr(48 + 16 * i, 64, rng))
                    for i in range(3)]
             futs = [
-                server.submit(fp, rng.standard_normal(64))
+                server.submit(SpMVRequest(fp, rng.standard_normal(64)))
                 for _ in range(4)
                 for fp in fps
             ]
@@ -103,7 +103,7 @@ class TestServerTracing:
             fault_injector=FaultInjector(plan), obs=obs,
         ) as server:
             fp = server.register(random_csr(64, 64, rng))
-            y = server.submit(fp, np.ones(64)).result()
+            y = server.submit(SpMVRequest(fp, np.ones(64))).result()
         assert np.all(np.isfinite(y))
         names = [sp.name for sp in obs.tracer.walk()]
         assert "fallback" in names

@@ -1,9 +1,9 @@
 """Tests for the unified typed request API (`repro.serve.request`).
 
 Covers the api_redesign contract: `SpMVRequest` / `SpMMRequest` objects
-accepted by both `SpMVServer.submit` and `Router.submit`, the
-deprecated positional form routing identically one release behind a
-`DeprecationWarning`, SpMM end-to-end through server and router, and
+accepted by both `SpMVServer.submit` and `Router.submit` (the removed
+positional form now fails fast), SpMM end-to-end through server and
+router, and
 the k=1-through-the-SpMM-path regression (events parity and serving
 behavior unchanged).
 """
@@ -13,6 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
+from repro._util import ValidationError
 from repro.cluster import Router
 from repro.core import DASPMatrix, DASPMethod
 from repro.core.spmm import spmm_events
@@ -57,36 +58,22 @@ class TestRequestObjects:
 
 
 class TestDeprecatedPositionalForm:
-    def test_server_warns_and_routes_identically(self, server, rng):
+    def test_server_rejects_positional_form(self, server, rng):
         csr = random_csr(30, 40, rng)
         fp = server.register(csr)
-        x = rng.uniform(-1, 1, 40)
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            old = server.submit(fp, x)
-        new = server.submit(SpMVRequest(fp, x))
-        server.flush()
-        assert np.array_equal(old.result(5.0), new.result(5.0))
+        with pytest.raises(ValidationError, match="SpMVRequest"):
+            server.submit(fp)
+        with pytest.raises(TypeError):
+            server.submit(fp, rng.uniform(-1, 1, 40))
 
-    def test_server_deadline_s_maps_to_deadline_us(self, server, rng):
-        csr = random_csr(10, 12, rng)
-        fp = server.register(csr)
-        with pytest.warns(DeprecationWarning):
-            fut = server.submit(fp, rng.uniform(-1, 1, 12), deadline_s=10.0)
-        server.flush()
-        assert fut.result(5.0).shape == (10,)
-
-    def test_router_warns_and_routes_identically(self, rng):
+    def test_router_rejects_positional_form(self, rng):
         servers = [SpMVServer(workers=1, queue_depth=16) for _ in range(2)]
         with Router(servers, seed=1) as router:
-            csr = random_csr(24, 24, rng)
-            fp = router.register(csr)
-            x = rng.uniform(-1, 1, 24)
-            with pytest.warns(DeprecationWarning, match="deprecated"):
-                old = router.submit(fp, x)
-            new = router.submit(SpMVRequest(fp, x))
-            for s in router.servers.values():
-                s.flush()
-            assert np.array_equal(old.result(10.0), new.result(10.0))
+            fp = router.register(random_csr(24, 24, rng))
+            with pytest.raises(ValidationError, match="SpMVRequest"):
+                router.submit(fp)
+            with pytest.raises(TypeError):
+                router.submit(fp, rng.uniform(-1, 1, 24))
 
     def test_new_form_rejects_extra_positional_kwargs(self, server, rng):
         csr = random_csr(10, 12, rng)

@@ -18,6 +18,7 @@ from repro.serve import (
     PlanTooLargeError,
     RetryPolicy,
     ServerClosedError,
+    SpMVRequest,
     SpMVServer,
 )
 from repro.resilience import NO_RETRY, OPEN
@@ -40,7 +41,7 @@ class TestDeadlines:
         csr = random_csr(30, 40, rng)
         with make_server() as s:
             fp = s.register(csr)
-            fut = s.submit(fp, rng.uniform(-1, 1, 40), deadline_s=0.0)
+            fut = s.submit(SpMVRequest(fp, rng.uniform(-1, 1, 40), deadline_us=0.0))
             s.flush()
             with pytest.raises(DeadlineExceededError):
                 fut.result(timeout=5.0)
@@ -50,7 +51,7 @@ class TestDeadlines:
         csr = random_csr(30, 40, rng)
         with make_server(default_deadline_s=0.0) as s:
             fp = s.register(csr)
-            fut = s.submit(fp, rng.uniform(-1, 1, 40))
+            fut = s.submit(SpMVRequest(fp, rng.uniform(-1, 1, 40)))
             s.flush()
             with pytest.raises(DeadlineExceededError):
                 fut.result(timeout=5.0)
@@ -60,7 +61,7 @@ class TestDeadlines:
         with make_server() as s:
             fp = s.register(csr)
             x = rng.uniform(-1, 1, 40)
-            fut = s.submit(fp, x, deadline_s=30.0)
+            fut = s.submit(SpMVRequest(fp, x, deadline_us=30.0 * 1e6))
             s.flush()
             assert np.allclose(fut.result(timeout=5.0), csr.matvec(x),
                                rtol=1e-10)
@@ -75,7 +76,7 @@ class TestRetries:
         with make_server(fault_injector=inj, retry=retry) as s:
             fp = s.register(csr)
             x = rng.uniform(-1, 1, 40)
-            fut = s.submit(fp, x)
+            fut = s.submit(SpMVRequest(fp, x))
             s.flush()
             y = fut.result(timeout=5.0)
         assert np.allclose(y, csr.matvec(x), rtol=1e-10)
@@ -89,7 +90,7 @@ class TestRetries:
         with make_server(fault_injector=inj, retry=retry) as s:
             fp = s.register(csr)
             x = rng.uniform(-1, 1, 40)
-            fut = s.submit(fp, x)
+            fut = s.submit(SpMVRequest(fp, x))
             s.flush()
             y = fut.result(timeout=5.0)
         assert np.allclose(y, csr.matvec(x), rtol=1e-10)  # fallback correct
@@ -102,7 +103,7 @@ class TestRetries:
         with make_server(fault_injector=inj, retry=NO_RETRY,
                          fallback=False) as s:
             fp = s.register(csr)
-            fut = s.submit(fp, rng.uniform(-1, 1, 40))
+            fut = s.submit(SpMVRequest(fp, rng.uniform(-1, 1, 40)))
             s.flush()
             with pytest.raises(ReproError):
                 fut.result(timeout=5.0)
@@ -116,7 +117,7 @@ class TestDegradation:
         with make_server(fault_injector=inj) as s:
             fp = s.register(csr)
             x = rng.uniform(-1, 1, 40)
-            fut = s.submit(fp, x)
+            fut = s.submit(SpMVRequest(fp, x))
             s.flush()
             y = fut.result(timeout=5.0)
         assert np.allclose(y, csr.matvec(x), rtol=1e-10)
@@ -128,7 +129,7 @@ class TestDegradation:
         with make_server(fault_injector=inj, retry=NO_RETRY) as s:
             fp = s.register(csr)
             x = rng.uniform(-1, 1, 40)
-            fut = s.submit(fp, x)
+            fut = s.submit(SpMVRequest(fp, x))
             s.flush()
             y = fut.result(timeout=5.0)
         assert np.isfinite(y).all()
@@ -140,7 +141,7 @@ class TestDegradation:
         with make_server(cache_budget_bytes=1) as s:
             fp = s.register(csr)
             x = rng.uniform(-1, 1, 80)
-            fut = s.submit(fp, x)
+            fut = s.submit(SpMVRequest(fp, x))
             s.flush()
             y = fut.result(timeout=5.0)
         assert np.allclose(y, csr.matvec(x), rtol=1e-10)
@@ -155,7 +156,7 @@ class TestDegradation:
                          breaker=cfg) as s:
             fp = s.register(csr)
             for _ in range(4):
-                fut = s.submit(fp, rng.uniform(-1, 1, 40))
+                fut = s.submit(SpMVRequest(fp, rng.uniform(-1, 1, 40)))
                 s.flush()
                 fut.result(timeout=5.0)  # degraded, still answered
         assert s.stats.breaker_state.get(fp) == OPEN
@@ -167,7 +168,7 @@ class TestDegradation:
         inj = injector(FaultRule(kind="kernel_error"))
         with make_server(fault_injector=inj, retry=NO_RETRY) as s:
             fp = s.register(csr)
-            fut = s.submit(fp, rng.uniform(-1, 1, 40))
+            fut = s.submit(SpMVRequest(fp, rng.uniform(-1, 1, 40)))
             s.flush()
             fut.result(timeout=5.0)
         assert s.stats.issued_mma_flops == 0.0
@@ -177,14 +178,14 @@ class TestSubmitValidation:
     def test_unknown_fingerprint_raises_on_caller(self, rng):
         with make_server() as s:
             with pytest.raises(ReproError):
-                s.submit("deadbeef", np.ones(4))
+                s.submit(SpMVRequest("deadbeef", np.ones(4)))
 
     def test_wrong_length_x(self, rng):
         csr = random_csr(30, 40, rng)
         with make_server() as s:
             fp = s.register(csr)
             with pytest.raises(ValidationError):
-                s.submit(fp, np.ones(39))
+                s.submit(SpMVRequest(fp, np.ones(39)))
 
     def test_non_finite_x(self, rng):
         csr = random_csr(30, 40, rng)
@@ -193,10 +194,10 @@ class TestSubmitValidation:
             x = np.ones(40)
             x[3] = np.nan
             with pytest.raises(ValidationError):
-                s.submit(fp, x)
+                s.submit(SpMVRequest(fp, x))
             x[3] = np.inf
             with pytest.raises(ValidationError):
-                s.submit(fp, x)
+                s.submit(SpMVRequest(fp, x))
 
 
 class TestShutdown:
@@ -206,7 +207,7 @@ class TestShutdown:
         fp = s.register(csr)
         s.close()
         with pytest.raises(ServerClosedError):
-            s.submit(fp, np.ones(40))
+            s.submit(SpMVRequest(fp, np.ones(40)))
         with pytest.raises(ServerClosedError):
             s.register(csr)
 
@@ -214,7 +215,7 @@ class TestShutdown:
         csr = random_csr(30, 40, rng)
         s = make_server(flush_timeout_s=60.0)  # nothing auto-flushes
         fp = s.register(csr)
-        futs = [s.submit(fp, rng.uniform(-1, 1, 40)) for _ in range(3)]
+        futs = [s.submit(SpMVRequest(fp, rng.uniform(-1, 1, 40))) for _ in range(3)]
         s.close(timeout=5.0, drain=False)
         for fut in futs:
             with pytest.raises(ServerClosedError):
@@ -226,7 +227,7 @@ class TestShutdown:
         s = make_server(flush_timeout_s=60.0)
         fp = s.register(csr)
         x = rng.uniform(-1, 1, 40)
-        fut = s.submit(fp, x)
+        fut = s.submit(SpMVRequest(fp, x))
         s.close(timeout=5.0)  # drain=True flushes + executes
         assert np.allclose(fut.result(timeout=5.0), csr.matvec(x),
                            rtol=1e-10)
@@ -261,7 +262,7 @@ class TestShutdown:
             for _ in range(40):
                 i = int(r.integers(len(fps)))
                 try:
-                    f = s.submit(fps[i], r.uniform(-1, 1, 30))
+                    f = s.submit(SpMVRequest(fps[i], r.uniform(-1, 1, 30)))
                 except ServerClosedError:
                     return  # close won the race: acceptable
                 except Exception as exc:  # noqa: BLE001

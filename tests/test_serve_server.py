@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro._util import ReproError, ValidationError
-from repro.serve import QueueFullError, SpMVServer
+from repro.serve import QueueFullError, SpMVRequest, SpMVServer
 from tests.conftest import random_csr
 
 
@@ -19,7 +19,7 @@ class TestServing:
         csr = random_csr(40, 60, rng)
         fp = server.register(csr)
         x = rng.uniform(-1, 1, 60)
-        fut = server.submit(fp, x)
+        fut = server.submit(SpMVRequest(fp, x))
         server.flush()
         y = fut.result(timeout=5.0)
         assert np.allclose(y, csr.matvec(x), rtol=1e-10)
@@ -28,7 +28,7 @@ class TestServing:
         csr = random_csr(30, 50, rng)
         fp = server.register(csr)
         xs = [rng.uniform(-1, 1, 50) for _ in range(4)]
-        futs = [server.submit(fp, x) for x in xs]  # max_batch=4 -> flush
+        futs = [server.submit(SpMVRequest(fp, x)) for x in xs]  # max_batch=4 -> flush
         for x, fut in zip(xs, futs):
             assert np.allclose(fut.result(timeout=5.0), csr.matvec(x),
                                rtol=1e-10)
@@ -39,8 +39,8 @@ class TestServing:
         b = random_csr(25, 30, rng)
         fa, fb = server.register(a), server.register(b)
         x = rng.uniform(-1, 1, 30)
-        ya = server.submit(fa, x)
-        yb = server.submit(fb, x)
+        ya = server.submit(SpMVRequest(fa, x))
+        yb = server.submit(SpMVRequest(fb, x))
         server.flush()
         assert ya.result(5.0).shape == (20,)
         assert yb.result(5.0).shape == (25,)
@@ -49,7 +49,7 @@ class TestServing:
         csr = random_csr(30, 40, rng)
         fp = server.register(csr)
         for _ in range(3):
-            fut = server.submit(fp, rng.uniform(-1, 1, 40))
+            fut = server.submit(SpMVRequest(fp, rng.uniform(-1, 1, 40)))
             server.flush()
             fut.result(timeout=5.0)
         snap = server.registry.snapshot()
@@ -59,7 +59,7 @@ class TestServing:
         csr = random_csr(30, 40, rng)
         with SpMVServer(max_batch=2, flush_timeout_s=0.005) as s:
             fp = s.register(csr)
-            futs = [s.submit(fp, rng.uniform(-1, 1, 40)) for _ in range(4)]
+            futs = [s.submit(SpMVRequest(fp, rng.uniform(-1, 1, 40))) for _ in range(4)]
             s.drain(timeout=5.0)
             for f in futs:
                 f.result(timeout=5.0)
@@ -73,7 +73,7 @@ class TestServing:
         csr = random_csr(20, 30, rng)
         with SpMVServer(max_batch=8, flush_timeout_s=0.01) as s:
             fp = s.register(csr)
-            fut = s.submit(fp, rng.uniform(-1, 1, 30))
+            fut = s.submit(SpMVRequest(fp, rng.uniform(-1, 1, 30)))
             # no explicit flush: the flusher thread must pick it up
             y = fut.result(timeout=5.0)
         assert y.shape == (20,)
@@ -82,12 +82,12 @@ class TestServing:
 class TestValidation:
     def test_unknown_fingerprint(self, server, rng):
         with pytest.raises(ReproError):
-            server.submit("deadbeef", rng.uniform(-1, 1, 10))
+            server.submit(SpMVRequest("deadbeef", rng.uniform(-1, 1, 10)))
 
     def test_wrong_shape(self, server, rng):
         fp = server.register(random_csr(10, 20, rng))
         with pytest.raises(ValidationError):
-            server.submit(fp, rng.uniform(-1, 1, 21))
+            server.submit(SpMVRequest(fp, rng.uniform(-1, 1, 21)))
 
     def test_reject_backpressure_counted(self, rng):
         csr = random_csr(15, 20, rng)
@@ -99,7 +99,7 @@ class TestValidation:
             rejected = 0
             for _ in range(50):
                 try:
-                    s.submit(fp, rng.uniform(-1, 1, 20))
+                    s.submit(SpMVRequest(fp, rng.uniform(-1, 1, 20)))
                 except QueueFullError:
                     rejected += 1
             s.drain(timeout=5.0)

@@ -11,7 +11,7 @@ import pytest
 from repro._util import ValidationError
 from repro.core import DASPMatrix, choose_shards, dasp_spmv, dasp_spmm
 from repro.gpu import A100
-from repro.serve import SpMVServer, plan_nbytes
+from repro.serve import SpMVRequest, SpMVServer, plan_nbytes
 from repro.shard import (ShardedPlan, build_sharded_plan, dasp_spmm_sharded,
                          dasp_spmv_sharded, lpt_makespan, shard_candidates,
                          shard_csr, sharded_batch_cost)
@@ -126,7 +126,7 @@ class TestServerSharded:
             with SpMVServer(max_batch=4, flush_timeout_s=0.01,
                             workers=2, **kw) as s:
                 fp = s.register(csr)
-                futs = [s.submit(fp, x) for x in xs]
+                futs = [s.submit(SpMVRequest(fp, x)) for x in xs]
                 return [f.result(timeout=10.0) for f in futs]
 
         base = run()
@@ -140,7 +140,7 @@ class TestServerSharded:
         with SpMVServer(max_batch=2, flush_timeout_s=0.01, workers=2,
                         shards="auto") as s:
             fp = s.register(csr)
-            fut = s.submit(fp, x)
+            fut = s.submit(SpMVRequest(fp, x))
             s.flush()
             y = fut.result(timeout=10.0)
         assert np.allclose(y, csr.matvec(x), rtol=1e-10)

@@ -18,6 +18,7 @@ from repro.obs import Obs, Tracer
 from repro.resilience import PlanTooLargeError
 from repro.serve import (
     PlanRegistry,
+    SpMVRequest,
     SpMVServer,
     WorkloadConfig,
     matrix_fingerprint,
@@ -206,7 +207,7 @@ def test_modeled_load_beats_rebuild_on_suite(store):
 # ----------------------------------------------------------------------
 def _serve_one(server, csr, x):
     fp = server.register(csr)
-    y = server.submit(fp, x).result(timeout=10)
+    y = server.submit(SpMVRequest(fp, x)).result(timeout=10)
     return fp, y
 
 
