@@ -9,7 +9,7 @@ import numpy as np
 from ..gpu.device import DeviceSpec
 from ..gpu.events import KernelEvents, PreprocessEvents
 from ..gpu.kernel import SpMVMethod
-from ..gpu.memory import x_traffic_bytes
+from ..gpu.memory import sector_counts, x_traffic_from_counts
 from .format import DASPMatrix
 from .long_rows import long_rows_events
 from .medium_rows import medium_rows_events
@@ -40,10 +40,18 @@ class DASPMethod(SpMVMethod):
         return dasp_spmv(plan, x)
 
     def events(self, plan: DASPMatrix, device: DeviceSpec) -> KernelEvents:
-        vb = plan.dtype.itemsize
+        return self.events_for_counts(
+            plan, device, sector_counts(plan.csr, plan.dtype.itemsize))
+
+    def events_for_counts(self, plan: DASPMatrix, device: DeviceSpec,
+                          counts: tuple[int, int]) -> KernelEvents:
+        """:meth:`events` with the x-gather analysis already done:
+        ``counts`` is :func:`repro.gpu.memory.sector_counts` of
+        ``plan.csr`` at the plan's value size.  Every other event is
+        structural (block counts, padding, row splits)."""
         # DASP's kernels bypass the L1/L2 for the streamed matrix data
         # (Section 3.3's "bypass cache method"), reserving cache for x.
-        total_x = x_traffic_bytes(plan.csr, vb, device, bypass_l1=True)
+        total_x = x_traffic_from_counts(counts, device, bypass_l1=True)
         nnz = max(plan.nnz, 1)
         shares = {
             "long": plan.long_plan.orig_nnz / nnz,

@@ -19,7 +19,7 @@ import numpy as np
 
 from .._util import check
 from ..gpu.events import KernelEvents
-from ..gpu.memory import rhs_block_traffic_factor
+from ..gpu.memory import rhs_block_factor_from_counts, sector_counts
 from ..gpu.mma import MmaUnit
 from ._pack import exclusive_cumsum
 from .format import DASPMatrix
@@ -276,15 +276,26 @@ def spmm_events(dasp: DASPMatrix, device, k: int) -> KernelEvents:
     instructions; and the x gather scales by the row-major-block
     coalescing factor (one column index fetches ``k`` contiguous
     values), not by the naive ``k`` — see
-    :func:`repro.gpu.memory.rhs_block_traffic_factor`.
+    :func:`repro.gpu.memory.rhs_block_traffic_factor`.  The gather
+    analysis (:func:`repro.gpu.memory.sector_counts`) runs once and
+    feeds both the x traffic and that factor.
     """
     check(k >= 1, "k must be positive")
+    base, x_factor = _gather_analysed_events(dasp, device, k)
+    s = dasp.mma_shape
+    return base.scale_rhs(k, mma_n=s.n, mma_flops=s.flops, x_factor=x_factor)
+
+
+def _gather_analysed_events(dasp: DASPMatrix, device,
+                            k: int) -> tuple[KernelEvents, float]:
+    """(single-RHS DASP events, RHS-block gather factor at ``k``) from one
+    :func:`repro.gpu.memory.sector_counts` pass."""
     from .method import DASPMethod
 
-    base = DASPMethod().events(dasp, device)
-    s = dasp.mma_shape
-    x_factor = rhs_block_traffic_factor(dasp.csr, dasp.dtype.itemsize, k)
-    return base.scale_rhs(k, mma_n=s.n, mma_flops=s.flops, x_factor=x_factor)
+    vb = dasp.dtype.itemsize
+    counts = sector_counts(dasp.csr, vb)
+    base = DASPMethod().events_for_counts(dasp, device, counts)
+    return base, rhs_block_factor_from_counts(dasp.csr.nnz, counts[0], vb, k)
 
 
 def mma_utilization(dasp: DASPMatrix, k: int) -> float:
@@ -293,15 +304,30 @@ def mma_utilization(dasp: DASPMatrix, k: int) -> float:
     SpMV (k=1) uses only the diagonal of each 8x8 MMA output -> 1/8 of
     the block work is useful (less padding); k = MMA_N saturates the
     unit.
+
+    The ratio is structural and device-independent: issued work is the
+    plan's MMA block count times ``ceil(k / MMA_N)``, useful work its
+    MMA-path nnz times ``k``, and neither depends on a device or on the
+    x gather.  The events are therefore built without a gather analysis
+    (zero sector counts); the device named only satisfies the event
+    builders' signature.  Code that already holds the k-wide events
+    reads the same value with :func:`mma_utilization_from_events`.
     """
-    s = dasp.mma_shape
     from .method import DASPMethod
 
-    ev = DASPMethod().events(dasp, "A100")
+    s = dasp.mma_shape
+    base = DASPMethod().events_for_counts(dasp, "A100", (0, 0))
+    return mma_utilization_from_events(
+        dasp, k, base.scale_rhs(k, mma_n=s.n, mma_flops=s.flops))
+
+
+def mma_utilization_from_events(dasp: DASPMatrix, k: int,
+                                ev: KernelEvents) -> float:
+    """:func:`mma_utilization` read off ``ev``, the k-wide events of
+    *dasp* (:func:`spmm_events` on any device)."""
     if ev.mma_count == 0:
         return 0.0
-    mma_blocks = ev.mma_count * (-(-k // s.n))
-    issued = mma_blocks * s.flops
+    issued = ev.mma_count * dasp.mma_shape.flops
     # useful flops: 2 per (real nonzero consumed by MMA) per rhs
     mma_nnz = dasp.nnz - dasp.medium_plan.irreg_nnz - dasp.short_plan.rows1.size
     useful = 2.0 * mma_nnz * k

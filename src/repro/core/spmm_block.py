@@ -46,7 +46,7 @@ from ..gpu.cost_model import estimate_time
 from ..gpu.events import KernelEvents
 from ..gpu.tiles import TileStats, mma_tile_stats
 from .format import DASPMatrix
-from .spmm import dasp_spmm_on_plan, spmm_events
+from .spmm import _gather_analysed_events, dasp_spmm_on_plan, spmm_events
 
 __all__ = [
     "DEFAULT_TILE_K",
@@ -331,16 +331,12 @@ def spmm_block_events(plan: DASPMatrix, device, k: int, *,
     check(k >= 1, "k must be positive")
     check(tile_k >= 1 and tile_k % plan.mma_shape.n == 0,
           f"tile_k must be a positive multiple of MMA_N={plan.mma_shape.n}")
-    from ..gpu.memory import rhs_block_traffic_factor
-    from .method import DASPMethod
-
     if stats is None:
         stats = mma_tile_stats(plan.csr, mma_shape=plan.mma_shape)
-    base = DASPMethod().events(plan, device)
+    base, x_factor = _gather_analysed_events(plan, device, k)
     s = plan.mma_shape
-    x_factor = (rhs_block_traffic_factor(plan.csr, plan.dtype.itemsize, k)
-                * stats.union_ratio)
-    ev = base.scale_rhs(k, mma_n=s.n, mma_flops=s.flops, x_factor=x_factor)
+    ev = base.scale_rhs(k, mma_n=s.n, mma_flops=s.flops,
+                        x_factor=x_factor * stats.union_ratio)
     col_tiles = -(-k // tile_k)
     return replace(ev, serial_iters=ev.serial_iters * col_tiles)
 

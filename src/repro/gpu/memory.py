@@ -36,34 +36,40 @@ def sector_counts(csr, value_bytes: int) -> tuple[int, int]:
     A "sector" is a 32-byte aligned span of ``x``; ``value_bytes`` is the
     size of one x element, so a sector holds ``32 // value_bytes``
     consecutive elements.
+
+    One exact O(nnz) pass, no sort and no hash.  With column indices
+    ascending within each row, a row's distinct sectors are its runs of
+    equal sector ids, so the per-row sum is the number of nonzero steps
+    in ``np.diff(sectors)`` plus every non-empty row's first entry.  The
+    same steps check that precondition: a negative step is allowed only
+    at a row start; otherwise the rows are sorted once
+    (:meth:`CSRMatrix.sort_indices`) and counted again.  The global
+    count is the population of a sector bitmap over the columns.
     """
     elems_per_sector = max(1, SECTOR_BYTES // value_bytes)
     if csr.nnz == 0:
         return 0, 0
-    sectors = csr.indices.astype(np.int64) // elems_per_sector
-    rows = np.repeat(np.arange(csr.shape[0], dtype=np.int64), csr.row_lengths())
-    keys = rows * (int(sectors.max()) + 2) + sectors
-    uniq_per_row = np.unique(keys).size
-    uniq_global = np.unique(sectors).size
-    return int(uniq_per_row), int(uniq_global)
+    sectors = csr.indices // elems_per_sector
+    step = np.diff(sectors)
+    # The steps into the first entry of every non-empty row but the
+    # first (which starts at 0) cross a row boundary.
+    starts = csr.indptr[:-1][np.diff(csr.indptr) > 0]
+    boundary_step = step[starts[1:] - 1]
+    if np.count_nonzero(step < 0) != np.count_nonzero(boundary_step < 0):
+        return sector_counts(csr.sort_indices(), value_bytes)
+    per_row = 1 + np.count_nonzero(step) + np.count_nonzero(boundary_step == 0)
+    bitmap = np.zeros(csr.shape[1] // elems_per_sector + 1, dtype=bool)
+    bitmap[sectors] = True
+    return int(per_row), int(np.count_nonzero(bitmap))
 
 
-def x_traffic_bytes(csr, value_bytes: int, device: DeviceSpec,
-                    *, bypass_l1: bool = False) -> float:
-    """Estimated DRAM bytes fetched for ``x`` during one SpMV.
-
-    Model: every *globally distinct* sector must come from DRAM at least
-    once (compulsory misses).  Re-fetches of a sector by later rows hit L2
-    when the touched slice of ``x`` fits there; otherwise they miss with
-    probability proportional to the capacity overflow.  ``bypass_l1``
-    models the paper's cache-bypass optimization (Section 3.3), which
-    stops the streamed matrix data from evicting ``x`` — we credit it with
-    a modestly lower capacity-miss rate.
-    """
+def x_traffic_from_counts(counts: tuple[int, int], device: DeviceSpec,
+                          *, bypass_l1: bool = False) -> float:
+    """:func:`x_traffic_bytes` for already computed :func:`sector_counts`."""
     from .device import get_device
 
     device = get_device(device)
-    per_row, uniq = sector_counts(csr, value_bytes)
+    per_row, uniq = counts
     if uniq == 0:
         return 0.0
     touched_bytes = uniq * SECTOR_BYTES
@@ -86,6 +92,34 @@ def x_traffic_bytes(csr, value_bytes: int, device: DeviceSpec,
     return dram_bytes + per_row * equiv_bytes_per_sector * gather_factor
 
 
+def x_traffic_bytes(csr, value_bytes: int, device: DeviceSpec,
+                    *, bypass_l1: bool = False) -> float:
+    """Estimated DRAM bytes fetched for ``x`` during one SpMV.
+
+    Model: every *globally distinct* sector must come from DRAM at least
+    once (compulsory misses).  Re-fetches of a sector by later rows hit L2
+    when the touched slice of ``x`` fits there; otherwise they miss with
+    probability proportional to the capacity overflow.  ``bypass_l1``
+    models the paper's cache-bypass optimization (Section 3.3), which
+    stops the streamed matrix data from evicting ``x`` — we credit it with
+    a modestly lower capacity-miss rate.
+    """
+    return x_traffic_from_counts(sector_counts(csr, value_bytes), device,
+                                 bypass_l1=bypass_l1)
+
+
+def rhs_block_factor_from_counts(nnz: int, per_row: int, value_bytes: int,
+                                 k: int) -> float:
+    """:func:`rhs_block_traffic_factor` for a matrix with ``nnz`` entries
+    whose per-row sector count (:func:`sector_counts`) is ``per_row``."""
+    if k <= 1 or per_row == 0:
+        return 1.0
+    occupancy = nnz / per_row
+    burst_bytes = occupancy * k * value_bytes
+    burst_sectors = -(-int(np.ceil(burst_bytes)) // SECTOR_BYTES)
+    return float(min(k, max(1, burst_sectors)))
+
+
 def rhs_block_traffic_factor(csr, value_bytes: int, k: int) -> float:
     """Gather-traffic scaling for a row-major ``(n, k)`` RHS block (SpMM).
 
@@ -103,12 +137,7 @@ def rhs_block_traffic_factor(csr, value_bytes: int, k: int) -> float:
     if k <= 1:
         return 1.0
     per_row, _ = sector_counts(csr, value_bytes)
-    if per_row == 0:
-        return 1.0
-    occupancy = csr.nnz / per_row
-    burst_bytes = occupancy * k * value_bytes
-    burst_sectors = -(-int(np.ceil(burst_bytes)) // SECTOR_BYTES)
-    return float(min(k, max(1, burst_sectors)))
+    return rhs_block_factor_from_counts(csr.nnz, per_row, value_bytes, k)
 
 
 def effective_bandwidth(device: DeviceSpec, threads: int) -> float:

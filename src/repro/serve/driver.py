@@ -750,9 +750,12 @@ def auto_rate(pool, modeled: CostModel, *, replicas: int = 1) -> float:
     singletons).  Built directly — going through a registry would
     pollute the cache/store counters the run reports, and the probe
     must give the same rate (hence the same traffic trace) whether or
-    not a warm-start already populated the cache."""
+    not a warm-start already populated the cache.  It is priced on a
+    throwaway :class:`CostModel` on *modeled*'s device: the run's
+    shared memo must hold only the plans batches actually execute (a
+    sharded run's matrix 0 is charged its sharded makespan)."""
     plan0 = DASPMatrix.from_csr(pool[0][2])
-    t1 = modeled.batch_cost(pool[0][1], plan0, 1)[0]
+    t1 = CostModel(modeled.device).batch_cost(pool[0][1], plan0, 1)[0]
     return 4.0 * replicas / t1
 
 

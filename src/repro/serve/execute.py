@@ -39,7 +39,7 @@ import numpy as np
 from .._util import check
 from ..core.preprocess import traced_preprocess
 from ..core.spmm import (dasp_spmm, dasp_spmm_on_plan, mma_phase_fraction,
-                         mma_utilization, spmm_events)
+                         mma_utilization_from_events, spmm_events)
 from ..core.spmm_block import (DEFAULT_TILE_K, choose_spmm_strategy,
                                dasp_spmm_large, dasp_spmm_tiled,
                                reorder_from_perm, spmm_tiled_overlap_cost)
@@ -47,7 +47,7 @@ from ..gpu.cost_model import estimate_time
 from ..resilience import (CircuitOpenError, DeadlineExceededError,
                           FallbackExecutor, NumericFault, RetryPolicy)
 from ..shard import (ShardedPlan, choose_shards, sharded_batch_cost,
-                     sharded_phase_fraction,
+                     sharded_cost_from_events, sharded_phase_fraction,
                      sharded_spmm_events, traced_preprocess_sharded)
 from .batcher import MMA_N
 from .plan_cache import PlanRegistry
@@ -104,10 +104,10 @@ class CostModel:
         if got is not None:
             return got
         if isinstance(plan, ShardedPlan):
-            cost = sharded_batch_cost(plan, self.device, k,
-                                      workers=self.workers,
-                                      double_buffer=self.double_buffer)
             evs = sharded_spmm_events(plan, self.device, k)
+            cost = sharded_cost_from_events(
+                plan, evs, self.device, k, workers=self.workers,
+                double_buffer=self.double_buffer)
             combined = evs[0]
             for e in evs[1:]:
                 combined = combined.combine(e)
@@ -124,7 +124,7 @@ class CostModel:
                         stats=strat.stats, dtype_bits=bits)
             else:
                 t = estimate_time(ev, self.device, dtype_bits=bits).total
-            util = mma_utilization(plan, k)
+            util = mma_utilization_from_events(plan, k, ev)
             got = (t, util * ev.flops_mma, ev.flops_mma, ev)
         return self._entries.setdefault((key, k), got)
 

@@ -28,6 +28,7 @@ from .execute import (
     lpt_makespan,
     shard_candidates,
     sharded_batch_cost,
+    sharded_cost_from_events,
     sharded_phase_fraction,
     sharded_spmm_events,
 )
@@ -52,6 +53,7 @@ __all__ = [
     "shard_candidates",
     "shard_csr",
     "sharded_batch_cost",
+    "sharded_cost_from_events",
     "sharded_phase_fraction",
     "sharded_spmm_events",
     "traced_preprocess_sharded",

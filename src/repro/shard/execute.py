@@ -23,7 +23,8 @@ import numpy as np
 from .._util import check
 from ..core.autotune import TuneResult
 from ..core.format import DASPMatrix
-from ..core.spmm import mma_phase_fraction, mma_utilization, spmm_events
+from ..core.spmm import (mma_phase_fraction, mma_utilization_from_events,
+                         spmm_events)
 from ..gpu.cost_model import estimate_time
 from ..gpu.device import get_device
 from .plan import ShardedPlan, build_sharded_plan
@@ -192,6 +193,17 @@ def sharded_batch_cost(plan: ShardedPlan, device, k: int = 1, *,
     clock; ``serial`` and ``per_shard`` still report the unoverlapped
     figures, so the makespan never exceeds the plain schedule's.
     """
+    return sharded_cost_from_events(
+        plan, sharded_spmm_events(plan, device, k), device, k,
+        workers=workers, dtype_bits=dtype_bits, double_buffer=double_buffer)
+
+
+def sharded_cost_from_events(plan: ShardedPlan, events, device, k: int = 1,
+                             *, workers: int = 1,
+                             dtype_bits: int | None = None,
+                             double_buffer: bool = False) -> ShardCost:
+    """:func:`sharded_batch_cost` priced from already computed per-shard
+    ``events`` (:func:`sharded_spmm_events` at the same ``k``)."""
     from dataclasses import replace as _replace
 
     device = get_device(device)
@@ -203,7 +215,7 @@ def sharded_batch_cost(plan: ShardedPlan, device, k: int = 1, *,
     computes = []
     useful = 0.0
     issued = 0.0
-    for shard, ev in zip(plan.shards, sharded_spmm_events(plan, device, k)):
+    for shard, ev in zip(plan.shards, events):
         t = estimate_time(ev, device, dtype_bits=dtype_bits).total + dispatch
         per_shard.append(t)
         if double_buffer:
@@ -212,7 +224,7 @@ def sharded_batch_cost(plan: ShardedPlan, device, k: int = 1, *,
                 device, dtype_bits=dtype_bits).total + dispatch
             computes.append(c)
             loads.append(max(t - c, 0.0))
-        useful += mma_utilization(shard.dasp, k) * ev.flops_mma
+        useful += mma_utilization_from_events(shard.dasp, k, ev) * ev.flops_mma
         issued += ev.flops_mma
     if double_buffer:
         from ..core.spmm_block import overlap_schedule

@@ -124,3 +124,33 @@ class TestDriver:
                                        dtype="float16", n_requests=100))
         assert stats.dtype == "float16"
         assert stats.n_completed > 0
+
+
+class TestAutoRateProbe:
+    """The saturating-rate probe prices matrix 0 off the run's memo."""
+
+    def test_probe_leaves_the_shared_memo_empty(self, rng):
+        from repro.serve.driver import _matrix_pool, auto_rate
+        from repro.serve.execute import CostModel
+
+        modeled = CostModel("A100")
+        rate = auto_rate(_matrix_pool(small_cfg(rng)), modeled)
+        assert rate > 0 and modeled._entries == {}
+
+    def test_sharded_run_prices_matrix0_k1_sharded(self, rng, monkeypatch):
+        from repro.gpu import get_device
+        from repro.serve import driver
+        from repro.shard import build_sharded_plan, sharded_batch_cost
+
+        models = []
+        real = driver._modeled_for
+        monkeypatch.setattr(driver, "_modeled_for", lambda cfg, device: (
+            models.append(real(cfg, device)) or models[-1]))
+        cfg = small_cfg(rng, shards=4, shard_workers=2, max_batch=1,
+                        n_requests=100)
+        run_workload(cfg)
+        _, fp0, csr0 = driver._matrix_pool(cfg)[0]
+        assert (fp0, 1) in models[0]._entries
+        want = sharded_batch_cost(build_sharded_plan(csr0, 4),
+                                  get_device("A100"), 1, workers=2)
+        assert models[0]._entries[(fp0, 1)][0] == want.makespan

@@ -10,7 +10,8 @@ server; these tests pin what that buys:
 * the server after a matrix delta: DASP and forced-fallback batches both
   compute the patched matrix, and the next batch is priced on it;
 * the server never loses a future under queue-full backpressure;
-* the cost model runs once per (version, k), not once per batch.
+* the cost model runs once per (version, k), not once per batch, and
+  a cold price runs the x-gather analysis once (once per shard).
 """
 
 import sys
@@ -23,8 +24,9 @@ import pytest
 
 from repro.core import DASPMatrix, dasp_spmv
 from repro.core.delta import random_delta
-from repro.core.spmm import spmm_events
+from repro.core.spmm import mma_utilization, spmm_events
 from repro.gpu import get_device
+from repro.gpu import memory as gpu_memory
 from repro.gpu.cost_model import estimate_time
 from repro.obs import Obs
 from repro.resilience import (BreakerConfig, CircuitBreaker,
@@ -36,6 +38,7 @@ from repro.serve import (Batch, PlanRegistry, QueueFullError, ServerStats,
 from repro.serve import execute
 from repro.serve.execute import (CostModel, ExecutionCore, ModeledExecutor,
                                  NumericExecutor, VirtualClock)
+from repro.shard import build_sharded_plan, sharded_batch_cost
 from tests.conftest import random_csr
 
 A100 = get_device("A100")
@@ -175,6 +178,55 @@ class TestCostMemo:
             for _ in range(6):
                 s.submit(SpMVRequest(fp, rng.uniform(-1, 1, 50))).result(10.0)
         assert calls == [1]
+
+
+def count_sector_counts(monkeypatch) -> list:
+    """Wrap every ``repro`` module's binding of ``sector_counts``; the
+    returned list grows by one per call."""
+    real = gpu_memory.sector_counts
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        if (getattr(mod, "__name__", "") or "").startswith("repro") \
+                and getattr(mod, "sector_counts", None) is real:
+            monkeypatch.setattr(mod, "sector_counts", counted)
+    return calls
+
+
+class TestOneAnalysisPerPrice:
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    def test_unsharded_cold_price_counts_sectors_once(self, rng, monkeypatch,
+                                                      k):
+        plan = DASPMatrix.from_csr(random_csr(120, 150, rng))
+        calls = count_sector_counts(monkeypatch)
+        cost = CostModel(A100)
+        t, useful, issued, ev = cost.batch_cost("m", plan, k)
+        assert len(calls) == 1
+        assert cost.batch_cost("m", plan, k)[0] == t
+        assert len(calls) == 1
+        # the same price the standalone functions give
+        assert t == estimate_time(spmm_events(plan, A100, k), A100,
+                                  dtype_bits=64).total
+        assert useful == mma_utilization(plan, k) * issued
+
+    @pytest.mark.parametrize("k", [1, 8])
+    def test_sharded_cold_price_counts_sectors_once_per_shard(
+            self, rng, monkeypatch, k):
+        plan = build_sharded_plan(random_csr(200, 150, rng), 4)
+        assert plan.n_shards == 4
+        calls = count_sector_counts(monkeypatch)
+        cost = CostModel(A100, workers=2)
+        t, useful, issued, _ = cost.batch_cost("m", plan, k)
+        assert len(calls) == plan.n_shards
+        cost.batch_cost("m", plan, k)
+        assert len(calls) == plan.n_shards
+        want = sharded_batch_cost(plan, A100, k, workers=2)
+        assert (t, useful, issued) == (want.makespan, want.useful_mma,
+                                       want.issued_mma)
 
 
 class TestSharedMemoUnderThreads:
