@@ -6,7 +6,8 @@ virtual nodes and a seeded stable hash, a :class:`Router` fronts real
 :class:`~repro.serve.SpMVServer` replicas with cache-affine placement
 and health-aware failover, :class:`ReplicaHealth` filters raw replica
 signals (queue depth, open breakers, deadline-miss rate) through
-hysteresis so routing doesn't flap, and
+hysteresis so routing doesn't flap, :class:`Placement` is the one
+preference/hedge policy the router and the driver share, and
 :func:`run_cluster_workload` replays the deterministic virtual-time
 Poisson/Zipf workload over N simulated replicas — bit-identical to the
 single-replica driver at N=1, linear modeled throughput as N grows,
@@ -23,6 +24,7 @@ from .driver import (
     run_cluster_workload,
 )
 from .health import HealthConfig, ReplicaHealth, ReplicaSignals
+from .placement import Placement
 from .ring import DEFAULT_VNODES, HashRing, stable_hash
 from .router import NoHealthyReplicaError, Router, RouterClosedError
 
@@ -34,6 +36,7 @@ __all__ = [
     "HashRing",
     "HealthConfig",
     "NoHealthyReplicaError",
+    "Placement",
     "ReplicaHealth",
     "ReplicaSignals",
     "Router",

@@ -39,13 +39,7 @@ from .._util import check, default_rng
 from ..core.delta import random_delta
 from ..gpu.device import get_device
 from ..obs import Obs
-from ..overload import (
-    PRIORITIES,
-    HedgePair,
-    LatencyTracker,
-    OverloadConfig,
-    OverloadContext,
-)
+from ..overload import PRIORITIES, HedgePair, OverloadConfig, OverloadContext
 from ..resilience import FaultInjector, FaultPlan, FaultRule
 from ..serve.batcher import SpMVRequest
 from ..serve.driver import (
@@ -58,7 +52,8 @@ from ..serve.driver import (
     zipf_weights,
 )
 from ..serve.stats import ServerStats
-from .health import HealthConfig, ReplicaHealth, ReplicaSignals
+from .health import HealthConfig, ReplicaHealth
+from .placement import Placement
 from .ring import DEFAULT_VNODES, HashRing
 
 
@@ -166,6 +161,8 @@ class ClusterStats:
     replicas: dict[str, ServerStats]
     routed: dict[str, int]
     n_failover: int = 0
+    #: Requests sent to a sick home as a last resort because every
+    #: reachable replica was down (``cluster.driver.unroutable_total``).
     n_unroutable: int = 0
     n_probes: int = 0
     n_transitions_down: int = 0
@@ -359,11 +356,13 @@ class _Cluster:
         self.modeled = modeled
         self.retry_rng = retry_rng
         self.obs = obs
-        self.ring = HashRing(vnodes=cfg.vnodes, seed=cfg.ring_seed)
-        self.health = ReplicaHealth(cfg.health, obs=obs)
         self.overload = (OverloadContext(cfg.overload, obs=obs)
                          if cfg.overload is not None else None)
-        self.partitioned: set[str] = set()
+        self.placement = Placement(
+            HashRing(vnodes=cfg.vnodes, seed=cfg.ring_seed),
+            ReplicaHealth(cfg.health, obs=obs),
+            self.overload.latency if self.overload is not None else None)
+        self.ring = self.placement.ring
         self.replicas: dict[str, ReplicaSim] = {}
         self._spawned = 0
         self._routed = obs.counter("cluster.driver.routed_total")
@@ -374,21 +373,6 @@ class _Cluster:
         self._moved = obs.counter("cluster.driver.moved_fingerprints_total")
         self._rejected = obs.counter("cluster.overload.rejected_total")
         self._link_failed = obs.counter("cluster.overload.link_failed_total")
-        # The latency EWMA doubles as hedge trigger and health signal;
-        # only fold samples when something downstream reads them, so a
-        # plain run does zero extra work per probe.
-        self._track_latency = (
-            (self.overload is not None and self.overload.hedge is not None)
-            or cfg.health.straggler_factor is not None
-            or cfg.slow_replica is not None)
-        self.latency = (self.overload.latency
-                        if (self.overload is not None
-                            and self.overload.latency is not None)
-                        else LatencyTracker())
-        # deadline-miss deltas between probes, per replica; plus the
-        # already-folded latency sample count for the EWMA feed
-        self._prev: dict[str, tuple[int, int]] = {}
-        self._lat_seen: dict[str, int] = {}
         for _ in range(cfg.n_replicas):
             self.spawn(warm=False)
 
@@ -423,8 +407,6 @@ class _Cluster:
             replica.csr_by_fp.update(src.csr_by_fp)
         self.replicas[rid] = replica
         self.ring.add(rid)
-        self._prev[rid] = (0, 0)
-        self._lat_seen[rid] = 0
         if before:
             moved = [fp for fp in fps if self.ring.lookup(fp) != before[fp]]
             self._moved.inc(len(moved))
@@ -441,7 +423,7 @@ class _Cluster:
         moves exactly the keys the replica owned.
         """
         self.ring.remove(rid)
-        self.health.forget(rid)
+        self.placement.health.forget(rid)
         # flush its half-formed batches so parked requests complete
         replica = self.replicas[rid]
         replica.enqueue(replica.batcher.flush_all(now))
@@ -456,37 +438,23 @@ class _Cluster:
             replica.advance_to(now)
 
     def route(self, fp: str) -> str | None:
-        """Healthy-first preference walk (ring order breaks ties).
+        """The placement's first choice for *fp* (``Placement.order``).
 
-        Partitioned replicas are unreachable and skipped outright;
-        among the healthy, stragglers are demoted behind fast peers
-        (soft drain) before any sick replica is considered.  Returns
-        ``None`` only when every preference sits behind the partition.
+        Returns ``None`` only when every preference sits behind the
+        partition.  A sick first choice means every reachable replica
+        is down: it still gets the request (home beats dropping) and
+        counts as unroutable.
         """
-        prefs = self.ring.preference(fp)
-        reachable = [rid for rid in prefs if rid not in self.partitioned]
-        if not reachable:
+        order = self.placement.order(fp)
+        if not order:
             return None
-        fast = []
-        slow = []
-        for rid in reachable:
-            if self.health.is_healthy(rid):
-                (slow if self.health.is_straggler(rid) else fast).append(rid)
-        if fast:
-            target = fast[0]
-        elif slow:
-            target = slow[0]
-        else:
-            target = reachable[0]  # every replica down: home beats dropping
+        target = order[0]
+        if not self.placement.health.is_healthy(target):
             self._unroutable.inc()
         self._routed.inc()
-        if target != prefs[0]:
+        if target != self.ring.lookup(fp):
             self._failover.inc()
         return target
-
-    def offer(self, req: SpMVRequest, now: float, fp: str) -> bool:
-        target = self.route(fp)
-        return target is not None and self.replicas[target].offer(req, now)
 
     def apply_update(self, fp: str, delta, now: float) -> None:
         """Broadcast one matrix delta to every replica.
@@ -504,15 +472,6 @@ class _Cluster:
         home = prefs[0] if prefs else None
         for rid, replica in self.replicas.items():
             replica.apply_update(fp, delta, now, persist=(rid == home))
-
-    def _hedge_target(self, fp: str, primary: str) -> str | None:
-        """Next reachable healthy replica after *primary*, or None."""
-        for rid in self.ring.preference(fp):
-            if rid == primary or rid in self.partitioned:
-                continue
-            if self.health.is_healthy(rid):
-                return rid
-        return None
 
     def submit(self, req: SpMVRequest, now: float, fp: str) -> str:
         """Offer one logical request; returns its immediate outcome.
@@ -533,9 +492,9 @@ class _Cluster:
             return "link_failed"
         hedge_rid = None
         if (ctx is not None and ctx.hedge is not None
-                and self.latency.is_straggler(target,
-                                              factor=ctx.hedge.factor)):
-            hedge_rid = self._hedge_target(fp, target)
+                and self.placement.latency.is_straggler(
+                    target, factor=ctx.hedge.factor)):
+            hedge_rid = self.placement.hedge_target(fp, target)
         if hedge_rid is None:
             if self.replicas[target].offer(req, now):
                 return "routed"
@@ -559,38 +518,12 @@ class _Cluster:
 
     # ------------------------------------------------------------------
     def probe(self) -> None:
-        """Read every active replica's signals into the health monitor.
-
-        A partitioned replica's probe fails like its traffic does: the
-        monitor sees worst-case unreachable signals until the window
-        closes, so every threshold trips and recovery runs through the
-        normal hysteresis.  For the rest, newly completed requests are
-        folded into the per-replica latency EWMA (mean of the fresh
-        slice per probe) that drives straggler demotion and hedging.
-        """
+        """Fold every active replica's signals and completed latencies
+        into the placement (a partitioned one reads as unreachable)."""
         for rid in self.active():
             replica = self.replicas[rid]
-            if rid in self.partitioned:
-                self.health.observe_unreachable(rid)
-                continue
-            stats = replica.stats
-            ewma = 0.0
-            if self._track_latency:
-                seen = self._lat_seen[rid]
-                fresh = stats.latencies_s[seen:]
-                if fresh:
-                    self._lat_seen[rid] = seen + len(fresh)
-                    self.latency.observe(rid, sum(fresh) / len(fresh))
-                ewma = self.latency.ewma(rid)
-            prev_miss, prev_req = self._prev[rid]
-            d_req = stats.n_requests - prev_req
-            d_miss = stats.n_deadline_exceeded - prev_miss
-            self._prev[rid] = (stats.n_deadline_exceeded, stats.n_requests)
-            self.health.observe(rid, ReplicaSignals(
-                queue_depth=replica.backlog_depth,
-                open_circuits=replica.open_circuits(),
-                miss_rate=(d_miss / d_req) if d_req > 0 else 0.0,
-                latency_ewma_s=ewma))
+            self.placement.observe(rid, replica.signals(),
+                                   replica.stats.latencies_s)
 
     def autoscale(self, now: float, last_action: float) -> float:
         """Apply the elastic policy at one probe; returns the new
@@ -663,8 +596,7 @@ def run_cluster_workload(cfg: ClusterConfig, *,
         fps = [fp for _, fp, _ in pool]
         assigned = cluster.ring.assignments(fps)
         for rid in cluster.active():
-            cluster.replicas[rid].warm_many(
-                [fp for fp in fps if fp in set(assigned[rid])])
+            cluster.replicas[rid].warm_many(assigned[rid])
 
     rate = cfg.rate_rps
     if rate is None:
@@ -705,9 +637,9 @@ def run_cluster_workload(cfg: ClusterConfig, *,
         if p_rid is None:
             return
         if p_start <= t < p_end:
-            cluster.partitioned.add(p_rid)
+            cluster.placement.partitioned.add(p_rid)
         else:
-            cluster.partitioned.discard(p_rid)
+            cluster.placement.partitioned.discard(p_rid)
 
     probe_interval = cfg.probe_interval_s
     if probe_interval is None:
@@ -789,7 +721,7 @@ def run_cluster_workload(cfg: ClusterConfig, *,
             "cluster.driver.scale_down_total").value),
         n_moved_fingerprints=int(reg.counter(
             "cluster.driver.moved_fingerprints_total").value),
-        health=cluster.health.snapshot(),
+        health=cluster.placement.health.snapshot(),
         duration_s=max((r.stats.duration_s
                         for r in cluster.replicas.values()), default=end),
         # Logical accounting is meaningful whenever the submit path can

@@ -9,8 +9,9 @@ marked up again only after ``up_after`` consecutive good ones, so a
 single queue spike or one half-open breaker probe cannot flap routing.
 
 Between "healthy" and "down" there is a third, softer state:
-**straggler**.  A replica whose latency EWMA (fed by the router or the
-cluster driver via :attr:`ReplicaSignals.latency_ewma_s`) exceeds
+**straggler**.  A replica whose latency EWMA (fed by
+:class:`~repro.cluster.placement.Placement` via
+:attr:`ReplicaSignals.latency_ewma_s`) exceeds
 ``straggler_factor`` times the median of its peers' is still alive and
 still correct — it is just slow, which is exactly the replica that
 dominates the cluster's tail latency.  Stragglers stay *routable* but
@@ -35,6 +36,7 @@ import threading
 from dataclasses import dataclass
 
 from .._util import check
+from ..overload.hedge import exceeds_peer_median
 
 
 @dataclass(frozen=True)
@@ -50,7 +52,8 @@ class HealthConfig:
     ``straggler_factor`` enables the soft-drain straggler state: a
     replica whose ``latency_ewma_s`` exceeds this multiple of the
     median of its peers' positive EWMAs is demoted (not downed) in the
-    preference walk.  ``None`` (default) keeps pre-overload behaviour.
+    preference walk, hedging on or off (the placement feeds the EWMA).
+    ``None`` (default) turns demotion off.
     """
 
     max_queue_depth: int | None = 64
@@ -214,15 +217,9 @@ class ReplicaHealth:
             if s is None or not s.healthy:
                 return False
             mine = s.last.latency_ewma_s
-            peers = sorted(t.last.latency_ewma_s
-                           for rid, t in self._states.items()
-                           if rid != replica_id and t.last.latency_ewma_s > 0.0)
-        if mine <= 0.0 or len(peers) < 2:
-            return False
-        mid = len(peers) // 2
-        median = (peers[mid] if len(peers) % 2
-                  else 0.5 * (peers[mid - 1] + peers[mid]))
-        return mine > factor * median
+            peers = [t.last.latency_ewma_s
+                     for rid, t in self._states.items() if rid != replica_id]
+        return exceeds_peer_median(mine, peers, factor)
 
     def stragglers(self) -> list[str]:
         with self._lock:

@@ -13,6 +13,9 @@ placement policy the cluster driver simulates at scale:
 * **straggler demotion** — healthy replicas whose router-observed
   latency EWMA makes them stragglers are moved behind their healthy
   peers in every preference walk (soft drain) without being downed;
+  the preference walk itself is the shared
+  :class:`~repro.cluster.placement.Placement`, the same policy the
+  cluster driver simulates;
 * **overload control** — with an :class:`~repro.overload.OverloadConfig`
   installed, ``submit`` admission-checks each request first (shedding
   batch-priority traffic with a typed
@@ -48,7 +51,8 @@ from ..overload import HedgePair, OverloadConfig, OverloadContext
 from ..resilience.errors import ServerClosedError
 from ..serve.request import SpMMRequest, SpMVRequest
 from ..serve.scheduler import QueueFullError
-from .health import HealthConfig, ReplicaHealth, ReplicaSignals
+from .health import HealthConfig, ReplicaHealth
+from .placement import Placement
 from .ring import DEFAULT_VNODES, HashRing
 
 
@@ -90,23 +94,22 @@ class Router:
             servers = {f"r{i}": s for i, s in enumerate(servers)}
         check(bool(servers), "need at least one replica")
         self.servers: dict[str, object] = dict(servers)
-        self.ring = HashRing(self.servers, vnodes=vnodes, seed=seed)
         if obs is None or not obs.enabled:
             obs = Obs()
         self.obs = obs
-        self.health = ReplicaHealth(health, obs=obs)
         self.overload = (OverloadContext(overload, obs=obs)
                          if overload is not None else None)
+        self.placement = Placement(
+            HashRing(self.servers, vnodes=vnodes, seed=seed),
+            ReplicaHealth(health, obs=obs),
+            self.overload.latency if self.overload is not None else None)
+        self.health = self.placement.health
         self._routed = obs.counter("cluster.router.routed_total")
         self._failover = obs.counter("cluster.router.failover_total")
         self._no_replica = obs.counter("cluster.router.unroutable_total")
         self._lock = threading.Lock()
         self._closed = False
         self._timers: set[threading.Timer] = set()
-        # previous (deadline_exceeded, requests) per replica, for
-        # miss-rate deltas between probes
-        self._prev: dict[str, tuple[int, int]] = {
-            rid: (0, 0) for rid in self.servers}
 
     # ------------------------------------------------------------------
     def register(self, csr) -> str:
@@ -119,29 +122,6 @@ class Router:
         for server in self.servers.values():
             fp = server.register(csr)
         return fp
-
-    def home(self, fingerprint: str) -> str:
-        """The fingerprint's ring placement, health ignored."""
-        return self.ring.lookup(fingerprint)
-
-    def select(self, fingerprint: str) -> list[str]:
-        """Preference order: healthy, then stragglers, then sick.
-
-        Healthy-but-straggling replicas (latency EWMA far above their
-        peers') are demoted behind the fast healthy ones — a soft
-        drain that moves affinity traffic off a slow replica without
-        the down/up cliff.  Unhealthy replicas are kept (at the end,
-        in ring order) as a last resort: when *every* replica is down,
-        routing to the home beats dropping the request.
-        """
-        prefs = self.ring.preference(fingerprint)
-        healthy = [r for r in prefs if self.health.is_healthy(r)]
-        sick = [r for r in prefs if not self.health.is_healthy(r)]
-        if self.health.config.straggler_factor is not None:
-            fast = [r for r in healthy if not self.health.is_straggler(r)]
-            slow = [r for r in healthy if self.health.is_straggler(r)]
-            healthy = fast + slow
-        return healthy + sick
 
     # ------------------------------------------------------------------
     def _try_submit(self, candidates, request):
@@ -172,12 +152,10 @@ class Router:
 
     def _watch_latency(self, rid: str, future) -> None:
         """Feed the per-replica latency EWMA when *future* settles."""
-        ctx = self.overload
-        if ctx is None or ctx.latency is None:
-            return
+        latency = self.placement.latency
         start = time.monotonic()
         future.add_done_callback(
-            lambda _f: ctx.latency.observe(rid, time.monotonic() - start))
+            lambda _f: latency.observe(rid, time.monotonic() - start))
 
     def submit(self, request):
         """Route one typed request; returns a Future for its result.
@@ -188,7 +166,7 @@ class Router:
         across the stack, with ``deadline_us`` / ``priority`` /
         ``shards`` keyword-only on the request.
 
-        Walks :meth:`select`, skipping replicas that refuse with
+        Walks ``placement.order``, skipping replicas that refuse with
         queue-full backpressure; counts a failover whenever the serving
         replica is not the ring home.  Raises
         :class:`NoHealthyReplicaError` when every replica refused,
@@ -206,13 +184,12 @@ class Router:
         ctx = self.overload
         if ctx is not None and ctx.admission is not None:
             ctx.admission.admit(request.priority, time.monotonic())
-        prefs = self.select(request.fingerprint)
-        home = self.ring.lookup(request.fingerprint)
+        prefs = self.placement.order(request.fingerprint)
         rid, future = self._try_submit(prefs, request)
         self._routed.inc()
         self.obs.counter("cluster.router.replica_routed_total",
                          {"replica": rid}).inc()
-        if rid != home:
+        if rid != self.placement.ring.lookup(request.fingerprint):
             self._failover.inc()
         self._watch_latency(rid, future)
         if ctx is None or ctx.hedge is None or len(prefs) < 2:
@@ -226,7 +203,9 @@ class Router:
 
         The timer fires after ``max(min_delay_s, delay_factor x EWMA)``
         without a primary result and re-issues the request to the next
-        replica on the preference walk; whichever side completes first
+        replica on the preference walk — sick ones included, because the
+        walk doubles as failover on a primary error (unlike the healthy
+        ``Placement.hedge_target``); whichever side completes first
         resolves the wrapper, the loser is counted as wasted.  A
         primary *failure* before the timer fires issues the hedge
         immediately (failover); the wrapper fails only when both
@@ -240,7 +219,7 @@ class Router:
                  "primary_error": None, "hedge_error": None,
                  "failed": False}
         lock = threading.Lock()
-        ewma = ctx.latency.ewma(primary_rid)
+        ewma = self.placement.latency.ewma(primary_rid)
         delay = max(cfg.min_delay_s, cfg.delay_factor * ewma)
         timer = threading.Timer(delay, lambda: issue_hedge())
         timer.daemon = True
@@ -316,34 +295,14 @@ class Router:
 
         Returns ``{replica_id: healthy}`` after hysteresis.  Call
         periodically (the real deployment's probe loop); the monitor
-        itself is clock-free.  With overload enabled, the router's
-        latency EWMA rides along as the straggler signal.
+        itself is clock-free.  The router's latency EWMA rides along
+        as the straggler signal.
         """
-        ctx = self.overload
-        out: dict[str, bool] = {}
         with self._lock:
-            for rid, server in self.servers.items():
-                raw = server.signals()
-                prev_miss, prev_req = self._prev[rid]
-                d_req = raw["requests"] - prev_req
-                d_miss = raw["deadline_exceeded"] - prev_miss
-                miss_rate = (d_miss / d_req) if d_req > 0 else 0.0
-                self._prev[rid] = (raw["deadline_exceeded"], raw["requests"])
-                ewma = (ctx.latency.ewma(rid)
-                        if ctx is not None and ctx.latency is not None
-                        else 0.0)
-                out[rid] = self.health.observe(rid, ReplicaSignals(
-                    queue_depth=raw["queue_depth"],
-                    open_circuits=raw["open_circuits"],
-                    miss_rate=miss_rate,
-                    latency_ewma_s=ewma))
-        return out
+            return {rid: self.placement.observe(rid, server.signals())
+                    for rid, server in self.servers.items()}
 
     # ------------------------------------------------------------------
-    def assignments(self, fingerprints) -> dict[str, list[str]]:
-        """replica id -> assigned fingerprints (ring homes)."""
-        return self.ring.assignments(fingerprints)
-
     def warm(self, fingerprints) -> dict[str, int]:
         """Concurrently preload each replica's assigned fingerprints.
 
@@ -354,7 +313,7 @@ class Router:
         """
         if self._closed:
             raise RouterClosedError("router is closed")
-        assigned = self.assignments(fingerprints)
+        assigned = self.placement.ring.assignments(fingerprints)
         warmed: dict[str, int] = {rid: 0 for rid in self.servers}
 
         def work(rid: str) -> None:

@@ -32,6 +32,7 @@ counts hedge copies whose work was discarded.
 
 from __future__ import annotations
 
+import statistics
 import threading
 from dataclasses import dataclass
 
@@ -69,6 +70,19 @@ class HedgeConfig:
         check(0.0 < self.ewma_alpha <= 1.0, "ewma_alpha must be in (0, 1]")
 
 
+def exceeds_peer_median(mine: float, peers, factor: float) -> bool:
+    """The one straggler test: *mine* > ``factor`` x median of *peers*.
+
+    Only positive peer latencies count (a cold zero is no evidence),
+    and at least two are needed — with fewer there is no population to
+    be an outlier of.  A non-positive *mine* is never a straggler.
+    """
+    peers = [p for p in peers if p > 0.0]
+    if mine <= 0.0 or len(peers) < 2:
+        return False
+    return mine > factor * statistics.median(peers)
+
+
 class LatencyTracker:
     """Thread-safe per-key latency EWMA (keys are replica ids)."""
 
@@ -101,21 +115,12 @@ class LatencyTracker:
             return dict(self._ewma)
 
     def is_straggler(self, key, *, factor: float) -> bool:
-        """True when *key*'s EWMA exceeds ``factor`` x peer median.
-
-        Needs at least two positive peer EWMAs besides cold zeros —
-        with fewer there is no population to be an outlier of.
-        """
+        """True when *key*'s EWMA exceeds ``factor`` x peer median
+        (:func:`exceeds_peer_median`)."""
         with self._lock:
             mine = self._ewma.get(key, 0.0)
-            peers = sorted(v for k, v in self._ewma.items()
-                           if k != key and v > 0.0)
-        if mine <= 0.0 or len(peers) < 2:
-            return False
-        mid = len(peers) // 2
-        median = (peers[mid] if len(peers) % 2
-                  else 0.5 * (peers[mid - 1] + peers[mid]))
-        return mine > factor * median
+            peers = [v for k, v in self._ewma.items() if k != key]
+        return exceeds_peer_median(mine, peers, factor)
 
 
 class HedgePair:

@@ -419,10 +419,12 @@ class ReplicaSim:
         """Flushed-but-unstarted batches (the queue-depth signal)."""
         return len(self.backlog)
 
-    def open_circuits(self) -> int:
-        """Fingerprints whose circuit is currently not closed."""
-        return sum(1 for state in self.breaker.snapshot().values()
-                   if state != "closed")
+    def signals(self) -> dict:
+        """Raw health signals, shaped like :meth:`SpMVServer.signals`."""
+        return {"queue_depth": self.backlog_depth,
+                "open_circuits": self.breaker.open_count(),
+                "deadline_exceeded": self.stats.n_deadline_exceeded,
+                "requests": self.stats.n_requests}
 
     # ------------------------------------------------------------------
     # plan acquisition

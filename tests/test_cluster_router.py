@@ -1,5 +1,9 @@
 """Router tests over real SpMVServer replicas (repro.cluster.router)."""
 
+import threading
+import time
+from concurrent.futures import Future
+
 import numpy as np
 import pytest
 
@@ -9,6 +13,7 @@ from repro.cluster import (
     Router,
 )
 from repro.obs import Obs
+from repro.overload import HedgeConfig, OverloadConfig
 from repro.serve import SpMVRequest
 from repro.store import PlanStore
 from tests.conftest import random_csr
@@ -17,6 +22,58 @@ from tests.conftest import random_csr
 def make_matrices(n=3, seed=0):
     rng = np.random.default_rng(seed)
     return [random_csr(48 + 16 * i, 48 + 16 * i, rng) for i in range(n)]
+
+
+class StubReplica:
+    """A replica that accepts every request and reports scripted signals.
+
+    With ``delay=None`` its futures stay pending until the test settles
+    them through :attr:`pending`; with a ``delay`` each request resolves
+    on its own after that many seconds (a fast or slow replica).
+    ``close`` fails out whatever is still pending, like
+    ``SpMVServer.close`` does.
+    """
+
+    def __init__(self, delay=None):
+        self.delay = delay
+        self.pending = []
+        self.sig = {"queue_depth": 0, "open_circuits": 0,
+                    "deadline_exceeded": 0, "requests": 0}
+
+    def submit(self, request):
+        fut = Future()
+        if self.delay is None:
+            self.pending.append(fut)
+        else:
+            threading.Timer(self.delay, fut.set_result,
+                            (request.fingerprint,)).start()
+        return fut
+
+    def signals(self):
+        return dict(self.sig)
+
+    def close(self, timeout=None):
+        from repro.resilience import ServerClosedError
+
+        for fut in self.pending:
+            if not fut.done():
+                fut.set_exception(ServerClosedError("replica closed"))
+
+
+def fps_homed_on_each(router, n_keys=64):
+    """One fingerprint per replica, each homed there on the ring."""
+    out = {}
+    for i in range(n_keys):
+        out.setdefault(router.placement.ring.lookup(f"m{i}"), f"m{i}")
+    assert len(out) == len(router.servers)
+    return out
+
+
+def wait_for(pred, timeout=5.0):
+    end = time.monotonic() + timeout
+    while not pred():
+        assert time.monotonic() < end, "condition never held"
+        time.sleep(0.002)
 
 
 def make_router(n_servers=3, *, obs=None, health=None, **server_kw):
@@ -52,7 +109,7 @@ class TestRouting:
             assert obs.registry.counter(
                 "cluster.router.failover_total").value == 0
             for fp in fps:
-                home = router.home(fp)
+                home = router.placement.ring.lookup(fp)
                 assert obs.registry.counter(
                     "cluster.router.replica_routed_total",
                     {"replica": home}).value > 0
@@ -61,11 +118,11 @@ class TestRouting:
         health = HealthConfig(down_after=1, max_queue_depth=1)
         with make_router(health=health) as router:
             fp = router.register(make_matrices(1)[0])
-            home = router.home(fp)
+            home = router.placement.ring.lookup(fp)
             from repro.cluster import ReplicaSignals
 
             router.health.observe(home, ReplicaSignals(queue_depth=99))
-            order = router.select(fp)
+            order = router.placement.order(fp)
             assert order[-1] == home
             assert not router.health.is_healthy(home)
 
@@ -78,7 +135,7 @@ class TestRouting:
             fp = router.register(csr)
             from repro.cluster import ReplicaSignals
 
-            router.health.observe(router.home(fp),
+            router.health.observe(router.placement.ring.lookup(fp),
                                   ReplicaSignals(queue_depth=10**6))
             fut = router.submit(SpMVRequest(fp, rng.uniform(-1, 1, csr.shape[1])))
             assert fut.result(timeout=30) is not None
@@ -142,7 +199,7 @@ class TestWarm:
             for csr in matrices:
                 router.register(csr.astype(np.float64))
             warmed = router.warm(fps)
-        assigned = router.assignments(fps)
+        assigned = router.placement.ring.assignments(fps)
         assert sum(warmed.values()) == len(fps)
         for rid, n in warmed.items():
             assert n == len(assigned[rid])
@@ -257,3 +314,82 @@ class TestAllUnhealthy:
         finally:
             gate.set()
             router.close()
+
+
+class TestStragglerWithoutHedging:
+    def test_straggler_demoted_with_no_overload_config(self):
+        """``straggler_factor`` alone must work: the router feeds every
+        replica's latency EWMA itself, so a slow replica reads as a
+        straggler after a probe and moves behind its fast peers."""
+        servers = {"r0": StubReplica(0.001), "r1": StubReplica(0.001),
+                   "r2": StubReplica(0.06)}
+        health = HealthConfig(straggler_factor=2.0)
+        with Router(servers, seed=1, health=health) as router:
+            homes = fps_homed_on_each(router)
+            futs = [router.submit(SpMVRequest(fp, np.zeros(4)))
+                    for fp in homes.values() for _ in range(3)]
+            for f in futs:
+                f.result(timeout=10)
+            # done-callbacks may run just after result() returns
+            wait_for(lambda: len(router.placement.latency.snapshot()) == 3)
+            router.probe()
+            assert router.health.is_straggler("r2") is True
+            assert not router.health.is_straggler("r0")
+            order = router.placement.order(homes["r2"])
+            assert order[-1] == "r2"
+            assert set(order[:2]) == {"r0", "r1"}
+
+
+def hedging_router(min_delay_s, obs):
+    servers = {f"r{i}": StubReplica() for i in range(3)}
+    overload = OverloadConfig(hedge=HedgeConfig(min_delay_s=min_delay_s))
+    return servers, Router(servers, seed=1, overload=overload, obs=obs)
+
+
+class TestHedging:
+    def test_first_result_wins_and_loser_is_wasted(self):
+        obs = Obs()
+        servers, router = hedging_router(0.01, obs)
+        with router:
+            fp = "m0"
+            order = router.placement.order(fp)
+            primary, backup = servers[order[0]], servers[order[1]]
+            fut = router.submit(SpMVRequest(fp, np.zeros(4)))
+            wait_for(lambda: backup.pending)  # the hedge timer fired
+            backup.pending[0].set_result("hedge")
+            assert fut.result(timeout=5) == "hedge"
+            primary.pending[0].set_result("primary")
+            reg = obs.registry
+            assert reg.counter("overload.hedge.issued_total").value == 1
+            assert reg.counter("overload.hedge.won_total").value == 1
+            assert reg.counter("overload.hedge.wasted_total").value == 1
+
+    def test_primary_error_fails_over_before_the_timer(self):
+        obs = Obs()
+        servers, router = hedging_router(60.0, obs)
+        with router:
+            fp = "m0"
+            order = router.placement.order(fp)
+            fut = router.submit(SpMVRequest(fp, np.zeros(4)))
+            assert not servers[order[1]].pending
+            servers[order[0]].pending[0].set_exception(RuntimeError("boom"))
+            # issued synchronously from the primary's done-callback
+            assert len(servers[order[1]].pending) == 1
+            assert obs.registry.counter(
+                "overload.hedge.issued_total").value == 1
+            servers[order[1]].pending[0].set_result("failover")
+            assert fut.result(timeout=5) == "failover"
+
+    def test_close_cancels_timers_and_settles_every_future(self):
+        from repro.resilience import ServerClosedError
+
+        servers, router = hedging_router(60.0, Obs())
+        futs = [router.submit(SpMVRequest(f"m{i}", np.zeros(4)))
+                for i in range(4)]
+        timers = list(router._timers)
+        assert len(timers) == 4
+        router.close()
+        assert not router._timers
+        assert all(t.finished.is_set() for t in timers)
+        for f in futs:
+            assert isinstance(f.exception(timeout=5), ServerClosedError)
