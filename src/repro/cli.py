@@ -74,14 +74,40 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _chaos(args):
-    """The ``--chaos`` fault mix, or ``None`` when chaos is off."""
-    if not args.chaos:
-        return None
+def _given(cls, **knobs):
+    """``cls(**knobs)`` without the knobs left unset (``None``), so the
+    dataclass keeps its own defaults for them."""
+    return cls(**{k: v for k, v in knobs.items() if v is not None})
+
+
+def _workload_fields(args) -> dict:
+    """The :class:`~repro.serve.WorkloadConfig` fields ``serve-sim`` and
+    ``cluster-sim`` both build from the shared workload flags."""
     from .serve import ChaosConfig
 
-    knobs = {"fault_rate": args.chaos_rate, "seed": args.chaos_seed}
-    return ChaosConfig(**{k: v for k, v in knobs.items() if v is not None})
+    return dict(
+        n_requests=args.requests,
+        rate_rps=args.rate,
+        zipf_s=args.zipf,
+        seed=args.seed,
+        n_matrices=args.matrices,
+        dtype=args.dtype,
+        device=args.device,
+        max_batch=args.max_batch,
+        flush_timeout_s=args.timeout_us * 1e-6,
+        queue_depth=args.queue_depth,
+        deadline_s=(args.deadline_us * 1e-6
+                    if args.deadline_us is not None else None),
+        chaos=(_given(ChaosConfig, fault_rate=args.chaos_rate,
+                      seed=args.chaos_seed) if args.chaos else None),
+        store=args.store,
+        warm_start=bool(args.warm_start),
+        pipeline=bool(args.pipeline),
+        warmer=bool(args.warmer),
+        update_mix=args.update_mix,
+        structural_frac=args.structural_frac,
+        update_entries=args.update_entries,
+    )
 
 
 def cmd_list(_args) -> int:
@@ -293,34 +319,13 @@ def cmd_serve_sim(args) -> int:
     from .serve import (WorkloadConfig, compare_batched_unbatched,
                         run_workload)
 
-    chaos = _chaos(args)
-    shards = _parse_shards(args.shards)
     cfg = WorkloadConfig(
-        n_requests=args.requests,
-        rate_rps=args.rate,
-        zipf_s=args.zipf,
-        seed=args.seed,
-        n_matrices=args.matrices,
-        dtype=args.dtype,
-        device=args.device,
-        max_batch=args.max_batch,
-        flush_timeout_s=args.timeout_us * 1e-6,
+        **_workload_fields(args),
         cache_budget_bytes=int(args.cache_mb * 1024 * 1024),
-        queue_depth=args.queue_depth,
-        deadline_s=(args.deadline_us * 1e-6
-                    if args.deadline_us is not None else None),
-        chaos=chaos,
-        shards=shards,
+        shards=_parse_shards(args.shards),
         shard_workers=args.shard_workers,
-        store=args.store,
-        warm_start=bool(args.warm_start),
-        pipeline=bool(args.pipeline),
-        warmer=bool(args.warmer),
         spmm_mix=args.spmm_mix,
         spmm_ks=tuple(args.spmm_ks),
-        update_mix=args.update_mix,
-        structural_frac=args.structural_frac,
-        update_entries=args.update_entries,
     )
     trace = bool(args.trace or args.trace_json or args.trace_prom)
     obs = Obs(tracer=Tracer()) if trace else None
@@ -337,7 +342,7 @@ def cmd_serve_sim(args) -> int:
             _print_trace_report(obs, b, json_path=args.trace_json,
                                 prom_path=args.trace_prom)
         return 0
-    stats = run_workload(cfg, obs=obs) if obs is not None else run_workload(cfg)
+    stats = run_workload(cfg, obs=obs)
     print(stats.summary_table())
     if trace:
         _print_trace_report(obs, stats, json_path=args.trace_json,
@@ -354,13 +359,6 @@ def cmd_cluster_sim(args) -> int:
     )
     from .obs import Obs, Tracer
 
-    chaos = _chaos(args)
-    entries = (synthetic_collection(args.synthetic, seed=args.seed)
-               if args.synthetic else None)
-    elastic = None
-    if args.elastic:
-        elastic = ElasticConfig(min_replicas=args.min_replicas,
-                                max_replicas=args.max_replicas)
     overload = None
     if args.overload:
         from .overload import (
@@ -370,50 +368,35 @@ def cmd_cluster_sim(args) -> int:
             RetryBudgetConfig,
         )
 
-        overload = OverloadConfig(
+        overload = _given(
+            OverloadConfig,
             admission=AdmissionConfig(rate_rps=args.admission_rate),
             retry_budget=RetryBudgetConfig(),
-            hedge=HedgeConfig(factor=args.hedge_factor),
+            hedge=_given(HedgeConfig, factor=args.hedge_factor),
             batch_fraction=args.batch_fraction,
         )
-    health = HealthConfig(straggler_factor=args.straggler_factor) \
-        if args.straggler_factor is not None else HealthConfig()
-    cfg = ClusterConfig(
-        n_requests=args.requests,
-        rate_rps=args.rate,
-        zipf_s=args.zipf,
-        seed=args.seed,
-        n_matrices=args.matrices,
-        entries=entries,
-        dtype=args.dtype,
-        device=args.device,
-        max_batch=args.max_batch,
-        flush_timeout_s=args.timeout_us * 1e-6,
-        queue_depth=args.queue_depth,
-        deadline_s=(args.deadline_us * 1e-6
-                    if args.deadline_us is not None else None),
-        chaos=chaos,
-        store=args.store,
-        warm_start=bool(args.warm_start),
-        pipeline=bool(args.pipeline),
-        warmer=bool(args.warmer),
+    cfg = _given(
+        ClusterConfig,
+        **_workload_fields(args),
+        entries=(synthetic_collection(args.synthetic, seed=args.seed)
+                 if args.synthetic else None),
         n_replicas=args.replicas,
         vnodes=args.vnodes,
         ring_seed=args.ring_seed,
         probe_interval_s=(args.probe_interval_us * 1e-6
-                          if args.probe_interval_us else None),
+                          if args.probe_interval_us is not None else None),
         fail_replica=args.fail_replica,
         fail_rate=args.fail_rate,
-        elastic=elastic,
-        health=health,
+        elastic=(_given(ElasticConfig, min_replicas=args.min_replicas,
+                        max_replicas=args.max_replicas)
+                 if args.elastic else None),
+        health=_given(HealthConfig, straggler_factor=args.straggler_factor),
         overload=overload,
         slow_replica=args.slow_replica,
         slow_factor=args.slow_factor,
-        partition_replica=args.partition_replica,
-        partition_window=tuple(args.partition_window),
-        update_mix=args.update_mix,
-        structural_frac=args.structural_frac,
-        update_entries=args.update_entries,
+        partition_replica=args.partition,
+        partition_window=(tuple(args.partition_window)
+                          if args.partition_window is not None else None),
     )
     obs = Obs(tracer=Tracer()) if args.trace else Obs()
     import time as _time
@@ -665,6 +648,95 @@ def _bench_shards(entries, args) -> None:
               f"{cost.makespan:>12.3e}{single / cost.makespan:>8.2f}x")
 
 
+def _workload_parent(*, requests: int) -> argparse.ArgumentParser:
+    """The workload flags ``serve-sim`` and ``cluster-sim`` share.
+
+    Built once per command: argparse parents share their action
+    objects, so one instance cannot carry two ``--requests`` defaults.
+    """
+    p = argparse.ArgumentParser(add_help=False)
+    p.add_argument("--requests", type=int, default=requests,
+                   help="open-loop request count")
+    p.add_argument("--rate", type=float, default=None,
+                   help="offered rate (req/s); default saturates every "
+                        "modeled device")
+    p.add_argument("--zipf", type=float, default=1.1,
+                   help="Zipf popularity exponent over the matrix pool")
+    p.add_argument("--matrices", type=int, default=4,
+                   help="pool size taken from the representative suite")
+    p.add_argument("--device", default="A100", choices=("A100", "H800"))
+    p.add_argument("--dtype", default="float64",
+                   choices=("float64", "float16"))
+    p.add_argument("--max-batch", type=int, default=8,
+                   help="SpMM coalescing width (1 = request-at-a-time)")
+    p.add_argument("--timeout-us", type=float, default=200.0,
+                   help="partial-batch flush timeout (modeled us)")
+    p.add_argument("--queue-depth", type=int, default=256,
+                   help="bounded device backlog (batches)")
+    p.add_argument("--deadline-us", type=_positive_float, default=None,
+                   help="per-request deadline (modeled us, > 0); expired "
+                        "requests fail fast")
+    p.add_argument("--seed", type=int, default=2023)
+    p.add_argument("--chaos", action="store_true",
+                   help="inject a seeded fault mix (repro.resilience)")
+    p.add_argument("--chaos-rate", type=float, default=None,
+                   help="total fault rate split over the fault kinds "
+                        "(default 0.05; needs --chaos)")
+    p.add_argument("--chaos-seed", type=int, default=None,
+                   help="fault-injector RNG seed (default 7; needs --chaos)")
+    p.add_argument("--store", metavar="DIR", default=None,
+                   help="back the plan cache with an on-disk artifact "
+                        "store (repro.store); shared by a cluster's "
+                        "replicas")
+    p.add_argument("--warm-start", action="store_true",
+                   help="preload plans from --store before traffic starts "
+                        "(a cluster replica: its ring-assigned ones)")
+    p.add_argument("--pipeline", action="store_true",
+                   help="async pipelined execution: plan loads/builds run "
+                        "on a modeled prefetch lane overlapping the device "
+                        "(results stay bitwise identical)")
+    p.add_argument("--warmer", action="store_true",
+                   help="speculative plan warmer: prebuild/preload popular "
+                        "matrices before their first request (implies a "
+                        "prefetch lane)")
+    p.add_argument("--update-mix", type=float, default=0.0, metavar="P",
+                   help="fraction of arrival slots carrying a matrix delta "
+                        "instead of a read (plans are patched in place, "
+                        "a cluster broadcasts it; dedicated seed+17 "
+                        "stream; 0 disables)")
+    p.add_argument("--structural-frac", type=float, default=0.3,
+                   help="share of deltas that change the sparsity pattern "
+                        "(the rest touch values only)")
+    p.add_argument("--update-entries", type=int, default=8,
+                   help="coordinates touched per delta")
+    p.add_argument("--trace", action="store_true",
+                   help="record spans (repro.obs) and print the "
+                        "device-time attribution report")
+    return p
+
+
+#: dependent flag -> the switch it needs (alone it would be ignored)
+_NEEDS = {
+    "--chaos-rate": "--chaos",
+    "--chaos-seed": "--chaos",
+    "--min-replicas": "--elastic",
+    "--max-replicas": "--elastic",
+    "--admission-rate": "--overload",
+    "--batch-fraction": "--overload",
+    "--hedge-factor": "--overload",
+    "--slow-factor": "--slow-replica",
+    "--partition-window": "--partition",
+    "--fail-rate": "--fail-replica",
+}
+
+
+def _passed(args, flag: str) -> bool:
+    """Whether *flag* was given (its value is not the unset ``None`` or
+    an off ``store_true`` switch)."""
+    value = getattr(args, flag[2:].replace("-", "_"), None)
+    return value is not None and value is not False
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="DASP (SC'23) reproduction toolkit")
@@ -714,80 +786,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_convert)
 
     p = sub.add_parser(
-        "serve-sim",
+        "serve-sim", parents=[_workload_parent(requests=2000)],
         help="simulate batched, plan-cached SpMV serving (repro.serve)")
-    p.add_argument("--requests", type=int, default=2000,
-                   help="open-loop request count")
-    p.add_argument("--rate", type=float, default=None,
-                   help="offered rate (req/s); default saturates the device")
-    p.add_argument("--zipf", type=float, default=1.1,
-                   help="Zipf popularity exponent over the matrix pool")
-    p.add_argument("--matrices", type=int, default=4,
-                   help="pool size taken from the representative suite")
-    p.add_argument("--device", default="A100", choices=("A100", "H800"))
-    p.add_argument("--dtype", default="float64",
-                   choices=("float64", "float16"))
-    p.add_argument("--max-batch", type=int, default=8,
-                   help="SpMM coalescing width (1 = request-at-a-time)")
-    p.add_argument("--timeout-us", type=float, default=200.0,
-                   help="partial-batch flush timeout (modeled us)")
     p.add_argument("--cache-mb", type=float, default=256.0,
                    help="plan-cache budget (MiB)")
-    p.add_argument("--queue-depth", type=int, default=256,
-                   help="bounded device backlog (batches)")
-    p.add_argument("--seed", type=int, default=2023)
     p.add_argument("--compare", action="store_true",
                    help="also run request-at-a-time and print the speedup")
-    p.add_argument("--chaos", action="store_true",
-                   help="inject a seeded fault mix (repro.resilience)")
-    p.add_argument("--chaos-rate", type=float, default=None,
-                   help="total fault rate split over the fault kinds "
-                        "(default 0.05; needs --chaos)")
-    p.add_argument("--chaos-seed", type=int, default=None,
-                   help="fault-injector RNG seed (default 7; needs --chaos)")
     p.add_argument("--shards", default=None, metavar="S|auto",
                    help="row-shard every matrix into S bands ('auto' picks "
                         "S per matrix from the makespan cost model)")
     p.add_argument("--shard-workers", type=int, default=4,
                    help="concurrent lanes the sharded makespan is modeled "
                         "over (default 4)")
-    p.add_argument("--deadline-us", type=_positive_float, default=None,
-                   help="per-request deadline (modeled us, > 0); expired "
-                        "requests fail fast")
-    p.add_argument("--store", metavar="DIR", default=None,
-                   help="back the plan cache with an on-disk artifact "
-                        "store (repro.store)")
-    p.add_argument("--warm-start", action="store_true",
-                   help="preload every pool matrix's plan from --store "
-                        "before traffic starts")
-    p.add_argument("--pipeline", action="store_true",
-                   help="async pipelined execution: plan loads/builds run "
-                        "on a modeled prefetch lane overlapping the device "
-                        "(results stay bitwise identical)")
-    p.add_argument("--warmer", action="store_true",
-                   help="speculative plan warmer: prebuild/preload popular "
-                        "matrices before their first request (Zipf "
-                        "estimate over observed traffic; implies a "
-                        "prefetch lane)")
     p.add_argument("--spmm-mix", type=float, default=0.0, metavar="P",
                    help="fraction of requests issued as SpMM blocks "
                         "(dedicated seed+13 stream; 0 disables)")
     p.add_argument("--spmm-ks", type=int, nargs="+", default=[16, 32, 64],
                    metavar="K",
                    help="RHS widths sampled for SpMM block requests")
-    p.add_argument("--update-mix", type=float, default=0.0, metavar="P",
-                   help="fraction of arrival slots carrying a matrix delta "
-                        "instead of a read (plans are patched in place, "
-                        "version chain advances; dedicated seed+17 stream; "
-                        "0 disables)")
-    p.add_argument("--structural-frac", type=float, default=0.3,
-                   help="share of deltas that change the sparsity pattern "
-                        "(the rest touch values only)")
-    p.add_argument("--update-entries", type=int, default=8,
-                   help="coordinates touched per delta")
-    p.add_argument("--trace", action="store_true",
-                   help="record spans (repro.obs) and print the "
-                        "device-time attribution report")
     p.add_argument("--trace-json", metavar="FILE", default=None,
                    help="write the full observability JSON document "
                         "(metrics + traces + attribution) to FILE")
@@ -797,52 +813,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_serve_sim)
 
     p = sub.add_parser(
-        "cluster-sim",
+        "cluster-sim", parents=[_workload_parent(requests=10_000)],
         help="simulate N serving replicas behind consistent-hash routing "
              "(repro.cluster)")
     p.add_argument("--replicas", type=int, default=4,
                    help="initial replica count (N=1 matches serve-sim "
                         "bit for bit)")
-    p.add_argument("--requests", type=int, default=10_000,
-                   help="open-loop request count")
-    p.add_argument("--rate", type=float, default=None,
-                   help="offered rate (req/s); default saturates N replicas")
-    p.add_argument("--zipf", type=float, default=1.1)
-    p.add_argument("--matrices", type=int, default=4,
-                   help="pool size taken from the representative suite")
     p.add_argument("--synthetic", type=int, default=None, metavar="N",
                    help="use an N-matrix synthetic pool instead of the "
                         "representative suite (much faster to model)")
-    p.add_argument("--device", default="A100", choices=("A100", "H800"))
-    p.add_argument("--dtype", default="float64",
-                   choices=("float64", "float16"))
-    p.add_argument("--max-batch", type=int, default=8)
-    p.add_argument("--timeout-us", type=float, default=200.0)
-    p.add_argument("--queue-depth", type=int, default=256)
-    p.add_argument("--deadline-us", type=_positive_float, default=None,
-                   help="per-request deadline (modeled us, > 0)")
-    p.add_argument("--seed", type=int, default=2023)
     p.add_argument("--vnodes", type=int, default=128,
                    help="virtual nodes per replica on the hash ring")
     p.add_argument("--ring-seed", type=int, default=0,
                    help="seed of the ring's stable hash")
-    p.add_argument("--probe-interval-us", type=float, default=None,
-                   help="health-probe period (modeled us; default ~200 "
-                        "probes per run)")
+    p.add_argument("--probe-interval-us", type=_positive_float, default=None,
+                   help="health-probe period (modeled us, > 0; default "
+                        "~200 probes per run)")
     p.add_argument("--fail-replica", type=int, default=None, metavar="I",
                    help="fault-inject replica index I with kernel errors "
                         "(failover demo)")
-    p.add_argument("--fail-rate", type=float, default=1.0)
-    p.add_argument("--chaos", action="store_true",
-                   help="inject a seeded fault mix on every replica")
-    p.add_argument("--chaos-rate", type=float, default=None,
-                   help="total fault rate (default 0.05; needs --chaos)")
-    p.add_argument("--chaos-seed", type=int, default=None,
-                   help="fault-injector RNG seed (default 7; needs --chaos)")
+    p.add_argument("--fail-rate", type=float, default=None,
+                   help="kernel-error rate of --fail-replica (default 1.0)")
     p.add_argument("--elastic", action="store_true",
                    help="enable queue-depth-driven elastic scaling")
-    p.add_argument("--min-replicas", type=int, default=1)
-    p.add_argument("--max-replicas", type=int, default=8)
+    p.add_argument("--min-replicas", type=int, default=None,
+                   help="elastic floor (default 1; needs --elastic)")
+    p.add_argument("--max-replicas", type=int, default=None,
+                   help="elastic ceiling (default 8; needs --elastic)")
     p.add_argument("--overload", action="store_true",
                    help="enable the overload layer: admission control, "
                         "cluster-wide retry budget, hedged requests "
@@ -850,13 +847,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--admission-rate", type=float, default=None,
                    metavar="RPS",
                    help="admission token-bucket rate (default: unlimited "
-                        "bucket, i.e. admission counts but never sheds)")
-    p.add_argument("--batch-fraction", type=float, default=0.3,
-                   help="share of traffic tagged batch priority "
-                        "(shed first under --overload)")
-    p.add_argument("--hedge-factor", type=float, default=3.0,
+                        "bucket, i.e. admission counts but never sheds; "
+                        "needs --overload)")
+    p.add_argument("--batch-fraction", type=float, default=None,
+                   help="share of traffic tagged batch priority, shed "
+                        "first (default 0.3; needs --overload)")
+    p.add_argument("--hedge-factor", type=float, default=None,
                    help="hedge/demote a replica whose latency EWMA "
-                        "exceeds this multiple of the peer median")
+                        "exceeds this multiple of the peer median "
+                        "(default 3.0; needs --overload)")
     p.add_argument("--straggler-factor", type=float, default=None,
                    metavar="F",
                    help="demote (soft-drain) healthy replicas whose "
@@ -864,36 +863,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--slow-replica", type=int, default=None, metavar="I",
                    help="chaos: multiply replica I's modeled device time "
                         "by --slow-factor (a live straggler)")
-    p.add_argument("--slow-factor", type=float, default=4.0)
+    p.add_argument("--slow-factor", type=float, default=None,
+                   help="device-time multiplier of --slow-replica "
+                        "(default 4.0)")
     p.add_argument("--partition", type=int, default=None, metavar="I",
-                   dest="partition_replica",
                    help="chaos: drop the router link to replica I for "
                         "--partition-window of the run")
-    p.add_argument("--partition-window", type=float, nargs=2,
-                   default=(0.25, 0.75), metavar=("START", "END"),
-                   help="partition window as fractions of the arrival span")
-    p.add_argument("--store", metavar="DIR", default=None,
-                   help="shared plan store for ring-scoped warm-up")
-    p.add_argument("--warm-start", action="store_true",
-                   help="each replica preloads its ring-assigned "
-                        "fingerprints from --store")
-    p.add_argument("--pipeline", action="store_true",
-                   help="async pipelined execution on every replica "
-                        "(modeled prefetch lane beside each device)")
-    p.add_argument("--warmer", action="store_true",
-                   help="per-replica speculative plan warmer; ring "
-                        "warm-ups and rebalance re-warms ride it")
-    p.add_argument("--update-mix", type=float, default=0.0, metavar="P",
-                   help="fraction of arrival slots carrying a matrix delta "
-                        "(broadcast to every replica; the home replica "
-                        "persists it to --store)")
-    p.add_argument("--structural-frac", type=float, default=0.3,
-                   help="share of deltas that change the sparsity pattern")
-    p.add_argument("--update-entries", type=int, default=8,
-                   help="coordinates touched per delta")
-    p.add_argument("--trace", action="store_true",
-                   help="shared tracer with per-replica device-time "
-                        "attribution")
+    p.add_argument("--partition-window", type=float, nargs=2, default=None,
+                   metavar=("START", "END"),
+                   help="partition window as fractions of the arrival span "
+                        "(default 0.25 0.75; needs --partition)")
     p.add_argument("--bench-json", action="store_true",
                    help="append a perf-trajectory record to "
                         "results/BENCH_cluster.json")
@@ -980,9 +959,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if not getattr(args, "chaos", True) and (
-            args.chaos_rate is not None or args.chaos_seed is not None):
-        parser.error("--chaos-rate/--chaos-seed need --chaos")
+    for flag, switch in _NEEDS.items():
+        if _passed(args, flag) and not _passed(args, switch):
+            group = [f for f, s in _NEEDS.items() if s == switch]
+            parser.error(f"{'/'.join(group)} need {switch}")
     try:
         return args.fn(args)
     except BrokenPipeError:  # e.g. `repro list | head`

@@ -8,25 +8,25 @@ warm-start from a shared :class:`~repro.store.PlanStore`, and
 (optionally) elastic scaling from queue-depth signals.
 
 Everything stays **bit-deterministic** for a given config: traffic is
-pre-drawn from one seeded stream (the same draw order as the single
-driver), replicas execute sequentially in virtual time, health probes
+drawn once by :class:`~repro.serve.driver.Traffic` and replayed through
+the shared :func:`~repro.serve.driver.replay` loop with the cluster as
+its front, replicas execute sequentially in virtual time, health probes
 only *read* replica state, and all hashing is seeded blake2b.  Two
 properties the tests pin:
 
 * **N=1 exact parity** — with one replica, every stat the cluster
   reports (latencies included) is bit-identical to
   :func:`repro.serve.run_workload` on the same config, because both
-  drive the same :class:`ReplicaSim` core with the same RNG streams
-  and event ordering;
+  run the same traffic draw and arrival loop over the same
+  :class:`ReplicaSim` core;
 * **scale-out** — the default offered rate is per-replica
   (``N``x the single-replica saturating rate), so modeled aggregate
   throughput grows ~linearly with N on a Zipf workload, and stays
   ≥3x at N=4 even with one replica fault-injected unhealthy (its
   traffic reroutes via the ring preference walk).
 
-The driver can replay millions of requests: replicas skip
-materializing result vectors (``materialize_results=False`` — stats
-and latencies are unaffected) and request objects are transient.
+The driver can replay millions of requests: simulated replicas never
+materialize result vectors and request objects are transient.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .._util import check, default_rng
-from ..core.delta import random_delta
 from ..gpu.device import get_device
 from ..obs import Obs
 from ..overload import PRIORITIES, HedgePair, OverloadConfig, OverloadContext
@@ -44,12 +43,13 @@ from ..resilience import FaultInjector, FaultPlan, FaultRule
 from ..serve.batcher import SpMVRequest
 from ..serve.driver import (
     ReplicaSim,
+    Traffic,
     WorkloadConfig,
     _build_injector,
     _matrix_pool,
     _modeled_for,
     auto_rate,
-    zipf_weights,
+    replay,
 )
 from ..serve.stats import ServerStats
 from .health import HealthConfig, ReplicaHealth
@@ -88,8 +88,11 @@ class ElasticConfig:
 class ClusterConfig(WorkloadConfig):
     """One cluster workload: the single-replica knobs plus placement.
 
-    The cluster driver replays SpMV reads (and matrix updates) only: an
-    inherited ``spmm_mix > 0`` is rejected rather than ignored.
+    The traffic knobs inherited from :class:`WorkloadConfig` are drawn
+    and range-checked by the same :class:`~repro.serve.driver.Traffic`
+    as the single-replica driver.  The cluster driver replays SpMV
+    reads (and matrix updates) only: an inherited ``spmm_mix > 0`` is
+    rejected rather than ignored.
 
     Attributes
     ----------
@@ -102,8 +105,8 @@ class ClusterConfig(WorkloadConfig):
     health:
         :class:`HealthConfig` hysteresis thresholds for routing.
     probe_interval_s:
-        Virtual seconds between health probes (``None`` derives ~200
-        probes over the expected run).
+        Virtual seconds between health probes, > 0 (``None`` derives
+        ~200 probes over the expected run).
     fail_replica / fail_rate:
         Fault-inject one replica (by index) with transient kernel
         errors at ``fail_rate`` — the unhealthy-failover gate: its
@@ -345,10 +348,17 @@ def _replica_injector(cfg: ClusterConfig, pool, index: int):
 
 
 class _Cluster:
-    """Mutable cluster state the arrival loop and probe loop share."""
+    """The cluster front of :func:`~repro.serve.driver.replay`.
+
+    Holds the mutable cluster state — replicas, placement, the probe
+    and partition schedule laid over the arrival *span*, and the
+    logical outcome tally — behind the same ``advance_to`` / ``offer``
+    / ``apply_update`` / ``drain`` / ``csr_by_fp`` interface a single
+    :class:`ReplicaSim` exposes.
+    """
 
     def __init__(self, cfg: ClusterConfig, *, device, dtype, pool,
-                 modeled, retry_rng, obs: Obs) -> None:
+                 modeled, retry_rng, obs: Obs, span: float = 0.0) -> None:
         self.cfg = cfg
         self.device = device
         self.dtype = dtype
@@ -373,6 +383,20 @@ class _Cluster:
         self._moved = obs.counter("cluster.driver.moved_fingerprints_total")
         self._rejected = obs.counter("cluster.overload.rejected_total")
         self._link_failed = obs.counter("cluster.overload.link_failed_total")
+        self.probe_interval = (cfg.probe_interval_s
+                               if cfg.probe_interval_s is not None
+                               else max(span / 200.0, 1e-6))
+        self._next_probe = self.probe_interval
+        self._last_scale = float("-inf")  # cooldown gates between actions
+        self.partitioned_rid = (f"r{cfg.partition_replica}"
+                                if cfg.partition_replica is not None
+                                else None)
+        self._partition_s = tuple(f * span for f in cfg.partition_window)
+        #: logical outcome -> count (``update`` = delta slots)
+        self.outcomes = dict.fromkeys(
+            ("shed", "rejected", "link_failed", "routed", "update"), 0)
+        self.prio_offered = dict.fromkeys(PRIORITIES, 0)
+        self.prio_shed = dict.fromkeys(PRIORITIES, 0)
         for _ in range(cfg.n_replicas):
             self.spawn(warm=False)
 
@@ -396,8 +420,7 @@ class _Cluster:
             cfg, device=self.device, dtype=self.dtype, pool=self.pool,
             obs=replica_obs, injector=_replica_injector(cfg, self.pool, index),
             retry_rng=self.retry_rng, modeled=self.modeled, store=cfg.store,
-            replica_id=rid, materialize_results=False,
-            time_scale=time_scale, overload=self.overload)
+            replica_id=rid, time_scale=time_scale, overload=self.overload)
         if self.replicas:
             # A replica spawned mid-run must see the *current* matrix
             # state, not the pristine pool: under an update stream the
@@ -433,9 +456,37 @@ class _Cluster:
         """Routable replica ids, in spawn order (deterministic)."""
         return [rid for rid in self.replicas if rid in self.ring]
 
-    def advance_all(self, now: float) -> None:
+    @property
+    def csr_by_fp(self) -> dict:
+        """The matrices deltas are drawn against — the first replica's;
+        every version chain advances in lockstep."""
+        return next(iter(self.replicas.values())).csr_by_fp
+
+    def _sync_partition(self, t: float) -> None:
+        if self.partitioned_rid is None:
+            return
+        start, end = self._partition_s
+        if start <= t < end:
+            self.placement.partitioned.add(self.partitioned_rid)
+        else:
+            self.placement.partitioned.discard(self.partitioned_rid)
+
+    def _advance_all(self, now: float) -> None:
+        self._sync_partition(now)
         for replica in self.replicas.values():
             replica.advance_to(now)
+
+    def advance_to(self, now: float) -> None:
+        """Run every probe tick due by *now* — partition sync, replicas
+        advanced to the tick, probe, autoscale — then bring the link
+        state and every replica to *now*."""
+        while self._next_probe <= now:
+            tick = self._next_probe
+            self._advance_all(tick)
+            self.probe()
+            self._last_scale = self.autoscale(tick, self._last_scale)
+            self._next_probe += self.probe_interval
+        self._advance_all(now)
 
     def route(self, fp: str) -> str | None:
         """The placement's first choice for *fp* (``Placement.order``).
@@ -472,9 +523,26 @@ class _Cluster:
         home = prefs[0] if prefs else None
         for rid, replica in self.replicas.items():
             replica.apply_update(fp, delta, now, persist=(rid == home))
+        self.outcomes["update"] += 1
 
-    def submit(self, req: SpMVRequest, now: float, fp: str) -> str:
-        """Offer one logical request; returns its immediate outcome.
+    def offer(self, req: SpMVRequest, now: float) -> None:
+        """Offer one logical request and tally its outcome (per
+        priority too on overload runs)."""
+        outcome = self.submit(req, now)
+        self.outcomes[outcome] += 1
+        if self.overload is not None:
+            self.prio_offered[req.priority] += 1
+            if outcome == "shed":
+                self.prio_shed[req.priority] += 1
+
+    def drain(self, end: float) -> float:
+        """End of arrivals: every replica flushes and empties."""
+        for replica in self.replicas.values():
+            replica.drain(end)
+        return end
+
+    def submit(self, req: SpMVRequest, now: float) -> str:
+        """Route one logical request; returns its immediate outcome.
 
         One of ``"shed"`` (admission control turned it away),
         ``"link_failed"`` (every preference replica is partitioned),
@@ -483,6 +551,7 @@ class _Cluster:
         replica when the primary's latency EWMA marks it a straggler).
         """
         ctx = self.overload
+        fp = req.fingerprint
         if (ctx is not None and ctx.admission is not None
                 and not ctx.admission.try_admit(req.priority, now)):
             return "shed"
@@ -558,11 +627,12 @@ def run_cluster_workload(cfg: ClusterConfig, *,
     (``tracer.device_time_by_attr("replica")``).  Per-replica *metrics*
     stay in private registries so gauges never collide.
     """
-    check(cfg.n_requests >= 1, "n_requests must be >= 1")
     check(cfg.n_replicas >= 1, "n_replicas must be >= 1")
     check(cfg.spmm_mix == 0.0,
           "ClusterConfig.spmm_mix is not supported by run_cluster_workload "
           "(it replays SpMV reads only); use run_workload for SpMM traffic")
+    check(cfg.probe_interval_s is None or cfg.probe_interval_s > 0.0,
+          "probe_interval_s must be > 0")
     if cfg.fail_replica is not None:
         check(0 <= cfg.fail_replica < cfg.n_replicas,
               "fail_replica outside the initial replica set")
@@ -579,170 +649,76 @@ def run_cluster_workload(cfg: ClusterConfig, *,
     if obs is None or not obs.enabled:
         obs = Obs()
     device = get_device(cfg.device)
-    dtype = np.dtype(cfg.dtype)
-    rng = default_rng(cfg.seed)
     pool = _matrix_pool(cfg)
-    weights = zipf_weights(len(pool), cfg.zipf_s)
     modeled = _modeled_for(cfg, device)
-    retry_rng = default_rng(cfg.seed + 1)  # shared jitter stream
-    cluster = _Cluster(cfg, device=device, dtype=dtype, pool=pool,
-                       modeled=modeled, retry_rng=retry_rng, obs=obs)
+    rate = cfg.rate_rps if cfg.rate_rps is not None \
+        else auto_rate(pool, modeled, replicas=cfg.n_replicas)
+    overload_on = cfg.overload is not None
+    traffic = Traffic(cfg, pool, rate, batch_fraction=(
+        cfg.overload.batch_fraction if overload_on else None))
+    end = traffic.end
+    cluster = _Cluster(cfg, device=device, dtype=np.dtype(cfg.dtype),
+                       pool=pool, modeled=modeled,
+                       retry_rng=default_rng(cfg.seed + 1),  # shared jitter
+                       obs=obs, span=end)
 
     if cfg.warm_start:
         # Ring-scoped warm-up: each replica preloads only its assigned
         # fingerprints from the shared store (off the virtual clock).
         # With the speculative warmer on, the ring-scoped warm-up rides
         # the warmer (load-vs-rebuild gate + persisted reorder perms).
-        fps = [fp for _, fp, _ in pool]
-        assigned = cluster.ring.assignments(fps)
+        assigned = cluster.ring.assignments([fp for _, fp, _ in pool])
         for rid in cluster.active():
             cluster.replicas[rid].warm_many(assigned[rid])
 
-    rate = cfg.rate_rps
-    if rate is None:
-        rate = auto_rate(pool, modeled, replicas=cfg.n_replicas)
-
-    # Traffic pre-draw: the exact stream (and order) of the
-    # single-replica driver, which the N=1 parity gate depends on.
-    gaps = rng.exponential(1.0 / rate, cfg.n_requests)
-    arrivals = np.cumsum(gaps)
-    choices = rng.choice(len(pool), size=cfg.n_requests, p=weights)
-    xs = {fp: rng.uniform(-1, 1, csr.shape[1]).astype(dtype)
-          for _, fp, csr in pool}
-
-    # Priority tags come from a *dedicated* stream (seed+7) drawn only
-    # when overload is on, so a disabled run consumes exactly the RNG
-    # values of a pre-overload driver — the bit-parity gate.
-    overload_on = cfg.overload is not None
-    if overload_on:
-        prio_rng = default_rng(cfg.seed + 7)
-        batch_mask = (prio_rng.random(cfg.n_requests)
-                      < cfg.overload.batch_fraction)
-
-    # Delta traffic mirrors the single driver exactly: same dedicated
-    # stream (seed+17), same draw order — update_mix=0 stays bit-exact.
-    is_update = delta_rng = None
-    if cfg.update_mix > 0.0:
-        delta_rng = default_rng(cfg.seed + 17)
-        is_update = delta_rng.random(cfg.n_requests) < cfg.update_mix
-
-    span = float(arrivals[-1])
-    p_rid = (f"r{cfg.partition_replica}"
-             if cfg.partition_replica is not None else None)
-    if p_rid is not None:
-        p_start = cfg.partition_window[0] * span
-        p_end = cfg.partition_window[1] * span
-
-    def sync_partition(t: float) -> None:
-        if p_rid is None:
-            return
-        if p_start <= t < p_end:
-            cluster.placement.partitioned.add(p_rid)
-        else:
-            cluster.placement.partitioned.discard(p_rid)
-
-    probe_interval = cfg.probe_interval_s
-    if probe_interval is None:
-        probe_interval = max(float(arrivals[-1]) / 200.0, 1e-6)
-
-    deadline_for = (lambda now: now + cfg.deadline_s) \
-        if cfg.deadline_s is not None else (lambda now: float("inf"))
-
-    next_probe = probe_interval
-    last_scale = float("-inf")  # cooldown gates between actions only
-    outcomes = {"shed": 0, "rejected": 0, "link_failed": 0, "routed": 0,
-                "update": 0}
-    prio_offer = {p: 0 for p in PRIORITIES}
-    prio_shed = {p: 0 for p in PRIORITIES}
-    for i in range(cfg.n_requests):
-        now = float(arrivals[i])
-        while next_probe <= now:
-            sync_partition(next_probe)
-            cluster.advance_all(next_probe)
-            cluster.probe()
-            last_scale = cluster.autoscale(next_probe, last_scale)
-            next_probe += probe_interval
-        sync_partition(now)
-        cluster.advance_all(now)
-        _, fp, _csr = pool[choices[i]]
-        if is_update is not None and is_update[i]:
-            # this arrival slot carries a delta; any replica's CSR can
-            # seed the draw — chains advance in lockstep
-            structural = bool(delta_rng.random() < cfg.structural_frac)
-            ref = next(iter(cluster.replicas.values()))
-            d = random_delta(ref.csr_by_fp[fp], delta_rng,
-                             structural=structural,
-                             n_entries=cfg.update_entries)
-            cluster.apply_update(fp, d, now)
-            outcomes["update"] += 1
-            continue
-        priority = ("batch" if overload_on and batch_mask[i]
-                    else "interactive")
-        req = SpMVRequest(req_id=i, fingerprint=fp, x=xs[fp], arrival_s=now,
-                          deadline_s=deadline_for(now), priority=priority)
-        outcome = cluster.submit(req, now, fp)
-        outcomes[outcome] += 1
-        if overload_on:
-            prio_offer[priority] += 1
-            if outcome == "shed":
-                prio_shed[priority] += 1
-
-    end = float(arrivals[-1])
-    for replica in cluster.replicas.values():
-        replica.drain(end)
+    replay(traffic, cluster)
 
     priorities: dict[str, dict] = {}
     if overload_on:
-        prio_completed = {p: 0 for p in PRIORITIES}
+        prio_completed = dict.fromkeys(PRIORITIES, 0)
         for replica in cluster.replicas.values():
             for req in replica.completed:
                 prio_completed[req.priority] += 1
-        priorities = {p: {"offered": prio_offer[p], "shed": prio_shed[p],
+        priorities = {p: {"offered": cluster.prio_offered[p],
+                          "shed": cluster.prio_shed[p],
                           "completed": prio_completed[p]}
                       for p in PRIORITIES}
+    outcomes = cluster.outcomes
 
-    reg = obs.registry
-    stats = ClusterStats(
+    def count(metric: str, labels=None) -> int:
+        return int(obs.registry.counter(metric, labels).value)
+
+    return ClusterStats(
         replicas={rid: r.stats for rid, r in cluster.replicas.items()},
         routed={rid: r.stats.n_requests
                 for rid, r in cluster.replicas.items()},
-        n_failover=int(reg.counter(
-            "cluster.driver.failover_total").value),
-        n_unroutable=int(reg.counter(
-            "cluster.driver.unroutable_total").value),
-        n_probes=int(reg.counter("cluster.health.probes_total").value),
-        n_transitions_down=int(reg.counter(
-            "cluster.health.transitions_total", {"to": "down"}).value),
-        n_transitions_up=int(reg.counter(
-            "cluster.health.transitions_total", {"to": "up"}).value),
-        n_scale_up=int(reg.counter(
-            "cluster.driver.scale_up_total").value),
-        n_scale_down=int(reg.counter(
-            "cluster.driver.scale_down_total").value),
-        n_moved_fingerprints=int(reg.counter(
-            "cluster.driver.moved_fingerprints_total").value),
+        n_failover=count("cluster.driver.failover_total"),
+        n_unroutable=count("cluster.driver.unroutable_total"),
+        n_probes=count("cluster.health.probes_total"),
+        n_transitions_down=count("cluster.health.transitions_total",
+                                 {"to": "down"}),
+        n_transitions_up=count("cluster.health.transitions_total",
+                               {"to": "up"}),
+        n_scale_up=count("cluster.driver.scale_up_total"),
+        n_scale_down=count("cluster.driver.scale_down_total"),
+        n_moved_fingerprints=count("cluster.driver.moved_fingerprints_total"),
         health=cluster.placement.health.snapshot(),
         duration_s=max((r.stats.duration_s
                         for r in cluster.replicas.values()), default=end),
         # Logical accounting is meaningful whenever the submit path can
         # shed/hedge/drop — overload on, or a chaos scenario active.
         overload_enabled=(overload_on or cfg.slow_replica is not None
-                          or p_rid is not None),
+                          or cfg.partition_replica is not None),
         n_offered=cfg.n_requests - outcomes["update"],
         n_updates=outcomes["update"],
         n_shed=outcomes["shed"],
         n_rejected_logical=outcomes["rejected"],
         n_link_failed=outcomes["link_failed"],
-        n_hedges_issued=int(reg.counter(
-            "overload.hedge.issued_total").value),
-        n_hedges_won=int(reg.counter("overload.hedge.won_total").value),
-        n_hedges_wasted=int(reg.counter(
-            "overload.hedge.wasted_total").value),
-        retry_budget_granted=int(reg.counter(
-            "overload.retry_budget.granted_total").value),
-        retry_budget_denied=int(reg.counter(
-            "overload.retry_budget.denied_total").value),
+        n_hedges_issued=count("overload.hedge.issued_total"),
+        n_hedges_won=count("overload.hedge.won_total"),
+        n_hedges_wasted=count("overload.hedge.wasted_total"),
+        retry_budget_granted=count("overload.retry_budget.granted_total"),
+        retry_budget_denied=count("overload.retry_budget.denied_total"),
         n_retries=sum(r.stats.retries for r in cluster.replicas.values()),
         priorities=priorities,
     )
-    return stats

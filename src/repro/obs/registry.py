@@ -59,12 +59,8 @@ class _Instrument:
 
 
 class Counter(_Instrument):
-    """Monotonic accumulator (int or float increments).
-
-    ``set`` exists for facade compatibility (legacy code assigned
-    ``ServerStats`` fields directly) and for explicit resets; new code
-    should only :meth:`inc`.
-    """
+    """Monotonic accumulator (int or float increments); it only grows
+    through :meth:`inc`."""
 
     kind = "counter"
 
@@ -77,10 +73,6 @@ class Counter(_Instrument):
             raise MetricError(f"counter {self.name} cannot decrease")
         with self._lock:
             self._value += n
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self._value = float(value)
 
     @property
     def value(self) -> float:

@@ -25,12 +25,14 @@ rely on — while running the same :class:`RequestBatcher`,
 (:class:`~repro.serve.execute.ExecutionCore`: breaker, plan
 acquisition, retry, fallback, pricing) as the real-threaded server.
 
-The per-replica simulation state (device clock, backlog, batcher, plan
-registry, breaker, stats) lives in :class:`ReplicaSim` so that
-:func:`run_workload` (one replica) and the cluster driver
-(:mod:`repro.cluster.driver`, N replicas behind a consistent-hash
-router) execute the *same* code — the cluster's N=1 exact-parity gate
-rests on this shared core.
+The workload itself is one model shared by both virtual-time drivers:
+:class:`Traffic` turns a :class:`WorkloadConfig` into an arrival stream
+(every traffic RNG stream lives there) and :func:`replay` is the one
+arrival loop feeding it to a *front* — a single :class:`ReplicaSim`
+here, N of them behind a consistent-hash router in
+:mod:`repro.cluster.driver`.  The cluster's N=1 exact-parity gate rests
+on both drivers running that one draw, that one loop and the same
+per-replica core.
 """
 
 from __future__ import annotations
@@ -286,11 +288,15 @@ class ReplicaSim:
     :class:`CircuitBreaker`, plan-prefetch parking and the per-replica
     :class:`ServerStats`.
 
-    :func:`run_workload` drives exactly one instance; the cluster
-    driver drives N of them behind a consistent-hash router, each with
-    its own ``obs`` handle so queue-depth gauges and breaker counters
-    stay per-replica (the signals :class:`repro.cluster.ReplicaHealth`
-    consumes).
+    It is also the single-replica *front* of :func:`replay`
+    (``advance_to`` / ``offer`` / ``apply_update`` / ``drain`` and
+    ``csr_by_fp``).  :func:`run_workload` drives exactly one instance;
+    the cluster driver drives N of them behind a consistent-hash
+    router, each with its own ``obs`` handle so queue-depth gauges and
+    breaker counters stay per-replica (the signals
+    :class:`repro.cluster.ReplicaHealth` consumes).  A simulated
+    request only gets ``completion_s`` stamped, never a result vector,
+    which keeps million-request cluster replays cheap.
 
     Parameters
     ----------
@@ -318,10 +324,6 @@ class ReplicaSim:
         cluster each open their own instance over a shared directory).
     replica_id:
         Stable identifier used in cluster routing and span attribution.
-    materialize_results:
-        ``False`` skips allocating per-request result vectors (the
-        virtual driver scatters zeros anyway) — the memory lever that
-        lets the cluster driver replay millions of requests.
     time_scale:
         Multiplier on every modeled device second this replica charges
         (kernels, preprocessing, fallback) — the ``slow_replica`` chaos
@@ -335,9 +337,7 @@ class ReplicaSim:
     def __init__(self, cfg: WorkloadConfig, *, device, dtype, pool,
                  obs: Obs | None = None, injector=None, retry_rng=None,
                  modeled: CostModel | None = None, store=None,
-                 replica_id: str = "r0",
-                 materialize_results: bool = True,
-                 time_scale: float = 1.0,
+                 replica_id: str = "r0", time_scale: float = 1.0,
                  overload=None) -> None:
         if obs is None or not obs.enabled:
             obs = Obs()
@@ -347,7 +347,6 @@ class ReplicaSim:
         self.obs = obs
         self.tracing = obs.tracing
         self.replica_id = replica_id
-        self.materialize_results = bool(materialize_results)
         if injector is not None:
             injector.bind(obs)
         self.registry = PlanRegistry(cfg.cache_budget_bytes,
@@ -615,12 +614,8 @@ class ReplicaSim:
         """Stamp completions; returns the requests that win (the first
         processed copy of a hedge pair — the loser's device time is
         burned but produces no user-visible outcome)."""
-        if self.materialize_results:
-            rows = self.csr_by_fp[batch.fingerprint].shape[0]
-            batch.scatter(np.zeros((rows, batch.k)), done)
-        else:
-            for req in batch.requests:
-                req.completion_s = done
+        for req in batch.requests:
+            req.completion_s = done
         ctx = self.overload
         if ctx is None:
             return batch.requests
@@ -761,6 +756,113 @@ def auto_rate(pool, modeled: CostModel, *, replicas: int = 1) -> float:
     return 4.0 * replicas / t1
 
 
+class Traffic:
+    """One workload's arrival stream, drawn once from ``(cfg, pool, rate)``.
+
+    It owns the traffic range checks and every traffic RNG stream, each
+    drawn only when its mix is on — a disabled feature consumes no
+    randomness, so the remaining streams (and every modeled number)
+    stay bit-identical:
+
+    * ``seed`` — Poisson gaps, then Zipf matrix choices, then one x
+      vector per pool matrix (requests reuse them: the driver models
+      traffic, the numeric path is covered by the server tests);
+    * ``seed + 13`` — which slots are SpMM blocks, their ``k``, and the
+      X blocks, drawn on first use (``spmm_mix > 0``);
+    * ``seed + 7`` — batch-priority tags, drawn only when the caller
+      passes a *batch_fraction* (the cluster's overload layer);
+    * ``seed + 17`` — which slots carry a matrix delta, and the deltas
+      themselves (``update_mix > 0``).
+    """
+
+    def __init__(self, cfg: WorkloadConfig, pool, rate: float, *,
+                 batch_fraction: float | None = None) -> None:
+        check(cfg.n_requests >= 1, "n_requests must be >= 1")
+        check(0.0 <= cfg.spmm_mix <= 1.0, "spmm_mix must be in [0, 1]")
+        check(0.0 <= cfg.update_mix < 1.0, "update_mix must be in [0, 1)")
+        n = cfg.n_requests
+        self.cfg = cfg
+        self.pool = pool
+        self.dtype = dtype = np.dtype(cfg.dtype)
+        rng = default_rng(cfg.seed)
+        self.arrivals = np.cumsum(rng.exponential(1.0 / rate, n))
+        self.choices = rng.choice(len(pool), size=n,
+                                  p=zipf_weights(len(pool), cfg.zipf_s))
+        self.xs = {fp: rng.uniform(-1, 1, csr.shape[1]).astype(dtype)
+                   for _, fp, csr in pool}
+        self.is_spmm = None
+        if cfg.spmm_mix > 0.0:
+            check(len(cfg.spmm_ks) >= 1, "spmm_ks must be non-empty")
+            self._spmm_rng = default_rng(cfg.seed + 13)
+            self.is_spmm = self._spmm_rng.random(n) < cfg.spmm_mix
+            self._k_idx = self._spmm_rng.integers(0, len(cfg.spmm_ks), size=n)
+            self._xblocks: dict[tuple[str, int], np.ndarray] = {}
+        self.is_batch = None
+        if batch_fraction is not None:
+            self.is_batch = default_rng(cfg.seed + 7).random(n) < batch_fraction
+        self.is_update = None
+        if cfg.update_mix > 0.0:
+            self._delta_rng = default_rng(cfg.seed + 17)
+            self.is_update = self._delta_rng.random(n) < cfg.update_mix
+
+    @property
+    def end(self) -> float:
+        """Virtual time of the last arrival slot."""
+        return float(self.arrivals[-1])
+
+    def slots(self, csr_by_fp):
+        """Yield ``(now, fingerprint, request, delta)`` per arrival slot.
+
+        Exactly one of *request* (deadline and priority set) and
+        *delta* is not ``None``.  A delta is drawn when its slot is
+        reached, against ``csr_by_fp[fingerprint]`` — the caller's
+        matrix at the head of its version chain, which only the
+        caller's ``apply_update`` of an earlier slot moves."""
+        cfg = self.cfg
+        for i, now in enumerate(self.arrivals.tolist()):
+            _, fp, csr = self.pool[self.choices[i]]
+            if self.is_update is not None and self.is_update[i]:
+                structural = bool(self._delta_rng.random()
+                                  < cfg.structural_frac)
+                yield now, fp, None, random_delta(
+                    csr_by_fp[fp], self._delta_rng, structural=structural,
+                    n_entries=cfg.update_entries)
+                continue
+            kw = dict(req_id=i, fingerprint=fp, arrival_s=now,
+                      deadline_s=(now + cfg.deadline_s
+                                  if cfg.deadline_s is not None
+                                  else float("inf")),
+                      priority=("batch" if self.is_batch is not None
+                                and self.is_batch[i] else "interactive"))
+            if self.is_spmm is not None and self.is_spmm[i]:
+                k = int(cfg.spmm_ks[self._k_idx[i]])
+                X = self._xblocks.get((fp, k))
+                if X is None:
+                    X = self._spmm_rng.uniform(
+                        -1, 1, (csr.shape[1], k)).astype(self.dtype)
+                    self._xblocks[(fp, k)] = X
+                yield now, fp, SpMMRequest(x=X, **kw), None
+            else:
+                yield now, fp, SpMVRequest(x=self.xs[fp], **kw), None
+
+
+def replay(traffic: Traffic, front) -> float:
+    """The one arrival loop of both virtual-time drivers.
+
+    *front* is a :class:`ReplicaSim` or a cluster (``advance_to``,
+    ``offer``, ``apply_update``, ``drain`` and ``csr_by_fp``).  Every
+    slot first advances the front to its arrival time, then offers the
+    request or applies the delta; the end drains the front.  Returns
+    the virtual end time ``front.drain`` reports."""
+    for now, fp, req, delta in traffic.slots(front.csr_by_fp):
+        front.advance_to(now)
+        if delta is None:
+            front.offer(req, now)
+        else:
+            front.apply_update(fp, delta, now)
+    return front.drain(traffic.end)
+
+
 def run_workload(cfg: WorkloadConfig, *, obs: Obs | None = None) -> ServerStats:
     """Simulate *cfg* and return the populated :class:`ServerStats`.
 
@@ -771,22 +873,15 @@ def run_workload(cfg: WorkloadConfig, *, obs: Obs | None = None) -> ServerStats:
     clock coordinates — the simulation itself stays bit-identical, as
     instrumentation never touches the RNG streams or modeled times.
     """
-    check(cfg.n_requests >= 1, "n_requests must be >= 1")
-    check(0.0 <= cfg.spmm_mix <= 1.0, "spmm_mix must be in [0, 1]")
-    check(0.0 <= cfg.update_mix < 1.0, "update_mix must be in [0, 1)")
     if obs is None or not obs.enabled:
         obs = Obs()
     device = get_device(cfg.device)
-    dtype = np.dtype(cfg.dtype)
-    rng = default_rng(cfg.seed)
     pool = _matrix_pool(cfg)
-    weights = zipf_weights(len(pool), cfg.zipf_s)
-    injector = _build_injector(cfg, pool)
     modeled = _modeled_for(cfg, device)
-    replica = ReplicaSim(cfg, device=device, dtype=dtype, pool=pool, obs=obs,
-                         injector=injector, modeled=modeled, store=cfg.store)
-    stats = replica.stats
-
+    replica = ReplicaSim(cfg, device=device, dtype=np.dtype(cfg.dtype),
+                         pool=pool, obs=obs,
+                         injector=_build_injector(cfg, pool),
+                         modeled=modeled, store=cfg.store)
     if cfg.warm_start and replica.registry.store is not None:
         # Startup preload (a server restart reading its previous run's
         # artifacts): charged to preprocess_s but off the virtual
@@ -794,67 +889,10 @@ def run_workload(cfg: WorkloadConfig, *, obs: Obs | None = None) -> ServerStats:
         # speculative warmer enabled it rides the warmer machinery
         # (load-vs-rebuild gate, persisted reorder permutations).
         replica.warm_many([fp for _, fp, _csr in pool])
-
-    rate = cfg.rate_rps
-    if rate is None:
-        rate = auto_rate(pool, modeled)
-
-    # Pre-draw arrivals and matrix choices (deterministic given seed).
-    gaps = rng.exponential(1.0 / rate, cfg.n_requests)
-    arrivals = np.cumsum(gaps)
-    choices = rng.choice(len(pool), size=cfg.n_requests, p=weights)
-    # Requests reuse a tiny per-matrix pool of x vectors: the driver
-    # models traffic, the numeric path is covered by the server tests.
-    xs = {fp: rng.uniform(-1, 1, csr.shape[1]).astype(dtype)
-          for _, fp, csr in pool}
-
-    # SpMM block traffic draws from its own stream (seed+13), touched
-    # only when the mix is on — spmm_mix=0 runs stay bit-identical.
-    is_spmm = k_idx = None
-    xblocks: dict[tuple[str, int], np.ndarray] = {}
-    if cfg.spmm_mix > 0.0:
-        check(len(cfg.spmm_ks) >= 1, "spmm_ks must be non-empty")
-        spmm_rng = default_rng(cfg.seed + 13)
-        is_spmm = spmm_rng.random(cfg.n_requests) < cfg.spmm_mix
-        k_idx = spmm_rng.integers(0, len(cfg.spmm_ks), size=cfg.n_requests)
-
-    # Delta traffic draws from its own stream (seed+17), touched only
-    # when the mix is on — update_mix=0 runs stay bit-identical.
-    is_update = delta_rng = None
-    if cfg.update_mix > 0.0:
-        delta_rng = default_rng(cfg.seed + 17)
-        is_update = delta_rng.random(cfg.n_requests) < cfg.update_mix
-
-    deadline_for = (lambda now: now + cfg.deadline_s) \
-        if cfg.deadline_s is not None else (lambda now: float("inf"))
-
-    for i in range(cfg.n_requests):
-        now = float(arrivals[i])
-        replica.advance_to(now)
-        _, fp, csr = pool[choices[i]]
-        if is_update is not None and is_update[i]:
-            # this arrival slot carries a delta, not a read
-            structural = bool(delta_rng.random() < cfg.structural_frac)
-            d = random_delta(replica.csr_by_fp[fp], delta_rng,
-                             structural=structural,
-                             n_entries=cfg.update_entries)
-            replica.apply_update(fp, d, now)
-            continue
-        if is_spmm is not None and is_spmm[i]:
-            k = int(cfg.spmm_ks[k_idx[i]])
-            X = xblocks.get((fp, k))
-            if X is None:
-                X = spmm_rng.uniform(-1, 1, (csr.shape[1], k)).astype(dtype)
-                xblocks[(fp, k)] = X
-            req = SpMMRequest(req_id=i, fingerprint=fp, x=X, arrival_s=now,
-                              deadline_s=deadline_for(now))
-        else:
-            req = SpMVRequest(req_id=i, fingerprint=fp, x=xs[fp],
-                              arrival_s=now, deadline_s=deadline_for(now))
-        replica.offer(req, now)
-
-    replica.drain(float(arrivals[-1]))
-    return stats
+    rate = cfg.rate_rps if cfg.rate_rps is not None \
+        else auto_rate(pool, modeled)
+    replay(Traffic(cfg, pool, rate), replica)
+    return replica.stats
 
 
 def compare_batched_unbatched(cfg: WorkloadConfig, *,

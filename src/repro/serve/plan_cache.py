@@ -142,32 +142,19 @@ class PlanRegistry:
         self._versions: dict[str, int] = {}
 
     # ------------------------------------------------------------------
-    # counter facades (assignable for compatibility, e.g. rate probes
-    # resetting `registry.hits = 0` between passes)
+    # read-only counter facades (counters only grow)
     # ------------------------------------------------------------------
     @property
     def hits(self) -> int:
         return int(self._hits.value)
 
-    @hits.setter
-    def hits(self, value) -> None:
-        self._hits.set(value)
-
     @property
     def misses(self) -> int:
         return int(self._misses.value)
 
-    @misses.setter
-    def misses(self, value) -> None:
-        self._misses.set(value)
-
     @property
     def evictions(self) -> int:
         return int(self._evictions.value)
-
-    @evictions.setter
-    def evictions(self, value) -> None:
-        self._evictions.set(value)
 
     @property
     def bytes_cached(self) -> int:
@@ -177,12 +164,6 @@ class PlanRegistry:
         gauge is the sum across registries instead."""
         with self._lock:
             return self._resident_bytes
-
-    @bytes_cached.setter
-    def bytes_cached(self, value) -> None:
-        with self._lock:
-            self._resident_bytes = int(value)
-        self._bytes.set(value)
 
     def _account(self, delta: int) -> None:
         """Adjust resident bytes (caller holds the lock) and mirror the
@@ -289,7 +270,7 @@ class PlanRegistry:
                 entry = self._plans.get(key)
                 if entry is not None:
                     self._plans.move_to_end(key)
-                    self.hits += 1
+                    self._hits.inc()
                     return entry[0], "ram", 0.0
                 if key not in self._building:
                     break
@@ -301,7 +282,7 @@ class PlanRegistry:
                 return None, "absent", 0.0
             self._building.add(key)
             if not load_only:
-                self.misses += 1
+                self._misses.inc()
         # Load/build outside the lock: both are the expensive part and
         # must not serialize concurrent misses on other matrices.
         try:
@@ -615,7 +596,7 @@ class PlanRegistry:
             while self._resident_bytes > budget and len(self._plans) > 1:
                 fp, (ev_plan, evicted_bytes) = self._plans.popitem(last=False)
                 self._account(-evicted_bytes)
-                self.evictions += 1
+                self._evictions.inc()
                 evicted.append((fp, ev_plan))
         # Spill outside the lock: serialization is the slow part.  The
         # write-through on build makes most spills no-ops (the artifact

@@ -3,9 +3,9 @@
 Since the `repro.obs` redesign, ``ServerStats`` no longer *owns* any
 counter: it is a thin facade over a
 :class:`repro.obs.MetricsRegistry`.  Every counter-like attribute
-(``n_requests``, ``cache_hits``, ``device_busy_s``, ...) is a property
-reading — and, for backward compatibility, writing — a named
-registry instrument, so components that share the same
+(``n_requests``, ``cache_hits``, ``device_busy_s``, ...) is a read-only
+property over a named registry counter — counters only grow, through
+the ``observe_*`` methods or the instrument's ``inc`` — so components that share the same
 :class:`repro.obs.Obs` handle (the plan registry, scheduler, breaker,
 fault injector) and the stats object report from **one source of
 truth**; the pre-redesign copy-counters-at-close drift is structurally
@@ -78,11 +78,7 @@ def _counter_property(attr: str, metric: str, as_int: bool) -> property:
         v = self._registry.counter(metric).value
         return int(v) if as_int else v
 
-    def fset(self, value):
-        self._registry.counter(metric).set(value)
-
-    return property(fget, fset, doc=f"Facade over registry counter "
-                                    f"``{metric}``.")
+    return property(fget, doc=f"Facade over registry counter ``{metric}``.")
 
 
 class ServerStats:
@@ -108,8 +104,9 @@ class ServerStats:
     ``useful_mma_flops``, ``issued_mma_flops``, ``latencies_s``,
     ``degraded_requests``, ``retries``, ``n_deadline_exceeded``,
     ``n_failed``, ``n_closed``, ``breaker_transitions``,
-    ``breaker_state``, ``faults_injected`` — all readable (and, for
-    migration, assignable) exactly as before.
+    ``breaker_state``, ``faults_injected`` — all readable exactly as
+    before.  The counter facades are read-only: assigning one raises
+    :class:`AttributeError`, since a counter may never decrease.
     """
 
     def __init__(self, device: str = "A100", dtype: str = "float64",
@@ -182,12 +179,6 @@ class ServerStats:
         """Total fault-injector rule firings (sum of the labeled
         ``resilience.faults_total`` family)."""
         return int(self._registry.family_total("resilience.faults_total"))
-
-    @faults_injected.setter
-    def faults_injected(self, value) -> None:
-        # Migration shim: only meaningful when no bound injector is
-        # already incrementing the labeled family.
-        self._registry.counter("resilience.faults_total").set(value)
 
     # ------------------------------------------------------------------
     # observation

@@ -197,6 +197,114 @@ class TestParser:
         assert "faults injected" in capsys.readouterr().out
 
 
+#: The workload flags both simulators share (one argparse parent).
+SHARED_SIM_FLAGS = {
+    "--requests", "--rate", "--zipf", "--matrices", "--device", "--dtype",
+    "--max-batch", "--timeout-us", "--queue-depth", "--deadline-us",
+    "--seed", "--chaos", "--chaos-rate", "--chaos-seed", "--store",
+    "--warm-start", "--pipeline", "--warmer", "--update-mix",
+    "--structural-frac", "--update-entries", "--trace",
+}
+SIM_FLAGS = {
+    "serve-sim": SHARED_SIM_FLAGS | {
+        "--cache-mb", "--compare", "--shards", "--shard-workers",
+        "--spmm-mix", "--spmm-ks", "--trace-json", "--trace-prom"},
+    "cluster-sim": SHARED_SIM_FLAGS | {
+        "--replicas", "--synthetic", "--vnodes", "--ring-seed",
+        "--probe-interval-us", "--fail-replica", "--fail-rate", "--elastic",
+        "--min-replicas", "--max-replicas", "--overload", "--admission-rate",
+        "--batch-fraction", "--hedge-factor", "--straggler-factor",
+        "--slow-replica", "--slow-factor", "--partition",
+        "--partition-window", "--bench-json", "--bench-dir"},
+}
+
+
+class _Captured(Exception):
+    pass
+
+
+def built_config(monkeypatch, argv):
+    """The config *argv* hands its driver (the run itself is skipped)."""
+    import repro.cluster
+    import repro.serve
+
+    def capture(cfg, **_kw):
+        raise _Captured(cfg)
+
+    monkeypatch.setattr(repro.serve, "run_workload", capture)
+    monkeypatch.setattr(repro.cluster, "run_cluster_workload", capture)
+    with pytest.raises(_Captured) as exc:
+        main(argv)
+    return exc.value.args[0]
+
+
+class TestSimFlags:
+    @pytest.mark.parametrize("cmd", sorted(SIM_FLAGS))
+    def test_option_strings_pinned(self, cmd):
+        from repro.cli import build_parser
+
+        sub = build_parser()._subparsers._group_actions[0].choices[cmd]
+        opts = {o for a in sub._actions for o in a.option_strings}
+        assert opts - {"-h", "--help"} == SIM_FLAGS[cmd]
+
+    def test_serve_sim_effective_defaults(self, monkeypatch):
+        from repro.serve import WorkloadConfig
+
+        cfg = built_config(monkeypatch, ["serve-sim"])
+        assert cfg == WorkloadConfig(flush_timeout_s=200.0 * 1e-6,
+                                     cache_budget_bytes=256 * 1024 * 1024)
+
+    def test_cluster_sim_effective_defaults(self, monkeypatch):
+        from repro.cluster import ClusterConfig, ElasticConfig
+        from repro.overload import (AdmissionConfig, HedgeConfig,
+                                    OverloadConfig, RetryBudgetConfig)
+
+        cfg = built_config(monkeypatch, ["cluster-sim"])
+        assert cfg == ClusterConfig(n_requests=10_000,
+                                    flush_timeout_s=200.0 * 1e-6)
+        # dependent flags left unset keep the config's own defaults
+        cfg = built_config(monkeypatch, [
+            "cluster-sim", "--elastic", "--overload", "--slow-replica", "1",
+            "--partition", "0", "--fail-replica", "2"])
+        assert cfg.elastic == ElasticConfig()
+        assert cfg.overload == OverloadConfig(
+            admission=AdmissionConfig(), retry_budget=RetryBudgetConfig(),
+            hedge=HedgeConfig())
+        assert (cfg.slow_factor, cfg.partition_window, cfg.fail_rate) == (
+            4.0, (0.25, 0.75), 1.0)
+
+    @pytest.mark.parametrize("flag, value, switch", [
+        ("--min-replicas", ["2"], "--elastic"),
+        ("--max-replicas", ["6"], "--elastic"),
+        ("--admission-rate", ["1000"], "--overload"),
+        ("--batch-fraction", ["0.5"], "--overload"),
+        ("--hedge-factor", ["5"], "--overload"),
+        ("--slow-factor", ["2"], "--slow-replica"),
+        ("--partition-window", ["0.1", "0.2"], "--partition"),
+        ("--fail-rate", ["0.5"], "--fail-replica"),
+    ])
+    def test_dependent_flag_needs_its_switch(self, flag, value, switch,
+                                             capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["cluster-sim", "--requests", "10", flag, *value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert flag in err and f"need {switch}" in err
+
+    def test_switch_index_zero_counts_as_given(self, monkeypatch):
+        cfg = built_config(monkeypatch, [
+            "cluster-sim", "--slow-replica", "0", "--slow-factor", "2"])
+        assert (cfg.slow_replica, cfg.slow_factor) == (0, 2.0)
+
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_nonpositive_probe_interval_rejected(self, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["cluster-sim", "--requests", "10",
+                  "--probe-interval-us", value])
+        assert exc.value.code == 2
+        assert "--probe-interval-us" in capsys.readouterr().err
+
+
 class TestConvert:
     def test_mtx_to_npz_roundtrip(self, tmp_path, capsys, rng):
         from repro.formats import write_matrix_market

@@ -144,6 +144,28 @@ class TestConfigValidation:
             run_cluster_workload(cluster_cfg(spmm_mix=0.1,
                                              spmm_ks=(16, 32)))
 
+    @pytest.mark.parametrize("interval", [0.0, -5e-6])
+    def test_nonpositive_probe_interval_rejected(self, interval):
+        """A probe interval <= 0 would never advance the probe clock."""
+        with pytest.raises(ValidationError, match="probe_interval_s"):
+            run_cluster_workload(cluster_cfg(n_requests=50,
+                                             probe_interval_s=interval))
+
+    @pytest.mark.parametrize("field, value", [
+        ("update_mix", 1.5), ("update_mix", -0.1), ("n_requests", 0)])
+    def test_traffic_range_checks_match_the_single_driver(self, field,
+                                                          value):
+        """Both drivers draw their traffic through one model, so a bad
+        traffic knob fails the same way in each."""
+        kw = dict(n_requests=50, seed=11, entries=entries(2))
+        kw[field] = value
+        with pytest.raises(ValidationError) as single:
+            run_workload(WorkloadConfig(**kw))
+        with pytest.raises(ValidationError) as cluster:
+            run_cluster_workload(ClusterConfig(n_replicas=2, **kw))
+        assert str(cluster.value) == str(single.value)
+        assert field in str(cluster.value)
+
 
 class TestObservability:
     def test_shared_tracer_attributes_per_replica(self):

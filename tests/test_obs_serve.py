@@ -8,7 +8,7 @@ import pytest
 
 from repro.obs import Obs, Tracer, export
 from repro.resilience import FaultInjector, FaultPlan, FaultRule
-from repro.serve import ServerStats, SpMVRequest, SpMVServer
+from repro.serve import PlanRegistry, ServerStats, SpMVRequest, SpMVServer
 from repro.serve.driver import WorkloadConfig, run_workload
 
 from tests.conftest import random_csr
@@ -55,14 +55,24 @@ class TestStatsFacade:
         obs.counter("serve.plan_cache.hits_total").inc()
         assert server.stats.cache_hits == server.registry.hits == 2
 
-    def test_legacy_mutation_idioms_still_work(self):
+    @pytest.mark.parametrize("attr", ["n_requests", "device_busy_s",
+                                      "faults_injected"])
+    def test_stats_counter_facades_are_read_only(self, attr):
+        """Counters only grow: a facade cannot be assigned (or lowered)."""
         stats = ServerStats()
-        stats.n_requests += 3
-        stats.n_requests = 1
-        stats.device_busy_s += 0.5
-        assert stats.n_requests == 1
-        assert stats.device_busy_s == pytest.approx(0.5)
-        assert stats.obs.registry.counter("serve.requests_total").value == 1
+        stats.observe_request(3)
+        with pytest.raises(AttributeError):
+            setattr(stats, attr, 1)
+        assert stats.n_requests == 3
+        assert not hasattr(stats.obs.registry.counter("serve.requests_total"),
+                           "set")
+
+    @pytest.mark.parametrize("attr", ["hits", "misses", "evictions",
+                                      "bytes_cached"])
+    def test_plan_registry_counter_facades_are_read_only(self, attr):
+        registry = PlanRegistry()
+        with pytest.raises(AttributeError):
+            setattr(registry, attr, 0)
 
 
 class TestServerTracing:
