@@ -38,7 +38,7 @@ from . import (
 )
 from ._util import ReproError, ValidationError, geomean
 from .core import DASPMatrix, DASPMethod, dasp_spmm, dasp_spmv
-from .formats import BSRMatrix, COOMatrix, CSRMatrix, ELLMatrix, to_csr
+from .formats import BSRMatrix, COOMatrix, CSRMatrix, to_csr
 from .formats.mmio import MatrixMarketError
 from .cluster import NoHealthyReplicaError, RouterClosedError
 from .gpu import A100, H800, DeviceSpec, get_device
@@ -78,7 +78,6 @@ __all__ = [
     "DASPMethod",
     "DeadlineExceededError",
     "DeviceSpec",
-    "ELLMatrix",
     "H800",
     "HedgeConfig",
     "InjectedFault",

@@ -1,7 +1,7 @@
-"""Benchmark harness: sweep runner, reporting helpers, and
-programmatic per-figure experiment builders."""
+"""Benchmark harness: sweep runner, reporting helpers and per-suite
+perf-trajectory records.  The paper-figure pipelines that drive them
+live in the ``benchmarks/`` pytest files."""
 
-from . import experiments
 from .report import (
     RESULTS_DIR,
     markdown_table,
@@ -15,7 +15,6 @@ from .trajectory import bench_path, load_trajectory, record_bench
 __all__ = [
     "ComparisonResult",
     "bench_path",
-    "experiments",
     "load_trajectory",
     "record_bench",
     "RESULTS_DIR",

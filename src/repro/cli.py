@@ -55,7 +55,7 @@ from .analysis import speedup_summary
 from .baselines import PAPER_METHODS, paper_methods
 from .bench import markdown_table, run_comparison
 from .core import DASPMatrix, DASPMethod, dasp_spmv
-from .formats import read_matrix_market, write_matrix_market
+from .formats import MatrixMarketError, read_matrix_market, write_matrix_market
 from .matrices import (
     category_ratios,
     highlight_suite,
@@ -967,7 +967,7 @@ def main(argv=None) -> int:
         return args.fn(args)
     except BrokenPipeError:  # e.g. `repro list | head`
         return 0
-    except ValidationError as exc:
+    except (ValidationError, MatrixMarketError) as exc:
         print(f"repro: error: {exc}", file=sys.stderr)
         return 2
 

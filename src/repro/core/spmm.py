@@ -111,9 +111,6 @@ def dasp_spmm_on_plan(dasp: DASPMatrix, X: np.ndarray, *,
     return Y
 
 
-#: Kept for one release: ``dasp_spmm_on_plan`` is the public name.
-_dasp_spmm = dasp_spmm_on_plan
-
 #: RHS columns processed per chunk inside the 2-D helpers — bounds the
 #: transient ``(nblocks, m, K, chunk)`` product at large k.  Chunking is
 #: invisible in the results: every output column is an independent fold.

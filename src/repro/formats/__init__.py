@@ -1,30 +1,22 @@
-"""Sparse matrix format substrate: COO, CSR, BSR, ELL + MatrixMarket I/O.
+"""Sparse matrix format substrate: COO, CSR, BSR + MatrixMarket I/O.
 
 CSR (:class:`CSRMatrix`) is the base format the paper's pipeline starts
-from; everything else converts to and from it.
+from; COO and BSR convert to and from it, and :func:`to_csr` normalizes
+any accepted input (including dense ndarrays and scipy.sparse) to it.
 """
 
 from .bsr import BSRMatrix
-from .convert import to_coo, to_csr
+from .convert import to_csr
 from .coo import COOMatrix
-from .csc import CSCMatrix
 from .csr import CSRMatrix
-from .dia import DIAMatrix
-from .ell import ELLMatrix
-from .hyb import HYBMatrix
 from .mmio import MatrixMarketError, read_matrix_market, write_matrix_market
 
 __all__ = [
     "BSRMatrix",
     "COOMatrix",
-    "CSCMatrix",
     "CSRMatrix",
-    "DIAMatrix",
-    "ELLMatrix",
-    "HYBMatrix",
     "MatrixMarketError",
     "read_matrix_market",
-    "to_coo",
     "to_csr",
     "write_matrix_market",
 ]

@@ -1,4 +1,4 @@
-"""Format-conversion helpers and the ``to_csr`` normalization funnel."""
+"""The ``to_csr`` normalization funnel."""
 
 from __future__ import annotations
 
@@ -7,23 +7,18 @@ import numpy as np
 from .._util import ReproError
 from .bsr import BSRMatrix
 from .coo import COOMatrix
-from .csc import CSCMatrix
 from .csr import CSRMatrix
-from .dia import DIAMatrix
-from .ell import ELLMatrix
-from .hyb import HYBMatrix
 
 
 def to_csr(matrix) -> CSRMatrix:
     """Normalize any supported matrix representation to CSR.
 
     Accepts :class:`CSRMatrix`, :class:`COOMatrix`, :class:`BSRMatrix`,
-    :class:`ELLMatrix`, dense ndarrays, and scipy.sparse matrices.
+    dense ndarrays, and scipy.sparse matrices.
     """
     if isinstance(matrix, CSRMatrix):
         return matrix
-    if isinstance(matrix, (COOMatrix, BSRMatrix, ELLMatrix, CSCMatrix,
-                           DIAMatrix, HYBMatrix)):
+    if isinstance(matrix, (COOMatrix, BSRMatrix)):
         return matrix.to_csr()
     if isinstance(matrix, np.ndarray):
         return CSRMatrix.from_dense(matrix)
@@ -31,10 +26,3 @@ def to_csr(matrix) -> CSRMatrix:
     if hasattr(matrix, "tocsr"):
         return CSRMatrix.from_scipy(matrix)
     raise ReproError(f"cannot convert {type(matrix).__name__} to CSR")
-
-
-def to_coo(matrix) -> COOMatrix:
-    """Normalize any supported matrix representation to COO."""
-    if isinstance(matrix, COOMatrix):
-        return matrix
-    return to_csr(matrix).to_coo()

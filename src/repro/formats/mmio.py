@@ -60,7 +60,7 @@ def read_matrix_market(source) -> COOMatrix:
     dims = size_line.split()
     if len(dims) != 3:
         raise MatrixMarketError(f"bad size line: {size_line!r}")
-    m, n, nnz = (int(d) for d in dims)
+    m, n, nnz = (_count(d, size_line) for d in dims)
 
     rows = np.empty(nnz, dtype=np.int64)
     cols = np.empty(nnz, dtype=np.int64)
@@ -73,17 +73,16 @@ def read_matrix_market(source) -> COOMatrix:
         if count >= nnz:
             raise MatrixMarketError("more entries than declared")
         toks = stripped.split()
-        if field == "pattern":
-            if len(toks) < 2:
-                raise MatrixMarketError(f"bad entry line: {stripped!r}")
-            rows[count] = int(toks[0]) - 1
-            cols[count] = int(toks[1]) - 1
-        else:
-            if len(toks) < 3:
-                raise MatrixMarketError(f"bad entry line: {stripped!r}")
-            rows[count] = int(toks[0]) - 1
-            cols[count] = int(toks[1]) - 1
-            vals[count] = float(toks[2])
+        if len(toks) < (2 if field == "pattern" else 3):
+            raise MatrixMarketError(f"bad entry line: {stripped!r}")
+        rows[count] = _index(toks[0], stripped)
+        cols[count] = _index(toks[1], stripped)
+        if field != "pattern":
+            try:
+                vals[count] = float(toks[2])
+            except ValueError:
+                raise MatrixMarketError(
+                    f"bad entry line: {stripped!r}") from None
         count += 1
     if count != nnz:
         raise MatrixMarketError(f"declared {nnz} entries, found {count}")
@@ -98,6 +97,29 @@ def read_matrix_market(source) -> COOMatrix:
         cols = np.concatenate([cols, mirror_cols])
         vals = np.concatenate([vals, mirror_vals])
     return COOMatrix((m, n), rows, cols, vals)
+
+
+def _count(token: str, line: str) -> int:
+    """A non-negative integer field of the size line."""
+    try:
+        value = int(token)
+    except ValueError:
+        raise MatrixMarketError(f"bad size line: {line!r}") from None
+    if value < 0:
+        raise MatrixMarketError(f"negative size field in size line: {line!r}")
+    return value
+
+
+def _index(token: str, line: str) -> int:
+    """A 1-based row/column index of an entry line, returned 0-based."""
+    try:
+        value = int(token)
+    except ValueError:
+        raise MatrixMarketError(f"bad entry line: {line!r}") from None
+    if value < 1:
+        raise MatrixMarketError(
+            f"index {value} in entry line {line!r}: indices are 1-based")
+    return value - 1
 
 
 def write_matrix_market(matrix, target, *, comment: str | None = None) -> None:

@@ -139,33 +139,6 @@ def estimate_preprocess_time(events: PreprocessEvents, device) -> float:
     return float(t)
 
 
-def schedule_imbalance(work: np.ndarray, device) -> float:
-    """Makespan ratio of scheduling independent work units on the device.
-
-    ``work`` holds the (relative) cost of each independent schedulable
-    unit (a warp's worth of work, typically).  Greedy list scheduling on
-    ``P`` resident warp slots achieves a makespan of roughly
-    ``max(total/P, max(work))``; the returned multiplier is that makespan
-    relative to perfect balance.  A single enormous unit (one thread
-    owning a 2M-nonzero row) therefore shows up as a large factor, while
-    thousands of similar units converge to 1 — exactly the behaviour that
-    separates CSR-scalar from DASP on skewed matrices.
-    """
-    work = np.asarray(work, dtype=np.float64)
-    total = float(work.sum())
-    if total <= 0 or work.size == 0:
-        return 1.0
-    device = get_device(device)
-    processors = device.sms * 32  # concurrently executing warp slots
-    # Units beyond the device's slot count queue up; fewer units than
-    # slots is a *utilization* (not imbalance) effect, handled by the
-    # bandwidth/compute ramps — so normalize by the slots actually usable.
-    slots = min(work.size, processors)
-    ideal = total / slots
-    makespan = max(ideal, float(work.max()))
-    return float(max(makespan / ideal, 1.0))
-
-
 # ----------------------------------------------------------------------
 # Performance metrics
 # ----------------------------------------------------------------------

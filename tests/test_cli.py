@@ -336,6 +336,23 @@ class TestConvert:
         assert main(["convert", str(tmp_path / "a.xyz"),
                      str(tmp_path / "b.npz")]) == 2
 
+    @pytest.mark.parametrize("body,msg", [
+        ("2 2 1\n1 x 3.0\n", "bad entry"),
+        ("2 2 -1\n", "negative size"),
+        ("2 2 3\n1 1 3.0\n", "declared 3 entries, found 1"),
+        ("2 2 1\n0 1 3.0\n", "1-based"),
+    ])
+    def test_malformed_mtx_is_one_line_error(self, tmp_path, capsys, body,
+                                             msg):
+        mtx = tmp_path / "bad.mtx"
+        mtx.write_text("%%MatrixMarket matrix coordinate real general\n"
+                       + body)
+        assert main(["convert", str(mtx), str(tmp_path / "out.npz")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: ") and msg in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "out.npz").exists()
+
 
 class TestServeSimTrace:
     def test_trace_prints_attribution(self, capsys):

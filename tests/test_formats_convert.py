@@ -1,11 +1,11 @@
-"""Tests for the to_csr / to_coo normalization funnel."""
+"""Tests for the to_csr normalization funnel."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from repro._util import ReproError
-from repro.formats import BSRMatrix, COOMatrix, CSRMatrix, ELLMatrix, to_coo, to_csr
+from repro.formats import BSRMatrix, COOMatrix, to_csr
 from tests.conftest import random_csr
 
 
@@ -23,11 +23,6 @@ class TestToCSR:
         bsr = BSRMatrix.from_csr(csr, (4, 4))
         assert np.allclose(to_csr(bsr).to_dense(), csr.to_dense())
 
-    def test_from_ell(self, rng):
-        csr = random_csr(12, 12, rng)
-        assert np.allclose(to_csr(ELLMatrix.from_csr(csr)).to_dense(),
-                           csr.to_dense())
-
     def test_from_dense_ndarray(self, small_dense):
         assert np.array_equal(to_csr(small_dense).to_dense(), small_dense)
 
@@ -39,12 +34,3 @@ class TestToCSR:
         with pytest.raises(ReproError):
             to_csr("not a matrix")
 
-
-class TestToCOO:
-    def test_coo_passthrough(self, small_dense):
-        coo = COOMatrix.from_dense(small_dense)
-        assert to_coo(coo) is coo
-
-    def test_from_csr(self, rng):
-        csr = random_csr(8, 8, rng)
-        assert np.array_equal(to_coo(csr).to_dense(), csr.to_dense())

@@ -12,7 +12,7 @@ from repro.gpu import (
     estimate_time,
     spmv_gflops,
 )
-from repro.gpu.cost_model import schedule_imbalance, effective_bandwidth_gbs
+from repro.gpu.cost_model import effective_bandwidth_gbs
 from tests.conftest import random_csr
 
 
@@ -104,22 +104,6 @@ class TestFractions:
     def test_keys(self):
         fr = estimate_time(make_events(), A100).fractions()
         assert set(fr) == {"random_access", "compute", "misc"}
-
-
-class TestScheduleImbalance:
-    def test_uniform_is_one(self):
-        assert schedule_imbalance(np.ones(1000), A100) == pytest.approx(1.0)
-
-    def test_single_heavy_unit(self):
-        work = np.ones(1000)
-        work[0] = 500.0
-        assert schedule_imbalance(work, A100) > 100
-
-    def test_empty_is_one(self):
-        assert schedule_imbalance(np.zeros(0), A100) == 1.0
-
-    def test_never_below_one(self):
-        assert schedule_imbalance(np.array([1.0, 1.0]), A100) >= 1.0
 
 
 class TestPreprocessTime:

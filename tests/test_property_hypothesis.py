@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import DASPMatrix, classify_rows, dasp_spmv
-from repro.formats import BSRMatrix, COOMatrix, CSRMatrix, ELLMatrix
+from repro.formats import BSRMatrix, COOMatrix, CSRMatrix
 from repro.gpu.mma import FP64_M8N8K4
 from repro.baselines import paper_methods
 
@@ -97,13 +97,6 @@ def test_bsr_roundtrip(csr, blocksize):
     bsr = BSRMatrix.from_csr(csr, blocksize)
     assert np.allclose(bsr.to_csr().to_dense(), csr.to_dense())
     assert bsr.fill_ratio(csr.nnz) >= 1.0 or csr.nnz == 0
-
-
-@given(sparse_matrices(max_rows=24, max_cols=64))
-@settings(**SETTINGS)
-def test_ell_roundtrip(csr):
-    ell = ELLMatrix.from_csr(csr)
-    assert np.allclose(ell.to_csr().to_dense(), csr.to_dense())
 
 
 @given(sparse_matrices(max_rows=20, max_cols=200), st.integers(0, 2**31 - 1))

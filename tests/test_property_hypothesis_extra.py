@@ -1,5 +1,5 @@
-"""Additional property-based tests: new formats, SpMM, merge partition,
-CSR5 structure and solver behaviour under generated inputs."""
+"""Additional property-based tests: SpMM, merge partition, CSR5
+structure and solver behaviour under generated inputs."""
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
@@ -7,40 +7,10 @@ from hypothesis import strategies as st
 
 from repro.baselines import build_csr5, build_lsrb, merge_path_partition
 from repro.core import dasp_spmm
-from repro.formats import CSCMatrix, DIAMatrix, HYBMatrix
 from tests.test_property_hypothesis import sparse_matrices
 
 SETTINGS = dict(max_examples=20, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
-
-
-@given(sparse_matrices(max_rows=30, max_cols=80))
-@settings(**SETTINGS)
-def test_csc_roundtrip_and_transpose(csr):
-    csc = CSCMatrix.from_csr(csr)
-    assert np.allclose(csc.to_csr().to_dense(), csr.to_dense())
-    dense = csr.to_dense()
-    y = np.arange(csr.shape[0], dtype=np.float64)
-    assert np.allclose(csc.rmatvec(y), dense.T @ y, rtol=1e-10, atol=1e-12)
-
-
-@given(sparse_matrices(max_rows=24, max_cols=48))
-@settings(**SETTINGS)
-def test_dia_roundtrip(csr):
-    dia = DIAMatrix.from_csr(csr)
-    assert np.allclose(dia.to_csr().to_dense(), csr.to_dense())
-    x = np.linspace(-1, 1, csr.shape[1])
-    assert np.allclose(dia.matvec(x), csr.matvec(x), rtol=1e-10, atol=1e-12)
-
-
-@given(sparse_matrices(max_rows=30, max_cols=60), st.integers(0, 12))
-@settings(**SETTINGS)
-def test_hyb_any_width_correct(csr, width):
-    hyb = HYBMatrix.from_csr(csr, width=width)
-    assert hyb.nnz == csr.nnz
-    x = np.linspace(-1, 1, csr.shape[1])
-    assert np.allclose(hyb.matvec(x), csr.matvec(x), rtol=1e-10, atol=1e-12)
-    assert np.allclose(hyb.to_csr().to_dense(), csr.to_dense())
 
 
 @given(sparse_matrices(max_rows=30, max_cols=120),
