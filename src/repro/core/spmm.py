@@ -10,7 +10,8 @@ matrix is streamed **once** for all right-hand sides.
 
 This module generalizes the three category kernels to 2-D ``X`` and
 provides the matching event model; ``benchmarks/test_spmm_extension.py``
-quantifies the utilization gain.
+quantifies the utilization gain.  The NumPy kernels get the same
+saving: they gather each nonzero's x row once for all ``k`` columns.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 from .._util import check
 from ..gpu.events import KernelEvents
 from ..gpu.memory import rhs_block_factor_from_counts, sector_counts
-from ..gpu.mma import MmaUnit
+from ..gpu.mma import MmaShape
 from ._pack import exclusive_cumsum
 from .format import DASPMatrix
 
@@ -87,18 +88,19 @@ def dasp_spmm_on_plan(dasp: DASPMatrix, X: np.ndarray, *,
     s = dasp.mma_shape
     k = X.shape[1]
     Y = np.zeros((dasp.shape[0], k), dtype=s.acc_dtype)
-    unit = MmaUnit(s)
-
-    lp = dasp.long_plan
-    if lp.n_rows:
-        Y[lp.row_idx] = _long_spmm(lp, X, unit)
-    mp = dasp.medium_plan
-    if mp.n_rows:
-        Y[mp.row_idx] = _medium_spmm(mp, X, unit)
-    sp = dasp.short_plan
-    if sp.n_rows:
-        rows, vals = _short_spmm(sp, X, unit)
-        Y[rows] = vals
+    # The x side of the MMA cast chain, once per call (a no-op in FP64).
+    Xa = X.astype(s.in_dtype, copy=False).astype(s.acc_dtype, copy=False)
+    lp, mp, sp = dasp.long_plan, dasp.medium_plan, dasp.short_plan
+    for j0 in range(0, k, _COL_CHUNK):
+        cols = slice(j0, j0 + _COL_CHUNK)
+        Xj = np.ascontiguousarray(Xa[:, cols])
+        if lp.n_rows:
+            Y[lp.row_idx, cols] = _long_spmm(lp, Xj, s)
+        if mp.n_rows:
+            Y[mp.row_idx, cols] = _medium_spmm(mp, Xj, s)
+        if sp.n_rows:
+            rows, vals = _short_spmm(sp, Xj, s)
+            Y[rows, cols] = vals
     if dasp.delta is not None and dasp.delta.overlay is not None:
         # Patched plan: overwrite dirty rows from the delta overlay
         # (repro.core.delta) — the warp branch above already applied it
@@ -111,152 +113,148 @@ def dasp_spmm_on_plan(dasp: DASPMatrix, X: np.ndarray, *,
     return Y
 
 
-#: RHS columns processed per chunk inside the 2-D helpers — bounds the
-#: transient ``(nblocks, m, K, chunk)`` product at large k.  Chunking is
-#: invisible in the results: every output column is an independent fold.
+#: RHS columns per pass of the 2-D helpers — bounds the transient
+#: ``(nnz, chunk)`` products at large k.  Chunking is invisible in the
+#: results: every output column is an independent fold.
 _COL_CHUNK = 16
 
+# Every helper below takes ``Xj``, a C-contiguous ``(n, c)`` column chunk
+# of X already in the accumulator dtype, gathers it once per stored
+# nonzero, and folds the products in the order of the matching 1-D
+# kernel, so column ``j`` is bitwise ``dasp_spmv(X[:, j])``.
 
-def _block_dots_2d(unit: MmaUnit, val: np.ndarray, cid: np.ndarray,
-                   X: np.ndarray, cols=slice(None)) -> np.ndarray:
-    """Per-(block, row, rhs) dot products with MMA precision semantics.
 
-    Returns ``(nblocks, MMA_M, k)``.  One MMA instruction per block per
-    ceil(k / MMA_N) — the unit's issue counter tracks that.  Each output
-    column uses the same product, cast chain, and sequential K-fold as
-    :meth:`MmaUnit.block_row_dots`, so column ``j`` is bitwise what the
-    SpMV kernel computes for ``X[:, j]``.
+def _products(s: MmaShape, val: np.ndarray, cid: np.ndarray, Xj: np.ndarray,
+              lanes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lane-major products of rows of ``lanes`` nonzeros each.
+
+    Returns ``(P, a)``: ``P[i, r]`` is the ``(c,)`` product of nonzero
+    ``r * lanes + i`` with its x row, and ``a[i, r]`` that nonzero's
+    value, both in the accumulator dtype.  Lane-major, each lane of the
+    fold below is one contiguous ``(R, c)`` slab.
     """
-    s = unit.shape
-    k = X.shape[1]
-    if val.size == 0:
-        return np.zeros((0, s.m, k), dtype=s.acc_dtype)
-    nb = val.size // s.a_elements
-    a = (val.reshape(nb, s.m, s.k)
-         .astype(s.in_dtype, copy=False).astype(s.acc_dtype))
-    unit.issue_count += nb * (-(-k // s.n))
-    safe_cid = cid.astype(np.int64)
-    out = np.empty((nb, s.m, k), dtype=s.acc_dtype)
-    for j0 in range(0, k, _COL_CHUNK):
-        xg = (X[:, j0:j0 + _COL_CHUNK][safe_cid]
-              .reshape(nb, s.m, s.k, -1)
-              .astype(s.in_dtype, copy=False).astype(s.acc_dtype))
-        if cols != slice(None):
-            masked = np.zeros_like(xg)
-            masked[:, :, cols, :] = xg[:, :, cols, :]
-            xg = masked
-        out[:, :, j0:j0 + _COL_CHUNK] = (a[:, :, :, None] * xg).sum(
-            axis=2, dtype=s.acc_dtype)
+    a = (val.astype(s.in_dtype, copy=False).astype(s.acc_dtype, copy=False)
+         .reshape(-1, lanes).T)
+    P = np.take(Xj, cid.reshape(-1, lanes).T.ravel(), axis=0)
+    P = P.reshape(lanes, -1, Xj.shape[1])
+    P *= a[:, :, None]
+    return P, a
+
+
+def _block_dots_2d(P: np.ndarray, a: np.ndarray | None = None,
+                   x_lanes=None) -> np.ndarray:
+    """Per-(block row, rhs) dot products ``(R, c)``: the K lanes of the
+    products ``P`` folded left to right.
+
+    This is bitwise NumPy's ``sum`` over a length-4 axis, the fold of
+    :meth:`MmaUnit.block_row_dots`; a pairwise association is not.
+    With ``x_lanes``, only those lanes carry x and the others add
+    ``a * 0``, exactly as the 1-D short-row kernel's zeroed x fragment
+    does (the paper's double x-load of pieced rows).
+    """
+    terms = [P[i] if x_lanes is None or i in x_lanes else a[i, :, None] * 0
+             for i in range(P.shape[0])]
+    out = np.add(terms[0], terms[1], out=np.empty(P.shape[1:], P.dtype))
+    for t in terms[2:]:
+        out += t
     return out
 
 
-def _long_spmm(plan, X, unit) -> np.ndarray:
+def _fold_segments(acc: np.ndarray, parts: np.ndarray, ptr: np.ndarray) -> None:
+    """``acc[i] += parts[ptr[i]]``, then ``parts[ptr[i] + 1]``, ... in place.
+
+    The sequential order of ``np.add.at(acc, owner, parts)``, with one
+    vectorized step per position within a segment: segments are visited
+    longest first, so step ``j`` adds to a prefix of them.
+    (``np.add.reduceat`` over a 2-D array associates pairwise instead.)
+    """
+    lens = np.diff(ptr)
+    if not lens.any():
+        return
+    order = np.argsort(-lens, kind="stable")
+    starts = ptr[:-1][order]
+    live = lens.size - np.searchsorted(np.sort(lens), np.arange(lens.max()),
+                                       side="right")
+    folded = acc[order]
+    for j, n in enumerate(live):
+        folded[:n] += parts[starts[:n] + j]
+    acc[order] = folded
+
+
+def _long_spmm(plan, Xj: np.ndarray, s: MmaShape) -> np.ndarray:
     from .long_rows import BLOCKS_PER_GROUP
 
-    s = unit.shape
-    k = X.shape[1]
-    d = _block_dots_2d(unit, plan.val, plan.cid, X)          # (nb, m, k)
+    c = Xj.shape[1]
+    P, _ = _products(s, plan.val, plan.cid, Xj, s.k)
+    d = _block_dots_2d(P)                                    # (nb*m, c)
     # fragY accumulation across the group's blocks + shuffle tree: the
     # 1-D kernel reduces a contiguous last axis of 2m values, whose
     # basecase association differs from a strided middle-axis sum —
     # transpose so each column reduces the same contiguous 2m run.
     g = np.ascontiguousarray(
-        d.reshape(-1, BLOCKS_PER_GROUP * s.m, k).transpose(0, 2, 1))
-    per_group = g.sum(axis=2, dtype=s.acc_dtype)             # (ng, k)
-    out = np.zeros((plan.n_rows, k), dtype=s.acc_dtype)
+        d.reshape(-1, BLOCKS_PER_GROUP * s.m, c).transpose(2, 0, 1))
+    per_group = g.sum(axis=2, dtype=s.acc_dtype)             # (c, ng)
     if per_group.size == 0:
-        return out
-    # Second kernel, column by column, exactly as run_long_rows: reduceat
-    # over that column's contiguous group partials (see the no-trailing-
-    # pad note there).
-    starts = np.minimum(plan.group_ptr[:-1], per_group.shape[0] - 1)
-    empty = np.diff(plan.group_ptr) == 0
-    for j in range(k):
-        col = np.ascontiguousarray(per_group[:, j])
-        yj = np.add.reduceat(col, starts).astype(s.acc_dtype, copy=False)
-        yj[empty] = 0
-        out[:, j] = yj
-    return out
+        return np.zeros((plan.n_rows, c), dtype=s.acc_dtype)
+    # Second kernel, as run_long_rows: reduceat over each column's
+    # contiguous group partials (see the no-trailing-pad note there).
+    # Along the last axis of a C-contiguous array it folds every column
+    # exactly as the 1-D call does.
+    starts = np.minimum(plan.group_ptr[:-1], per_group.shape[1] - 1)
+    y = np.add.reduceat(per_group, starts, axis=1)
+    y[:, np.diff(plan.group_ptr) == 0] = 0
+    return y.T
 
 
-def _medium_spmm(plan, X, unit) -> np.ndarray:
-    s = unit.shape
-    k = X.shape[1]
-    nb = plan.n_rowblocks
-    acc = np.zeros((nb, s.m, k), dtype=s.acc_dtype)
+def _medium_spmm(plan, Xj: np.ndarray, s: MmaShape) -> np.ndarray:
+    c = Xj.shape[1]
+    M, K = s.m, s.k
+    acc = np.zeros((plan.n_rowblocks, M, c), dtype=s.acc_dtype)
     if plan.reg_nnz:
-        d = _block_dots_2d(unit, plan.reg_val, plan.reg_cid, X)
-        blocks_per_rb = np.diff(plan.rowblock_ptr) // s.a_elements
-        owner = np.repeat(np.arange(nb, dtype=np.int64), blocks_per_rb)
-        np.add.at(acc, owner, d)
-    out = acc.reshape(-1, k)[:plan.n_rows].copy()
+        P, _ = _products(s, plan.reg_val, plan.reg_cid, Xj, K)
+        d = _block_dots_2d(P)
+        _fold_segments(acc, d.reshape(-1, M, c), plan.rowblock_ptr // (M * K))
+    out = acc.reshape(-1, c)[:plan.n_rows].copy()
     if plan.irreg_nnz:
-        # Chunk-invariant tail (see run_medium_rows): per column, the
-        # flat products are scattered into zero-padded K-element chunks
-        # and summed with the same sequential K-fold as the 1-D kernel,
-        # accumulated per row in chunk order — row values do not depend
-        # on where the regular/irregular boundary fell for this
-        # row-block, and column ``j`` is bitwise the SpMV tail.
-        K = s.k
+        # Chunk-invariant tail (see run_medium_rows): the products go
+        # into zero-padded K-element chunks (exact zeros, not ``0 * x``),
+        # each chunk is lane-folded like a block row, and the chunk sums
+        # are folded per row in chunk order.
         tails = np.diff(plan.irreg_ptr)
-        nchunks = -(-tails // K)
-        chunk_ptr = exclusive_cumsum(nchunks)
+        chunk_ptr = exclusive_cumsum(-(-tails // K))
         owner = np.repeat(np.arange(plan.n_rows, dtype=np.int64), tails)
         slot = np.arange(plan.irreg_nnz, dtype=np.int64) - plan.irreg_ptr[owner]
-        gchunk = chunk_ptr[owner] + slot // K
-        lane = slot % K
-        nchunks_total = int(chunk_ptr[-1])
-        val_cast = (plan.irreg_val.astype(s.in_dtype, copy=False)
-                    .astype(s.acc_dtype))
-        safe_cid = plan.irreg_cid.astype(np.int64)
-        chunk_sums = np.empty((nchunks_total, k), dtype=s.acc_dtype)
-        for j0 in range(0, k, _COL_CHUNK):
-            xg = (X[:, j0:j0 + _COL_CHUNK][safe_cid]
-                  .astype(s.in_dtype, copy=False).astype(s.acc_dtype))
-            prod = val_cast[:, None] * xg
-            padded = np.zeros((nchunks_total, K, prod.shape[1]),
-                              dtype=s.acc_dtype)
-            padded[gchunk, lane, :] = prod
-            chunk_sums[:, j0:j0 + _COL_CHUNK] = padded.sum(
-                axis=1, dtype=s.acc_dtype)
-        chunk_owner = np.repeat(np.arange(plan.n_rows, dtype=np.int64),
-                                nchunks)
-        np.add.at(out, chunk_owner, chunk_sums)
+        padded = np.zeros((K, int(chunk_ptr[-1]), c), dtype=s.acc_dtype)
+        P, _ = _products(s, plan.irreg_val, plan.irreg_cid, Xj, 1)
+        padded[slot % K, chunk_ptr[owner] + slot // K] = P[0]
+        _fold_segments(out, _block_dots_2d(padded), chunk_ptr)
     return out
 
 
-def _short_spmm(plan, X, unit):
-    s = unit.shape
-    k = X.shape[1]
+def _short_spmm(plan, Xj: np.ndarray, s: MmaShape):
+    c = Xj.shape[1]
     out_rows, out_vals = [], []
-    if plan.rows13_one.size:
-        y1 = _block_dots_2d(unit, plan.val13, plan.cid13, X,
-                            cols=slice(0, 1)).reshape(-1, k)
-        y3 = _block_dots_2d(unit, plan.val13, plan.cid13, X,
-                            cols=slice(1, 4)).reshape(-1, k)
-        n = plan.rows13_one.size
-        out_rows += [plan.rows13_one, plan.rows13_three]
-        out_vals += [y1[:n], y3[:n]]
-    if plan.rows22_a.size:
-        ya = _block_dots_2d(unit, plan.val22, plan.cid22, X,
-                            cols=slice(0, 2)).reshape(-1, k)
-        yb = _block_dots_2d(unit, plan.val22, plan.cid22, X,
-                            cols=slice(2, 4)).reshape(-1, k)
-        n = plan.rows22_a.size
-        out_rows += [plan.rows22_a, plan.rows22_b]
-        out_vals += [ya[:n], yb[:n]]
+    # Pieced pairs: one gather serves both x-load passes.
+    for val, cid, first, second, split in (
+            (plan.val13, plan.cid13, plan.rows13_one, plan.rows13_three, 1),
+            (plan.val22, plan.cid22, plan.rows22_a, plan.rows22_b, 2)):
+        if first.size:
+            n = first.size * s.k
+            P, a = _products(s, val[:n], cid[:n], Xj, s.k)
+            out_rows += [first, second]
+            out_vals += [_block_dots_2d(P, a, range(split)),
+                         _block_dots_2d(P, a, range(split, s.k))]
     if plan.rows4.size:
-        y4 = _block_dots_2d(unit, plan.val4, plan.cid4, X).reshape(-1, k)
+        n = plan.rows4.size * s.k
+        P, _ = _products(s, plan.val4[:n], plan.cid4[:n], Xj, s.k)
         out_rows.append(plan.rows4)
-        out_vals.append(y4[:plan.rows4.size])
+        out_vals.append(_block_dots_2d(P))
     if plan.rows1.size:
-        prod = (plan.val1.astype(s.in_dtype, copy=False).astype(s.acc_dtype)[:, None]
-                * X[plan.cid1.astype(np.int64)]
-                .astype(s.in_dtype, copy=False).astype(s.acc_dtype))
+        P, _ = _products(s, plan.val1, plan.cid1, Xj, 1)
         out_rows.append(plan.rows1)
-        out_vals.append(prod)
+        out_vals.append(P[0])
     if not out_rows:
-        return np.zeros(0, np.int64), np.zeros((0, k), dtype=s.acc_dtype)
+        return np.zeros(0, np.int64), np.zeros((0, c), dtype=s.acc_dtype)
     return np.concatenate(out_rows), np.vstack(out_vals)
 
 

@@ -73,6 +73,25 @@ class TestCorrectness:
             dasp_spmm(csr, np.zeros((19, 2)))
 
 
+class TestPlanState:
+    """SpMM derives no per-plan state, so nothing it does can enter the
+    registry budget or the on-disk artifact format."""
+
+    @pytest.mark.parametrize("k", [1, 8, 13])
+    def test_spmm_leaves_plan_unchanged(self, rng, k):
+        from repro.serve import plan_nbytes
+
+        csr = random_csr(96, 700, rng, row_len_sampler=ROW_PROFILES["mixed"])
+        dasp = DASPMatrix.from_csr(csr)
+        keys = list(dasp.array_inventory(include_csr=True))
+        attrs = set(vars(dasp))
+        nbytes = (plan_nbytes(dasp), plan_nbytes(dasp, include_csr=True))
+        dasp_spmm(dasp, rng.standard_normal((700, k)))
+        assert list(dasp.array_inventory(include_csr=True)) == keys
+        assert set(vars(dasp)) == attrs
+        assert (plan_nbytes(dasp), plan_nbytes(dasp, include_csr=True)) == nbytes
+
+
 class TestUtilization:
     def test_k1_near_one_eighth(self, rng):
         csr = random_csr(64, 400, rng,

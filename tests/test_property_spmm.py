@@ -3,8 +3,10 @@
 The SpMM extension must be *exactly* a batch of SpMVs on the same plan:
 for every random rectangular matrix, every batch width (including the
 k = 1 column-vector edge case and widths crossing the MMA_N = 8
-boundary) and both precisions, ``dasp_spmm(A, X)[:, j]`` must match
-``dasp_spmv(A, X[:, j])``.
+boundary) and every precision, ``dasp_spmm(A, X)[:, j]`` must equal
+``dasp_spmv(A, X[:, j])`` bit for bit.  Row lengths are drawn so that
+long rows, every short-row piecing (1&3, 2&2, len-4, singles) and
+medium rows with irregular tails all appear.
 """
 
 import numpy as np
@@ -13,48 +15,62 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import DASPMatrix, dasp_spmm, dasp_spmv
+from repro.formats import CSRMatrix
+
+#: Row lengths covering every category: empty, the four short lengths,
+#: medium rows with and without irregular tails, and long rows
+#: (> MAX_LEN = 256).
+ROW_LENS = (0, 1, 2, 3, 4, 5, 9, 17, 40, 300, 600)
 
 
 @st.composite
 def csr_and_block(draw, dtype):
-    m = draw(st.integers(min_value=1, max_value=60))
-    n = draw(st.integers(min_value=1, max_value=80))
-    k = draw(st.sampled_from([1, 3, 8, 13]))
+    m = draw(st.integers(min_value=1, max_value=96))
+    n = draw(st.integers(min_value=1, max_value=80)
+             | st.integers(min_value=257, max_value=700))
+    k = draw(st.sampled_from([1, 2, 3, 8, 13]))
     seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
     rng = np.random.default_rng(seed)
-    density = draw(st.floats(min_value=0.02, max_value=0.6))
-    dense = rng.uniform(-1, 1, (m, n))
-    dense[rng.random((m, n)) >= density] = 0.0
-    from repro.formats import CSRMatrix
-
-    csr = CSRMatrix.from_dense(dense.astype(dtype))
+    lens = np.minimum(rng.choice(ROW_LENS, m), n)
+    indptr = np.concatenate([[0], np.cumsum(lens)])
+    indices = np.concatenate(
+        [np.sort(rng.choice(n, size=L, replace=False)) for L in lens])
+    data = rng.uniform(-1, 1, indices.size).astype(dtype)
+    csr = CSRMatrix((lens.size, n), indptr, indices, data)
     X = rng.uniform(-1, 1, (n, k)).astype(dtype)
     return csr, X
 
 
-@settings(max_examples=40, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(data=csr_and_block(np.float64))
-def test_spmm_stacks_spmv_fp64(data):
-    csr, X = data
+def _assert_stacks_spmv(csr, X):
     dasp = DASPMatrix.from_csr(csr)
     Y = dasp_spmm(dasp, X)
     cols = np.stack([dasp_spmv(dasp, X[:, j]) for j in range(X.shape[1])],
                     axis=1)
-    np.testing.assert_allclose(Y, cols, rtol=1e-12, atol=1e-13)
+    assert Y.dtype == cols.dtype
+    assert np.array_equal(Y, cols)
 
 
-@settings(max_examples=25, deadline=None,
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=csr_and_block(np.float64))
+def test_spmm_stacks_spmv_fp64(data):
+    _assert_stacks_spmv(*data)
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=csr_and_block(np.float32))
+def test_spmm_stacks_spmv_fp32(data):
+    _assert_stacks_spmv(*data)
+
+
+@settings(max_examples=30, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(data=csr_and_block(np.float16))
 def test_spmm_stacks_spmv_fp16(data):
     csr, X = data
-    dasp = DASPMatrix.from_csr(csr)
-    Y = dasp_spmm(dasp, X)
-    assert Y.dtype == np.float32  # FP16 inputs accumulate in FP32
-    cols = np.stack([dasp_spmv(dasp, X[:, j]) for j in range(X.shape[1])],
-                    axis=1)
-    np.testing.assert_allclose(Y, cols, rtol=2e-3, atol=2e-3)
+    assert dasp_spmm(csr, X).dtype == np.float32  # FP16 accumulates in FP32
+    _assert_stacks_spmv(csr, X)
 
 
 class TestEngineValidation:
