@@ -168,19 +168,23 @@ def cmd_spmv(args) -> int:
 
 def cmd_spmm(args) -> int:
     """Large-k SpMM strategy table (and optional artifact publish)."""
-    from .core import choose_spmm_strategy, dasp_spmm_large
+    from .core import (BlockPlan, choose_spmm_strategy, dasp_spmm_large,
+                       reorder_from_perm)
 
     csr = load_matrix(args.matrix).astype(np.dtype(args.dtype))
     plan = DASPMatrix.from_csr(csr)
     rng = np.random.default_rng(args.seed)
     ks = sorted(set(args.k))
     reorder = not args.no_reorder
+    # one row order for every k: derived once, or pinned to natural
+    order = BlockPlan(plan, None if reorder else reorder_from_perm(
+        plan.csr, np.arange(csr.shape[0]), mma_shape=plan.mma_shape))
     print(f"{args.matrix}: {csr.shape[0]}x{csr.shape[1]}, nnz={csr.nnz:,}, "
           f"{args.dtype} on {args.device}")
     rows = []
     strategies = {}
     for k in ks:
-        strat = choose_spmm_strategy(plan, k, args.device, reorder=reorder)
+        strat = choose_spmm_strategy(plan, k, args.device, order=order)
         strategies[k] = strat
         stats = strat.stats
         rows.append((k, strat.name, strat.tile_k,
@@ -193,8 +197,8 @@ def cmd_spmm(args) -> int:
         ("k", "strategy", "tile_k", "modeled us", "looped us",
          "speedup", "GFlops", "tile padding"), rows))
     reordered = [s for s in strategies.values() if s.name == "reordered"]
+    ro = order.reorder
     if reordered:
-        ro = reordered[0].block_plan.reorder
         print(f"row reorder ({ro.candidate}): tile padding "
               f"{ro.natural_stats.padding_waste:.1%} -> "
               f"{ro.stats.padding_waste:.1%} "
@@ -215,7 +219,6 @@ def cmd_spmm(args) -> int:
         fp = fingerprint_csr(csr)
         aux = {}
         if reordered:
-            ro = reordered[0].block_plan.reorder
             aux["spmm.reorder_perm"] = ro.perm
             aux["spmm.reorder_inv"] = ro.inv
         path = store.put(fp, plan, aux=aux or None)

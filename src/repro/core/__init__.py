@@ -74,10 +74,8 @@ from .spmm_block import (
     ReorderResult,
     SpmmStrategy,
     TILE_K_CANDIDATES,
-    build_block_plan,
     choose_spmm_strategy,
     dasp_spmm_large,
-    dasp_spmm_tiled,
     overlap_schedule,
     reorder_from_perm,
     reorder_rows,
@@ -115,7 +113,6 @@ __all__ = [
     "apply_structural_update",
     "apply_update",
     "apply_value_update",
-    "build_block_plan",
     "build_long_rows",
     "build_medium_rows",
     "build_short_rows",
@@ -134,7 +131,6 @@ __all__ = [
     "dasp_spmm",
     "dasp_spmm_large",
     "dasp_spmm_on_plan",
-    "dasp_spmm_tiled",
     "dasp_spmv",
     "loop_num_for",
     "mma_utilization",

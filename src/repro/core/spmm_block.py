@@ -2,20 +2,17 @@
 
 DASP's MMA layout saturates at ``k = MMA_N = 8`` right-hand sides;
 GNN feature propagation and block Krylov solvers want ``k = 32..512``.
-Today's serving layer handles that by looping ``ceil(k / 8)`` batches
-through :func:`repro.core.dasp_spmm` — paying the full matrix stream
-and kernel launches once *per batch*.  This module adds a true large-k
-tier with three strategies and a per-``(matrix, k)`` tuner:
+This module prices three schedules for a ``k``-wide block and a
+per-``(matrix, k)`` tuner picks the cheapest:
 
 ``looped``
     The baseline: ``ceil(k / MMA_N)`` independent column batches, each
-    re-streaming the matrix (what the batcher-fed server does today).
+    re-streaming the matrix (what a batcher-fed server would pay).
 
 ``tiled``
-    Column-tiled execution: a double loop over column tiles × row
-    blocks, so the plan's packed arrays stream **once** and stay
-    resident while every column tile consumes them.  Tile widths are
-    multiples of ``MMA_N``; RHS gather traffic follows the
+    Column-tiled: the plan's packed arrays stream **once** and stay
+    resident while every column tile of width ``tile_k`` (a multiple of
+    ``MMA_N``) consumes them; RHS gather traffic follows the
     distinct-column tile unions of :func:`repro.gpu.mma_tile_stats`.
 
 ``reordered``
@@ -25,14 +22,20 @@ tier with three strategies and a per-``(matrix, k)`` tuner:
     own padding is permutation-invariant, so the *measured objective*
     is the order-sensitive tile occupancy/padding counters of
     :mod:`repro.gpu.tiles`; the modeled win is the smaller gather
-    unions.  The inverse permutation is applied on output, keeping
-    results bitwise-identical to the unpermuted path (every DASP
-    category kernel computes row values row-locally).
+    unions.
 
-All three strategies execute the same validation numerics
-(:func:`repro.core.dasp_spmm_on_plan` column tiles), so their results
-are bitwise-identical to the column-wise ``dasp_spmv`` reference — the
-strategies differ only in the modeled schedule.
+The strategies differ only in the modeled schedule.  Execution is one
+:func:`repro.core.dasp_spmm_on_plan` call for every strategy — on the
+plan, or on the row-permuted plan followed by the inverse permutation
+for ``reordered`` (every DASP category kernel computes row values
+row-locally) — so every result is bitwise the column-wise ``dasp_spmv``
+reference.  ``tile_k`` is a pricing field only.
+
+The row order (:class:`ReorderResult`, natural-order stats included)
+does not depend on ``k``: a :class:`BlockPlan` holds it for one plan
+version, builds the permuted plan on the first ``reordered``
+execution, and is passed to :func:`choose_spmm_strategy` for every
+``k`` of that version.
 """
 
 from __future__ import annotations
@@ -54,10 +57,8 @@ __all__ = [
     "BlockPlan",
     "ReorderResult",
     "SpmmStrategy",
-    "build_block_plan",
     "choose_spmm_strategy",
     "dasp_spmm_large",
-    "dasp_spmm_tiled",
     "overlap_schedule",
     "reorder_from_perm",
     "reorder_rows",
@@ -185,48 +186,42 @@ def reorder_from_perm(csr, perm: np.ndarray, *,
                          stats=stats, natural_stats=natural_stats)
 
 
-@dataclass(frozen=True)
 class BlockPlan:
-    """A DASP plan prepared for reordered large-k execution.
+    """The k-independent half of large-k tuning for one plan version.
 
-    ``plan`` is built from the row-permuted matrix; applying ``inv`` to
-    its output restores the original row order bitwise (row values are
-    row-local in every DASP category kernel).
+    Holds the version's row order (*reorder*; derived from *plan* by
+    :func:`reorder_rows` when not given) and, from the first
+    :meth:`permuted` call on, the row-permuted plan the ``reordered``
+    strategy runs on.  One instance serves every ``k`` of the version,
+    so the order is derived and the permuted plan built at most once.
+    It keeps no reference to the source plan, so holding an order never
+    pins a plan a cache has evicted.
     """
 
-    plan: DASPMatrix
-    reorder: ReorderResult
+    def __init__(self, plan: DASPMatrix,
+                 reorder: ReorderResult | None = None) -> None:
+        if reorder is None:
+            reorder = reorder_rows(plan.csr, mma_shape=plan.mma_shape)
+        self.reorder = reorder
+        self._permuted: DASPMatrix | None = None
 
-    @property
-    def perm(self) -> np.ndarray:
-        return self.reorder.perm
+    def permuted(self, plan: DASPMatrix) -> DASPMatrix:
+        """*plan* (the version this order was derived for) with its rows
+        in order; built on the first call and reused after.
 
-    @property
-    def inv(self) -> np.ndarray:
-        return self.reorder.inv
-
-    @property
-    def stats(self) -> TileStats:
-        return self.reorder.stats
-
-
-def build_block_plan(plan: DASPMatrix, *,
-                     reorder: ReorderResult | None = None) -> BlockPlan:
-    """Build the row-permuted plan for the ``reordered`` strategy.
-
-    The permuted plan reuses *plan*'s classification parameters
-    (``max_len`` / ``threshold`` / MMA shape), so it packs the same
-    rows into the same categories — only the order changes.
-    """
-    if reorder is None:
-        reorder = reorder_rows(plan.csr, mma_shape=plan.mma_shape)
-    if reorder.is_identity:
-        return BlockPlan(plan=plan, reorder=reorder)
-    permuted = DASPMatrix.from_csr(
-        plan.csr.permute_rows(reorder.perm),
-        max_len=plan.max_len, threshold=plan.threshold,
-        mma_shape=plan.mma_shape)
-    return BlockPlan(plan=permuted, reorder=reorder)
+        The permuted plan reuses *plan*'s classification parameters
+        (``max_len`` / ``threshold`` / MMA shape), so it packs the same
+        rows into the same categories — only the order changes.  Racing
+        first calls may both build; the plans are equal.
+        """
+        if self.reorder.is_identity:
+            return plan
+        if self._permuted is None:
+            self._permuted = DASPMatrix.from_csr(
+                plan.csr.permute_rows(self.reorder.perm),
+                max_len=plan.max_len, threshold=plan.threshold,
+                mma_shape=plan.mma_shape)
+        return self._permuted
 
 
 # ----------------------------------------------------------------------
@@ -234,61 +229,23 @@ def build_block_plan(plan: DASPMatrix, *,
 # ----------------------------------------------------------------------
 
 
-def dasp_spmm_tiled(plan: DASPMatrix, X: np.ndarray, *,
-                    tile_k: int = DEFAULT_TILE_K,
-                    double_buffer: bool = False, obs=None) -> np.ndarray:
-    """Column-tiled large-k SpMM on a DASP plan.
-
-    Splits ``X`` into column tiles of width ``tile_k`` (a multiple of
-    ``MMA_N``) and runs the plan kernels per tile — the validation-
-    engine analogue of the double loop over column tiles × row blocks.
-    Output columns are independent folds, so the result is bitwise the
-    untiled ``dasp_spmm`` (and hence the column-wise ``dasp_spmv``).
-
-    ``double_buffer`` marks the tiles as double-buffered for
-    accounting: the modeled clock (:func:`spmm_tiled_overlap_cost`)
-    overlaps the next tile's RHS gather with the current tile's
-    compute.  Results are bitwise-identical either way — the flag only
-    feeds the ``core.pipeline.*`` counters.
-    """
-    X = np.asarray(X)
-    check(X.ndim == 2 and X.shape[0] == plan.shape[1],
-          f"X must be ({plan.shape[1]}, k)")
-    k = X.shape[1]
-    check(k >= 1, "X must have at least one column")
-    check(tile_k >= 1 and tile_k % plan.mma_shape.n == 0,
-          f"tile_k must be a positive multiple of MMA_N={plan.mma_shape.n}")
-    if double_buffer:
-        from ..obs import get_obs
-
-        (obs if obs is not None else get_obs()).counter(
-            "core.pipeline.double_buffered_tiles_total").inc(-(-k // tile_k))
-    Y = np.empty((plan.shape[0], k), dtype=plan.mma_shape.acc_dtype)
-    for j0 in range(0, k, tile_k):
-        j1 = min(j0 + tile_k, k)
-        Y[:, j0:j1] = dasp_spmm_on_plan(plan, X[:, j0:j1])
-    return Y
-
-
 def dasp_spmm_large(plan: DASPMatrix, X: np.ndarray,
                     strategy: "SpmmStrategy") -> np.ndarray:
-    """Execute a tuner-chosen strategy; bitwise-identical across all."""
+    """Execute a tuner-chosen strategy; bitwise-identical across all.
+
+    One :func:`dasp_spmm_on_plan` call streams the plan once for all
+    ``k`` columns, so ``looped`` and ``tiled`` run the same call (their
+    column split is a pricing matter); ``reordered`` runs it on the
+    permuted plan and restores the row order with ``inv``.
+    """
     X = np.asarray(X)
-    if strategy.name == "reordered":
-        bp = strategy.block_plan
-        check(bp is not None, "reordered strategy carries no block plan")
-        Yp = dasp_spmm_tiled(bp.plan, X, tile_k=strategy.tile_k)
-        return Yp[bp.inv]
-    if strategy.name == "tiled":
-        return dasp_spmm_tiled(plan, X, tile_k=strategy.tile_k)
-    # looped: ceil(k / MMA_N) independent column batches.
-    n = plan.mma_shape.n
-    k = X.shape[1]
-    Y = np.empty((plan.shape[0], k), dtype=plan.mma_shape.acc_dtype)
-    for j0 in range(0, k, n):
-        j1 = min(j0 + n, k)
-        Y[:, j0:j1] = dasp_spmm_on_plan(plan, X[:, j0:j1])
-    return Y
+    check(X.ndim == 2 and X.shape[0] == plan.shape[1] and X.shape[1] >= 1,
+          f"X must be ({plan.shape[1]}, k) with k >= 1")
+    if strategy.name != "reordered":
+        return dasp_spmm_on_plan(plan, X)
+    bp = strategy.block_plan
+    check(bp is not None, "reordered strategy carries no block plan")
+    return dasp_spmm_on_plan(bp.permuted(plan), X)[bp.reorder.inv]
 
 
 # ----------------------------------------------------------------------
@@ -373,10 +330,9 @@ def spmm_tiled_overlap_cost(plan: DASPMatrix, device, k: int, *,
     per-tile ``X`` traffic — the part a second buffer can stage while
     the previous tile computes) and everything else, smears both evenly
     over the ``ceil(k / tile_k)`` column tiles, and prices the
-    double-buffered schedule with :func:`overlap_schedule`.  The
-    numerics of :func:`dasp_spmm_tiled` are untouched — only the
-    modeled clock changes when the pipeline runs with double buffering
-    on.
+    double-buffered schedule with :func:`overlap_schedule`.  Only the
+    modeled clock overlaps: execution (:func:`dasp_spmm_large`) is the
+    same single call either way.
     """
     check(k >= 1, "k must be positive")
     if dtype_bits is None:
@@ -398,7 +354,9 @@ class SpmmStrategy:
 
     ``modeled_s`` is the chosen strategy's modeled device seconds for
     the whole k-block; ``looped_s`` the baseline's, so ``speedup`` is
-    the modeled gain over today's batched serving.
+    the modeled gain over today's batched serving.  ``tile_k`` only
+    prices; ``block_plan`` (``reordered`` only) is the version's shared
+    row order, whose permuted plan execution builds on first use.
     """
 
     name: str
@@ -422,41 +380,42 @@ class SpmmStrategy:
 
 
 def choose_spmm_strategy(plan: DASPMatrix, k: int, device="A100", *,
-                         tile_ks=TILE_K_CANDIDATES,
-                         reorder: bool = True,
-                         reorder_hint: ReorderResult | None = None,
-                         ) -> SpmmStrategy:
+                         order: BlockPlan | None = None) -> SpmmStrategy:
     """Pick the cheapest modeled strategy for ``k`` right-hand sides.
 
     ``k <= MMA_N`` is a single batch — the looped baseline *is* the
     plan kernel, nothing to tune.  Beyond that the tuner compares the
-    looped baseline against column tiling over ``tile_ks`` and, when
-    ``reorder`` is set and the reorder pass finds a better-than-natural
-    order, the reordered+tiled variant (charging the permuted tile
-    unions).  Building the permuted plan is the expensive part, so it
-    happens only if a non-natural order won the counters.
+    looped baseline against column tiling over
+    :data:`TILE_K_CANDIDATES` and, when *order* holds a
+    better-than-natural row order, the reordered+tiled variant
+    (charging the permuted tile unions).
 
-    ``reorder_hint`` supplies a previously derived
-    :class:`ReorderResult` (typically rebuilt from a persisted ``aux.``
-    permutation via :func:`reorder_from_perm`) and skips the candidate
-    sweep of :func:`reorder_rows`; the pricing and execution are
-    otherwise identical, so a hinted choice is bitwise the derived one.
+    *order* is the plan version's :class:`BlockPlan`; ``None`` derives
+    one (:func:`reorder_rows`).  Callers that tune several ``k`` of one
+    version pass the same instance, so the order and its tile stats are
+    computed once and the permuted plan is built at most once.  An
+    order rebuilt from a stored permutation
+    (``BlockPlan(plan, reorder_from_perm(...))``) prices and executes
+    exactly like the derived one; a natural order
+    (``reorder_from_perm(csr, arange(m))``) disables ``reordered``.
     """
     check(k >= 1, "k must be positive")
+    if order is None:
+        order = BlockPlan(plan)
+    ro = order.reorder
+    n = plan.mma_shape.n
     bits = plan.dtype.itemsize * 8
     looped_s = spmm_looped_cost(plan, device, k)
-    natural = mma_tile_stats(plan.csr, mma_shape=plan.mma_shape)
-    best = SpmmStrategy(name="looped", k=k, tile_k=plan.mma_shape.n,
-                        modeled_s=looped_s, looped_s=looped_s,
-                        stats=natural)
-    if k <= plan.mma_shape.n:
+    best = SpmmStrategy(name="looped", k=k, tile_k=n, modeled_s=looped_s,
+                        looped_s=looped_s, stats=ro.natural_stats)
+    if k <= n:
         return best
 
     def tiled_cost(stats: TileStats):
         out = None
         # Widest-first: on modeled-cost ties, fewer column passes win.
-        for tk in sorted(tile_ks, reverse=True):
-            if tk % plan.mma_shape.n or tk > max(k, plan.mma_shape.n):
+        for tk in sorted(TILE_K_CANDIDATES, reverse=True):
+            if tk % n or tk > max(k, n):
                 continue
             ev = spmm_block_events(plan, device, k, tile_k=tk, stats=stats)
             cost = estimate_time(ev, device, dtype_bits=bits).total
@@ -464,19 +423,15 @@ def choose_spmm_strategy(plan: DASPMatrix, k: int, device="A100", *,
                 out = (tk, cost)
         return out
 
-    choice = tiled_cost(natural)
+    choice = tiled_cost(ro.natural_stats)
     if choice is not None and choice[1] < best.modeled_s:
         best = SpmmStrategy(name="tiled", k=k, tile_k=choice[0],
                             modeled_s=choice[1], looped_s=looped_s,
-                            stats=natural)
-    if reorder:
-        ro = (reorder_hint if reorder_hint is not None
-              else reorder_rows(plan.csr, mma_shape=plan.mma_shape))
-        if not ro.is_identity:
-            choice = tiled_cost(ro.stats)
-            if choice is not None and choice[1] < best.modeled_s:
-                bp = build_block_plan(plan, reorder=ro)
-                best = SpmmStrategy(name="reordered", k=k, tile_k=choice[0],
-                                    modeled_s=choice[1], looped_s=looped_s,
-                                    stats=ro.stats, block_plan=bp)
+                            stats=ro.natural_stats)
+    if not ro.is_identity:
+        choice = tiled_cost(ro.stats)
+        if choice is not None and choice[1] < best.modeled_s:
+            best = SpmmStrategy(name="reordered", k=k, tile_k=choice[0],
+                                modeled_s=choice[1], looped_s=looped_s,
+                                stats=ro.stats, block_plan=order)
     return best

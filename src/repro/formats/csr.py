@@ -217,12 +217,14 @@ class CSRMatrix:
 
 
 def _gather_index(indptr: np.ndarray, rows: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    """Flat indices into data/indices arrays for the given rows."""
-    total = int(lens.sum())
-    gather = np.empty(total, dtype=np.int64)
-    pos = 0
-    starts = indptr[rows]
-    for s, l in zip(starts, lens):
-        gather[pos : pos + l] = np.arange(s, s + l)
-        pos += l
-    return gather
+    """Flat indices into data/indices arrays for the given rows, in order.
+
+    Entry ``j`` of output row ``r`` sits at ``out_start[r] + j`` and
+    comes from ``indptr[rows[r]] + j``, so one ``repeat`` of the per-row
+    shift plus an ``arange`` gives every index without a row loop.
+    """
+    lens = np.asarray(lens, dtype=np.int64)
+    out_start = np.zeros(lens.size, dtype=np.int64)
+    np.cumsum(lens[:-1], out=out_start[1:])
+    shift = np.asarray(indptr, dtype=np.int64)[rows] - out_start
+    return np.arange(int(lens.sum()), dtype=np.int64) + np.repeat(shift, lens)

@@ -103,33 +103,30 @@ def mma_tile_stats(csr, *, mma_shape: MmaShape | None = None,
     if m == 0 or csr.nnz == 0:
         return TileStats(n_tiles=-(-m // M) if m else 0, n_chunks=0,
                          slots=0, nnz=int(csr.nnz), gather_cols=0)
-    if perm is None:
-        order = np.arange(m, dtype=np.int64)
-    else:
+    if perm is not None:
         order = np.asarray(perm, dtype=np.int64)
         check(order.shape == (m,), f"perm must have shape ({m},)")
         check(np.array_equal(np.sort(order), np.arange(m)),
               "perm must be a permutation of the rows")
-    lens = csr.row_lengths()[order]
-    total = int(lens.sum())
-    # Gather every nonzero's (tile, column) pair in permuted row order.
-    owner_pos = np.repeat(np.arange(m, dtype=np.int64), lens)
-    starts = np.zeros(m + 1, dtype=np.int64)
-    np.cumsum(lens, out=starts[1:])
-    offset = np.arange(total, dtype=np.int64) - starts[owner_pos]
-    src = csr.indptr[order[owner_pos]] + offset
-    cols = csr.indices[src].astype(np.int64)
-    tile_of_nnz = owner_pos // M
+        csr = csr.permute_rows(order)
+    # One (tile, column) key per nonzero; a sort brings each tile's
+    # duplicate columns together, so a tile's union size is the number
+    # of key steps inside it (no hashing).
+    tile_of_nnz = np.repeat(np.arange(m, dtype=np.int64) // M,
+                            csr.row_lengths())
+    keys = np.sort(tile_of_nnz * n + csr.indices)
+    first = np.empty(keys.size, dtype=bool)
+    first[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
     n_tiles = -(-m // M)
-    union_sizes = np.bincount(
-        np.unique(tile_of_nnz * n + cols) // n, minlength=n_tiles)
+    union_sizes = np.bincount(keys[first] // n, minlength=n_tiles)
     chunks = -(-union_sizes // K)
     n_chunks = int(chunks.sum())
     return TileStats(
         n_tiles=n_tiles,
         n_chunks=n_chunks,
         slots=n_chunks * M * K,
-        nnz=total,
+        nnz=int(csr.nnz),
         gather_cols=int(union_sizes.sum()),
     )
 

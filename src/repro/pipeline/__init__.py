@@ -35,8 +35,9 @@ in three pieces:
     the synchronous path (``load_only`` lookups never block behind an
     in-flight build — they simply report it as pending).
 
-Double-buffering of shard bands and SpMM column tiles lives with the
-kernels (:func:`repro.core.overlap_schedule`,
+Double-buffering of shard bands and SpMM column tiles is a pricing
+schedule that lives with the cost functions
+(:func:`repro.core.overlap_schedule`,
 :func:`repro.core.spmm_tiled_overlap_cost`,
 ``sharded_batch_cost(double_buffer=True)``); the pipeline config only
 switches it on.  Pipeline-off serving is bit-identical to the

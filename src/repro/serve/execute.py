@@ -40,9 +40,9 @@ from .._util import check
 from ..core.preprocess import traced_preprocess
 from ..core.spmm import (dasp_spmm, dasp_spmm_on_plan, mma_phase_fraction,
                          mma_utilization_from_events, spmm_events)
-from ..core.spmm_block import (DEFAULT_TILE_K, choose_spmm_strategy,
-                               dasp_spmm_large, dasp_spmm_tiled,
-                               reorder_from_perm, spmm_tiled_overlap_cost)
+from ..core.spmm_block import (BlockPlan, choose_spmm_strategy,
+                               dasp_spmm_large, reorder_from_perm,
+                               spmm_tiled_overlap_cost)
 from ..gpu.cost_model import estimate_time
 from ..resilience import (CircuitOpenError, DeadlineExceededError,
                           FallbackExecutor, NumericFault, RetryPolicy)
@@ -66,7 +66,7 @@ class CostModel:
     entry.  A :class:`~repro.shard.ShardedPlan` is charged the LPT
     makespan of its per-shard times over ``workers`` lanes; an
     unsharded batch wider than the MMA tile is charged the large-k
-    strategy the tuner picks (memoized per key and k as well), with the
+    strategy the caller's tuner picked for that key and k, with the
     double-buffered overlap schedule when ``double_buffer`` is set.
     One instance may be shared by several replicas: prices depend only
     on the plan.
@@ -78,28 +78,12 @@ class CostModel:
         self.workers = int(workers)
         self.double_buffer = bool(double_buffer)
         self._entries: dict[tuple[str, int], tuple] = {}
-        self._strategies: dict[tuple[str, int], object] = {}
         self._frac: dict[str, float] = {}
 
-    def strategy(self, key: str, plan, k: int, hint=None):
-        """Tuner choice for one unsharded (version, k) pair.
-
-        ``hint()`` (called only on a miss) may return a
-        :class:`~repro.core.spmm_block.ReorderResult` rebuilt from a
-        persisted permutation.  Racing callers keep the first stored
-        choice, so every batch of a given width executes identically.
-        """
-        got = self._strategies.get((key, k))
-        if got is None:
-            got = self._strategies.setdefault((key, k), choose_spmm_strategy(
-                plan, k, self.device,
-                reorder_hint=hint() if hint is not None else None))
-        return got
-
-    def batch_cost(self, key: str, plan, k: int) -> tuple:
+    def batch_cost(self, key: str, plan, k: int, strategy=None) -> tuple:
         """``(device seconds, useful MMA flops, issued MMA flops,
         KernelEvents)`` of one k-wide batch.  A large-k batch is priced
-        by :meth:`strategy`'s memo — call that first to pass a hint."""
+        by its tuner *strategy* (:meth:`ExecutionCore.strategy`)."""
         got = self._entries.get((key, k))
         if got is not None:
             return got
@@ -116,12 +100,13 @@ class CostModel:
             bits = plan.dtype.itemsize * 8
             ev = spmm_events(plan, self.device, k)
             if _is_large(plan, k):
-                strat = self.strategy(key, plan, k)
-                t = strat.modeled_s
-                if self.double_buffer and strat.name != "looped":
+                check(strategy is not None,
+                      "a large-k batch is priced by its tuner strategy")
+                t = strategy.modeled_s
+                if self.double_buffer and strategy.name != "looped":
                     _, t = spmm_tiled_overlap_cost(
-                        plan, self.device, k, tile_k=strat.tile_k,
-                        stats=strat.stats, dtype_bits=bits)
+                        plan, self.device, k, tile_k=strategy.tile_k,
+                        stats=strategy.stats, dtype_bits=bits)
             else:
                 t = estimate_time(ev, self.device, dtype_bits=bits).total
             util = mma_utilization_from_events(plan, k, ev)
@@ -252,9 +237,7 @@ class NumericExecutor:
                     # the un-spanned entry points: helper threads must
                     # not open root spans in the thread-local tracer
                     band = plan.shards[i].dasp
-                    parts[i] = (dasp_spmm_tiled(band, X, tile_k=DEFAULT_TILE_K)
-                                if X.shape[1] > MMA_N
-                                else dasp_spmm_on_plan(band, X))
+                    parts[i] = dasp_spmm_on_plan(band, X)
                     if self.obs is not None:
                         self.obs.counter("core.shard_executions_total").inc()
                 except Exception as exc:  # noqa: BLE001 — joined below
@@ -338,7 +321,7 @@ class ExecutionCore:
         self.preprocess_deadline_s = preprocess_deadline_s
         self.plan_cache = bool(plan_cache)
         self._shard_choice: dict[str, int] = {}
-        self._hints: dict[str, object] = {}
+        self._perms: dict[str, np.ndarray | None] = {}
         self._rng_lock = threading.Lock()
 
     # ------------------------------------------------------------------
@@ -401,30 +384,47 @@ class ExecutionCore:
         self.clock.charge(charged)
         return plan
 
-    def reorder_hint(self, fp: str, plan):
-        """A persisted ``spmm.reorder_perm`` as a tuner hint, or ``None``.
+    def strategy(self, fp: str, key: str, plan, k: int):
+        """The tuner's choice for a k-wide batch of version *key*, or
+        ``None`` below the large-k tier (and for sharded plans).
 
-        Looked up once per matrix and counted as
-        ``spmm.reorder.{loaded,derived}_total``, so a matrix tuned
-        offline never pays the reorder sweep again."""
-        if fp in self._hints:
-            return self._hints[fp]
-        aux = self.registry.load_aux(fp)
-        hint = None
-        if aux and "spmm.reorder_perm" in aux:
-            hint = reorder_from_perm(plan.csr,
-                                     np.asarray(aux["spmm.reorder_perm"]),
-                                     mma_shape=plan.mma_shape)
-            self.obs.counter("spmm.reorder.loaded_total").inc()
-        else:
-            self.obs.counter("spmm.reorder.derived_total").inc()
-        return self._hints.setdefault(fp, hint)
-
-    def _strategy(self, fp: str, key: str, plan, k: int):
+        The version's row order is derived once (:meth:`_row_order`) and
+        kept, with the per-k choices beside it, in the registry's
+        per-version slot, so all of it retires with the version.
+        Racing callers keep the first stored choice, so every batch of
+        a given width executes identically.
+        """
         if not _is_large(plan, k):
             return None
-        return self.cost.strategy(key, plan, k,
-                                  lambda: self.reorder_hint(fp, plan))
+        order, chosen = self.registry.derived(
+            key, lambda: (self._row_order(fp, plan), {}))
+        got = chosen.get(k)
+        if got is None:
+            got = chosen.setdefault(k, choose_spmm_strategy(
+                plan, k, self.cost.device, order=order))
+        return got
+
+    def _row_order(self, fp: str, plan) -> BlockPlan:
+        """Derive the large-k row order of one plan version.
+
+        A ``spmm.reorder_perm`` persisted with the base artifact is a
+        decision about the matrix, read once per base fingerprint; its
+        tile stats are recomputed on this version's rows.  Without one
+        the candidate sweep runs.  Counted per version as
+        ``spmm.reorder.{loaded,derived}_total``.
+        """
+        if fp not in self._perms:
+            aux = self.registry.load_aux(fp)
+            self._perms[fp] = (np.asarray(aux["spmm.reorder_perm"])
+                               if aux and "spmm.reorder_perm" in aux
+                               else None)
+        perm = self._perms[fp]
+        if perm is None:
+            self.obs.counter("spmm.reorder.derived_total").inc()
+            return BlockPlan(plan)
+        self.obs.counter("spmm.reorder.loaded_total").inc()
+        return BlockPlan(plan, reorder_from_perm(
+            plan.csr, perm, mma_shape=plan.mma_shape))
 
     # ------------------------------------------------------------------
     # batch execution
@@ -469,7 +469,7 @@ class ExecutionCore:
                 self.breaker.record_failure(fp, now)
             self._degrade(batch, key, exc)
             return
-        strat = self._strategy(fp, key, plan, batch.k)
+        strat = self.strategy(fp, key, plan, batch.k)
         if strat is not None:
             self.stats.observe_spmm_large(strat.name)
         retry = self.retry
@@ -512,8 +512,8 @@ class ExecutionCore:
         tracing = self.obs.tracing
         with self.obs.span("kernel", attrs={"attempt": attempt}
                            if tracing else None) as sp:
-            strat = self._strategy(fp, key, plan, k)
-            t, useful, issued, ev = self.cost.batch_cost(key, plan, k)
+            strat = self.strategy(fp, key, plan, k)
+            t, useful, issued, ev = self.cost.batch_cost(key, plan, k, strat)
             t = self.clock.scale(t)
             Y, extra, fault = None, 0.0, None
             try:

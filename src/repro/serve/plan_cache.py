@@ -140,6 +140,8 @@ class PlanRegistry:
         # MatrixVersion chain: base fingerprint -> current version (0 =
         # the original build; version v lives under key "fp@v{v}").
         self._versions: dict[str, int] = {}
+        # State derived from one version's plan (see derived()).
+        self._derived: dict[str, object] = {}
 
     # ------------------------------------------------------------------
     # read-only counter facades (counters only grow)
@@ -328,6 +330,24 @@ class PlanRegistry:
                                            load_only=True)
         return load_s if source == "store" else None
 
+    def derived(self, key: str, make):
+        """State derived from version *key*'s plan, made once per key.
+
+        ``make()`` runs on the first call for *key*, outside the lock
+        (racing callers keep the first stored result) — e.g. the
+        large-k row order of :meth:`ExecutionCore.strategy`.  An entry
+        lives as long as its version: the v/v-1 retention of
+        :meth:`update` and :meth:`rollback` drop it with the version's
+        plan; LRU eviction of the plan does not.
+        """
+        with self._lock:
+            got = self._derived.get(key)
+        if got is None:
+            got = make()
+            with self._lock:
+                got = self._derived.setdefault(key, got)
+        return got
+
     def load_aux(self, fingerprint: str) -> dict | None:
         """Auxiliary arrays published with *fingerprint*'s artifact.
 
@@ -474,12 +494,19 @@ class PlanRegistry:
         reconstructable from the base artifact's delta chain).
         """
         with self._lock:
-            stale = [k for k in self._plans
-                     if self.split_version(k)[0] == base
-                     and (self.split_version(k)[1] or 0) < keep_min]
-            for k in stale:
-                _, nbytes = self._plans.pop(k)
-                self._account(-nbytes)
+            self._drop_versions(base, lambda v: v < keep_min)
+
+    def _drop_versions(self, base: str, drop) -> None:
+        """Drop the RAM plans and :meth:`derived` state of *base*'s
+        versions ``v`` with ``drop(v)`` (caller holds the lock)."""
+        def stale(key: str) -> bool:
+            b, v = self.split_version(key)
+            return b == base and drop(v or 0)
+
+        for k in [k for k in self._plans if stale(k)]:
+            self._account(-self._plans.pop(k)[1])
+        for k in [k for k in self._derived if stale(k)]:
+            del self._derived[k]
 
     def rollback(self, fingerprint: str, version: int):
         """Roll *fingerprint*'s chain back to *version* (cheap undo).
@@ -506,12 +533,7 @@ class PlanRegistry:
             plan = got[0]
             with self._lock:
                 self._versions[base] = version
-                stale = [k for k in self._plans
-                         if self.split_version(k)[0] == base
-                         and (self.split_version(k)[1] or 0) > version]
-                for k in stale:
-                    _, nbytes = self._plans.pop(k)
-                    self._account(-nbytes)
+                self._drop_versions(base, lambda v: v > version)
             self._insert(target, plan)
             return plan
         finally:
@@ -615,6 +637,7 @@ class PlanRegistry:
     def clear(self) -> None:
         with self._lock:
             self._plans.clear()
+            self._derived.clear()
             self._account(-self._resident_bytes)
 
     # ------------------------------------------------------------------

@@ -48,8 +48,7 @@ def _as_sharded(matrix, shards, *, mma_shape=None) -> ShardedPlan:
 
 
 def dasp_spmv_sharded(matrix, x: np.ndarray, *, shards: int = 2,
-                      pool=None, obs=None,
-                      double_buffer: bool = False) -> np.ndarray:
+                      pool=None, obs=None) -> np.ndarray:
     """``y = A @ x`` over row shards; bit-identical to ``dasp_spmv``.
 
     Parameters
@@ -62,12 +61,6 @@ def dasp_spmv_sharded(matrix, x: np.ndarray, *, shards: int = 2,
         ``concurrent.futures.ThreadPoolExecutor``); shards run serially
         without one.  The gather is a concatenation either way, so the
         result does not depend on completion order.
-    double_buffer:
-        Marks the bands as double-buffered for accounting: the modeled
-        clock (``sharded_batch_cost(double_buffer=True)``) overlaps the
-        next band's packed-array stream with the current band's
-        compute.  The numerics are identical either way — the flag only
-        feeds the ``core.pipeline.*`` counters.
     """
     from ..core.spmv import dasp_spmv
     from ..obs import get_obs
@@ -80,9 +73,6 @@ def dasp_spmv_sharded(matrix, x: np.ndarray, *, shards: int = 2,
           f"x must have shape ({plan.shape[1]},)")
     obs.counter("core.shard_spmv_calls_total").inc()
     obs.counter("core.shard_executions_total").inc(plan.n_shards)
-    if double_buffer:
-        obs.counter("core.pipeline.double_buffered_bands_total").inc(
-            plan.n_shards)
 
     def run(shard):
         return dasp_spmv(shard.dasp, x, obs=obs)

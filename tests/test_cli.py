@@ -151,6 +151,30 @@ class TestServeSim:
         out = capsys.readouterr().out
         assert "batched vs request-at-a-time throughput" in out
 
+    def test_spmm_mix_golden(self, capsys):
+        """The large-k tier end to end: tuner choices, their prices and
+        the batching around them, pinned byte for byte."""
+        assert main(["serve-sim", "--requests", "1000", "--matrices", "4",
+                     "--spmm-mix", "0.2"]) == 0
+        assert capsys.readouterr().out == (
+            "| metric | value |\n"
+            "|---|---|\n"
+            "| device / dtype | A100-PCIe-40GB / float64 |\n"
+            "| requests offered / completed | 1,000 / 905 |\n"
+            "| rejected / shed | 95 / 0 |\n"
+            "| batches (mean size) | 268 (3.38) |\n"
+            "| batch-size histogram | 3:1 4:1 5:2 6:2 7:2 8:86 16:59 32:64 64:51 |\n"
+            "| plan cache hit / miss / evict | 264 / 4 / 0 |\n"
+            "| cache hit rate | 98.5% |\n"
+            "| device busy (kernels) | 7.316 ms |\n"
+            "| preprocessing | 2.641 ms |\n"
+            "| makespan | 9.957 ms |\n"
+            "| throughput (kernel time) | 123,703 req/s |\n"
+            "| goodput (incl. preprocess) | 90,889 req/s |\n"
+            "| MMA utilization | 98.5% |\n"
+            "| latency p50 / p95 / p99 | 5311.3 us / 7479.2 us / 7820.8 us |\n"
+        )
+
     def test_unbatched_width(self, capsys):
         assert main(["serve-sim", "--requests", "120", "--matrices", "2",
                      "--max-batch", "1"]) == 0

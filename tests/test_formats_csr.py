@@ -95,6 +95,37 @@ class TestRowOperations:
         assert np.array_equal(sliced.to_dense(), csr.to_dense()[rows])
 
 
+def loop_gather_index(indptr, rows, lens):
+    """Reference: the per-row loop ``_gather_index`` replaced."""
+    gather = np.empty(int(lens.sum()), dtype=np.int64)
+    pos = 0
+    for start, length in zip(indptr[rows], lens):
+        gather[pos:pos + length] = np.arange(start, start + length)
+        pos += length
+    return gather
+
+
+class TestGatherIndex:
+    @pytest.mark.parametrize("empty_frac", [0.0, 0.5, 1.0])
+    def test_matches_loop_reference(self, rng, empty_frac):
+        from repro.formats.csr import _gather_index
+
+        csr = random_csr(40, 30, rng, empty_frac=empty_frac)
+        lens_all = csr.row_lengths()
+        for rows in (rng.permutation(40), rng.integers(0, 40, 70),
+                     np.flatnonzero(lens_all == 0), np.zeros(0, np.int64)):
+            lens = lens_all[rows]
+            got = _gather_index(csr.indptr, rows, lens)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, loop_gather_index(csr.indptr, rows,
+                                                         lens))
+
+    def test_empty_selection_slices_to_no_rows(self, rng):
+        csr = random_csr(10, 12, rng)
+        sliced = csr.row_slice(np.zeros(0, np.int64))
+        assert sliced.shape == (0, 12) and sliced.nnz == 0
+
+
 class TestMatvec:
     def test_matches_scipy(self, profiled_matrix, rng):
         x = rng.standard_normal(profiled_matrix.shape[1])

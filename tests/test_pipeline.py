@@ -9,9 +9,9 @@ import pytest
 
 from repro._util import ValidationError
 from repro.core import (
+    BlockPlan,
     DASPMatrix,
     choose_spmm_strategy,
-    dasp_spmm_tiled,
     overlap_schedule,
     reorder_from_perm,
     reorder_rows,
@@ -37,7 +37,7 @@ from repro.serve import (
     plan_nbytes,
     run_workload,
 )
-from repro.shard import dasp_spmv_sharded, lpt_assign, lpt_makespan, sharded_batch_cost
+from repro.shard import lpt_assign, lpt_makespan, sharded_batch_cost
 from tests.conftest import random_csr
 
 
@@ -181,28 +181,11 @@ class TestOverlapSchedule:
             plan, get_device("A100"), 64)
         assert 0.0 < overlapped <= serial
 
-    def test_double_buffer_bitwise_and_counted(self, rng):
-        plan = DASPMatrix.from_csr(random_csr(64, 120, rng))
-        X = rng.uniform(-1, 1, (120, 48))
-        obs = Obs()
-        base = dasp_spmm_tiled(plan, X)
-        db = dasp_spmm_tiled(plan, X, double_buffer=True, obs=obs)
-        assert np.array_equal(base, db)
-        assert obs.counter(
-            "core.pipeline.double_buffered_tiles_total").value == 2
-
     def test_sharded_double_buffer_bitwise(self, rng):
         from repro.shard import build_sharded_plan
 
         csr = random_csr(120, 150, rng)
         sp = build_sharded_plan(csr, 3)
-        x = rng.uniform(-1, 1, 150)
-        obs = Obs()
-        base = dasp_spmv_sharded(sp, x)
-        db = dasp_spmv_sharded(sp, x, double_buffer=True, obs=obs)
-        assert np.array_equal(base, db)
-        assert obs.counter(
-            "core.pipeline.double_buffered_bands_total").value == 3
         cost = sharded_batch_cost(sp, get_device("A100"), 8, workers=2)
         db_cost = sharded_batch_cost(sp, get_device("A100"), 8, workers=2,
                                      double_buffer=True)
@@ -233,7 +216,7 @@ class TestReorderFromPerm:
         plan = DASPMatrix.from_csr(csr)
         a = choose_spmm_strategy(plan, 64, get_device("A100"))
         b = choose_spmm_strategy(plan, 64, get_device("A100"),
-                                 reorder_hint=loaded)
+                                 order=BlockPlan(plan, loaded))
         assert a.name == b.name and a.modeled_s == b.modeled_s
 
 
@@ -553,6 +536,107 @@ class TestServerReorderAux:
                 fut.result(timeout=10.0)
             # two (fp, k) strategies, one reorder derivation
             assert s.obs.counter("spmm.reorder.derived_total").value == 1
+
+
+class TestLargeKOrderPerVersion:
+    """The row order is derived per plan version key; a stored perm is
+    kept per base fingerprint and re-priced on every version's rows."""
+
+    def _csr(self, rng):
+        return random_csr(96, 128, rng,
+                          row_len_sampler=lambda r, m: r.integers(0, 40, m))
+
+    @staticmethod
+    def _spmm(s, fp, rng, k):
+        fut = s.submit(SpMMRequest(fp, rng.uniform(-1, 1, (128, k))))
+        s.flush()
+        return fut.result(timeout=10.0)
+
+    def test_stored_perm_prices_each_version_with_its_stats(self, tmp_path,
+                                                            rng):
+        """Regression: the stored perm became one ReorderResult per base
+        fingerprint, so v1 was priced with v0's tile stats."""
+        from repro.core import random_delta
+        from repro.serve import SpMVServer
+
+        csr = self._csr(rng)
+        fp = matrix_fingerprint(csr)
+        ro = reorder_rows(csr)
+        store = PlanStore(tmp_path / "s")
+        store.put(fp, DASPMatrix.from_csr(csr),
+                  aux={"spmm.reorder_perm": ro.perm, "spmm.reorder_inv": ro.inv})
+        delta = random_delta(csr, rng, structural=True, n_entries=100,
+                             insert_frac=1.0)
+        with SpMVServer(workers=1, store=store) as s:
+            s.register(csr)
+            self._spmm(s, fp, rng, 32)
+            _, _, plan = s.registry.update(fp, delta, csr=csr)
+            self._spmm(s, fp, rng, 32)
+            fresh = reorder_from_perm(plan.csr, ro.perm)
+            assert fresh.stats != ro.stats
+            want = choose_spmm_strategy(plan, 32, s.core.cost.device,
+                                        order=BlockPlan(plan, fresh))
+            assert s.core.cost._entries[(f"{fp}@v1", 32)][0] \
+                == want.modeled_s
+            assert s.obs.counter("spmm.reorder.loaded_total").value == 2
+            assert s.obs.counter("spmm.reorder.derived_total").value == 0
+
+    def test_one_derivation_per_version_key(self, rng, monkeypatch):
+        """Three tile analyses (natural + two candidate orders) and one
+        order derivation per version key, whatever the number of k."""
+        import repro.core.spmm_block as sb
+        from repro.core import random_delta
+        from repro.serve import SpMVServer
+
+        calls = []
+        real = sb.mma_tile_stats
+        monkeypatch.setattr(sb, "mma_tile_stats",
+                            lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        csr = self._csr(rng)
+        with SpMVServer(workers=1) as s:
+            fp = s.register(csr)
+            for version in range(3):
+                for k in (16, 32, 64, 16, 128):
+                    self._spmm(s, fp, rng, k)
+                assert len(calls) == 3 * (version + 1)
+                assert s.obs.counter(
+                    "spmm.reorder.derived_total").value == version + 1
+                head = s.registry.peek(fp).csr
+                s.registry.update(fp, random_delta(head, rng,
+                                                   structural=True))
+
+    def test_retired_versions_drop_their_permuted_plans(self, rng,
+                                                       monkeypatch):
+        """After N updates under SpMM traffic, only the versions the
+        registry retains (v and v-1) keep a permuted plan alive."""
+        import gc
+        import weakref
+
+        from repro.core import random_delta
+        from repro.formats import CSRMatrix
+        from repro.serve import SpMVServer
+
+        permuted = []
+        real = CSRMatrix.permute_rows
+
+        def tracked(self, perm):
+            out = real(self, perm)
+            permuted.append(weakref.ref(out))
+            return out
+
+        monkeypatch.setattr(CSRMatrix, "permute_rows", tracked)
+        csr = self._csr(rng)
+        with SpMVServer(workers=1) as s:
+            fp = s.register(csr)
+            for _ in range(6):
+                self._spmm(s, fp, rng, 32)
+                head = s.registry.peek(fp).csr
+                s.registry.update(fp, random_delta(head, rng,
+                                                   structural=True))
+            assert s.stats.spmm_large_by_strategy.get("reordered", 0) == 6
+            gc.collect()
+            alive = [r for r in permuted if r() is not None]
+            assert 1 <= len(alive) <= 2
 
 
 # ----------------------------------------------------------------------

@@ -258,6 +258,36 @@ class TestSharedMemoUnderThreads:
             sys.setswitchinterval(old)
 
 
+    def test_concurrent_large_k_blocks_share_one_order_per_version(self,
+                                                                   rng):
+        """Worker threads race on the per-version large-k state: every
+        block stays bitwise the column-wise SpMV, one order is kept per
+        matrix, and each width keeps one strategy."""
+        csrs = [random_csr(60 + 8 * i, 64, rng) for i in range(3)]
+        blocks = [rng.uniform(-1, 1, (64, k)) for k in (16, 32, 16, 32)]
+        want = [[np.stack([dasp_spmv(DASPMatrix.from_csr(a), X[:, j])
+                           for j in range(X.shape[1])], axis=1)
+                 for X in blocks] for a in csrs]
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with SpMVServer(workers=4, queue_depth=4096) as s:
+                fps = [s.register(a) for a in csrs]
+                futs = [(i, j, s.submit(SpMMRequest(fps[i], blocks[j])))
+                        for _ in range(4) for i in range(3)
+                        for j in range(len(blocks))]
+                done, pending = wait([f for _, _, f in futs], timeout=60.0)
+                assert not pending
+                for i, j, f in futs:
+                    np.testing.assert_array_equal(f.result(), want[i][j])
+                slots = s.registry._derived
+                assert set(slots) == set(fps)
+                assert all(set(chosen) == {16, 32}
+                           for _, chosen in slots.values())
+        finally:
+            sys.setswitchinterval(old)
+
+
 class TestServerAfterUpdate:
     @pytest.mark.parametrize("n_updates", [1, 2])
     def test_dasp_and_fallback_read_the_patched_matrix(self, rng,

@@ -2,23 +2,28 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core import DASPMatrix, dasp_spmv
 from repro.core.spmm import dasp_spmm, dasp_spmm_on_plan, spmm_events
 from repro.core.spmm_block import (
-    DEFAULT_TILE_K,
     TILE_K_CANDIDATES,
-    build_block_plan,
+    BlockPlan,
+    SpmmStrategy,
     choose_spmm_strategy,
     dasp_spmm_large,
-    dasp_spmm_tiled,
+    reorder_from_perm,
     reorder_rows,
     spmm_block_events,
     spmm_looped_cost,
 )
 from repro.gpu import estimate_time
-from repro.gpu.tiles import mma_tile_stats, tile_gather_bytes
+from repro.gpu.mma import MmaShape
+from repro.gpu.tiles import TileStats, mma_tile_stats, tile_gather_bytes
+from repro.matrices import representative_suite
 from tests.conftest import ROW_PROFILES, random_csr
+from tests.test_gpu_memory import messy_csrs
 
 
 def column_wise_reference(plan, X):
@@ -27,21 +32,44 @@ def column_wise_reference(plan, X):
                     axis=1)
 
 
+def shuffled_order(plan, rng):
+    """A random (non-natural) row order: any order must be bitwise."""
+    return BlockPlan(plan, reorder_from_perm(
+        plan.csr, rng.permutation(plan.shape[0])))
+
+
+def forced(plan, name, tile_k, k, order=None):
+    """A strategy forced to *name*, whatever the tuner would pick."""
+    return SpmmStrategy(name=name, k=k, tile_k=tile_k, modeled_s=1.0,
+                        looped_s=1.0,
+                        block_plan=order if name == "reordered" else None)
+
+
 class TestTiledExecution:
+    """Every strategy and tile width runs one ``dasp_spmm_on_plan`` call
+    (``tile_k`` only prices), bitwise the column-wise SpMV."""
+
     @pytest.mark.parametrize("tile_k", TILE_K_CANDIDATES)
     def test_bitwise_vs_untiled(self, rng, tile_k):
         csr = random_csr(120, 300, rng)
         plan = DASPMatrix.from_csr(csr)
         X = rng.uniform(-1, 1, (300, 96))
-        Y = dasp_spmm_tiled(plan, X, tile_k=tile_k)
-        assert np.array_equal(Y, dasp_spmm_on_plan(plan, X))
+        ref = column_wise_reference(plan, X)
+        assert np.array_equal(dasp_spmm_on_plan(plan, X), ref)
+        order = shuffled_order(plan, rng)
+        for name in ("looped", "tiled", "reordered"):
+            Y = dasp_spmm_large(plan, X, forced(plan, name, tile_k, 96, order))
+            assert np.array_equal(Y, ref), name
 
     def test_ragged_last_tile(self, rng):
         csr = random_csr(64, 200, rng)
         plan = DASPMatrix.from_csr(csr)
         X = rng.uniform(-1, 1, (200, 50))  # 50 = 32 + 18
-        Y = dasp_spmm_tiled(plan, X, tile_k=32)
-        assert np.array_equal(Y, column_wise_reference(plan, X))
+        ref = column_wise_reference(plan, X)
+        order = shuffled_order(plan, rng)
+        for name in ("looped", "tiled", "reordered"):
+            Y = dasp_spmm_large(plan, X, forced(plan, name, 32, 50, order))
+            assert np.array_equal(Y, ref), name
 
     def test_rejects_bad_tile_k(self, rng):
         from repro._util import ValidationError
@@ -50,10 +78,9 @@ class TestTiledExecution:
         plan = DASPMatrix.from_csr(csr)
         X = rng.uniform(-1, 1, (40, 16))
         with pytest.raises(ValidationError):
-            dasp_spmm_tiled(plan, X, tile_k=12)  # not a multiple of 8
+            spmm_block_events(plan, "A100", 16, tile_k=12)  # not x8
         with pytest.raises(ValidationError):
-            dasp_spmm_tiled(plan, X[:, 0], tile_k=8)  # 1-D
-
+            dasp_spmm_large(plan, X[:, 0], forced(plan, "tiled", 8, 1))
 
 class TestRowReorder:
     @pytest.mark.parametrize("profile", sorted(ROW_PROFILES))
@@ -87,10 +114,12 @@ class TestRowReorder:
         csr = random_csr(128, 350, rng,
                          row_len_sampler=ROW_PROFILES["skewed"])
         plan = DASPMatrix.from_csr(csr)
-        bp = build_block_plan(plan)
+        bp = BlockPlan(plan)
+        assert not bp.reorder.is_identity
         X = rng.uniform(-1, 1, (350, 64))
-        Yp = dasp_spmm_tiled(bp.plan, X, tile_k=DEFAULT_TILE_K)
-        assert np.array_equal(Yp[bp.inv], dasp_spmm_on_plan(plan, X))
+        Yp = dasp_spmm_on_plan(bp.permuted(plan), X)
+        assert bp.permuted(plan) is bp.permuted(plan)
+        assert np.array_equal(Yp[bp.reorder.inv], dasp_spmm_on_plan(plan, X))
 
 
 class TestStrategyBitwise:
@@ -100,16 +129,12 @@ class TestStrategyBitwise:
         plan = DASPMatrix.from_csr(csr)
         X = rng.uniform(-1, 1, (250, 40))
         ref = column_wise_reference(plan, X)
+        tuned = choose_spmm_strategy(plan, 40)
+        assert np.array_equal(dasp_spmm_large(plan, X, tuned), ref)
+        # force each execution path regardless of the tuner choice
+        order = shuffled_order(plan, rng)
         for k_strategy in ("looped", "tiled", "reordered"):
-            strat = choose_spmm_strategy(plan, 40)
-            # force each execution path regardless of the tuner choice
-            if k_strategy == "reordered":
-                from dataclasses import replace
-                strat = replace(strat, name="reordered",
-                                block_plan=build_block_plan(plan))
-            else:
-                from dataclasses import replace
-                strat = replace(strat, name=k_strategy, block_plan=None)
+            strat = forced(plan, k_strategy, tuned.tile_k, 40, order)
             assert np.array_equal(dasp_spmm_large(plan, X, strat), ref), \
                 k_strategy
 
@@ -136,7 +161,9 @@ class TestTuner:
         csr = random_csr(200, 500, rng,
                          row_len_sampler=ROW_PROFILES["skewed"])
         plan = DASPMatrix.from_csr(csr)
-        strat = choose_spmm_strategy(plan, 256, reorder=False)
+        natural = BlockPlan(plan, reorder_from_perm(
+            plan.csr, np.arange(plan.shape[0])))
+        strat = choose_spmm_strategy(plan, 256, order=natural)
         assert strat.name in ("looped", "tiled")
         assert strat.block_plan is None
 
@@ -165,3 +192,66 @@ class TestBlockEvents:
         assert 0.0 < stats.union_ratio <= 1.0
         assert stats.occupancy + stats.padding_waste == pytest.approx(1.0)
         assert tile_gather_bytes(stats, 8, 64, 32) > 0
+
+
+def unique_tile_stats(csr, *, mma_shape=None, perm=None):
+    """Reference: each tile's column union by ``np.unique`` over
+    ``tile * n + col`` keys (the hash-based count ``mma_tile_stats``
+    replaced), gathering the permuted rows one slice at a time."""
+    shape = mma_shape or MmaShape(8, 8, 4, np.dtype(np.float64),
+                                  np.dtype(np.float64), "fp64")
+    M, K = shape.m, shape.k
+    m, n = csr.shape
+    if perm is None:
+        cols, lens = csr.indices.astype(np.int64), csr.row_lengths()
+    else:
+        slices = [csr.indices[csr.indptr[r]:csr.indptr[r + 1]]
+                  for r in perm]
+        cols = (np.concatenate(slices).astype(np.int64) if csr.nnz
+                else np.zeros(0, np.int64))
+        lens = [s.size for s in slices]
+    tiles = np.repeat(np.arange(m, dtype=np.int64) // M, lens)
+    n_tiles = -(-m // M)
+    unions = np.bincount(np.unique(tiles * n + cols) // max(n, 1),
+                         minlength=n_tiles)
+    chunks = int((-(-unions // K)).sum())
+    return TileStats(n_tiles=n_tiles, n_chunks=chunks, slots=chunks * M * K,
+                     nnz=int(csr.nnz), gather_cols=int(unions.sum()))
+
+
+@pytest.fixture(scope="module")
+def suite():
+    return [(e.name, e.matrix()) for e in representative_suite()]
+
+
+class TestTileStatsReference:
+    """The sort-based union count equals the ``np.unique`` reference
+    exactly, as ``sector_counts`` is pinned in ``test_gpu_memory``."""
+
+    def test_suite_matches_unique_reference(self, suite):
+        for name, csr in suite:
+            assert mma_tile_stats(csr) == unique_tile_stats(csr), name
+
+    def test_suite_candidate_orders_match_reference(self, suite):
+        """Every candidate order of the reorder pass, on the three
+        smallest suite matrices (the reference is slow)."""
+        from repro.core.spmm_block import _candidate_orders
+
+        small = sorted((csr for _, csr in suite), key=lambda c: c.nnz)[:3]
+        for csr in small:
+            for name, perm in _candidate_orders(csr).items():
+                assert (mma_tile_stats(csr, perm=perm)
+                        == unique_tile_stats(csr, perm=perm)), name
+
+    @given(messy_csrs(), st.sampled_from([1, 8, 16]),
+           st.sampled_from([1, 4, 8]), st.randoms(use_true_random=False))
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_any_order_and_shape_matches_reference(self, csr, M, K, rnd):
+        shape = MmaShape(M, 8, K, np.dtype(np.float64),
+                         np.dtype(np.float64), "test")
+        perm = np.arange(csr.shape[0], dtype=np.int64)
+        rnd.shuffle(perm)
+        for p in (None, perm):
+            assert (mma_tile_stats(csr, mma_shape=shape, perm=p)
+                    == unique_tile_stats(csr, mma_shape=shape, perm=p))
