@@ -19,10 +19,9 @@ import numpy as np
 
 from benchmarks.conftest import emit
 from repro.bench import markdown_table, record_bench
-from repro.core import choose_shards
 from repro.formats import CSRMatrix
 from repro.serve import SpMVRequest, SpMVServer
-from repro.shard import build_sharded_plan, sharded_batch_cost
+from repro.shard import build_sharded_plan, choose_shards, sharded_batch_cost
 
 WORKERS = 4
 N_REQUESTS = 32

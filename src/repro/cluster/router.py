@@ -48,6 +48,7 @@ from concurrent.futures import Future
 from .._util import ReproError, check
 from ..obs import Obs
 from ..overload import HedgePair, OverloadConfig, OverloadContext
+from ..overload.hedge import HEDGE_DELAY_FACTOR
 from ..resilience.errors import ServerClosedError
 from ..serve.request import SpMMRequest, SpMVRequest
 from ..serve.scheduler import QueueFullError
@@ -201,7 +202,7 @@ class Router:
                prefs, request):
         """Wrap *primary* in a first-wins Future with a hedge timer.
 
-        The timer fires after ``max(min_delay_s, delay_factor x EWMA)``
+        The timer fires after ``max(min_delay_s, HEDGE_DELAY_FACTOR x EWMA)``
         without a primary result and re-issues the request to the next
         replica on the preference walk — sick ones included, because the
         walk doubles as failover on a primary error (unlike the healthy
@@ -220,7 +221,7 @@ class Router:
                  "failed": False}
         lock = threading.Lock()
         ewma = self.placement.latency.ewma(primary_rid)
-        delay = max(cfg.min_delay_s, cfg.delay_factor * ewma)
+        delay = max(cfg.min_delay_s, HEDGE_DELAY_FACTOR * ewma)
         timer = threading.Timer(delay, lambda: issue_hedge())
         timer.daemon = True
 

@@ -14,7 +14,6 @@ from .autotune import (
     MAX_LEN_CANDIDATES,
     THRESHOLD_CANDIDATES,
     TuneResult,
-    choose_shards,
     tune_max_len,
     tune_threshold,
 )
@@ -70,7 +69,6 @@ from .spmm import (
 )
 from .spmm_block import (
     BlockPlan,
-    DEFAULT_TILE_K,
     ReorderResult,
     SpmmStrategy,
     TILE_K_CANDIDATES,
@@ -92,7 +90,6 @@ __all__ = [
     "DEFAULT_COMPACT_THRESHOLD",
     "DEFAULT_MAX_LEN",
     "DEFAULT_THRESHOLD",
-    "DEFAULT_TILE_K",
     "DeltaError",
     "LongRowsPlan",
     "MAX_LEN_CANDIDATES",
@@ -118,7 +115,6 @@ __all__ = [
     "build_short_rows",
     "build_value_scatter",
     "categorize_lengths",
-    "choose_shards",
     "choose_spmm_strategy",
     "classify_rows",
     "clone_for_patch",

@@ -57,17 +57,3 @@ def tune_threshold(csr, device, *, candidates=THRESHOLD_CANDIDATES,
     best = min(times, key=times.get)
     return TuneResult("threshold", best, times)
 
-
-def choose_shards(matrix, workers: int, *, device: str = "A100", k: int = 1,
-                  candidates=None) -> TuneResult:
-    """Sweep row-shard counts for a ``workers``-lane pool against the
-    sharded makespan model and return the best ``S``.
-
-    Thin forwarder to :func:`repro.shard.choose_shards` (imported
-    lazily — :mod:`repro.shard` builds on this module's
-    :class:`TuneResult`, so a top-level import would be circular).
-    """
-    from ..shard import choose_shards as _choose_shards
-
-    return _choose_shards(matrix, workers, device=device, k=k,
-                          candidates=candidates)

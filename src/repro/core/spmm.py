@@ -272,25 +272,38 @@ def spmm_events(dasp: DASPMatrix, device, k: int) -> KernelEvents:
     coalescing factor (one column index fetches ``k`` contiguous
     values), not by the naive ``k`` — see
     :func:`repro.gpu.memory.rhs_block_traffic_factor`.  The gather
-    analysis (:func:`repro.gpu.memory.sector_counts`) runs once and
-    feeds both the x traffic and that factor.
+    analysis (:func:`gather_analysis`) runs once and feeds both the x
+    traffic and that factor.
     """
     check(k >= 1, "k must be positive")
-    base, x_factor = _gather_analysed_events(dasp, device, k)
-    s = dasp.mma_shape
-    return base.scale_rhs(k, mma_n=s.n, mma_flops=s.flops, x_factor=x_factor)
+    return rhs_events(dasp, gather_analysis(dasp, device), k)
 
 
-def _gather_analysed_events(dasp: DASPMatrix, device,
-                            k: int) -> tuple[KernelEvents, float]:
-    """(single-RHS DASP events, RHS-block gather factor at ``k``) from one
-    :func:`repro.gpu.memory.sector_counts` pass."""
+def gather_analysis(dasp: DASPMatrix, device) -> tuple[KernelEvents, int]:
+    """The k-independent half of every k-wide price of *dasp*.
+
+    ``(single-RHS DASP events, per-row sector count)`` from one
+    :func:`repro.gpu.memory.sector_counts` pass; :func:`rhs_events`
+    turns it into the events at any width, so a caller pricing several
+    widths or schedules of one plan counts sectors once.
+    """
     from .method import DASPMethod
 
-    vb = dasp.dtype.itemsize
-    counts = sector_counts(dasp.csr, vb)
-    base = DASPMethod().events_for_counts(dasp, device, counts)
-    return base, rhs_block_factor_from_counts(dasp.csr.nnz, counts[0], vb, k)
+    counts = sector_counts(dasp.csr, dasp.dtype.itemsize)
+    return DASPMethod().events_for_counts(dasp, device, counts), counts[0]
+
+
+def rhs_events(dasp: DASPMatrix, analysis: tuple[KernelEvents, int], k: int,
+               *, union_ratio: float = 1.0) -> KernelEvents:
+    """:func:`spmm_events` at width ``k`` from *dasp*'s
+    :func:`gather_analysis`.  ``union_ratio`` further discounts the x
+    gather (the column-tiled sweep's tile-union deduplication)."""
+    base, per_row = analysis
+    s = dasp.mma_shape
+    x_factor = rhs_block_factor_from_counts(dasp.csr.nnz, per_row,
+                                            dasp.dtype.itemsize, k)
+    return base.scale_rhs(k, mma_n=s.n, mma_flops=s.flops,
+                          x_factor=x_factor * union_ratio)
 
 
 def mma_utilization(dasp: DASPMatrix, k: int) -> float:

@@ -49,10 +49,9 @@ from ..gpu.cost_model import estimate_time
 from ..gpu.events import KernelEvents
 from ..gpu.tiles import TileStats, mma_tile_stats
 from .format import DASPMatrix
-from .spmm import _gather_analysed_events, dasp_spmm_on_plan, spmm_events
+from .spmm import dasp_spmm_on_plan, gather_analysis, rhs_events
 
 __all__ = [
-    "DEFAULT_TILE_K",
     "TILE_K_CANDIDATES",
     "BlockPlan",
     "ReorderResult",
@@ -66,9 +65,6 @@ __all__ = [
     "spmm_looped_cost",
     "spmm_tiled_overlap_cost",
 ]
-
-#: Default column-tile width (4 MMA passes per tile).
-DEFAULT_TILE_K = 32
 
 #: Tile widths the tuner tries — multiples of ``MMA_N = 8`` so every
 #: tile maps to whole MMA passes.
@@ -253,25 +249,27 @@ def dasp_spmm_large(plan: DASPMatrix, X: np.ndarray,
 # ----------------------------------------------------------------------
 
 
-def spmm_looped_cost(plan: DASPMatrix, device, k: int) -> float:
+def spmm_looped_cost(plan: DASPMatrix, device, k: int,
+                     analysis: tuple) -> float:
     """Modeled seconds for looping ``ceil(k / MMA_N)`` column batches.
 
     Each batch pays the full matrix stream, launches, and shuffle work
     again — the serving layer's behavior before this tier existed.
+    *analysis* is *plan*'s :func:`repro.core.spmm.gather_analysis` on
+    *device*.
     """
     check(k >= 1, "k must be positive")
     n = plan.mma_shape.n
     bits = plan.dtype.itemsize * 8
     total = 0.0
     for j0 in range(0, k, n):
-        ev = spmm_events(plan, device, min(n, k - j0))
+        ev = rhs_events(plan, analysis, min(n, k - j0))
         total += estimate_time(ev, device, dtype_bits=bits).total
     return total
 
 
-def spmm_block_events(plan: DASPMatrix, device, k: int, *,
-                      tile_k: int = DEFAULT_TILE_K,
-                      stats: TileStats | None = None) -> KernelEvents:
+def spmm_block_events(plan: DASPMatrix, analysis: tuple, k: int, *,
+                      tile_k: int, stats: TileStats) -> KernelEvents:
     """Device events for one column-tiled large-k sweep.
 
     The matrix stream, launches, and shuffle work are paid **once**
@@ -280,20 +278,17 @@ def spmm_block_events(plan: DASPMatrix, device, k: int, *,
     :meth:`KernelEvents.scale_rhs`; the RHS gather uses the same
     coalesced row-major-block model as the looped baseline, discounted
     by the tile-union deduplication ratio
-    (:attr:`repro.gpu.TileStats.union_ratio`): a column shared by
-    several rows of a tile is fetched once per tile, not once per row —
-    the traffic channel through which row reordering shows up.  The
-    per-warp serial loop runs once per column tile.
+    (:attr:`repro.gpu.TileStats.union_ratio` of the row order's
+    *stats*): a column shared by several rows of a tile is fetched once
+    per tile, not once per row — the traffic channel through which row
+    reordering shows up.  The per-warp serial loop runs once per column
+    tile.  *analysis* is *plan*'s
+    :func:`repro.core.spmm.gather_analysis`.
     """
     check(k >= 1, "k must be positive")
     check(tile_k >= 1 and tile_k % plan.mma_shape.n == 0,
           f"tile_k must be a positive multiple of MMA_N={plan.mma_shape.n}")
-    if stats is None:
-        stats = mma_tile_stats(plan.csr, mma_shape=plan.mma_shape)
-    base, x_factor = _gather_analysed_events(plan, device, k)
-    s = plan.mma_shape
-    ev = base.scale_rhs(k, mma_n=s.n, mma_flops=s.flops,
-                        x_factor=x_factor * stats.union_ratio)
+    ev = rhs_events(plan, analysis, k, union_ratio=stats.union_ratio)
     col_tiles = -(-k // tile_k)
     return replace(ev, serial_iters=ev.serial_iters * col_tiles)
 
@@ -319,12 +314,11 @@ def overlap_schedule(loads, computes) -> float:
     return t + float(computes[-1])
 
 
-def spmm_tiled_overlap_cost(plan: DASPMatrix, device, k: int, *,
-                            tile_k: int = DEFAULT_TILE_K,
-                            stats: TileStats | None = None,
-                            dtype_bits: int | None = None,
+def spmm_tiled_overlap_cost(ev: KernelEvents, device, k: int, *,
+                            tile_k: int, dtype_bits: int,
                             ) -> tuple[float, float]:
-    """``(serial_s, overlapped_s)`` for one column-tiled large-k sweep.
+    """``(serial_s, overlapped_s)`` for one column-tiled large-k sweep
+    whose events (:func:`spmm_block_events`) are *ev*.
 
     Splits the modeled sweep into its RHS-gather component (the
     per-tile ``X`` traffic — the part a second buffer can stage while
@@ -334,10 +328,6 @@ def spmm_tiled_overlap_cost(plan: DASPMatrix, device, k: int, *,
     modeled clock overlaps: execution (:func:`dasp_spmm_large`) is the
     same single call either way.
     """
-    check(k >= 1, "k must be positive")
-    if dtype_bits is None:
-        dtype_bits = plan.dtype.itemsize * 8
-    ev = spmm_block_events(plan, device, k, tile_k=tile_k, stats=stats)
     serial = estimate_time(ev, device, dtype_bits=dtype_bits).total
     compute = estimate_time(replace(ev, bytes_x=0.0), device,
                             dtype_bits=dtype_bits).total
@@ -350,13 +340,18 @@ def spmm_tiled_overlap_cost(plan: DASPMatrix, device, k: int, *,
 
 @dataclass(frozen=True)
 class SpmmStrategy:
-    """A tuner decision for one ``(matrix, k)`` pair.
+    """A tuner decision for one ``(matrix, k)`` pair — and its price.
 
     ``modeled_s`` is the chosen strategy's modeled device seconds for
     the whole k-block; ``looped_s`` the baseline's, so ``speedup`` is
-    the modeled gain over today's batched serving.  ``tile_k`` only
-    prices; ``block_plan`` (``reordered`` only) is the version's shared
-    row order, whose permuted plan execution builds on first use.
+    the modeled gain over today's batched serving; ``overlapped_s`` the
+    chosen schedule under double buffering (:func:`spmm_tiled_overlap_cost`;
+    ``modeled_s`` for ``looped``, which has no tiles to overlap).
+    ``events`` are the block's k-wide events (:func:`repro.core.spmm.
+    spmm_events`), from which MMA utilization and trace attributes are
+    read.  ``tile_k`` only prices; ``block_plan`` (``reordered`` only)
+    is the version's shared row order, whose permuted plan execution
+    builds on first use.
     """
 
     name: str
@@ -364,6 +359,8 @@ class SpmmStrategy:
     tile_k: int
     modeled_s: float
     looped_s: float
+    overlapped_s: float
+    events: KernelEvents
     stats: TileStats | None = None
     block_plan: BlockPlan | None = None
 
@@ -390,6 +387,12 @@ def choose_spmm_strategy(plan: DASPMatrix, k: int, device="A100", *,
     better-than-natural row order, the reordered+tiled variant
     (charging the permuted tile unions).
 
+    The x-gather analysis (:func:`repro.core.spmm.gather_analysis`)
+    runs once per call: every batch width of the looped baseline, every
+    tile candidate of both orders, the k-wide events and the
+    double-buffered time are arithmetic on that one count, so the
+    returned strategy is the block's whole price.
+
     *order* is the plan version's :class:`BlockPlan`; ``None`` derives
     one (:func:`reorder_rows`).  Callers that tune several ``k`` of one
     version pass the same instance, so the order and its tile stats are
@@ -405,33 +408,28 @@ def choose_spmm_strategy(plan: DASPMatrix, k: int, device="A100", *,
     ro = order.reorder
     n = plan.mma_shape.n
     bits = plan.dtype.itemsize * 8
-    looped_s = spmm_looped_cost(plan, device, k)
-    best = SpmmStrategy(name="looped", k=k, tile_k=n, modeled_s=looped_s,
-                        looped_s=looped_s, stats=ro.natural_stats)
-    if k <= n:
-        return best
-
-    def tiled_cost(stats: TileStats):
-        out = None
-        # Widest-first: on modeled-cost ties, fewer column passes win.
-        for tk in sorted(TILE_K_CANDIDATES, reverse=True):
-            if tk % n or tk > max(k, n):
-                continue
-            ev = spmm_block_events(plan, device, k, tile_k=tk, stats=stats)
-            cost = estimate_time(ev, device, dtype_bits=bits).total
-            if out is None or cost < out[1]:
-                out = (tk, cost)
-        return out
-
-    choice = tiled_cost(ro.natural_stats)
-    if choice is not None and choice[1] < best.modeled_s:
-        best = SpmmStrategy(name="tiled", k=k, tile_k=choice[0],
-                            modeled_s=choice[1], looped_s=looped_s,
-                            stats=ro.natural_stats)
-    if not ro.is_identity:
-        choice = tiled_cost(ro.stats)
-        if choice is not None and choice[1] < best.modeled_s:
-            best = SpmmStrategy(name="reordered", k=k, tile_k=choice[0],
-                                modeled_s=choice[1], looped_s=looped_s,
-                                stats=ro.stats, block_plan=order)
-    return best
+    analysis = gather_analysis(plan, device)
+    looped_s = spmm_looped_cost(plan, device, k, analysis)
+    # (name, tile_k, modeled seconds, block events, stats)
+    best = ("looped", n, looped_s, None, ro.natural_stats)
+    if k > n:
+        orders = [("tiled", ro.natural_stats)]
+        if not ro.is_identity:
+            orders.append(("reordered", ro.stats))
+        for name, stats in orders:
+            # Widest-first: on modeled-cost ties, fewer column passes win.
+            for tk in sorted(TILE_K_CANDIDATES, reverse=True):
+                if tk % n or tk > k:
+                    continue
+                ev = spmm_block_events(plan, analysis, k, tile_k=tk,
+                                       stats=stats)
+                cost = estimate_time(ev, device, dtype_bits=bits).total
+                if cost < best[2]:
+                    best = (name, tk, cost, ev, stats)
+    name, tile_k, modeled_s, block_ev, stats = best
+    overlapped_s = modeled_s if block_ev is None else spmm_tiled_overlap_cost(
+        block_ev, device, k, tile_k=tile_k, dtype_bits=bits)[1]
+    return SpmmStrategy(name=name, k=k, tile_k=tile_k, modeled_s=modeled_s,
+                        looped_s=looped_s, overlapped_s=overlapped_s,
+                        events=rhs_events(plan, analysis, k), stats=stats,
+                        block_plan=order if name == "reordered" else None)

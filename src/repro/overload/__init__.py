@@ -109,8 +109,7 @@ class OverloadContext:
                              if self.config.retry_budget is not None else None)
         hedge = self.config.hedge
         self.hedge = hedge
-        self.latency = (LatencyTracker(hedge.ewma_alpha)
-                        if hedge is not None else None)
+        self.latency = LatencyTracker() if hedge is not None else None
         self.hedges_issued = obs.counter("overload.hedge.issued_total")
         self.hedges_won = obs.counter("overload.hedge.won_total")
         self.hedges_wasted = obs.counter("overload.hedge.wasted_total")

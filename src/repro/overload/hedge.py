@@ -38,36 +38,31 @@ from dataclasses import dataclass
 
 from .._util import check
 
+#: Wall-clock hedge timer, as a multiple of the target replica's latency
+#: EWMA: the router re-issues after
+#: ``max(min_delay_s, HEDGE_DELAY_FACTOR * ewma)`` with no result.
+HEDGE_DELAY_FACTOR = 2.0
+
 
 @dataclass(frozen=True)
 class HedgeConfig:
-    """When to hedge, and how the latency signal is smoothed.
+    """When to hedge.
 
     Attributes
     ----------
     factor:
         Straggler threshold: hedge (or demote) a replica whose latency
         EWMA exceeds ``factor`` times the median of its peers'.
-    delay_factor:
-        Wall-clock hedge timer, as a multiple of the target replica's
-        latency EWMA: the router re-issues after
-        ``max(min_delay_s, delay_factor * ewma)`` with no result.
     min_delay_s:
         Floor for the hedge timer so cold EWMAs don't hedge instantly.
-    ewma_alpha:
-        Smoothing weight of the newest sample in the EWMA.
     """
 
     factor: float = 3.0
-    delay_factor: float = 2.0
     min_delay_s: float = 1e-3
-    ewma_alpha: float = 0.2
 
     def __post_init__(self) -> None:
         check(self.factor > 1.0, "factor must be > 1")
-        check(self.delay_factor > 0.0, "delay_factor must be > 0")
         check(self.min_delay_s >= 0.0, "min_delay_s must be >= 0")
-        check(0.0 < self.ewma_alpha <= 1.0, "ewma_alpha must be in (0, 1]")
 
 
 def exceeds_peer_median(mine: float, peers, factor: float) -> bool:

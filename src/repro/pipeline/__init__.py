@@ -37,10 +37,11 @@ in three pieces:
 
 Double-buffering of shard bands and SpMM column tiles is a pricing
 schedule that lives with the cost functions
-(:func:`repro.core.overlap_schedule`,
-:func:`repro.core.spmm_tiled_overlap_cost`,
-``sharded_batch_cost(double_buffer=True)``); the pipeline config only
-switches it on.  Pipeline-off serving is bit-identical to the
+(:func:`repro.core.overlap_schedule`;
+:func:`repro.core.spmm_tiled_overlap_cost`, which the large-k tuner
+applies to its chosen sweep and carries as
+``SpmmStrategy.overlapped_s``; ``sharded_batch_cost(double_buffer=True)``);
+the pipeline config only switches it on.  Pipeline-off serving is bit-identical to the
 pre-pipeline stack, and pipeline-on changes *when* work is charged,
 never what is computed — results stay bitwise equal.
 """

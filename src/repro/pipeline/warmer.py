@@ -43,21 +43,19 @@ class WarmerConfig:
     max_per_tick:
         Warm at most this many matrices per tick, bounding the burst
         of lane work one tick can book.
-    prior_s:
-        Zipf exponent assumed until (and blended with nothing beyond)
-        the observed counts support a fit.
+
+    Until the observed counts support a fit, the Zipf exponent is
+    :func:`zipf_fit`'s default.
     """
 
     min_observed: int = 16
     min_share: float = 0.0
     max_per_tick: int = 2
-    prior_s: float = 1.1
 
     def __post_init__(self) -> None:
         check(self.min_observed >= 0, "min_observed must be >= 0")
         check(0.0 <= self.min_share < 1.0, "min_share must be in [0, 1)")
         check(self.max_per_tick >= 1, "max_per_tick must be >= 1")
-        check(self.prior_s > 0.0, "prior_s must be > 0")
 
 
 def zipf_fit(counts, *, default: float = 1.1) -> float:
@@ -150,8 +148,7 @@ class SpeculativeWarmer:
         fps = list(self._catalog)
         counts = {fp: self.count(fp) for fp in fps}
         order = sorted(range(len(fps)), key=lambda i: (-counts[fps[i]], i))
-        s = zipf_fit(sorted(counts.values(), reverse=True),
-                     default=self.cfg.prior_s)
+        s = zipf_fit(sorted(counts.values(), reverse=True))
         ranks = np.arange(1, len(fps) + 1, dtype=np.float64)
         shares = ranks ** -s
         shares /= shares.sum()

@@ -5,8 +5,8 @@ independently: ``failure_threshold`` *consecutive* failures open the
 key's circuit, an open circuit quarantines the fingerprint (the server
 answers from the merge-CSR fallback without touching the DASP path),
 and after ``recovery_s`` the next request is admitted as a half-open
-probe — ``half_open_probes`` consecutive probe successes re-close the
-circuit, any probe failure re-opens it.
+probe — a probe success re-closes the circuit, a probe failure
+re-opens it.
 
 Time is always passed in by the caller (the codebase-wide convention),
 so the same breaker runs under the wall-clocked server and the
@@ -31,21 +31,18 @@ class BreakerConfig:
 
     failure_threshold: int = 3
     recovery_s: float = 0.05
-    half_open_probes: int = 1
 
     def __post_init__(self) -> None:
         check(self.failure_threshold >= 1, "failure_threshold must be >= 1")
         check(self.recovery_s >= 0.0, "recovery_s must be >= 0")
-        check(self.half_open_probes >= 1, "half_open_probes must be >= 1")
 
 
 class _Entry:
-    __slots__ = ("state", "failures", "successes", "opened_at")
+    __slots__ = ("state", "failures", "opened_at")
 
     def __init__(self) -> None:
         self.state = CLOSED
         self.failures = 0    # consecutive failures while closed
-        self.successes = 0   # consecutive probe successes while half-open
         self.opened_at = 0.0
 
 
@@ -99,7 +96,6 @@ class CircuitBreaker:
             if e.state == OPEN:
                 if now - e.opened_at >= self.config.recovery_s:
                     self._move(e, HALF_OPEN)
-                    e.successes = 0
                     return True
                 return False
             return True
@@ -108,10 +104,8 @@ class CircuitBreaker:
         with self._lock:
             e = self._entry(key)
             if e.state == HALF_OPEN:
-                e.successes += 1
-                if e.successes >= self.config.half_open_probes:
-                    self._move(e, CLOSED)
-                    e.failures = 0
+                self._move(e, CLOSED)
+                e.failures = 0
             elif e.state == CLOSED:
                 e.failures = 0
 

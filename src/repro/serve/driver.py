@@ -68,6 +68,9 @@ from .plan_cache import DEFAULT_BUDGET_BYTES, PlanRegistry, matrix_fingerprint
 from .request import SpMMRequest, SpMVRequest
 from .stats import ServerStats
 
+#: Extra modeled microseconds a chaos-mix latency rule charges.
+CHAOS_LATENCY_US = 300.0
+
 
 @dataclass
 class ChaosConfig:
@@ -80,23 +83,22 @@ class ChaosConfig:
         5% of eligible calls hit some fault).
     seed:
         RNG seed of the injector (independent of the traffic seed).
-    latency_us:
-        Extra modeled microseconds charged when a latency rule fires.
     kinds:
         Which fault kinds participate in the even split.
-    poison_rank / poison_rate:
-        Optionally make the ``poison_rank``-th pool matrix fail its
-        kernel with probability ``poison_rate`` — the deterministic way
-        to exercise the circuit breaker under Zipf traffic.
+    poison_rank:
+        Optionally make the ``poison_rank``-th pool matrix fail every
+        kernel — the deterministic way to exercise the circuit breaker
+        under Zipf traffic.
+
+    A latency rule that fires charges :data:`CHAOS_LATENCY_US` extra
+    modeled microseconds.
     """
 
     fault_rate: float = 0.05
     seed: int = 7
-    latency_us: float = 300.0
     kinds: tuple = ("preprocess_error", "kernel_error", "kernel_nan",
                     "latency")
     poison_rank: int | None = None
-    poison_rate: float = 1.0
 
 
 @dataclass
@@ -265,13 +267,13 @@ def _build_injector(cfg: WorkloadConfig, pool) -> FaultInjector | None:
     if chaos is None:
         return None
     plan = FaultPlan.chaos_mix(chaos.fault_rate, seed=chaos.seed,
-                               latency_s=chaos.latency_us * 1e-6,
+                               latency_s=CHAOS_LATENCY_US * 1e-6,
                                kinds=chaos.kinds)
     if chaos.poison_rank is not None:
         check(0 <= chaos.poison_rank < len(pool),
               "poison_rank outside the matrix pool")
         plan.rules.append(FaultRule(
-            kind="kernel_error", rate=chaos.poison_rate,
+            kind="kernel_error", rate=1.0,
             fingerprint=pool[chaos.poison_rank][1]))
     return FaultInjector(plan)
 

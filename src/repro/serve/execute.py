@@ -3,11 +3,11 @@
 DASP splits a one-time analysis (CSR -> MMA-friendly plan) from a cheap
 execution that repeats.  The serving policy wrapped around that
 execution — which plan version a batch reads, the circuit-breaker gate,
-plan acquisition (shard choice, traced build, preprocess deadline,
-store load), the attempt / retry / retry-budget loop, merge-CSR
-degradation and the final bookkeeping — lives here exactly once, in
+plan acquisition (shard choice, traced build, store load), the
+attempt / retry / retry-budget loop, merge-CSR degradation and the
+final bookkeeping — lives here exactly once, in
 :class:`ExecutionCore`.  Every batch is priced by one memoized
-:class:`CostModel` keyed by ``(plan version key, k)``.
+:class:`CostModel` entry keyed by ``(plan version key, k)``.
 
 The two serving shells differ only in what they plug in:
 
@@ -41,14 +41,12 @@ from ..core.preprocess import traced_preprocess
 from ..core.spmm import (dasp_spmm, dasp_spmm_on_plan, mma_phase_fraction,
                          mma_utilization_from_events, spmm_events)
 from ..core.spmm_block import (BlockPlan, choose_spmm_strategy,
-                               dasp_spmm_large, reorder_from_perm,
-                               spmm_tiled_overlap_cost)
+                               dasp_spmm_large, reorder_from_perm)
 from ..gpu.cost_model import estimate_time
 from ..resilience import (CircuitOpenError, DeadlineExceededError,
                           FallbackExecutor, NumericFault, RetryPolicy)
 from ..shard import (ShardedPlan, choose_shards, sharded_batch_cost,
-                     sharded_cost_from_events, sharded_phase_fraction,
-                     sharded_spmm_events, traced_preprocess_sharded)
+                     traced_preprocess_sharded)
 from .batcher import MMA_N
 from .plan_cache import PlanRegistry
 
@@ -59,17 +57,20 @@ def _is_large(plan, k: int) -> bool:
 
 
 class CostModel:
-    """Memoized modeled batch times per ``(plan version key, k)``.
+    """One memoized price per ``(plan version key, k)``.
 
     The key is the registry's version key (``fp`` or ``fp@vN``), so a
     delta — which lands under a new key — never reuses the pre-update
     entry.  A :class:`~repro.shard.ShardedPlan` is charged the LPT
     makespan of its per-shard times over ``workers`` lanes; an
     unsharded batch wider than the MMA tile is charged the large-k
-    strategy the caller's tuner picked for that key and k, with the
-    double-buffered overlap schedule when ``double_buffer`` is set.
-    One instance may be shared by several replicas: prices depend only
-    on the plan.
+    strategy the caller's tuner picked for that key and k (its
+    double-buffered time when ``double_buffer`` is set).  A cold price
+    runs the x-gather analysis once (once per shard band; for a large-k
+    batch inside the tuner), and everything read off a batch — charge,
+    MMA flops, events, the tracer's phase split — comes from this one
+    entry.  One instance may be shared by several replicas: prices
+    depend only on the plan.
     """
 
     def __init__(self, device, *, workers: int = 1,
@@ -78,49 +79,43 @@ class CostModel:
         self.workers = int(workers)
         self.double_buffer = bool(double_buffer)
         self._entries: dict[tuple[str, int], tuple] = {}
-        self._frac: dict[str, float] = {}
 
     def batch_cost(self, key: str, plan, k: int, strategy=None) -> tuple:
         """``(device seconds, useful MMA flops, issued MMA flops,
-        KernelEvents)`` of one k-wide batch.  A large-k batch is priced
-        by its tuner *strategy* (:meth:`ExecutionCore.strategy`)."""
+        KernelEvents, bands)`` of one k-wide batch.  ``bands`` holds one
+        ``(modeled seconds, regular-MMA share)`` pair per shard band
+        (one pair for an unsharded plan) for span attribution.  A
+        large-k batch is priced by its tuner *strategy*
+        (:meth:`ExecutionCore.strategy`), which carries its price."""
         got = self._entries.get((key, k))
         if got is not None:
             return got
         if isinstance(plan, ShardedPlan):
-            evs = sharded_spmm_events(plan, self.device, k)
-            cost = sharded_cost_from_events(
-                plan, evs, self.device, k, workers=self.workers,
-                double_buffer=self.double_buffer)
-            combined = evs[0]
-            for e in evs[1:]:
+            cost = sharded_batch_cost(plan, self.device, k,
+                                      workers=self.workers,
+                                      double_buffer=self.double_buffer)
+            combined = cost.events[0]
+            for e in cost.events[1:]:
                 combined = combined.combine(e)
-            got = (cost.makespan, cost.useful_mma, cost.issued_mma, combined)
+            bands = tuple(zip(cost.per_shard, (mma_phase_fraction(s.dasp)
+                                               for s in plan.shards)))
+            got = (cost.makespan, cost.useful_mma, cost.issued_mma, combined,
+                   bands)
         else:
-            bits = plan.dtype.itemsize * 8
-            ev = spmm_events(plan, self.device, k)
             if _is_large(plan, k):
                 check(strategy is not None,
                       "a large-k batch is priced by its tuner strategy")
-                t = strategy.modeled_s
-                if self.double_buffer and strategy.name != "looped":
-                    _, t = spmm_tiled_overlap_cost(
-                        plan, self.device, k, tile_k=strategy.tile_k,
-                        stats=strategy.stats, dtype_bits=bits)
+                ev = strategy.events
+                t = (strategy.overlapped_s if self.double_buffer
+                     else strategy.modeled_s)
             else:
-                t = estimate_time(ev, self.device, dtype_bits=bits).total
+                ev = spmm_events(plan, self.device, k)
+                t = estimate_time(ev, self.device,
+                                  dtype_bits=plan.dtype.itemsize * 8).total
             util = mma_utilization_from_events(plan, k, ev)
-            got = (t, util * ev.flops_mma, ev.flops_mma, ev)
+            got = (t, util * ev.flops_mma, ev.flops_mma, ev,
+                   ((t, mma_phase_fraction(plan)),))
         return self._entries.setdefault((key, k), got)
-
-    def phase_fraction(self, key: str, plan) -> float:
-        """Memoized regular-MMA share of the modeled time (for spans)."""
-        frac = self._frac.get(key)
-        if frac is None:
-            frac = self._frac.setdefault(key, (
-                sharded_phase_fraction(plan) if isinstance(plan, ShardedPlan)
-                else mma_phase_fraction(plan)))
-        return frac
 
 
 class VirtualClock:
@@ -283,9 +278,6 @@ class ExecutionCore:
         (:func:`repro.shard.choose_shards` over ``shard_workers`` lanes
         at width ``shard_k``); ``shard_hints`` holds per-matrix
         overrides.
-    preprocess_deadline_s:
-        Budget for one modeled preprocessing pass (over it: the plan
-        acquisition fails and the batch degrades).
     plan_cache:
         ``False`` rebuilds (and charges) the plan for every batch.
     """
@@ -296,7 +288,6 @@ class ExecutionCore:
                  retry: RetryPolicy | None = None, retry_rng=None,
                  retry_budget=None, fallback: bool = True,
                  shards=None, shard_workers: int = 1, shard_k: int = MMA_N,
-                 preprocess_deadline_s: float | None = None,
                  plan_cache: bool = True) -> None:
         self.device = device
         self.registry = registry
@@ -318,7 +309,6 @@ class ExecutionCore:
         self.shard_workers = int(shard_workers)
         self.shard_k = int(shard_k)
         self.shard_hints: dict[str, int | str] = {}
-        self.preprocess_deadline_s = preprocess_deadline_s
         self.plan_cache = bool(plan_cache)
         self._shard_choice: dict[str, int] = {}
         self._perms: dict[str, np.ndarray | None] = {}
@@ -357,17 +347,11 @@ class ExecutionCore:
     def acquire(self, fp: str, key: str):
         """Fetch or build the plan for version *key*, charging the
         modeled build or load time.  Raises on injected preprocess
-        faults, a blown preprocess deadline, or an over-budget plan."""
+        faults or an over-budget plan."""
         pre: dict[str, float] = {}
 
         def build(csr):
-            plan, seconds = self.build(fp, csr)
-            if (self.preprocess_deadline_s is not None
-                    and seconds > self.preprocess_deadline_s):
-                raise DeadlineExceededError(
-                    f"preprocess needs {seconds:.6f}s modeled, over the "
-                    f"{self.preprocess_deadline_s:.6f}s budget")
-            pre["s"] = seconds
+            plan, pre["s"] = self.build(fp, csr)
             return plan
 
         csr = self.matrices[fp]
@@ -513,7 +497,8 @@ class ExecutionCore:
         with self.obs.span("kernel", attrs={"attempt": attempt}
                            if tracing else None) as sp:
             strat = self.strategy(fp, key, plan, k)
-            t, useful, issued, ev = self.cost.batch_cost(key, plan, k, strat)
+            t, useful, issued, ev, bands = self.cost.batch_cost(
+                key, plan, k, strat)
             t = self.clock.scale(t)
             Y, extra, fault = None, 0.0, None
             try:
@@ -537,26 +522,23 @@ class ExecutionCore:
                     sp.set_attr("fault", type(fault).__name__)
                 else:
                     # only successful attempts reach the stats counters
-                    self._trace_kernel(sp, key, plan, k, t + extra, ev, strat)
+                    self._trace_kernel(sp, plan, t + extra, ev, bands, strat)
         return Y, t, useful, issued, extra, fault
 
-    def _trace_kernel(self, sp, key, plan, k, total, ev, strat) -> None:
+    def _trace_kernel(self, sp, plan, total, ev, bands, strat) -> None:
         if isinstance(plan, ShardedPlan):
             # one `shard` span per band, phase children scaled so the
             # attributed sum equals the makespan the batch is charged
             sp.set_attr("shards", plan.n_shards)
-            cost = sharded_batch_cost(plan, self.device, k,
-                                      workers=self.cost.workers)
-            scale = (total / cost.serial) if cost.serial else 0.0
-            for i, band in enumerate(plan.shards):
-                t_i = cost.per_shard[i]
-                frac_i = mma_phase_fraction(band.dasp)
+            serial = sum(t_i for t_i, _ in bands)
+            scale = (total / serial) if serial else 0.0
+            for i, (t_i, frac_i) in enumerate(bands):
                 ssp = sp.child("shard", attrs={"shard": i, "modeled_s": t_i})
                 ssp.child("regular_mma", device_s=t_i * scale * frac_i)
                 ssp.child("irregular_csr",
                           device_s=t_i * scale * (1.0 - frac_i))
         else:
-            frac = self.cost.phase_fraction(key, plan)
+            (_, frac), = bands
             sp.child("regular_mma", device_s=total * frac)
             sp.child("irregular_csr", device_s=total * (1.0 - frac))
         if strat is not None:

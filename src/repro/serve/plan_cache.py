@@ -360,22 +360,6 @@ class PlanRegistry:
             return None
         return self.store.load_aux(fingerprint)
 
-    def _store_version(self, base: str) -> int | None:
-        """Version the store would reconstruct for *base* (header-only
-        peek — no payload read), or ``None`` when absent/corrupt."""
-        header = self.store.peek_header(base)
-        if header is None:
-            return None
-        names = header.get("aux") or []
-        deltas = [int(n.split(".")[1]) for n in names
-                  if n.startswith("delta.") and n != "delta.base"]
-        if deltas:
-            return max(deltas)
-        if "delta.base" in names:
-            state = self.store.delta_state(base)
-            return state[0] if state is not None else None
-        return 0
-
     def _load_from_store(self, base: str, *, want_version: int | None = None,
                          gate: bool = True):
         """One traced disk-tier load attempt (inside single-flight).
@@ -387,7 +371,7 @@ class PlanRegistry:
         rebuild from the caller's current CSR."""
         attrs = {"matrix": base[:8]} if self.obs.tracing else None
         with self.obs.span("plan.load", attrs=attrs) as sp:
-            stored_v = self._store_version(base)
+            stored_v = self.store.current_version(base)
             if stored_v is None:
                 return None
             if want_version is not None and stored_v != want_version:

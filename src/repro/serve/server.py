@@ -87,10 +87,6 @@ class SpMVServer:
     default_deadline_s:
         Deadline applied to every request that does not pass its own
         (``None`` = no deadline).
-    preprocess_deadline_s:
-        Budget for one modeled preprocessing pass; exceeding it counts
-        as a preprocess failure and degrades the batch (``None`` = no
-        budget).
     retry:
         :class:`RetryPolicy` for transiently-failed batches.
     breaker:
@@ -177,7 +173,6 @@ class SpMVServer:
                  workers: int = 2, queue_depth: int = 64,
                  policy: str = "reject",
                  default_deadline_s: float | None = None,
-                 preprocess_deadline_s: float | None = None,
                  retry: RetryPolicy | None = None,
                  breaker: BreakerConfig | None = BreakerConfig(),
                  fault_injector=None,
@@ -234,8 +229,7 @@ class SpMVServer:
             outcomes=self, matrices=self._matrices, breaker=self.breaker,
             injector=fault_injector, retry=retry, retry_rng=default_rng(seed),
             retry_budget=self.retry_budget, fallback=fallback, shards=shards,
-            shard_workers=workers, shard_k=max_batch,
-            preprocess_deadline_s=preprocess_deadline_s)
+            shard_workers=workers, shard_k=max_batch)
         if warmer:
             self._warmer = SpeculativeWarmer(
                 warmer if isinstance(warmer, WarmerConfig) else None, obs=obs)
@@ -261,6 +255,9 @@ class SpMVServer:
 
     @fault_injector.setter
     def fault_injector(self, injector) -> None:
+        if injector is not None:
+            # as at construction: firings count in this server's stats
+            injector.bind(self.obs)
         self.core.injector = injector
 
     # ------------------------------------------------------------------

@@ -16,15 +16,14 @@ intra-kernel parallelism) shows up as a worse modeled time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .._util import check
 from ..core.autotune import TuneResult
 from ..core.format import DASPMatrix
-from ..core.spmm import (mma_phase_fraction, mma_utilization_from_events,
-                         spmm_events)
+from ..core.spmm import mma_utilization_from_events, spmm_events
 from ..gpu.cost_model import estimate_time
 from ..gpu.device import get_device
 from .plan import ShardedPlan, build_sharded_plan
@@ -118,7 +117,8 @@ class ShardCost:
     ``per_shard`` holds each shard's seconds (kernel estimate plus one
     dispatch overhead when ``S > 1``); ``makespan`` is the LPT-schedule
     finish time over the worker lanes; ``serial`` is the sum — what a
-    single lane would pay.
+    single lane would pay; ``events`` each shard's k-wide
+    :class:`~repro.gpu.events.KernelEvents`.
     """
 
     per_shard: tuple
@@ -126,6 +126,7 @@ class ShardCost:
     serial: float
     useful_mma: float
     issued_mma: float
+    events: tuple
 
     @property
     def speedup(self) -> float:
@@ -157,24 +158,18 @@ def lpt_assign(times, workers: int) -> list:
     return assign
 
 
-def sharded_spmm_events(plan: ShardedPlan, device, k: int = 1) -> list:
-    """Per-shard :class:`~repro.gpu.events.KernelEvents` for a k-RHS
-    product."""
-    device = get_device(device)
-    return [spmm_events(s.dasp, device, k) for s in plan.shards]
-
-
 def sharded_batch_cost(plan: ShardedPlan, device, k: int = 1, *,
                        workers: int = 1,
                        dtype_bits: int | None = None,
                        double_buffer: bool = False) -> ShardCost:
     """Modeled cost of running one k-RHS batch over *plan*'s shards.
 
-    Each shard is charged its own cost-model time plus one
-    ``device.launch_overhead_s`` dispatch overhead (the fan-out
-    coordination a single-kernel launch does not pay; ``S = 1`` is the
-    plain path and pays none), then the shards are LPT-scheduled on
-    ``workers`` lanes.
+    Each shard is priced from its own k-wide events (one x-gather
+    analysis per band, kept in ``events``) and charged its cost-model
+    time plus one ``device.launch_overhead_s`` dispatch overhead (the
+    fan-out coordination a single-kernel launch does not pay; ``S = 1``
+    is the plain path and pays none), then the shards are LPT-scheduled
+    on ``workers`` lanes.
 
     With ``double_buffer=True`` each lane overlaps the *next* band's
     packed-array stream (values / column ids / pointers) with the
@@ -183,34 +178,24 @@ def sharded_batch_cost(plan: ShardedPlan, device, k: int = 1, *,
     clock; ``serial`` and ``per_shard`` still report the unoverlapped
     figures, so the makespan never exceeds the plain schedule's.
     """
-    return sharded_cost_from_events(
-        plan, sharded_spmm_events(plan, device, k), device, k,
-        workers=workers, dtype_bits=dtype_bits, double_buffer=double_buffer)
-
-
-def sharded_cost_from_events(plan: ShardedPlan, events, device, k: int = 1,
-                             *, workers: int = 1,
-                             dtype_bits: int | None = None,
-                             double_buffer: bool = False) -> ShardCost:
-    """:func:`sharded_batch_cost` priced from already computed per-shard
-    ``events`` (:func:`sharded_spmm_events` at the same ``k``)."""
-    from dataclasses import replace as _replace
-
     device = get_device(device)
     if dtype_bits is None:
         dtype_bits = np.dtype(plan.dtype).itemsize * 8
     dispatch = device.launch_overhead_s if plan.n_shards > 1 else 0.0
+    events = []
     per_shard = []
     loads = []
     computes = []
     useful = 0.0
     issued = 0.0
-    for shard, ev in zip(plan.shards, events):
+    for shard in plan.shards:
+        ev = spmm_events(shard.dasp, device, k)
+        events.append(ev)
         t = estimate_time(ev, device, dtype_bits=dtype_bits).total + dispatch
         per_shard.append(t)
         if double_buffer:
             c = estimate_time(
-                _replace(ev, bytes_val=0.0, bytes_idx=0.0, bytes_ptr=0.0),
+                replace(ev, bytes_val=0.0, bytes_idx=0.0, bytes_ptr=0.0),
                 device, dtype_bits=dtype_bits).total + dispatch
             computes.append(c)
             loads.append(max(t - c, 0.0))
@@ -232,16 +217,8 @@ def sharded_cost_from_events(plan: ShardedPlan, events, device, k: int = 1,
         serial=float(sum(per_shard)),
         useful_mma=useful,
         issued_mma=issued,
+        events=tuple(events),
     )
-
-
-def sharded_phase_fraction(plan: ShardedPlan) -> float:
-    """nnz-weighted regular-MMA share across shards (span attribution)."""
-    nnz = plan.nnz
-    if nnz <= 0:
-        return 1.0
-    return float(sum(mma_phase_fraction(s.dasp) * s.nnz
-                     for s in plan.shards) / nnz)
 
 
 def shard_candidates(workers: int, n_rows: int) -> tuple:

@@ -348,12 +348,24 @@ class PlanStore:
 
     def current_version(self, fingerprint: str) -> int | None:
         """Version :meth:`load` reconstructs — the newest retained
-        delta, or the payload's base version."""
-        state = self.delta_state(fingerprint)
-        if state is None:
+        delta, or the payload's base version; ``None`` when
+        absent/corrupt.
+
+        The header's aux names answer without reading any aux payload
+        unless only ``delta.base`` is listed (its value is the answer).
+        """
+        header = self.peek_header(fingerprint)
+        if header is None:
             return None
-        base, versions = state
-        return versions[-1] if versions else base
+        names = header.get("aux") or []
+        versions = [int(n.split(".")[1]) for n in names
+                    if n.startswith("delta.") and n != "delta.base"]
+        if versions:
+            return max(versions)
+        if "delta.base" in names:
+            state = self.delta_state(fingerprint)
+            return state[0] if state is not None else None
+        return 0
 
     def _replay_deltas(self, plan, aux: dict, *,
                        upto: int | None = None):

@@ -402,6 +402,34 @@ class TestServeSimTrace:
         jsonschema.validate(doc, json.loads(schema_path.read_text()))
         assert doc["attribution"]["coverage"] >= 0.95
 
+    @pytest.mark.parametrize("flags, digest", [
+        (["--shards", "4"],
+         "128bf87d8495b7f533477c26d8d785b5d0563e2d5b2e352ac1a68ec2880b6678"),
+        (["--spmm-mix", "0.2", "--pipeline"],
+         "50198fde7212510aec9d7fe371ee0f93507d8c3f4ffc28ee44bbb3a335cd5ae0"),
+    ], ids=["shards4", "spmm_pipeline"])
+    def test_trace_json_golden(self, tmp_path, capsys, flags, digest):
+        """Every modeled span time, phase split and attribute of a
+        sharded and a large-k pipelined run, pinned: the sha256 of the
+        trace document with its wall-clock fields dropped."""
+        import hashlib
+        import json
+
+        def modeled(node):
+            if isinstance(node, dict):
+                return {k: modeled(v) for k, v in node.items()
+                        if k not in ("t0_s", "t1_s", "wall_s")}
+            if isinstance(node, list):
+                return [modeled(v) for v in node]
+            return node
+
+        out_path = tmp_path / "trace.json"
+        assert main(["serve-sim", "--requests", "300", "--matrices", "3",
+                     *flags, "--trace-json", str(out_path)]) == 0
+        doc = modeled(json.loads(out_path.read_text()))
+        text = json.dumps(doc, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
     def test_trace_prom_output(self, tmp_path, capsys):
         out_path = tmp_path / "metrics.prom"
         assert main(["serve-sim", "--requests", "150", "--matrices", "2",

@@ -15,9 +15,12 @@ from repro.core import (
     overlap_schedule,
     reorder_from_perm,
     reorder_rows,
+    spmm_block_events,
     spmm_tiled_overlap_cost,
 )
+from repro.core.spmm import gather_analysis
 from repro.gpu.device import get_device
+from repro.gpu.tiles import mma_tile_stats
 from repro.obs import Obs
 from repro.pipeline import (
     PipelineConfig,
@@ -177,8 +180,10 @@ class TestOverlapSchedule:
 
     def test_tiled_overlap_bounds(self, rng):
         plan = DASPMatrix.from_csr(random_csr(96, 200, rng))
+        ev = spmm_block_events(plan, gather_analysis(plan, "A100"), 64,
+                               tile_k=32, stats=mma_tile_stats(plan.csr))
         serial, overlapped = spmm_tiled_overlap_cost(
-            plan, get_device("A100"), 64)
+            ev, get_device("A100"), 64, tile_k=32, dtype_bits=64)
         assert 0.0 < overlapped <= serial
 
     def test_sharded_double_buffer_bitwise(self, rng):

@@ -11,7 +11,8 @@ server; these tests pin what that buys:
   compute the patched matrix, and the next batch is priced on it;
 * the server never loses a future under queue-full backpressure;
 * the cost model runs once per (version, k), not once per batch, and
-  a cold price runs the x-gather analysis once (once per shard).
+  a cold price runs the x-gather analysis once (once per shard) — the
+  large-k tuner and the tracer included.
 """
 
 import sys
@@ -24,11 +25,12 @@ import pytest
 
 from repro.core import DASPMatrix, dasp_spmv
 from repro.core.delta import random_delta
-from repro.core.spmm import mma_utilization, spmm_events
+from repro.core.spmm import gather_analysis, mma_utilization, spmm_events
+from repro.core.spmm_block import spmm_block_events, spmm_tiled_overlap_cost
 from repro.gpu import get_device
 from repro.gpu import memory as gpu_memory
 from repro.gpu.cost_model import estimate_time
-from repro.obs import Obs
+from repro.obs import Obs, Tracer
 from repro.resilience import (BreakerConfig, CircuitBreaker,
                               DeadlineExceededError, FaultInjector, FaultPlan,
                               RetryPolicy)
@@ -39,7 +41,7 @@ from repro.serve import execute
 from repro.serve.execute import (CostModel, ExecutionCore, ModeledExecutor,
                                  NumericExecutor, VirtualClock)
 from repro.shard import build_sharded_plan, sharded_batch_cost
-from tests.conftest import random_csr
+from tests.conftest import ROW_PROFILES, random_csr
 
 A100 = get_device("A100")
 SPMM_K = 12  # > MMA_N: the large-k strategy tier (or column tiles if sharded)
@@ -130,6 +132,16 @@ def _drive(pool, batches, executor, *, shards, fallback):
     return out, stats
 
 
+def _core(csrs, cost, *, obs=None, shards=None):
+    """A modeled-executor core over *csrs* with no resilience knobs."""
+    obs = obs if obs is not None else Obs()
+    return ExecutionCore(
+        device=A100, registry=PlanRegistry(obs=obs, device=A100),
+        stats=ServerStats(obs=obs), obs=obs, cost=cost, clock=VirtualClock(),
+        executor=ModeledExecutor(), outcomes=Recorder(),
+        matrices={matrix_fingerprint(a): a for a in csrs}, shards=shards)
+
+
 class TestDifferential:
     @pytest.mark.parametrize("shards", [None, 4])
     @pytest.mark.parametrize("fallback", [True, False])
@@ -204,7 +216,7 @@ class TestOneAnalysisPerPrice:
         plan = DASPMatrix.from_csr(random_csr(120, 150, rng))
         calls = count_sector_counts(monkeypatch)
         cost = CostModel(A100)
-        t, useful, issued, ev = cost.batch_cost("m", plan, k)
+        t, useful, issued, ev, _ = cost.batch_cost("m", plan, k)
         assert len(calls) == 1
         assert cost.batch_cost("m", plan, k)[0] == t
         assert len(calls) == 1
@@ -220,13 +232,66 @@ class TestOneAnalysisPerPrice:
         assert plan.n_shards == 4
         calls = count_sector_counts(monkeypatch)
         cost = CostModel(A100, workers=2)
-        t, useful, issued, _ = cost.batch_cost("m", plan, k)
+        t, useful, issued, _, _ = cost.batch_cost("m", plan, k)
         assert len(calls) == plan.n_shards
         cost.batch_cost("m", plan, k)
         assert len(calls) == plan.n_shards
         want = sharded_batch_cost(plan, A100, k, workers=2)
         assert (t, useful, issued) == (want.makespan, want.useful_mma,
                                        want.issued_mma)
+
+
+    @pytest.mark.parametrize("double_buffer", [False, True])
+    @pytest.mark.parametrize("k", [12, 64])
+    def test_large_k_cold_price_counts_sectors_once(self, rng, monkeypatch,
+                                                    k, double_buffer):
+        """The tuner's one analysis prices every candidate; the cost
+        model reads its strategy and analyses nothing itself."""
+        csr = random_csr(120, 150, rng, row_len_sampler=ROW_PROFILES["mixed"])
+        fp = matrix_fingerprint(csr)
+        core = _core([csr], CostModel(A100, double_buffer=double_buffer))
+        plan = core.acquire(fp, fp)
+        calls = count_sector_counts(monkeypatch)
+        strat = core.strategy(fp, fp, plan, k)
+        price = core.cost.batch_cost(fp, plan, k, strat)
+        assert len(calls) == 1
+        assert core.cost.batch_cost(
+            fp, plan, k, core.strategy(fp, fp, plan, k)) is price
+        assert len(calls) == 1
+        # the same price the standalone functions give
+        want_t = strat.modeled_s
+        if double_buffer and strat.name != "looped":
+            ev = spmm_block_events(plan, gather_analysis(plan, A100), k,
+                                   tile_k=strat.tile_k, stats=strat.stats)
+            want_t = spmm_tiled_overlap_cost(ev, A100, k, tile_k=strat.tile_k,
+                                             dtype_bits=64)[1]
+        ev = spmm_events(plan, A100, k)
+        assert price[:4] == (want_t, mma_utilization(plan, k) * ev.flops_mma,
+                             ev.flops_mma, ev)
+
+    def test_traced_sharded_batch_counts_sectors_once_per_shard(
+            self, rng, monkeypatch):
+        """The tracer attributes a sharded batch from its memoized
+        price: S analyses on the cold batch, none on the next one."""
+        csr = random_csr(200, 150, rng)
+        fp = matrix_fingerprint(csr)
+        obs = Obs(tracer=Tracer())
+        core = _core([csr], CostModel(A100, workers=2), obs=obs, shards=4)
+
+        def batch():
+            return Batch(fp, [SpMVRequest(fp, rng.uniform(-1, 1, 150),
+                                          req_id=i) for i in range(3)], 0.0)
+
+        calls = count_sector_counts(monkeypatch)
+        core.execute(batch())
+        assert len(calls) == 4
+        core.execute(batch())
+        assert len(calls) == 4
+        want = sharded_batch_cost(core.registry.peek(fp), A100, 3, workers=2)
+        for root in obs.tracer.traces():
+            shards = [s for s in root.walk() if s.name == "shard"]
+            assert [s.attrs["modeled_s"] for s in shards] \
+                == list(want.per_shard)
 
 
 class TestSharedMemoUnderThreads:

@@ -97,6 +97,21 @@ class TestRetries:
         assert s.stats.degraded_requests >= 1
         assert s.stats.fallback_ratio > 0.0
 
+    def test_injector_installed_after_construction_counts_faults(self, rng):
+        """An injector swapped in through ``server.fault_injector`` is
+        bound to the server's stats like a constructor argument."""
+        csr = random_csr(30, 40, rng)
+        retry = RetryPolicy(max_retries=1, base_delay_s=1e-4, jitter=0.0)
+        with make_server(retry=retry) as s:
+            fp = s.register(csr)
+            s.fault_injector = injector(FaultRule(kind="kernel_error",
+                                                  max_count=1))
+            fut = s.submit(SpMVRequest(fp, rng.uniform(-1, 1, 40)))
+            s.flush()
+            fut.result(timeout=5.0)
+        assert s.stats.retries == 1
+        assert s.stats.faults_injected == 1
+
     def test_fallback_disabled_fails_the_future(self, rng):
         csr = random_csr(30, 40, rng)
         inj = injector(FaultRule(kind="kernel_error"))

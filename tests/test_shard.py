@@ -9,12 +9,12 @@ import numpy as np
 import pytest
 
 from repro._util import ValidationError
-from repro.core import DASPMatrix, choose_shards, dasp_spmv, dasp_spmm
+from repro.core import DASPMatrix, dasp_spmv, dasp_spmm
 from repro.gpu import A100
 from repro.serve import SpMVRequest, SpMVServer, plan_nbytes
-from repro.shard import (ShardedPlan, build_sharded_plan, dasp_spmm_sharded,
-                         dasp_spmv_sharded, lpt_makespan, shard_candidates,
-                         shard_csr, sharded_batch_cost)
+from repro.shard import (ShardedPlan, build_sharded_plan, choose_shards,
+                         dasp_spmm_sharded, dasp_spmv_sharded, lpt_makespan,
+                         shard_candidates, shard_csr, sharded_batch_cost)
 from tests.conftest import ROW_PROFILES, random_csr
 
 

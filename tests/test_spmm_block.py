@@ -6,7 +6,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import DASPMatrix, dasp_spmv
-from repro.core.spmm import dasp_spmm, dasp_spmm_on_plan, spmm_events
+from repro.core.spmm import (dasp_spmm, dasp_spmm_on_plan, gather_analysis,
+                             spmm_events)
 from repro.core.spmm_block import (
     TILE_K_CANDIDATES,
     BlockPlan,
@@ -41,7 +42,7 @@ def shuffled_order(plan, rng):
 def forced(plan, name, tile_k, k, order=None):
     """A strategy forced to *name*, whatever the tuner would pick."""
     return SpmmStrategy(name=name, k=k, tile_k=tile_k, modeled_s=1.0,
-                        looped_s=1.0,
+                        looped_s=1.0, overlapped_s=1.0, events=None,
                         block_plan=order if name == "reordered" else None)
 
 
@@ -78,7 +79,8 @@ class TestTiledExecution:
         plan = DASPMatrix.from_csr(csr)
         X = rng.uniform(-1, 1, (40, 16))
         with pytest.raises(ValidationError):
-            spmm_block_events(plan, "A100", 16, tile_k=12)  # not x8
+            spmm_block_events(plan, gather_analysis(plan, "A100"), 16,
+                              tile_k=12, stats=mma_tile_stats(csr))  # not x8
         with pytest.raises(ValidationError):
             dasp_spmm_large(plan, X[:, 0], forced(plan, "tiled", 8, 1))
 
@@ -172,16 +174,17 @@ class TestTuner:
         plan = DASPMatrix.from_csr(csr)
         per_batch = estimate_time(spmm_events(plan, "A100", 8), "A100",
                                   dtype_bits=64).total
-        assert spmm_looped_cost(plan, "A100", 64) == pytest.approx(
-            8 * per_batch)
+        assert spmm_looped_cost(plan, "A100", 64, gather_analysis(
+            plan, "A100")) == pytest.approx(8 * per_batch)
 
 
 class TestBlockEvents:
     def test_serial_iters_scale_with_column_tiles(self, rng):
         csr = random_csr(100, 300, rng)
         plan = DASPMatrix.from_csr(csr)
-        ev32 = spmm_block_events(plan, "A100", 128, tile_k=32)
-        ev64 = spmm_block_events(plan, "A100", 128, tile_k=64)
+        analysis, stats = gather_analysis(plan, "A100"), mma_tile_stats(csr)
+        ev32 = spmm_block_events(plan, analysis, 128, tile_k=32, stats=stats)
+        ev64 = spmm_block_events(plan, analysis, 128, tile_k=64, stats=stats)
         assert ev32.serial_iters == 2 * ev64.serial_iters
 
     def test_tile_stats_counters_consistent(self, rng):
