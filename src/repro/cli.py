@@ -322,13 +322,14 @@ def cmd_serve_sim(args) -> int:
     from .serve import (WorkloadConfig, compare_batched_unbatched,
                         run_workload)
 
-    cfg = WorkloadConfig(
+    cfg = _given(
+        WorkloadConfig,
         **_workload_fields(args),
         cache_budget_bytes=int(args.cache_mb * 1024 * 1024),
         shards=_parse_shards(args.shards),
         shard_workers=args.shard_workers,
         spmm_mix=args.spmm_mix,
-        spmm_ks=tuple(args.spmm_ks),
+        spmm_ks=tuple(args.spmm_ks) if args.spmm_ks is not None else None,
     )
     trace = bool(args.trace or args.trace_json or args.trace_prom)
     obs = Obs(tracer=Tracer()) if trace else None
@@ -494,6 +495,12 @@ def _open_store(args):
                      device=getattr(args, "device", "A100"))
 
 
+def _shard_workers(args) -> int:
+    """``--shard-workers`` of ``plan build`` / ``bench`` (default 4, the
+    serving default of :class:`~repro.serve.WorkloadConfig`)."""
+    return 4 if args.shard_workers is None else args.shard_workers
+
+
 def _build_one_plan(spec: str, args):
     """(fingerprint, plan) for one matrix spec, honoring --shards."""
     from .store import fingerprint_csr
@@ -504,7 +511,7 @@ def _build_one_plan(spec: str, args):
     if shards == "auto":
         from .shard import choose_shards
 
-        shards = int(choose_shards(csr, args.shard_workers,
+        shards = int(choose_shards(csr, _shard_workers(args),
                                    device=args.device).best_value)
     if shards is not None and int(shards) > 1:
         from .shard import build_sharded_plan
@@ -635,7 +642,7 @@ def _bench_shards(entries, args) -> None:
     from .shard import build_sharded_plan, choose_shards, sharded_batch_cost
 
     shards = _parse_shards(args.shards)
-    workers = args.shard_workers
+    workers = _shard_workers(args)
     dtype = np.dtype(args.dtype)
     print(f"\nrow sharding (modeled, {workers} lanes):")
     print(f"{'matrix':<24}{'S':>4}{'single':>12}{'sharded':>12}{'speedup':>9}")
@@ -693,7 +700,8 @@ def _workload_parent(*, requests: int) -> argparse.ArgumentParser:
                         "replicas")
     p.add_argument("--warm-start", action="store_true",
                    help="preload plans from --store before traffic starts "
-                        "(a cluster replica: its ring-assigned ones)")
+                        "(a cluster replica: its ring-assigned ones; "
+                        "needs --store)")
     p.add_argument("--pipeline", action="store_true",
                    help="async pipelined execution: plan loads/builds run "
                         "on a modeled prefetch lane overlapping the device "
@@ -702,16 +710,18 @@ def _workload_parent(*, requests: int) -> argparse.ArgumentParser:
                    help="speculative plan warmer: prebuild/preload popular "
                         "matrices before their first request (implies a "
                         "prefetch lane)")
-    p.add_argument("--update-mix", type=float, default=0.0, metavar="P",
+    p.add_argument("--update-mix", type=float, default=None, metavar="P",
                    help="fraction of arrival slots carrying a matrix delta "
                         "instead of a read (plans are patched in place, "
                         "a cluster broadcasts it; dedicated seed+17 "
                         "stream; 0 disables)")
-    p.add_argument("--structural-frac", type=float, default=0.3,
+    p.add_argument("--structural-frac", type=float, default=None,
                    help="share of deltas that change the sparsity pattern "
-                        "(the rest touch values only)")
-    p.add_argument("--update-entries", type=int, default=8,
-                   help="coordinates touched per delta")
+                        "(the rest touch values only; default 0.3; needs "
+                        "--update-mix)")
+    p.add_argument("--update-entries", type=int, default=None,
+                   help="coordinates touched per delta (default 8; needs "
+                        "--update-mix)")
     p.add_argument("--trace", action="store_true",
                    help="record spans (repro.obs) and print the "
                         "device-time attribution report")
@@ -730,6 +740,12 @@ _NEEDS = {
     "--slow-factor": "--slow-replica",
     "--partition-window": "--partition",
     "--fail-rate": "--fail-replica",
+    "--warm-start": "--store",
+    "--spmm-ks": "--spmm-mix",
+    "--structural-frac": "--update-mix",
+    "--update-entries": "--update-mix",
+    "--shard-workers": "--shards",
+    "--bench-dir": "--bench-json",
 }
 
 
@@ -780,7 +796,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="append the sweep to results/BENCH_spmm.json")
     p.add_argument("--bench-dir", default=None,
                    help="directory for --bench-json output "
-                        "(default: ./results)")
+                        "(default: ./results; needs --bench-json)")
     p.set_defaults(fn=cmd_spmm)
 
     p = sub.add_parser("convert", help="convert .mtx <-> .npz")
@@ -798,15 +814,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shards", default=None, metavar="S|auto",
                    help="row-shard every matrix into S bands ('auto' picks "
                         "S per matrix from the makespan cost model)")
-    p.add_argument("--shard-workers", type=int, default=4,
+    p.add_argument("--shard-workers", type=int, default=None,
                    help="concurrent lanes the sharded makespan is modeled "
-                        "over (default 4)")
-    p.add_argument("--spmm-mix", type=float, default=0.0, metavar="P",
+                        "over (default 4; needs --shards)")
+    p.add_argument("--spmm-mix", type=float, default=None, metavar="P",
                    help="fraction of requests issued as SpMM blocks "
                         "(dedicated seed+13 stream; 0 disables)")
-    p.add_argument("--spmm-ks", type=int, nargs="+", default=[16, 32, 64],
+    p.add_argument("--spmm-ks", type=int, nargs="+", default=None,
                    metavar="K",
-                   help="RHS widths sampled for SpMM block requests")
+                   help="RHS widths sampled for SpMM block requests "
+                        "(default 16 32 64; needs --spmm-mix)")
     p.add_argument("--trace-json", metavar="FILE", default=None,
                    help="write the full observability JSON document "
                         "(metrics + traces + attribution) to FILE")
@@ -880,7 +897,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="append a perf-trajectory record to "
                         "results/BENCH_cluster.json")
     p.add_argument("--bench-dir", metavar="DIR", default=None,
-                   help="trajectory output directory (default: results/)")
+                   help="trajectory output directory (default: results/; "
+                        "needs --bench-json)")
     p.set_defaults(fn=cmd_cluster_sim)
 
     p = sub.add_parser(
@@ -914,7 +932,9 @@ def build_parser() -> argparse.ArgumentParser:
     _plan_common(sp, matrices=True)
     sp.add_argument("--shards", default=None, metavar="S|auto",
                     help="persist a sharded plan (S row bands)")
-    sp.add_argument("--shard-workers", type=int, default=4)
+    sp.add_argument("--shard-workers", type=int, default=None,
+                    help="lanes --shards auto models (default 4; needs "
+                         "--shards)")
     sp.add_argument("--force", action="store_true",
                     help="overwrite existing artifacts")
     sp.set_defaults(fn=cmd_plan_build)
@@ -950,7 +970,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=20)
     p.add_argument("--shards", default=None, metavar="S|auto",
                    help="also print the modeled row-sharding speedup table")
-    p.add_argument("--shard-workers", type=int, default=4)
+    p.add_argument("--shard-workers", type=int, default=None,
+                   help="lanes the sharded makespan is modeled over "
+                        "(default 4; needs --shards)")
     p.add_argument("--device", default="A100", choices=("A100", "H800"))
     p.add_argument("--dtype", default="float64",
                    choices=("float64", "float16"))

@@ -175,12 +175,13 @@ class ClusterStats:
     n_moved_fingerprints: int = 0
     health: dict = field(default_factory=dict)
     duration_s: float = 0.0
-    #: Logical (per-request, hedge-shadow-free) accounting added with
-    #: the overload layer.  ``n_offered`` is the request count the
-    #: workload generated; ``n_shed`` were turned away by admission
-    #: control, ``n_rejected_logical`` by primary-replica backpressure,
-    #: ``n_link_failed`` by a full partition.  Zero-valued and unused
-    #: on pre-overload runs.
+    #: Logical (per-request, hedge-shadow-free) accounting, filled on
+    #: every run.  ``n_offered`` is the request count the workload
+    #: generated; ``n_shed`` were turned away by admission control,
+    #: ``n_rejected_logical`` by primary-replica backpressure,
+    #: ``n_link_failed`` by a full partition.  ``overload_enabled``
+    #: only decides what the summary table and the trajectory record
+    #: report.
     overload_enabled: bool = False
     n_offered: int = 0
     #: Arrival slots that carried a matrix delta instead of a read
@@ -254,10 +255,9 @@ class ClusterStats:
         Every generated request must end exactly one way — completed,
         admission-shed, backpressure-rejected, expired, failed, or
         unroutable behind a partition; anything else is a lost future.
-        Only meaningful (and gated to zero) on overload runs, where
-        hedge shadows make the per-replica sums non-logical."""
-        if not self.overload_enabled:
-            return 0
+        Computed on every run (the conservation invariant holds with or
+        without the overload layer); the summary table prints it on
+        overload runs only."""
         accounted = (self.n_shed + self.n_rejected_logical
                      + self.n_link_failed + self.n_completed
                      + self.n_deadline_exceeded + self.n_failed)
@@ -403,7 +403,7 @@ class _Cluster:
     # ------------------------------------------------------------------
     def spawn(self, *, warm: bool = True) -> str:
         """Add one replica; with ``warm``, re-warm the fingerprints the
-        rebalanced ring moved onto it from the shared store."""
+        rebalanced ring moved onto it (:meth:`ReplicaSim.warm`)."""
         cfg = self.cfg
         index = self._spawned
         rid = f"r{index}"
@@ -433,8 +433,8 @@ class _Cluster:
         if before:
             moved = [fp for fp in fps if self.ring.lookup(fp) != before[fp]]
             self._moved.inc(len(moved))
-            if moved and replica.registry.store is not None:
-                replica.warm_many(moved)
+            if moved:
+                replica.warm(moved)
         return rid
 
     def drain_replica(self, rid: str, now: float) -> None:
@@ -663,13 +663,11 @@ def run_cluster_workload(cfg: ClusterConfig, *,
                        obs=obs, span=end)
 
     if cfg.warm_start:
-        # Ring-scoped warm-up: each replica preloads only its assigned
-        # fingerprints from the shared store (off the virtual clock).
-        # With the speculative warmer on, the ring-scoped warm-up rides
-        # the warmer (load-vs-rebuild gate + persisted reorder perms).
+        # ring-scoped warm-up: each replica warms only its assigned
+        # fingerprints (ReplicaSim.warm, exactly as a single replica)
         assigned = cluster.ring.assignments([fp for _, fp, _ in pool])
         for rid in cluster.active():
-            cluster.replicas[rid].warm_many(assigned[rid])
+            cluster.replicas[rid].warm(assigned[rid])
 
     replay(traffic, cluster)
 

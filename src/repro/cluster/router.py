@@ -307,9 +307,9 @@ class Router:
     def warm(self, fingerprints) -> dict[str, int]:
         """Concurrently preload each replica's assigned fingerprints.
 
-        Every replica warms only its ring-assigned subset from its
-        registry's store tier, on its own thread — the cold-start path
-        of a whole cluster restarting against one shared store
+        Every replica warms only its ring-assigned subset
+        (:meth:`SpMVServer.warm`), on its own thread — the cold-start
+        path of a whole cluster restarting against one shared store
         directory.  Returns ``{replica_id: plans_warmed}``.
         """
         if self._closed:
@@ -318,16 +318,7 @@ class Router:
         warmed: dict[str, int] = {rid: 0 for rid in self.servers}
 
         def work(rid: str) -> None:
-            server = self.servers[rid]
-            if server.registry.store is None:
-                return
-            count = 0
-            for fp in assigned[rid]:
-                load_s = server.registry.warm(fp)
-                if load_s is not None:
-                    server.stats.observe_preprocess(load_s)
-                    count += 1
-            warmed[rid] = count
+            warmed[rid] = self.servers[rid].warm(assigned[rid])
 
         threads = [threading.Thread(target=work, args=(rid,),
                                     name=f"cluster-warm-{rid}")

@@ -8,7 +8,7 @@ modeled device for its full rebuild (or artifact load) before its
 batch — and every batch queued behind it — could run.  AsyncSparse
 (arXiv 2604.17834) makes the case for decoupling dependent stages on
 asynchronous hardware; this package applies that to the serving stack
-in three pieces:
+in two pieces:
 
 :class:`PrefetchLane`
     A modeled asynchronous copy/build engine next to the device.  In
@@ -20,20 +20,20 @@ in three pieces:
 
 :class:`SpeculativeWarmer`
     Watches the Zipf popularity estimate fitted from ``repro.obs``
-    request counters and warms registered-but-not-resident matrices
-    *before their first request*, most-popular-first.  Each warm uses
-    the store's modeled load-vs-rebuild gate
-    (:func:`repro.store.tier.load_beats_rebuild`) to choose between
-    loading the ``.daspz`` artifact and rebuilding from CSR, and loads
-    persisted ``aux.`` reorder permutations alongside the plan so the
-    large-k SpMM tier never re-derives a decision already made.
+    request counters and nominates registered-but-not-resident
+    matrices for warming *before their first request*,
+    most-popular-first.
 
-:class:`PlanPrefetcher`
-    The real-threaded counterpart for :class:`repro.serve.SpMVServer`:
-    a small background executor feeding :class:`~repro.serve.
-    PlanRegistry` through the same per-fingerprint single-flight as
-    the synchronous path (``load_only`` lookups never block behind an
-    in-flight build — they simply report it as pending).
+Every plan acquired ahead of demand — a warmer nomination, a
+warm-start preload, a cluster ring warm-up or elastic re-warm — goes
+through one method, :meth:`repro.serve.execute.ExecutionCore.warm`:
+a store-only preload, or (with the warmer on) a speculative
+acquisition in which the store's own load-vs-rebuild gate
+(:func:`repro.store.tier.load_beats_rebuild`) picks between loading
+the ``.daspz`` artifact and rebuilding from CSR.  The lane and the
+warmer are virtual-time models; the real-threaded
+:class:`repro.serve.SpMVServer` warms on the caller's thread
+(:meth:`~repro.serve.SpMVServer.warm`).
 
 Double-buffering of shard bands and SpMM column tiles is a pricing
 schedule that lives with the cost functions
@@ -47,15 +47,12 @@ never what is computed — results stay bitwise equal.
 """
 
 from .lane import PipelineConfig, PrefetchLane
-from .prefetch import PlanPrefetcher
-from .warmer import WarmerConfig, SpeculativeWarmer, warm_action, zipf_fit
+from .warmer import WarmerConfig, SpeculativeWarmer, zipf_fit
 
 __all__ = [
     "PipelineConfig",
-    "PlanPrefetcher",
     "PrefetchLane",
     "SpeculativeWarmer",
     "WarmerConfig",
-    "warm_action",
     "zipf_fit",
 ]

@@ -9,11 +9,12 @@ for warming most-popular-first — matrices nobody has asked for yet are
 ranked by registration order behind the observed ones, which is
 exactly the tail a Zipf fit predicts they occupy.
 
-The warmer only *nominates*; the driver/server executes each warm on
-its prefetch machinery, choosing load vs rebuild with the store's
-modeled gate (:func:`warm_action` wraps
-:func:`repro.store.tier.load_beats_rebuild`) and loading persisted
-``aux.`` reorder permutations alongside the plan.
+The warmer only *nominates*; the virtual-time driver acquires each
+nomination through :meth:`repro.serve.execute.ExecutionCore.warm` —
+the store's own load-vs-rebuild gate
+(:func:`repro.store.tier.load_beats_rebuild`, applied by
+``PlanStore.load(gate=True)``) picks a load or a rebuild — on its
+prefetch lane.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from .._util import check
 
-__all__ = ["SpeculativeWarmer", "WarmerConfig", "warm_action", "zipf_fit"]
+__all__ = ["SpeculativeWarmer", "WarmerConfig", "zipf_fit"]
 
 
 @dataclass(frozen=True)
@@ -77,23 +78,6 @@ def zipf_fit(counts, *, default: float = 1.1) -> float:
         return float(default)
     slope = float(((r - r.mean()) * (lc - lc.mean())).sum() / denom)
     return float(min(max(-slope, 0.0), 10.0))
-
-
-def warm_action(store, fingerprint: str, device) -> str:
-    """``"load"`` or ``"build"`` — the modeled load-vs-rebuild gate.
-
-    Loads win when the store holds the artifact and its header prices
-    the load cheaper than a rebuild; everything else (no store, absent
-    or corrupt artifact, rebuild-is-cheaper) builds from CSR.
-    """
-    if store is None:
-        return "build"
-    header = store.peek_header(fingerprint)
-    if header is None:
-        return "build"
-    from ..store.tier import load_beats_rebuild
-
-    return "load" if load_beats_rebuild(header, device) else "build"
 
 
 class SpeculativeWarmer:

@@ -60,7 +60,6 @@ from ..pipeline import (
     PrefetchLane,
     SpeculativeWarmer,
     WarmerConfig,
-    warm_action,
 )
 from .batcher import Batch, DEFAULT_FLUSH_TIMEOUT_S, MMA_N, RequestBatcher
 from .execute import CostModel, ExecutionCore, ModeledExecutor, VirtualClock
@@ -143,9 +142,11 @@ class WorkloadConfig:
         path-like): builds write through as ``.daspz`` artifacts and
         cache misses try a disk load first, charging the *modeled*
         load time instead of the rebuild.  ``warm_start=True``
-        additionally preloads every pool matrix's artifact before
-        traffic starts — off the virtual clock, like a server
-        restarting from its previous run's store.
+        additionally warms every pool matrix before traffic starts
+        (:meth:`ReplicaSim.warm`): its artifact is preloaded off the
+        virtual clock, like a server restarting from its previous
+        run's store — or, with the warmer on, it is acquired
+        speculatively on the prefetch lane.
     pipeline:
         Async pipelined execution (:mod:`repro.pipeline`): ``True`` or
         a :class:`~repro.pipeline.PipelineConfig` charges cold-matrix
@@ -161,9 +162,9 @@ class WorkloadConfig:
         :class:`~repro.pipeline.WarmerConfig`): watches the Zipf
         popularity estimate from the run's obs counters and
         preloads/prebuilds not-yet-requested pool matrices on the
-        prefetch lane, choosing load vs rebuild with the store's
-        modeled gate.  Implies the prefetch lane even when
-        ``pipeline`` is off.
+        prefetch lane (:meth:`ExecutionCore.warm`: the store's
+        load-vs-rebuild gate picks a load or a rebuild).  Implies the
+        prefetch lane even when ``pipeline`` is off.
     spmm_mix / spmm_ks:
         Large-k SpMM traffic: ``spmm_mix`` is the fraction of requests
         issued as :class:`~repro.serve.SpMMRequest` blocks (bypassing
@@ -428,95 +429,49 @@ class ReplicaSim:
                 "requests": self.stats.n_requests}
 
     # ------------------------------------------------------------------
-    # plan acquisition
+    # plan acquisition off the device clock
     # ------------------------------------------------------------------
-    def warm(self, fingerprints) -> float:
-        """Preload *fingerprints* from the disk tier (off the virtual
-        clock — a restart reading its previous run's artifacts).
-        Returns the total modeled load seconds charged."""
-        total = 0.0
-        if self.registry.store is None:
-            return total
-        for fp in fingerprints:
-            load_s = self.registry.warm(fp)
-            if load_s:
-                self.stats.observe_preprocess(load_s)
-                total += load_s
-        return total
+    def warm(self, fingerprints, now: float = 0.0) -> None:
+        """Acquire *fingerprints*' plans ahead of demand — the one entry
+        point for startup warm-start, ring warm-up, elastic re-warm and
+        warmer ticks.
 
-    def warm_many(self, fingerprints, now: float = 0.0) -> None:
-        """Warm-start entry point (startup preload, router warm-up,
-        post-rebalance re-warm).  With the speculative warmer enabled
-        the warm rides its machinery — the modeled load-vs-rebuild
-        gate, lane-charged acquisition, persisted ``aux.`` reorder
-        permutations; otherwise it is the legacy store-only preload."""
-        if self._warmer is None or self._lane is None:
-            self.warm(fingerprints)
-            return
+        Each plan goes through :meth:`ExecutionCore.warm`: with the
+        speculative warmer on, the speculative acquisition (gated store
+        load, else build), its seconds booked on the prefetch lane from
+        *now*; otherwise the store-only preload, off the virtual clock
+        (a restart reading its previous run's artifacts)."""
+        speculative = self._warmer is not None  # the warmer implies a lane
         for fp in fingerprints:
-            self._warmer.register(fp)
-            if fp in self._prefetching or self.registry.peek(fp) is not None:
+            if speculative:
+                self._warmer.register(fp)
+            if fp in self._prefetching:
                 continue
-            self._speculative_warm(fp, now)
+            got = self.core.warm(fp, build=speculative)
+            if got is not None and speculative:
+                self._book(fp, now, *got)
 
-    def _start_prefetch(self, fp: str, now: float) -> None:
-        """Acquire *fp*'s plan off the device clock (pipeline mode).
+    def _prefetch(self, fp: str, now: float) -> None:
+        """Pipeline mode: a request's cold plan acquisition, moved from
+        the device clock to the prefetch lane.
 
-        The load/build happens immediately on the Python side through
-        the registry's single-flight; its modeled cost is booked on the
-        prefetch lane, and batches needing the plan park until the
-        lane's completion time."""
-        pre_cell: dict[str, float] = {}
-
-        def build(matrix):
-            plan, pre = self.core.build(fp, matrix)
-            pre_cell["s"] = pre
-            return plan
-
+        This is the demand path's :meth:`ExecutionCore.fetch` (a demand
+        miss, counted as one); batches needing the plan park until the
+        lane's completion time.  A failure counts
+        ``pipeline.warm_failed_total``; the batch's own acquisition
+        retries (and pays) later."""
         try:
-            plan, source, load_s = self.registry.get_ex(
-                self.csr_by_fp[fp], fingerprint=fp, builder=build)
+            _, source, seconds = self.core.fetch(fp, fp)
         except ReproError:
-            # a failed speculative acquisition must not take traffic
-            # down; the demand path retries (and pays) later
             self.obs.counter("pipeline.warm_failed_total").inc()
             return
-        if source == "built":
-            cost, kind = self.clock.scale(pre_cell.get("s", 0.0)), "build"
-        elif source == "store":
-            cost, kind = self.clock.scale(load_s), "load"
-        else:                       # already resident (or pending)
-            return
-        if cost:
-            self.stats.observe_preprocess(cost)
-        self._prefetching[fp] = self._lane.schedule(now, cost, kind=kind)
+        if source != "ram":
+            self._book(fp, now, "build" if source == "built" else "load",
+                       seconds)
 
-    def _speculative_warm(self, fp: str, now: float) -> None:
-        """One warmer nomination: load vs rebuild by the store's
-        modeled gate, charged to the prefetch lane."""
-        action = warm_action(self.registry.store, fp, self.device)
-        self.obs.counter("pipeline.warm_total", {"action": action}).inc()
-        if action == "load":
-            load_s = self.registry.warm(fp)
-            if load_s is None:      # quarantined/corrupt: rebuild
-                self._start_prefetch(fp, now)
-                return
-            cost = self.clock.scale(load_s)
-            if cost:
-                self.stats.observe_preprocess(cost)
-            self.obs.counter("pipeline.warm_load_total").inc()
-            self._prefetching[fp] = self._lane.schedule(now, cost,
-                                                        kind="warm.load")
-        else:
-            self.obs.counter("pipeline.warm_build_total").inc()
-            self._start_prefetch(fp, now)
-
-    def _warm_tick(self, now: float) -> None:
-        """Let the warmer nominate and dispatch speculative warms."""
-        due = self._warmer.due(resident=lambda f: (
-            f in self._prefetching or self.registry.peek(f) is not None))
-        for fp in due:
-            self._speculative_warm(fp, now)
+    def _book(self, fp: str, now: float, kind: str, seconds: float) -> None:
+        """Book one plan acquisition on the prefetch lane."""
+        self._prefetching[fp] = self._lane.schedule(now, seconds, kind=kind)
 
     def _park_if_pending(self, batch, fp: str) -> bool:
         """Park *batch* while its plan is still in flight on the lane.
@@ -697,11 +652,13 @@ class ReplicaSim:
         req.version = self.registry.version_of(req.fingerprint)
         if self._warmer is not None:
             self._warmer.observe(req.fingerprint)
-            self._warm_tick(now)
+            self.warm(self._warmer.due(resident=lambda f: (
+                f in self._prefetching or self.registry.peek(f) is not None)),
+                now)
         if self.pipeline_cfg is not None and self.cfg.plan_cache \
                 and req.fingerprint not in self._prefetching \
                 and self.registry.peek(req.fingerprint) is None:
-            self._start_prefetch(req.fingerprint, now)
+            self._prefetch(req.fingerprint, now)
         if isinstance(req, SpMMRequest):
             # an SpMM block already is a batch; bypass the coalescer
             self.enqueue([Batch(req.fingerprint, [req], now)])
@@ -884,13 +841,8 @@ def run_workload(cfg: WorkloadConfig, *, obs: Obs | None = None) -> ServerStats:
                          pool=pool, obs=obs,
                          injector=_build_injector(cfg, pool),
                          modeled=modeled, store=cfg.store)
-    if cfg.warm_start and replica.registry.store is not None:
-        # Startup preload (a server restart reading its previous run's
-        # artifacts): charged to preprocess_s but off the virtual
-        # device clock — it happens before traffic exists.  With the
-        # speculative warmer enabled it rides the warmer machinery
-        # (load-vs-rebuild gate, persisted reorder permutations).
-        replica.warm_many([fp for _, fp, _csr in pool])
+    if cfg.warm_start:
+        replica.warm([fp for _, fp, _csr in pool])
     rate = cfg.rate_rps if cfg.rate_rps is not None \
         else auto_rate(pool, modeled)
     replay(Traffic(cfg, pool, rate), replica)

@@ -3,7 +3,8 @@
 DASP splits a one-time analysis (CSR -> MMA-friendly plan) from a cheap
 execution that repeats.  The serving policy wrapped around that
 execution — which plan version a batch reads, the circuit-breaker gate,
-plan acquisition (shard choice, traced build, store load), the
+plan acquisition (shard choice, traced build, store load — on demand,
+or ahead of it through :meth:`ExecutionCore.warm`), the
 attempt / retry / retry-budget loop, merge-CSR degradation and the
 final bookkeeping — lives here exactly once, in
 :class:`ExecutionCore`.  Every batch is priced by one memoized
@@ -36,7 +37,7 @@ import time
 
 import numpy as np
 
-from .._util import check
+from .._util import ReproError, check
 from ..core.preprocess import traced_preprocess
 from ..core.spmm import (dasp_spmm, dasp_spmm_on_plan, mma_phase_fraction,
                          mma_utilization_from_events, spmm_events)
@@ -344,29 +345,86 @@ class ExecutionCore:
         return traced_preprocess(csr, self.device, obs=self.obs,
                                  injector=self.injector, fingerprint=fp)
 
-    def acquire(self, fp: str, key: str):
-        """Fetch or build the plan for version *key*, charging the
-        modeled build or load time.  Raises on injected preprocess
-        faults or an over-budget plan."""
+    def fetch(self, fp: str, key: str, *, speculative: bool = False):
+        """Fetch or build version *key*'s plan through the registry's
+        single-flight: ``(plan, source, seconds)``.
+
+        ``source`` is the registry's (``"ram"``, ``"store"`` or
+        ``"built"``); *seconds* is the modeled load or traced build
+        time, scaled by the clock and counted in ``preprocess_s`` (0.0
+        for a RAM hit).  Nothing is charged to a clock — the caller
+        books it.  ``speculative`` is the registry's ahead-of-demand
+        accounting (:meth:`PlanRegistry.get_ex`).  Raises on injected
+        preprocess faults or an over-budget plan."""
         pre: dict[str, float] = {}
 
         def build(csr):
             plan, pre["s"] = self.build(fp, csr)
             return plan
 
-        csr = self.matrices[fp]
-        if not self.plan_cache:
-            plan, charged = build(csr), pre["s"]
+        plan, source, load_s = self.registry.get_ex(
+            self.matrices[fp], fingerprint=key, builder=build,
+            speculative=speculative)
+        if source == "ram":
+            return plan, source, 0.0
+        seconds = self.clock.scale(pre.get("s", 0.0) if source == "built"
+                                   else load_s)
+        self.stats.observe_preprocess(seconds)
+        return plan, source, seconds
+
+    def acquire(self, fp: str, key: str):
+        """The demand path: :meth:`fetch` (or, with the plan cache off,
+        a fresh build) with its seconds charged to the clock."""
+        if self.plan_cache:
+            plan, _, seconds = self.fetch(fp, key)
         else:
-            plan, source, load_s = self.registry.get_ex(
-                csr, fingerprint=key, builder=build)
-            if source == "ram":
-                return plan
-            charged = pre.get("s", 0.0) if source == "built" else load_s
-        charged = self.clock.scale(charged)
-        self.stats.observe_preprocess(charged)
-        self.clock.charge(charged)
+            plan, seconds = self.build(fp, self.matrices[fp])
+            seconds = self.clock.scale(seconds)
+            self.stats.observe_preprocess(seconds)
+        self.clock.charge(seconds)
         return plan
+
+    def warm(self, fp: str, *, build: bool):
+        """Acquire *fp*'s plan ahead of demand — the one warm path.
+
+        ``build=False`` is the store-only preload
+        (:meth:`PlanRegistry.warm`): the load-vs-rebuild gate is
+        bypassed, since the load is paid off the serving clock, and
+        nothing is built.  ``build=True`` is the speculative
+        acquisition — the demand path's :meth:`fetch` run early: the
+        store's gated load, else a traced :meth:`build` (only a build
+        counts a cache miss) — counted as
+        ``pipeline.warm_total{action}`` and
+        ``pipeline.warm_{load,build}_total``; a failed build counts
+        ``pipeline.warm_failed_total`` instead of raising (the demand
+        path retries, and pays, later).
+
+        Returns ``(prefetch-lane kind, seconds)`` — the seconds scaled
+        and counted in ``preprocess_s`` — or ``None`` when the plan is
+        already resident or nothing was acquired.
+        """
+        if self.registry.peek(fp) is not None:
+            return None
+        if not build:
+            load_s = self.registry.warm(fp)
+            if load_s is None:
+                return None
+            seconds = self.clock.scale(load_s)
+            self.stats.observe_preprocess(seconds)
+            return "load", seconds
+        try:
+            _, source, seconds = self.fetch(fp, fp, speculative=True)
+        except ReproError:          # only a build can fail
+            source = None
+        if source == "ram":         # another thread landed it first
+            return None
+        action = "load" if source == "store" else "build"
+        self.obs.counter("pipeline.warm_total", {"action": action}).inc()
+        self.obs.counter(f"pipeline.warm_{action}_total").inc()
+        if source is None:
+            self.obs.counter("pipeline.warm_failed_total").inc()
+            return None
+        return ("warm.load" if action == "load" else "build"), seconds
 
     def strategy(self, fp: str, key: str, plan, k: int):
         """The tuner's choice for a k-wide batch of version *key*, or

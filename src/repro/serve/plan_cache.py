@@ -242,7 +242,7 @@ class PlanRegistry:
         return plan, source == "ram"
 
     def get_ex(self, csr, *, fingerprint: str | None = None, builder=None,
-               load_only: bool = False):
+               load_only: bool = False, speculative: bool = False):
         """Two-tier lookup; returns ``(plan, source, load_s)``.
 
         ``source`` is ``"ram"`` (cache hit), ``"store"`` (loaded from
@@ -256,6 +256,10 @@ class PlanRegistry:
         prefetch path, and stalling it behind an in-flight build would
         serialize the warmer on the very cold matrix it is trying to
         hide (the in-flight owner lands the plan either way).
+        ``speculative=True`` is an acquisition ahead of demand (the
+        speculative warmer's): it loads or builds like a demand miss,
+        but only a build counts as a cache miss — a plan read back from
+        the store is not, just as a ``load_only`` preload is not.
 
         Store loads happen inside the same single-flight section as
         builds, so concurrent misses on one fingerprint do one disk
@@ -283,7 +287,7 @@ class PlanRegistry:
                               or not self.store.contains(base)):
                 return None, "absent", 0.0
             self._building.add(key)
-            if not load_only:
+            if not (load_only or speculative):
                 self._misses.inc()
         # Load/build outside the lock: both are the expensive part and
         # must not serialize concurrent misses on other matrices.
@@ -308,6 +312,8 @@ class PlanRegistry:
                     return plan, "store", load_s
             if load_only:
                 return None, "absent", 0.0
+            if speculative:
+                self._misses.inc()
             plan = (builder(csr) if builder is not None
                     else DASPMatrix.from_csr(csr))
             self.put(key, plan)

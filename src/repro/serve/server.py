@@ -56,7 +56,6 @@ from ..overload import (
     RetryBudget,
     RetryBudgetConfig,
 )
-from ..pipeline import PlanPrefetcher, SpeculativeWarmer, WarmerConfig
 from ..resilience import (
     BreakerConfig,
     CircuitBreaker,
@@ -133,29 +132,8 @@ class SpMVServer:
         plans over the RAM budget are served load-through instead of
         degrading to the fallback path.
     warm_start:
-        With a store configured, :meth:`register` preloads the
-        matrix's plan from disk (bypassing the load-vs-rebuild gate —
-        registration is off the serving clock), so the first request
-        skips preprocessing entirely.  The modeled load time is
-        charged to ``preprocess_s`` like any other plan-acquisition
-        cost.
-    pipeline:
-        Install a :class:`repro.pipeline.PlanPrefetcher` — a small
-        background executor feeding the plan registry through the same
-        per-fingerprint single-flight as demand misses.  ``warm_start``
-        registration preloads become non-blocking, and the speculative
-        warmer (below) gets an execution vehicle.  Results are bitwise
-        identical with the pipeline on or off; only *where* plan
-        acquisition runs changes.
-    warmer:
-        Enable the speculative plan warmer
-        (:class:`repro.pipeline.SpeculativeWarmer`; pass a
-        :class:`~repro.pipeline.WarmerConfig` for custom thresholds,
-        or ``True`` for defaults).  The warmer watches the Zipf
-        popularity estimate over per-matrix request counters and
-        prefetches registered-but-cold matrices before their first
-        request.  Implies the background prefetcher even when
-        ``pipeline`` is off.
+        :meth:`register` preloads the matrix's plan from the store
+        (:meth:`warm`), so the first request skips preprocessing.
     obs:
         :class:`repro.obs.Obs` handle shared by every component of this
         server — the plan registry, scheduler, breaker, fault injector
@@ -182,8 +160,6 @@ class SpMVServer:
                  shards: int | str | None = None,
                  store=None,
                  warm_start: bool = False,
-                 pipeline: bool = False,
-                 warmer: WarmerConfig | bool = False,
                  seed: int = 0,
                  obs: Obs | None = None) -> None:
         self.device = get_device(device)
@@ -230,13 +206,6 @@ class SpMVServer:
             injector=fault_injector, retry=retry, retry_rng=default_rng(seed),
             retry_budget=self.retry_budget, fallback=fallback, shards=shards,
             shard_workers=workers, shard_k=max_batch)
-        if warmer:
-            self._warmer = SpeculativeWarmer(
-                warmer if isinstance(warmer, WarmerConfig) else None, obs=obs)
-        else:
-            self._warmer = None
-        self.prefetcher = (PlanPrefetcher(self.registry, obs=obs)
-                           if (pipeline or self._warmer is not None) else None)
         self._futures: dict[int, Future] = {}
         self._lock = threading.Lock()
         self._next_id = 0
@@ -262,29 +231,28 @@ class SpMVServer:
 
     # ------------------------------------------------------------------
     def register(self, csr) -> str:
-        """Make *csr* servable; returns its routing fingerprint.
-
-        With ``warm_start=True`` and a store configured, the matrix's
-        plan is preloaded from its on-disk artifact here (best-effort:
-        a missing or corrupt artifact just means the first request
-        builds as usual)."""
+        """Make *csr* servable; returns its routing fingerprint (with
+        ``warm_start=True``, after :meth:`warm` preloads its plan)."""
         fp = matrix_fingerprint(csr)
         with self._lock:
             if self._closed:
                 raise ServerClosedError("server is closed")
             self._matrices[fp] = csr
-        if self._warmer is not None:
-            self._warmer.register(fp)
-        if self.warm_start and self.registry.store is not None:
-            if self.prefetcher is not None:
-                # async pipeline: the preload happens off the caller's
-                # thread (single-flight shared with any demand miss)
-                self.prefetcher.prefetch(fp)
-            else:
-                load_s = self.registry.warm(fp)
-                if load_s:
-                    self.stats.observe_preprocess(load_s)
+        if self.warm_start:
+            self.warm([fp])
         return fp
+
+    def warm(self, fingerprints) -> int:
+        """Preload *fingerprints*' plans from the store, on the caller's
+        thread (:meth:`ExecutionCore.warm`, store-only: the
+        load-vs-rebuild gate is bypassed and nothing is built).
+
+        Best-effort: no store, a missing or corrupt artifact, or a plan
+        already resident just means nothing is loaded.  The modeled
+        load seconds are charged to ``preprocess_s``.  Returns how many
+        plans were loaded."""
+        return sum(self.core.warm(fp, build=False) is not None
+                   for fp in fingerprints)
 
     def submit(self, request) -> Future:
         """Queue one request; the future resolves to its result.
@@ -351,9 +319,6 @@ class SpMVServer:
                       deadline_s=deadline, result=None,
                       completion_s=float("nan"), pair=None, shadow=False)
         self.stats.observe_request()
-        if self._warmer is not None:
-            self._warmer.observe(fingerprint)
-            self._warm_tick()
         if isinstance(req, SpMMRequest):
             # A block is already a batch — skip the coalescer.
             full = Batch(fingerprint=fingerprint, requests=[req],
@@ -409,8 +374,6 @@ class SpMVServer:
                 return
             self._closed = True
         self._stop.set()
-        if self.prefetcher is not None:
-            self.prefetcher.close()
         if drain:
             try:
                 self.drain(timeout)
@@ -492,17 +455,6 @@ class SpMVServer:
         # version current when it executes
         self.core.execute(batch, version=self.registry.version_of(
             batch.fingerprint))
-
-    def _warm_tick(self) -> None:
-        """Dispatch the warmer's nominations to the prefetcher."""
-        due = self._warmer.due(
-            resident=lambda f: self.registry.peek(f) is not None)
-        for fp in due:
-            self.obs.counter("pipeline.warm_total",
-                             {"action": "prefetch"}).inc()
-            with self._lock:
-                csr = self._matrices.get(fp)
-            self.prefetcher.prefetch(fp, csr)
 
     @staticmethod
     def terminal(reqs) -> int:

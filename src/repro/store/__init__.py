@@ -23,9 +23,13 @@ exit.  This package makes plans durable:
 
 ``PlanRegistry(store=...)`` turns the RAM plan cache into the first
 tier of a two-tier hierarchy over this package (spill-on-evict,
-load-before-build, load-through for plans over the RAM budget), and
-``SpMVServer(store=..., warm_start=True)`` preloads registered
-matrices' plans at registration time.
+load-before-build, load-through for plans over the RAM budget).
+Plans acquired ahead of demand — ``SpMVServer(store=...,
+warm_start=True)`` preloading at registration, ``Router.warm``, the
+simulators' warm-start and speculative warmer — all go through
+:meth:`repro.serve.execute.ExecutionCore.warm`: a gate-bypassing
+preload, or a speculative acquisition that this package's
+load-vs-rebuild gate turns into a load or a rebuild.
 """
 
 from .artifact import (

@@ -315,6 +315,36 @@ class TestSimFlags:
         err = capsys.readouterr().err
         assert flag in err and f"need {switch}" in err
 
+    @pytest.mark.parametrize("cmd, flag, value, switch", [
+        ("serve-sim", "--warm-start", [], "--store"),
+        ("cluster-sim", "--warm-start", [], "--store"),
+        ("serve-sim", "--spmm-ks", ["8"], "--spmm-mix"),
+        ("serve-sim", "--structural-frac", ["0.5"], "--update-mix"),
+        ("cluster-sim", "--update-entries", ["4"], "--update-mix"),
+        ("serve-sim", "--shard-workers", ["2"], "--shards"),
+        ("cluster-sim", "--bench-dir", ["out"], "--bench-json"),
+    ])
+    def test_inert_flag_needs_its_switch(self, cmd, flag, value, switch,
+                                         capsys):
+        """Flags that would run ignored (exit 0, unchanged output)
+        without their switch are usage errors instead."""
+        with pytest.raises(SystemExit) as exc:
+            main([cmd, "--requests", "10", flag, *value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert flag in err and f"need {switch}" in err
+
+    def test_dependent_flags_with_their_switch_reach_the_config(
+            self, monkeypatch, tmp_path):
+        cfg = built_config(monkeypatch, [
+            "serve-sim", "--store", str(tmp_path), "--warm-start",
+            "--spmm-mix", "0.1", "--spmm-ks", "8", "--update-mix", "0.1",
+            "--structural-frac", "0.5", "--update-entries", "4",
+            "--shards", "2", "--shard-workers", "2"])
+        assert cfg.warm_start and cfg.spmm_ks == (8,)
+        assert (cfg.structural_frac, cfg.update_entries) == (0.5, 4)
+        assert (cfg.shards, cfg.shard_workers) == (2, 2)
+
     def test_switch_index_zero_counts_as_given(self, monkeypatch):
         cfg = built_config(monkeypatch, [
             "cluster-sim", "--slow-replica", "0", "--slow-factor", "2"])

@@ -55,6 +55,71 @@ class TestSingleReplicaParity:
         assert single.latencies_s == replica.latencies_s
 
 
+class TestWarmKnobParity:
+    """N=1 parity across every way a plan is acquired ahead of demand:
+    both drivers warm through the one ``ReplicaSim.warm``."""
+
+    @pytest.fixture(scope="class")
+    def populated_store(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("parity_store")
+        run_workload(WorkloadConfig(**self.KW, store=root))
+        return root
+
+    KW = dict(n_requests=600, n_matrices=3, seed=11)
+
+    @pytest.mark.parametrize("store", [False, True], ids=["nostore", "store"])
+    @pytest.mark.parametrize("pipeline", [False, True],
+                             ids=["serial", "pipeline"])
+    @pytest.mark.parametrize("warmer", [False, True], ids=["cold", "warmer"])
+    @pytest.mark.parametrize("warm_start", [False, True],
+                             ids=["nowarmstart", "warmstart"])
+    def test_bit_identical(self, populated_store, warm_start, warmer,
+                           pipeline, store):
+        kw = dict(self.KW, warm_start=warm_start, warmer=warmer,
+                  pipeline=pipeline,
+                  store=populated_store if store else None)
+        single = run_workload(WorkloadConfig(**kw))
+        cluster = run_cluster_workload(ClusterConfig(n_replicas=1, **kw))
+        (replica,) = cluster.replicas.values()
+        assert single.latencies_s == replica.latencies_s
+        for attr in ("preprocess_s", "warm_loads", "warm_builds",
+                     "cache_misses"):
+            assert getattr(single, attr) == getattr(replica, attr), attr
+
+
+class TestConservation:
+    """Every offered request ends exactly one way on every run, not
+    only on overload runs."""
+
+    @pytest.mark.parametrize("knobs", [
+        {},
+        {"chaos": "mix", "deadline_s": 0.004},
+        {"fail_replica": 2},
+        {"elastic": ElasticConfig(max_replicas=5)},
+        {"update_mix": 0.1},
+        {"chaos": "mix", "deadline_s": 0.004, "fail_replica": 2,
+         "elastic": ElasticConfig(max_replicas=5), "update_mix": 0.1},
+    ], ids=["plain", "chaos_deadline", "fail_replica", "elastic",
+            "update_mix", "combined"])
+    def test_no_lost_requests(self, knobs):
+        from repro.serve import ChaosConfig
+
+        if knobs.get("chaos") == "mix":
+            knobs = {**knobs, "chaos": ChaosConfig(fault_rate=0.05)}
+        stats = run_cluster_workload(cluster_cfg(n_replicas=3, **knobs))
+        assert not stats.overload_enabled
+        assert stats.n_offered + stats.n_updates == 1500
+        assert stats.lost_requests == 0
+
+    def test_imbalance_shows_without_overload(self):
+        """The property is computed, not gated to 0 off overload runs."""
+        from repro.cluster import ClusterStats
+
+        stats = ClusterStats(replicas={}, routed={}, n_offered=5)
+        assert not stats.overload_enabled
+        assert stats.lost_requests == 5
+
+
 class TestDeterminism:
     def test_same_config_same_stats(self):
         a = run_cluster_workload(cluster_cfg(n_replicas=3))

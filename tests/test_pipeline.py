@@ -24,11 +24,9 @@ from repro.gpu.tiles import mma_tile_stats
 from repro.obs import Obs
 from repro.pipeline import (
     PipelineConfig,
-    PlanPrefetcher,
     PrefetchLane,
     SpeculativeWarmer,
     WarmerConfig,
-    warm_action,
     zipf_fit,
 )
 from repro.serve import (
@@ -143,23 +141,6 @@ class TestSpeculativeWarmer:
             WarmerConfig(min_share=1.5)
         with pytest.raises(ValidationError):
             WarmerConfig(max_per_tick=0)
-
-
-class TestWarmAction:
-    def test_no_store_builds(self):
-        assert warm_action(None, "deadbeef", get_device("A100")) == "build"
-
-    def test_absent_artifact_builds(self, tmp_path):
-        store = PlanStore(tmp_path / "s")
-        assert warm_action(store, "0" * 16, get_device("A100")) == "build"
-
-    def test_stored_artifact_gated(self, tmp_path, rng):
-        csr = random_csr(64, 64, rng)
-        fp = matrix_fingerprint(csr)
-        store = PlanStore(tmp_path / "s")
-        store.put(fp, DASPMatrix.from_csr(csr))
-        # the gate decides; either answer is legal, but it must decide
-        assert warm_action(store, fp, get_device("A100")) in ("load", "build")
 
 
 # ----------------------------------------------------------------------
@@ -339,69 +320,6 @@ class TestEvictionConvergence:
         # the resident working set survives the rejected insert
         assert matrix_fingerprint(small) in reg
         assert reg.bytes_cached == before
-
-
-# ----------------------------------------------------------------------
-# the threaded prefetcher (real server's async path)
-# ----------------------------------------------------------------------
-class TestPlanPrefetcher:
-    def test_prefetch_loads_from_store(self, tmp_path, rng):
-        csr = random_csr(50, 70, rng)
-        fp = matrix_fingerprint(csr)
-        store = PlanStore(tmp_path / "s")
-        store.put(fp, DASPMatrix.from_csr(csr))
-        obs = Obs()
-        reg = PlanRegistry(store=store, obs=obs)
-        pf = PlanPrefetcher(reg, obs=obs)
-        try:
-            assert pf.prefetch(fp).result(timeout=10) == "store"
-            assert reg.peek(fp) is not None
-            assert obs.counter("pipeline.warm_load_total").value == 1
-            # idempotent: second prefetch sees the resident plan
-            assert pf.prefetch(fp).result(timeout=10) == "ram"
-        finally:
-            pf.close()
-
-    def test_prefetch_builds_with_csr(self, rng):
-        csr = random_csr(30, 40, rng)
-        fp = matrix_fingerprint(csr)
-        obs = Obs()
-        reg = PlanRegistry(obs=obs)
-        pf = PlanPrefetcher(reg, obs=obs)
-        try:
-            assert pf.prefetch(fp, csr).result(timeout=10) == "built"
-            assert obs.counter("pipeline.warm_build_total").value == 1
-        finally:
-            pf.close()
-
-    def test_absent_without_csr(self, rng):
-        reg = PlanRegistry()
-        pf = PlanPrefetcher(reg)
-        try:
-            assert pf.prefetch("f" * 16).result(timeout=10) == "absent"
-        finally:
-            pf.close()
-
-    def test_closed_resolves_absent(self, rng):
-        pf = PlanPrefetcher(PlanRegistry())
-        pf.close()
-        assert pf.prefetch("a" * 16).result(timeout=1) == "absent"
-
-    def test_failure_resolves_not_raises(self, rng):
-        csr = random_csr(20, 30, rng)
-        obs = Obs()
-        pf = PlanPrefetcher(PlanRegistry(obs=obs), obs=obs)
-
-        def bad_builder(matrix):
-            raise ValidationError("injected build failure")
-
-        try:
-            fut = pf.prefetch(matrix_fingerprint(csr), csr,
-                              builder=bad_builder)
-            assert fut.result(timeout=10) == "failed"
-            assert obs.counter("pipeline.warm_failed_total").value == 1
-        finally:
-            pf.close()
 
 
 # ----------------------------------------------------------------------

@@ -12,7 +12,11 @@ server; these tests pin what that buys:
 * the server never loses a future under queue-full backpressure;
 * the cost model runs once per (version, k), not once per batch, and
   a cold price runs the x-gather analysis once (once per shard) — the
-  large-k tuner and the tracer included.
+  large-k tuner and the tracer included;
+* ``ExecutionCore.warm`` — the one path for plans acquired ahead of
+  demand — follows the store's load-vs-rebuild gate, survives corrupt
+  artifacts and failed builds, and charges the server, the router and
+  the simulator the same modeled load seconds.
 """
 
 import sys
@@ -132,11 +136,11 @@ def _drive(pool, batches, executor, *, shards, fallback):
     return out, stats
 
 
-def _core(csrs, cost, *, obs=None, shards=None):
+def _core(csrs, cost, *, obs=None, shards=None, store=None):
     """A modeled-executor core over *csrs* with no resilience knobs."""
     obs = obs if obs is not None else Obs()
     return ExecutionCore(
-        device=A100, registry=PlanRegistry(obs=obs, device=A100),
+        device=A100, registry=PlanRegistry(obs=obs, device=A100, store=store),
         stats=ServerStats(obs=obs), obs=obs, cost=cost, clock=VirtualClock(),
         executor=ModeledExecutor(), outcomes=Recorder(),
         matrices={matrix_fingerprint(a): a for a in csrs}, shards=shards)
@@ -414,3 +418,158 @@ class TestNoLostFutures:
         for f in futures:
             if f.exception() is not None:
                 assert isinstance(f.exception(), QueueFullError)
+
+
+def _warm_counts(obs) -> dict:
+    return {a: int(obs.counter(f"pipeline.warm_{a}_total").value)
+            for a in ("load", "build", "failed")}
+
+
+def _gated_csr(loads: bool):
+    """A matrix whose artifact the load-vs-rebuild gate loads (short
+    rows) or rebuilds (long rows, where the payload outweighs the
+    preprocessing it saves)."""
+    rng = np.random.default_rng(12345)
+    if loads:
+        return random_csr(64, 64, rng, row_len_sampler=ROW_PROFILES["short"])
+    return random_csr(300, 300, rng, row_len_sampler=ROW_PROFILES["long"])
+
+
+def _stored(tmp_path, csr):
+    from repro.store import PlanStore
+
+    store = PlanStore(tmp_path / "s")
+    fp = matrix_fingerprint(csr)
+    store.put(fp, DASPMatrix.from_csr(csr))
+    return store, fp
+
+
+class TestWarm:
+    def test_no_store_builds(self, rng):
+        csr = random_csr(64, 64, rng)
+        fp = matrix_fingerprint(csr)
+        core = _core([csr], CostModel(A100))
+        kind, seconds = core.warm(fp, build=True)
+        assert kind == "build" and seconds > 0
+        assert core.registry.peek(fp) is not None
+        assert core.stats.preprocess_s == seconds
+        assert _warm_counts(core.obs) == {"load": 0, "build": 1, "failed": 0}
+        assert core.registry.misses == 1
+        # resident now: warming again acquires (and counts) nothing
+        assert core.warm(fp, build=True) is None
+        assert core.registry.hits == 0
+
+    def test_absent_artifact_builds(self, tmp_path, rng):
+        from repro.store import PlanStore
+
+        csr = random_csr(64, 64, rng)
+        fp = matrix_fingerprint(csr)
+        store = PlanStore(tmp_path / "s")
+        core = _core([csr], CostModel(A100), store=store)
+        kind, _ = core.warm(fp, build=True)
+        assert kind == "build"
+        assert fp in store          # written through like any build
+
+    @pytest.mark.parametrize("loads", [True, False],
+                             ids=["gate_loads", "gate_rebuilds"])
+    def test_stored_artifact_follows_the_gate(self, tmp_path, loads):
+        from repro.store import load_beats_rebuild, modeled_load_time
+
+        store, fp = _stored(tmp_path, _gated_csr(loads))
+        header = store.peek_header(fp)
+        assert load_beats_rebuild(header, A100) is loads
+        core = _core([_gated_csr(loads)], CostModel(A100), store=store)
+        kind, seconds = core.warm(fp, build=True)
+        assert kind == ("warm.load" if loads else "build")
+        assert _warm_counts(core.obs) == {
+            "load": int(loads), "build": int(not loads), "failed": 0}
+        # a speculative load is not a cache miss; a speculative build is
+        assert core.registry.misses == int(not loads)
+        if loads:
+            assert seconds == modeled_load_time(header, A100)
+
+    def test_corrupt_artifact_quarantined_then_rebuilt(self, tmp_path):
+        from repro.store import read_header
+
+        csr = _gated_csr(loads=True)
+        store, fp = _stored(tmp_path, csr)
+        path = store.path_for(fp)
+        header, payload_start = read_header(path)
+        rec = next(r for r in header["arrays"] if r["nbytes"])
+        blob = bytearray(path.read_bytes())
+        blob[payload_start + int(rec["offset"])] ^= 0xFF
+        path.write_bytes(bytes(blob))
+        core = _core([csr], CostModel(A100), store=store)
+        kind, _ = core.warm(fp, build=True)
+        assert kind == "build"
+        assert core.stats.store_quarantined == 1
+        assert np.array_equal(core.registry.peek(fp).csr.data, csr.data)
+
+    def test_failed_build_counts_and_does_not_raise(self, rng):
+        from repro._util import ValidationError
+
+        csr = random_csr(64, 64, rng)
+        fp = matrix_fingerprint(csr)
+        core = _core([csr], CostModel(A100))
+
+        def broken(fp, csr):
+            raise ValidationError("injected build failure")
+
+        core.build = broken
+        assert core.warm(fp, build=True) is None
+        assert _warm_counts(core.obs) == {"load": 0, "build": 1, "failed": 1}
+        assert core.registry.peek(fp) is None
+        assert core.stats.preprocess_s == 0.0
+
+    def test_preload_never_builds(self, tmp_path, rng):
+        from repro.store import PlanStore, modeled_load_time
+
+        csr = random_csr(64, 64, rng)
+        fp = matrix_fingerprint(csr)
+        for store in (None, PlanStore(tmp_path / "empty")):
+            core = _core([csr], CostModel(A100), store=store)
+            assert core.warm(fp, build=False) is None
+            assert core.registry.peek(fp) is None
+            assert core.registry.misses == 0
+            assert core.stats.preprocess_s == 0.0
+        # a stored artifact is preloaded even where the gate would
+        # rebuild: the preload is paid off the serving clock
+        store, fp = _stored(tmp_path, _gated_csr(loads=False))
+        core = _core([_gated_csr(loads=False)], CostModel(A100), store=store)
+        kind, seconds = core.warm(fp, build=False)
+        assert kind == "load"
+        assert seconds == modeled_load_time(store.peek_header(fp), A100)
+        assert _warm_counts(core.obs) == {"load": 0, "build": 0, "failed": 0}
+        assert core.warm(fp, build=False) is None   # resident: idempotent
+        assert core.stats.preprocess_s == seconds
+
+    def test_server_router_and_simulator_charge_the_same(self, tmp_path):
+        """``SpMVServer(warm_start=True)``, ``Router.warm`` and the
+        simulator's warm-start over one store charge the same modeled
+        load seconds: they are one warm path."""
+        from repro.cluster import Router
+        from repro.matrices import representative_suite
+        from repro.serve import WorkloadConfig, run_workload
+        from repro.store import PlanStore
+
+        pool = [e.matrix().astype(np.float64)
+                for e in representative_suite()[:3]]
+        store = PlanStore(tmp_path / "s")
+        fps = [matrix_fingerprint(csr) for csr in pool]
+        for fp, csr in zip(fps, pool):
+            store.put(fp, DASPMatrix.from_csr(csr))
+        sim = run_workload(WorkloadConfig(
+            n_requests=50, n_matrices=3, seed=11, store=store.root,
+            warm_start=True))
+        assert sim.store_loads == 3 and sim.preprocess_s > 0
+        with SpMVServer(workers=1, store=store.root, warm_start=True) as s:
+            for csr in pool:
+                s.register(csr)
+            assert s.stats.preprocess_s == sim.preprocess_s
+        servers = [SpMVServer(workers=1, store=store.root) for _ in range(2)]
+        with Router(servers, seed=0) as router:
+            for csr in pool:
+                router.register(csr)
+            assert sum(router.warm(fps).values()) == 3
+            charged = sum(srv.stats.preprocess_s for srv in servers)
+        assert charged == pytest.approx(sim.preprocess_s, rel=1e-12)
