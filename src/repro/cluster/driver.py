@@ -397,6 +397,9 @@ class _Cluster:
             ("shed", "rejected", "link_failed", "routed", "update"), 0)
         self.prio_offered = dict.fromkeys(PRIORITIES, 0)
         self.prio_shed = dict.fromkeys(PRIORITIES, 0)
+        #: fingerprint -> latest derived version (``PlanRegistry.update``'s
+        #: ``derivations`` memo): each broadcast delta is derived once
+        self.derivations: dict = {}
         for _ in range(cfg.n_replicas):
             self.spawn(warm=False)
 
@@ -517,12 +520,14 @@ class _Cluster:
         history is valid everywhere.  Only the matrix's *home* replica
         (first ring preference) persists the delta to the shared store:
         concurrent writers would trip the store's version-contiguity
-        invariant.
+        invariant.  The next version is derived once and shared through
+        :attr:`derivations`; each replica still charges its own patch.
         """
         prefs = self.ring.preference(fp)
         home = prefs[0] if prefs else None
         for rid, replica in self.replicas.items():
-            replica.apply_update(fp, delta, now, persist=(rid == home))
+            replica.apply_update(fp, delta, now, persist=(rid == home),
+                                 derivations=self.derivations)
         self.outcomes["update"] += 1
 
     def offer(self, req: SpMVRequest, now: float) -> None:

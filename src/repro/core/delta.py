@@ -804,14 +804,15 @@ def random_delta(csr, rng: np.random.Generator, *, structural: bool = False,
 
 
 # ----------------------------------------------------------------------
-# Serialization — CRC-checked aux records in the plan store
+# Serialization — CRC-framed records of the plan store's delta log
 # ----------------------------------------------------------------------
 _KIND_VALUE, _KIND_STRUCTURAL = 0, 1
 
 
 def delta_to_arrays(delta) -> dict:
-    """Flatten a delta into named arrays (the store prefixes these as
-    ``aux.delta.{version}.*`` records inside the ``.daspz`` artifact)."""
+    """Flatten a delta into named arrays (the store frames these as one
+    record of the fingerprint's delta log, see
+    :func:`repro.store.artifact.encode_delta_frame`)."""
     if isinstance(delta, ValueUpdate):
         return {"kind": np.array([_KIND_VALUE], dtype=np.int64),
                 "rows": delta.rows, "cols": delta.cols, "vals": delta.vals}

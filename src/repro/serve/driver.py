@@ -506,7 +506,8 @@ class ReplicaSim:
     # dynamic matrices — delta application
     # ------------------------------------------------------------------
     def apply_update(self, fp: str, delta, now: float, *,
-                     persist: bool = True) -> int:
+                     persist: bool = True, derivations: dict | None = None
+                     ) -> int:
         """Apply one matrix *delta* at virtual time *now*.
 
         Pending reads for the matrix are fenced out of the batcher
@@ -516,6 +517,8 @@ class ReplicaSim:
         occupies the device timeline exactly like the rebuild it
         replaces would.  ``persist=False`` suppresses the store delta
         write — cluster replicas other than the matrix's home replica.
+        ``derivations`` is the cluster's shared memo of derived versions
+        (:meth:`PlanRegistry.update`); the patch is charged either way.
 
         With the plan cache off there is no plan to patch: the
         reference CSR evolves through
@@ -535,7 +538,8 @@ class ReplicaSim:
         with self.obs.span("plan.patch", attrs={"matrix": fp[:8]}
                            if self.tracing else None) as sp:
             version, info, plan = self.registry.update(
-                fp, delta, csr=self.csr_by_fp[fp], persist=persist)
+                fp, delta, csr=self.csr_by_fp[fp], persist=persist,
+                derivations=derivations)
             patch_s = self.clock.scale(info.seconds(self.device))
             sp.set_device_time(patch_s)
             if self.tracing:

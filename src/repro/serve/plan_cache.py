@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,6 +54,51 @@ def plan_nbytes(dasp, *, include_csr: bool = False) -> int:
     """
     inventory = dasp.array_inventory(include_csr=include_csr)
     return int(sum(np.asarray(v).nbytes for v in inventory.values()))
+
+
+class Derivation(NamedTuple):
+    """One derived version ``fp@v{version}``: *plan* and *info* are
+    what applying *delta* to *source* (the plan at ``version - 1``)
+    yielded.  Registries that apply one delta stream in lockstep (the
+    cluster driver's replicas) share the latest per fingerprint through
+    :meth:`PlanRegistry.update`'s ``derivations`` memo."""
+
+    delta: object
+    version: int
+    source: object
+    plan: object
+    info: object
+
+
+def _clean_layout(plan):
+    """Layout key of a plan that carries no patch state, else ``None``.
+
+    A plan is clean when no band has dirty rows or an overlay.  Two
+    clean plans of one matrix version with equal keys (plan kind, band
+    row starts and each band's MMA shape, MAX_LEN and threshold) hold
+    the same packed arrays, so one delta derives the same next plan and
+    the same :class:`~repro.core.delta.PatchInfo` from either.
+    """
+    shards = getattr(plan, "shards", None)
+    dasps = [s.dasp for s in shards] if shards is not None else [plan]
+    for d in dasps:
+        st = d.delta
+        if st is not None and (st.dirty.size or st.overlay is not None):
+            return None
+    bands = (tuple(np.asarray(plan.row_starts).tolist())
+             if shards is not None else None)
+    return bands, tuple((d.mma_shape, d.max_len, d.threshold) for d in dasps)
+
+
+def _adoptable(memo: Derivation | None, delta, version: int, plan) -> bool:
+    """Whether *memo* is exactly what applying *delta* to *plan* as
+    version *version* would derive."""
+    if memo is None or memo.delta is not delta or memo.version != version:
+        return False
+    if memo.source is plan:
+        return True
+    key = _clean_layout(plan)
+    return key is not None and key == _clean_layout(memo.source)
 
 
 class PlanRegistry:
@@ -394,7 +440,7 @@ class PlanRegistry:
         return plan, load_s, stored_v
 
     def update(self, fingerprint: str, delta, *, csr=None,
-               persist: bool = True):
+               persist: bool = True, derivations: dict | None = None):
         """Advance *fingerprint*'s version chain by applying *delta*.
 
         Patches the current plan instead of rebuilding: value updates
@@ -404,16 +450,26 @@ class PlanRegistry:
         patch overlay.  The new plan lands under ``fp@v{n+1}``; the
         immediately preceding version is retained in RAM for drains and
         anything older is retired.  With a store configured the delta is
-        persisted as a CRC-checked ``aux.delta.*`` record *before* the
-        version becomes visible, so a crash between the two leaves
-        readers on the old, fully consistent version.
+        appended to the fingerprint's CRC-framed delta log
+        (:meth:`repro.store.PlanStore.put_delta`) *before* the version
+        becomes visible, so a crash between the two leaves readers on
+        the old, fully consistent version.
 
         ``csr`` (the **pre**-update CSR) is the rebuild fallback when
         the current plan is neither cached nor loadable.
         ``persist=False`` skips the store write — cluster replicas that
         share one store directory designate a single *home* replica as
         the delta writer, since concurrent ``put_delta`` calls would
-        trip the version-contiguity check.  Returns
+        trip the version-contiguity check.
+
+        ``derivations`` (fingerprint -> latest :class:`Derivation`) is a
+        memo shared by registries that apply one delta stream: the
+        first to derive ``fp@v{n+1}`` records it, and the others adopt
+        its immutable plan and ``PatchInfo`` instead of patching again
+        when their current plan is the recorded input, or when both are
+        clean with the same layout (:func:`_clean_layout`).  Any other
+        input derives its own version.  Counters, the modeled patch
+        charge and persistence stay per registry.  Returns
         ``(new_version, PatchInfo, new_plan)``.
 
         Rides the single-flight machinery on the *new* key: concurrent
@@ -451,10 +507,19 @@ class PlanRegistry:
                         f"no current plan for {base[:8]}… and no csr= "
                         f"fallback to rebuild from")
                 plan = DASPMatrix.from_csr(csr)
-            work = (clone_for_patch(plan) if isinstance(delta, ValueUpdate)
-                    else plan)
-            new_plan, info = apply_update(work, delta)
             new_v = cur_v + 1
+            memo = derivations.get(base) if derivations is not None else None
+            if _adoptable(memo, delta, new_v, plan):
+                new_plan, info = memo.plan, memo.info
+            else:
+                work = (clone_for_patch(plan)
+                        if isinstance(delta, ValueUpdate) else plan)
+                new_plan, info = apply_update(work, delta)
+                if derivations is not None and (
+                        memo is None or memo.delta is not delta
+                        or memo.version != new_v):
+                    derivations[base] = Derivation(delta, new_v, plan,
+                                                   new_plan, info)
             if self.store is not None and persist:
                 self.store.put_delta(base, new_v, delta, seed_plan=plan)
             with self._lock:
@@ -502,8 +567,8 @@ class PlanRegistry:
         """Roll *fingerprint*'s chain back to *version* (cheap undo).
 
         The store is the source of truth for retained deltas, so a
-        store is required; it truncates its ``aux.delta.*`` records
-        first (while the payload is pristine) and replays the survivors.
+        store is required; it truncates the fingerprint's delta log and
+        replays the surviving records onto the artifact's base plan.
         Newer RAM entries are dropped so no lookup can resolve past the
         rollback point.  Returns the plan at *version*, or ``None`` when
         the store cannot reach it (outside the retained window).
@@ -562,9 +627,9 @@ class PlanRegistry:
         nbytes = plan_nbytes(plan)
         budget = self.effective_budget()
         # Versioned plans never write through as standalone artifacts:
-        # update() persists the chain as aux.delta.* records on the base
-        # fingerprint (via PlanStore.put_delta), and the store replays
-        # them on load — a "fp@v3" artifact would shadow that channel.
+        # update() appends the chain to the base fingerprint's delta log
+        # (via PlanStore.put_delta), and the store replays it on load —
+        # a "fp@v3" artifact would shadow that channel.
         versioned = "@v" in fingerprint
         if nbytes > budget:
             if self.store is not None:

@@ -13,7 +13,10 @@ exit.  This package makes plans durable:
 * :class:`PlanStore` — a content-addressed directory of artifacts
   (atomic write-then-rename publishing, quarantine of corrupt files,
   capacity-bounded LRU garbage collection) keyed by
-  :func:`fingerprint_csr`, the canonical CSR content hash;
+  :func:`fingerprint_csr`, the canonical CSR content hash; matrix
+  updates append to a per-fingerprint delta log
+  (:func:`encode_delta_frame` / :func:`read_delta_log`) instead of
+  rewriting the artifact;
 * :mod:`~repro.store.tier` — the load-vs-rebuild cost gate: an
   artifact is only read back when the model says streaming it from
   disk beats re-running preprocessing;
@@ -37,10 +40,13 @@ from .artifact import (
     AUX_PREFIX,
     EXTENSION,
     FORMAT_VERSION,
+    LOG_EXTENSION,
     MAGIC,
     ArtifactError,
+    encode_delta_frame,
     load_artifact,
     read_aux,
+    read_delta_log,
     read_header,
     save_artifact,
     verify_artifact,
@@ -62,15 +68,18 @@ __all__ = [
     "DISK_BW",
     "EXTENSION",
     "FORMAT_VERSION",
+    "LOG_EXTENSION",
     "MAGIC",
     "OPEN_OVERHEAD_S",
     "PlanStore",
+    "encode_delta_frame",
     "fingerprint_csr",
     "load_artifact",
     "load_beats_rebuild",
     "modeled_load_time",
     "modeled_rebuild_time",
     "read_aux",
+    "read_delta_log",
     "read_header",
     "save_artifact",
     "verify_artifact",

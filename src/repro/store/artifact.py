@@ -18,7 +18,25 @@ relative to the payload section, so the header can be grown without a
 fixpoint computation.  ``aux.``-prefixed records carry auxiliary
 arrays (e.g. the large-k SpMM row-reorder permutation) that plan
 reconstruction never touches — see :func:`save_artifact` /
-:func:`read_aux`.
+:func:`read_aux`.  The header's ``base_version`` names the matrix
+version the payload holds (0 for the original matrix); later versions
+live in the fingerprint's delta log, not in the artifact.
+
+The delta log (``<fingerprint>.dlog`` beside the artifact) is an
+append-only sequence of CRC-framed records, one per matrix version::
+
+    [ 0: 4]  magic  b"DLG1"
+    [ 4: 8]  uint32 body length L
+    [ 8:16]  uint64 version
+    [16:20]  uint32 CRC32 of bytes [4:16] (length and version)
+    [20:24]  uint32 CRC32 of the body
+    [24:24+L] body: uint32 spec length S, JSON spec
+              ``[[name, dtype, shape], ...]``, then the raw arrays
+
+A frame whose header or body runs past the end of the file is a torn
+append (a crash mid-write) and is ignored.  A bad magic or a CRC
+mismatch is corruption and raises :class:`ArtifactError` — the header
+CRC keeps a corrupt length from passing for a torn tail.
 
 Payloads are loadable through ``np.memmap`` (the default): a warm start
 maps the file and the plan's arrays are read-only views into the page
@@ -37,6 +55,7 @@ from __future__ import annotations
 
 import json
 import os
+import struct
 import zlib
 
 import numpy as np
@@ -55,6 +74,22 @@ ALIGN = 64
 
 #: Canonical artifact file extension.
 EXTENSION = ".daspz"
+
+#: Delta-log file extension (one log beside each versioned artifact).
+LOG_EXTENSION = ".dlog"
+
+#: Delta-log frame magic.
+LOG_MAGIC = b"DLG1"
+
+# magic, body length, version, CRC32 of length+version, CRC32 of body
+_FRAME = struct.Struct("<4sIQII")
+
+#: Aux-name prefix of the retired in-artifact delta layout
+#: (``aux.delta.*``).  Such an artifact holds its base version in the
+#: payload and its later versions in records no reader replays any
+#: more; :func:`read_header` rejects it so it is quarantined and
+#: rebuilt instead of being served at its base version.
+RETIRED_DELTA_AUX = "delta."
 
 
 class ArtifactError(ReproError):
@@ -105,7 +140,7 @@ AUX_PREFIX = "aux."
 
 
 def save_artifact(path, plan, *, fingerprint: str | None = None,
-                  aux: dict | None = None) -> dict:
+                  aux: dict | None = None, base_version: int = 0) -> dict:
     """Write *plan* (a ``DASPMatrix`` or ``ShardedPlan``) to *path*.
 
     ``aux`` maps names to extra arrays stored alongside the plan —
@@ -113,6 +148,8 @@ def save_artifact(path, plan, *, fingerprint: str | None = None,
     ``aux.``-prefixed records (CRC-checked like plan arrays, listed in
     the header's ``aux`` key, invisible to plan reconstruction and to
     the load-vs-rebuild cost model's ``packed_bytes``).
+    ``base_version`` is the matrix version *plan* holds (its delta log
+    continues from there).
 
     Returns the header dict that was written.  The write is plain (not
     atomic) — :meth:`repro.store.PlanStore.put` layers write-then-rename
@@ -120,6 +157,9 @@ def save_artifact(path, plan, *, fingerprint: str | None = None,
     """
     meta, arrays = plan.to_arrays()
     for name in aux or ():
+        if name.startswith(RETIRED_DELTA_AUX):
+            raise ArtifactError(f"aux name {name!r} uses the retired "
+                                f"in-artifact delta layout")
         key = AUX_PREFIX + name
         if key in arrays:  # pragma: no cover — plan arrays never use aux.
             raise ArtifactError(f"aux name collides with plan array {key!r}")
@@ -152,6 +192,7 @@ def save_artifact(path, plan, *, fingerprint: str | None = None,
         "dtype": meta["dtype"],
         "meta": meta,
         "aux": sorted(aux) if aux else [],
+        "base_version": int(base_version),
         "modeled": dict(_modeled_scalars(plan),
                         payload_bytes=int(offset),
                         packed_bytes=int(packed_bytes)),
@@ -210,6 +251,9 @@ def read_header(path) -> tuple[dict, int]:
     for key in ("kind", "meta", "arrays", "modeled"):
         if key not in header:
             raise ArtifactError(f"{path}: header missing {key!r}")
+    if any(n.startswith(RETIRED_DELTA_AUX) for n in header.get("aux") or ()):
+        raise ArtifactError(f"{path}: retired in-artifact delta layout "
+                            f"(aux.{RETIRED_DELTA_AUX}* records)")
     return header, _align(len(MAGIC) + 8 + hlen)
 
 
@@ -310,3 +354,79 @@ def verify_artifact(path) -> dict:
     header, payload_start = read_header(path)
     _read_arrays(path, header, payload_start, mmap=True, verify=True)
     return header
+
+
+# ----------------------------------------------------------------------
+# Delta log
+# ----------------------------------------------------------------------
+def encode_delta_frame(version: int, arrays: dict) -> bytes:
+    """One delta-log frame holding *arrays* for matrix *version*."""
+    arrays = {n: np.ascontiguousarray(a) for n, a in arrays.items()}
+    spec = json.dumps([[n, a.dtype.str, list(a.shape)]
+                       for n, a in arrays.items()]).encode()
+    body = b"".join([len(spec).to_bytes(4, "little"), spec,
+                     *(a.tobytes() for a in arrays.values())])
+    lv = len(body).to_bytes(4, "little") + int(version).to_bytes(8, "little")
+    return _FRAME.pack(LOG_MAGIC, len(body), int(version), zlib.crc32(lv),
+                       zlib.crc32(body)) + body
+
+
+def _decode_body(path, version: int, body: bytes) -> dict:
+    try:
+        slen = int.from_bytes(body[:4], "little")
+        spec = json.loads(body[4:4 + slen].decode())
+        arrays, at = {}, 4 + slen
+        for name, dtype, shape in spec:
+            dt = np.dtype(dtype)
+            n = dt.itemsize * int(np.prod(shape, dtype=np.int64))
+            if at + n > len(body):
+                raise ValueError("array runs past the frame")
+            arrays[name] = np.frombuffer(body, dtype=dt, count=n // dt.itemsize,
+                                         offset=at).reshape(shape).copy()
+            at += n
+    except (ValueError, TypeError, UnicodeDecodeError) as exc:
+        raise ArtifactError(
+            f"{path}: malformed delta record for version {version}: "
+            f"{exc}") from exc
+    return arrays
+
+
+def read_delta_log(path, *, decode: bool = True):
+    """Parse a delta log; returns ``(records, ends)``.
+
+    ``records`` is ``[(version, arrays), ...]`` in file order
+    (``arrays`` is ``None`` with ``decode=False``; the CRC is checked
+    either way) and ``ends[i]`` the byte offset just past record *i* —
+    ``ends[-1]`` is less than the file size only after a torn append.
+    A missing file is an empty log.  Raises :class:`ArtifactError` on a
+    complete frame with a bad magic or CRC, or on versions that do not
+    run contiguously.
+    """
+    try:
+        with open(path, "rb") as f:
+            blob = f.read()
+    except FileNotFoundError:
+        return [], []
+    except OSError as exc:
+        raise ArtifactError(f"{path}: unreadable delta log: {exc}") from exc
+    records, ends, at = [], [], 0
+    while at + _FRAME.size <= len(blob):
+        magic, blen, version, hcrc, bcrc = _FRAME.unpack_from(blob, at)
+        if magic != LOG_MAGIC or zlib.crc32(blob[at + 4:at + 16]) != hcrc:
+            raise ArtifactError(f"{path}: corrupt delta-log frame header "
+                                f"at byte {at}")
+        end = at + _FRAME.size + blen
+        if end > len(blob):
+            break  # torn final frame
+        body = blob[at + _FRAME.size:end]
+        if zlib.crc32(body) != bcrc:
+            raise ArtifactError(f"{path}: checksum mismatch in delta "
+                                f"record for version {version}")
+        if records and version != records[-1][0] + 1:
+            raise ArtifactError(f"{path}: delta log jumps from version "
+                                f"{records[-1][0]} to {version}")
+        records.append((version, _decode_body(path, version, body)
+                        if decode else None))
+        ends.append(end)
+        at = end
+    return records, ends

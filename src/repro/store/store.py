@@ -3,7 +3,9 @@
 Layout under the store root::
 
     plans/<fingerprint>.daspz       published artifacts
+    plans/<fingerprint>.dlog        append-only delta log (versioned only)
     quarantine/<fingerprint>.daspz  artifacts that failed to load
+    quarantine/<fingerprint>.dlog   ... and their delta logs
     quarantine/<fingerprint>.reason one-line failure description
     tmp/                            in-flight writes (crash debris only)
 
@@ -12,6 +14,15 @@ Publishing is atomic: :meth:`PlanStore.put` serializes into ``tmp/``
 never observe a half-written artifact, and concurrent writers of the
 same fingerprint are idempotent (last rename wins, both files are
 identical by content addressing).
+
+Matrix updates never rewrite the artifact: :meth:`PlanStore.put_delta`
+appends one CRC-framed record to the fingerprint's delta log and fsyncs
+it, so a version costs O(delta) bytes of durable write.  The artifact
+holds the plan at its ``base_version``; :meth:`PlanStore.load` replays
+the log's later records.  Only a fold (more than :data:`DELTA_RETAIN`
+retained records) rewrites the artifact — at the new base — and then
+the log; records at or below the base are skipped, so a crash between
+the two renames still reads back a consistent version.
 
 Loads are fail-safe: any :class:`~repro.store.artifact.ArtifactError`
 (corruption, truncation, version mismatch, fingerprint mismatch) moves
@@ -47,9 +58,12 @@ import numpy as np
 from .._util import check
 from .artifact import (
     EXTENSION,
+    LOG_EXTENSION,
     ArtifactError,
+    encode_delta_frame,
     load_artifact,
     read_aux,
+    read_delta_log,
     read_header,
     save_artifact,
     verify_artifact,
@@ -69,8 +83,8 @@ _ROOT_LOCKS_GUARD = threading.Lock()
 # collide on in-flight write names (the pid alone no longer suffices)
 _TMP_SEQ = itertools.count(1)
 
-#: How many ``aux.delta.*`` records an artifact retains before the
-#: oldest deltas are folded forward into the plan payload (gc of
+#: How many delta-log records a fingerprint retains before the oldest
+#: are folded forward into the artifact's plan payload (gc of
 #: superseded versions).  Retained deltas are the rollback window.
 DELTA_RETAIN = 8
 
@@ -164,6 +178,9 @@ class PlanStore:
     def path_for(self, fingerprint: str) -> Path:
         return self.plans_dir / f"{fingerprint}{EXTENSION}"
 
+    def log_path_for(self, fingerprint: str) -> Path:
+        return self.plans_dir / f"{fingerprint}{LOG_EXTENSION}"
+
     def contains(self, fingerprint: str) -> bool:
         return self.path_for(fingerprint).exists()
 
@@ -177,10 +194,13 @@ class PlanStore:
         return len(self.fingerprints())
 
     def nbytes(self) -> int:
-        """Total published artifact bytes (tolerant of concurrent
-        removal — a file another instance unlinks mid-scan counts 0)."""
+        """Total published artifact and delta-log bytes (tolerant of
+        concurrent removal — a file another instance unlinks mid-scan
+        counts 0)."""
         total = 0
-        for p in self.plans_dir.glob(f"*{EXTENSION}"):
+        for p in self.plans_dir.iterdir():
+            if p.suffix not in (EXTENSION, LOG_EXTENSION):
+                continue
             try:
                 total += p.stat().st_size
             except OSError:
@@ -199,24 +219,37 @@ class PlanStore:
         artifact is kept (content addressing makes the bytes identical
         anyway).  ``aux`` arrays (e.g. a tuned row-reorder permutation)
         ride along in the artifact — see
-        :func:`repro.store.artifact.save_artifact`.  Returns the
-        published path.
+        :func:`repro.store.artifact.save_artifact`.  The plan is
+        published as the matrix's original version: any delta log of
+        an earlier chain is dropped, never replayed onto it.  Returns
+        the published path.
         """
         final = self.path_for(fingerprint)
         if not overwrite and final.exists():
             return final
-        tmp = self.tmp_dir / (f"{fingerprint}.{os.getpid()}"
-                              f".{next(_TMP_SEQ)}.part")
-        try:
-            save_artifact(tmp, plan, fingerprint=fingerprint, aux=aux)
-            os.replace(tmp, final)
-        finally:
-            tmp.unlink(missing_ok=True)  # failed before the rename
+        with self._lock:
+            self.log_path_for(fingerprint).unlink(missing_ok=True)
+            self._publish(fingerprint, plan, aux=aux)
         self._writes.inc()
         self._bytes.set(self.nbytes())
         if self.capacity_bytes is not None:
             self.gc()
         return final
+
+    def _tmp_path(self, fingerprint: str) -> Path:
+        return self.tmp_dir / (f"{fingerprint}.{os.getpid()}"
+                               f".{next(_TMP_SEQ)}.part")
+
+    def _publish(self, fingerprint: str, plan, *, aux: dict | None = None,
+                 base_version: int = 0) -> None:
+        """Write-then-rename *plan*'s artifact (its log is untouched)."""
+        tmp = self._tmp_path(fingerprint)
+        try:
+            save_artifact(tmp, plan, fingerprint=fingerprint, aux=aux,
+                          base_version=base_version)
+            os.replace(tmp, self.path_for(fingerprint))
+        finally:
+            tmp.unlink(missing_ok=True)  # failed before the rename
 
     # ------------------------------------------------------------------
     # read path
@@ -248,9 +281,12 @@ class PlanStore:
         ``None`` means the caller should build from CSR: the artifact
         is absent (a miss), modeled slower to read than to rebuild
         (skipped, with ``gate=True``), or corrupt (quarantined).  A
-        successful load verifies every CRC, counts a hit, charges the
-        wall-clock into ``store.load_seconds_total`` and touches the
-        file for LRU garbage collection.
+        successful load verifies every CRC of the artifact and of its
+        delta log, replays the log's records past the artifact's base
+        version, counts a hit, charges the wall-clock into
+        ``store.load_seconds_total`` and touches the artifact for LRU
+        garbage collection.  The modeled seconds cover streaming both
+        files plus the replayed patches.
         """
         path = self.path_for(fingerprint)
         t0 = time.perf_counter()
@@ -259,26 +295,18 @@ class PlanStore:
                 self._misses.inc()
                 return None
             try:
-                if gate:
-                    header, _ = read_header(path)
-                    if not load_beats_rebuild(header, self.device):
-                        self._load_skipped.inc()
-                        return None
-                plan, header = load_artifact(path, mmap=mmap, verify=True,
+                header, _ = read_header(path)
+                if gate and not load_beats_rebuild(header, self.device):
+                    self._load_skipped.inc()
+                    return None
+                pending, log_bytes = self._pending_deltas(fingerprint,
+                                                          header)
+                # Patching mutates value slabs, so a chain to replay
+                # needs private copies, not a read-only memmap.
+                plan, header = load_artifact(path, mmap=mmap and not pending,
+                                             verify=True,
                                              fingerprint=fingerprint)
-                if any(n.startswith("delta.") for n in header.get("aux") or ()):
-                    # Versioned artifact: the payload is the *base*
-                    # version — replay the retained aux.delta.* records
-                    # to reach the current one.  Patching mutates value
-                    # slabs, so a memmapped (read-only) payload is
-                    # re-read as private copies first.
-                    if mmap:
-                        plan, header = load_artifact(path, mmap=False,
-                                                     verify=True,
-                                                     fingerprint=fingerprint)
-                    plan, replay_s = self._replay_deltas(plan, read_aux(path))
-                else:
-                    replay_s = 0.0
+                plan, replay_s = self._replay(plan, pending)
             except FileNotFoundError:
                 # removed by another *process* (in-process removers hold
                 # this lock): absence, not corruption — rebuild from CSR
@@ -294,7 +322,8 @@ class PlanStore:
                 pass
         self._hits.inc()
         self._load_seconds.inc(time.perf_counter() - t0)
-        return plan, modeled_load_time(header, self.device) + replay_s
+        return plan, (modeled_load_time(header, self.device,
+                                        log_bytes=log_bytes) + replay_s)
 
     def load_aux(self, fingerprint: str) -> dict | None:
         """Auxiliary arrays of a published artifact, or ``None``.
@@ -317,179 +346,228 @@ class PlanStore:
                 return None
 
     def verify(self, fingerprint: str) -> dict:
-        """Full CRC verification of one artifact (raises on failure)."""
-        return verify_artifact(self.path_for(fingerprint))
+        """Full CRC verification of one artifact and its delta log
+        (raises :class:`ArtifactError` on failure); returns the
+        artifact header."""
+        header = verify_artifact(self.path_for(fingerprint))
+        self._pending_deltas(fingerprint, header, decode=False)
+        return header
 
     # ------------------------------------------------------------------
-    # delta records (repro.core.delta) — versioned artifacts
+    # delta log (repro.core.delta) — versioned artifacts
     # ------------------------------------------------------------------
-    @staticmethod
-    def _parse_delta_aux(aux: dict) -> tuple[int, list[int]]:
-        """``(base_version, sorted retained delta versions)``."""
-        base = (int(np.asarray(aux["delta.base"])[0])
-                if "delta.base" in aux else 0)
-        versions = sorted({int(n.split(".")[1]) for n in aux
-                           if n.startswith("delta.") and n != "delta.base"})
-        return base, versions
+    def _pending_deltas(self, fingerprint: str, header: dict, *,
+                        decode: bool = True) -> tuple[list, int]:
+        """``(records past the header's base version, log bytes read)``.
 
-    @staticmethod
-    def _delta_arrays(aux: dict, version: int) -> dict:
-        prefix = f"delta.{version}."
-        return {n[len(prefix):]: arr for n, arr in aux.items()
-                if n.startswith(prefix)}
-
-    def delta_state(self, fingerprint: str) -> tuple[int, list[int]] | None:
-        """``(base_version, retained delta versions)`` of a published
-        artifact, or ``None`` when absent/corrupt."""
-        aux = self.load_aux(fingerprint)
-        if aux is None:
-            return None
-        return self._parse_delta_aux(aux)
-
-    def current_version(self, fingerprint: str) -> int | None:
-        """Version :meth:`load` reconstructs — the newest retained
-        delta, or the payload's base version; ``None`` when
-        absent/corrupt.
-
-        The header's aux names answer without reading any aux payload
-        unless only ``delta.base`` is listed (its value is the answer).
+        Records at or below the base were folded into the payload (a
+        crash can leave them behind a fold's artifact rename) and are
+        skipped; the rest must continue the base contiguously.
         """
-        header = self.peek_header(fingerprint)
-        if header is None:
-            return None
-        names = header.get("aux") or []
-        versions = [int(n.split(".")[1]) for n in names
-                    if n.startswith("delta.") and n != "delta.base"]
-        if versions:
-            return max(versions)
-        if "delta.base" in names:
-            state = self.delta_state(fingerprint)
-            return state[0] if state is not None else None
-        return 0
+        base = int(header.get("base_version", 0))
+        log = self.log_path_for(fingerprint)
+        records, ends = read_delta_log(log, decode=decode)
+        pending = [(v, a) for v, a in records if v > base]
+        if pending and pending[0][0] != base + 1:
+            raise ArtifactError(f"{log}: delta log starts at version "
+                                f"{pending[0][0]}, artifact base is {base}")
+        return pending, (ends[-1] if ends else 0)
 
-    def _replay_deltas(self, plan, aux: dict, *,
-                       upto: int | None = None):
-        """Apply retained delta records to a freshly loaded payload.
-
-        Returns ``(plan_at_version, modeled_patch_seconds)``.
-        """
+    def _replay(self, plan, records):
+        """Apply delta-log *records* ``[(version, arrays)]`` to *plan*;
+        returns ``(plan_at_last_version, modeled_patch_seconds)``."""
+        if not records:
+            return plan, 0.0
         from ..core.delta import apply_update, delta_from_arrays
         from ..gpu.device import get_device
 
-        base, versions = self._parse_delta_aux(aux)
         dev = get_device(self.device)
         patch_s = 0.0
-        for v in versions:
-            if upto is not None and v > upto:
-                break
-            delta = delta_from_arrays(self._delta_arrays(aux, v))
-            plan, info = apply_update(plan, delta)
+        for _, arrays in records:
+            plan, info = apply_update(plan, delta_from_arrays(arrays))
             patch_s += info.seconds(dev)
             self._delta_replayed.inc()
         return plan, patch_s
 
+    def _chain(self, fingerprint: str, **kw):
+        """``(header, pending records, log bytes)`` of a published
+        artifact (caller holds the lock), or ``None`` when it is absent
+        or was quarantined as corrupt."""
+        path = self.path_for(fingerprint)
+        if not path.exists():
+            return None
+        try:
+            header, _ = read_header(path)
+            return (header, *self._pending_deltas(fingerprint, header, **kw))
+        except ArtifactError as exc:
+            self._load_failures.inc()
+            self.quarantine(fingerprint, str(exc))
+            return None
+
+    def delta_state(self, fingerprint: str) -> tuple[int, list[int]] | None:
+        """``(base_version, retained delta versions)`` of a published
+        artifact, or ``None`` when absent/corrupt."""
+        with self._lock:
+            chain = self._chain(fingerprint, decode=False)
+        if chain is None:
+            return None
+        header, pending, _ = chain
+        return int(header.get("base_version", 0)), [v for v, _ in pending]
+
+    def current_version(self, fingerprint: str) -> int | None:
+        """Version :meth:`load` reconstructs — the newest retained
+        delta, or the artifact's base version; ``None`` when
+        absent/corrupt."""
+        state = self.delta_state(fingerprint)
+        if state is None:
+            return None
+        base, versions = state
+        return versions[-1] if versions else base
+
     def put_delta(self, fingerprint: str, version: int, delta, *,
                   seed_plan=None, retain: int = DELTA_RETAIN) -> Path | None:
-        """Append a CRC-checked ``aux.delta.{version}.*`` record to
-        *fingerprint*'s artifact.
+        """Append *delta* as version *version* to *fingerprint*'s log.
 
-        The plan payload stays at its base version; :meth:`load`
-        replays the retained deltas to reconstruct the current one.
-        When more than *retain* deltas accumulate, the oldest are
-        folded forward into the payload and their records dropped (gc
-        of superseded versions — the remaining window is what
-        :meth:`rollback` can reach).  With ``seed_plan`` an absent
-        artifact is first published at ``version - 1``.  Returns the
-        artifact path, or ``None`` when absent and no seed was given.
+        One CRC-framed record is appended and fsynced (a torn tail left
+        by a crash mid-append is truncated first); the artifact is not
+        touched.  When more than *retain* records would be retained,
+        the oldest are folded forward into the artifact's payload
+        instead: the artifact is rewritten at the new base version,
+        then the log with the remaining records (gc of superseded
+        versions — the remaining window is what :meth:`rollback` can
+        reach).  With ``seed_plan`` an absent (or quarantined) artifact
+        is first published at ``version - 1``.  Returns the artifact
+        path, or ``None`` when absent and no seed was given.
         """
-        from ..core.delta import (apply_update, consolidate_plan,
-                                  delta_from_arrays, delta_to_arrays)
+        from ..core.delta import consolidate_plan, delta_to_arrays
 
-        record = {f"delta.{version}.{n}": np.asarray(a)
-                  for n, a in delta_to_arrays(delta).items()}
+        record = (version, delta_to_arrays(delta))
+        path, log = self.path_for(fingerprint), self.log_path_for(fingerprint)
         with self._lock:
-            path = self.path_for(fingerprint)
-            if not path.exists():
+            chain = self._chain(fingerprint, decode=False)
+            if chain is None:
                 if seed_plan is None:
                     return None
-                aux = {"delta.base": np.array([version - 1], dtype=np.int64)}
-                aux.update(record)
-                self._delta_writes.inc()
-                return self.put(fingerprint, consolidate_plan(seed_plan),
-                                aux=aux)
+                log.unlink(missing_ok=True)
+                self._publish(fingerprint, consolidate_plan(seed_plan),
+                              base_version=version - 1)
+                chain = ({"base_version": version - 1}, [], 0)
+            header, pending, good_end = chain
+            base = int(header.get("base_version", 0))
+            current = pending[-1][0] if pending else base
+            check(version == current + 1,
+                  f"non-contiguous delta version {version} (current {current})")
+            n_fold = len(pending) + 1 - max(0, int(retain))
+            if n_fold > 0:
+                try:
+                    self._fold(fingerprint, record, n_fold)
+                except ArtifactError as exc:
+                    self._load_failures.inc()
+                    self.quarantine(fingerprint, str(exc))
+                    return None
+            else:
+                with open(log, "ab") as f:
+                    f.truncate(good_end)  # drop a torn final frame
+                    f.write(encode_delta_frame(*record))
+                    f.flush()
+                    os.fsync(f.fileno())
+            self._writes.inc()
+            self._delta_writes.inc()
+        self._bytes.set(self.nbytes())
+        if self.capacity_bytes is not None:
+            self.gc()
+        return path
+
+    def _fold(self, fingerprint: str, record, n_fold: int) -> None:
+        """Fold the *n_fold* oldest of the retained records plus the new
+        *record* ``(version, arrays)`` into the artifact, and leave the
+        rest as the new log (caller holds the lock and has validated the
+        chain)."""
+        from ..core.delta import (apply_update, consolidate_plan,
+                                  delta_from_arrays)
+
+        path, log = self.path_for(fingerprint), self.log_path_for(fingerprint)
+        plan, header = load_artifact(path, mmap=False, verify=True,
+                                     fingerprint=fingerprint)
+        aux = read_aux(path)
+        pending, _ = self._pending_deltas(fingerprint, header)
+        records = [*pending, record]
+        folded, kept = records[:n_fold], records[n_fold:]
+        for _, arrays in folded:
+            plan, _ = apply_update(plan, delta_from_arrays(arrays))
+        self._delta_folded.inc(len(folded))
+        tmp = self._tmp_path(fingerprint)
+        try:
+            with open(tmp, "wb") as f:
+                for v, arrays in kept:
+                    f.write(encode_delta_frame(v, arrays))
+                f.flush()
+                os.fsync(f.fileno())
+            # artifact first: until the log rename lands, the old log's
+            # records at or below the new base are skipped on read
+            self._publish(fingerprint, consolidate_plan(plan), aux=aux,
+                          base_version=folded[-1][0])
+            os.replace(tmp, log)
+        finally:
+            tmp.unlink(missing_ok=True)
+
+    def rollback(self, fingerprint: str, version: int):
+        """Truncate *fingerprint*'s delta log back to *version* and
+        return ``(plan_at_version, modeled_seconds)``, or ``None`` when
+        the artifact is absent or *version* is outside the retained
+        window (older than the artifact's base or newer than the last
+        delta)."""
+        path, log = self.path_for(fingerprint), self.log_path_for(fingerprint)
+        with self._lock:
+            chain = self._chain(fingerprint)
+            if chain is None:
+                return None
+            header, pending, _ = chain
+            base = int(header.get("base_version", 0))
+            current = pending[-1][0] if pending else base
+            if not (base <= version <= current):
+                return None
             try:
                 plan, _ = load_artifact(path, mmap=False, verify=True,
                                         fingerprint=fingerprint)
-                aux = read_aux(path)
             except ArtifactError as exc:
                 self._load_failures.inc()
                 self.quarantine(fingerprint, str(exc))
                 return None
-            base, versions = self._parse_delta_aux(aux)
-            current = versions[-1] if versions else base
-            check(version == current + 1,
-                  f"non-contiguous delta version {version} (current {current})")
-            aux.update(record)
-            versions.append(version)
-            while len(versions) > max(0, int(retain)):
-                v0 = versions.pop(0)
-                folded = delta_from_arrays(self._delta_arrays(aux, v0))
-                plan, _ = apply_update(plan, folded)
-                for n in list(aux):
-                    if n.startswith(f"delta.{v0}."):
-                        del aux[n]
-                base = v0
-                self._delta_folded.inc()
-            aux["delta.base"] = np.array([base], dtype=np.int64)
-            self._delta_writes.inc()
-            return self.put(fingerprint, consolidate_plan(plan), aux=aux)
-
-    def rollback(self, fingerprint: str, version: int):
-        """Truncate the artifact back to *version* and return
-        ``(plan_at_version, modeled_seconds)``, or ``None`` when the
-        artifact is absent or *version* is outside the retained window
-        (older than the folded base or newer than the last delta)."""
-        with self._lock:
-            path = self.path_for(fingerprint)
-            if not path.exists():
-                return None
-            try:
-                plan, header = load_artifact(path, mmap=False, verify=True,
-                                             fingerprint=fingerprint)
-                aux = read_aux(path)
-            except ArtifactError as exc:
-                self._load_failures.inc()
-                self.quarantine(fingerprint, str(exc))
-                return None
-            base, versions = self._parse_delta_aux(aux)
-            if not (base <= version <= (versions[-1] if versions else base)):
-                return None
-            kept = {n: a for n, a in aux.items()
-                    if not n.startswith("delta.")
-                    or n == "delta.base"
-                    or int(n.split(".")[1]) <= version}
-            if len(kept) != len(aux):
-                # Rewrite first, while the payload is still pristine —
-                # replay below mutates it in place.
-                self.put(fingerprint, plan, aux=kept)
-            plan, patch_s = self._replay_deltas(plan, kept, upto=version)
+            kept = [(v, a) for v, a in pending if v <= version]
+            if len(kept) < len(pending):
+                records, ends = read_delta_log(log, decode=False)
+                n_keep = sum(1 for v, _ in records if v <= version)
+                with open(log, "r+b") as f:
+                    f.truncate(ends[n_keep - 1] if n_keep else 0)
+                    f.flush()
+                    os.fsync(f.fileno())
+                self._writes.inc()
+            plan, patch_s = self._replay(plan, kept)
         self._rollbacks.inc()
+        self._bytes.set(self.nbytes())
         return plan, patch_s
 
     # ------------------------------------------------------------------
     # hygiene
     # ------------------------------------------------------------------
     def quarantine(self, fingerprint: str, reason: str = "") -> None:
-        """Move a bad artifact aside (with a ``.reason`` sidecar)."""
+        """Move a bad artifact and its delta log aside (with a
+        ``.reason`` sidecar)."""
         path = self.path_for(fingerprint)
+        log = self.log_path_for(fingerprint)
         with self._lock:
             if not path.exists():
+                log.unlink(missing_ok=True)  # an orphan log extends nothing
                 return
-            dest = self.quarantine_dir / path.name
             try:
-                os.replace(path, dest)
+                os.replace(path, self.quarantine_dir / path.name)
             except FileNotFoundError:  # pragma: no cover — other process
                 return
+            try:
+                os.replace(log, self.quarantine_dir / log.name)
+            except FileNotFoundError:
+                pass
             (self.quarantine_dir / f"{fingerprint}.reason").write_text(
                 (reason or "unspecified") + "\n")
         self._quarantined.inc()
@@ -498,6 +576,7 @@ class PlanStore:
     def delete(self, fingerprint: str) -> bool:
         path = self.path_for(fingerprint)
         with self._lock:
+            self.log_path_for(fingerprint).unlink(missing_ok=True)
             if not path.exists():
                 return False
             path.unlink()
@@ -507,6 +586,7 @@ class PlanStore:
     def gc(self, capacity_bytes: int | None = None) -> list[str]:
         """Remove least-recently-used artifacts until under capacity.
 
+        An artifact and its delta log are sized and removed together.
         Returns removed fingerprints (oldest first).  Uses the bound
         :attr:`capacity_bytes` when no explicit cap is given; no-op
         when neither is set.
@@ -523,8 +603,12 @@ class PlanStore:
                     st = p.stat()
                 except OSError:  # removed by another process mid-scan
                     continue
-                entries.append((max(st.st_atime, st.st_mtime),
-                                st.st_size, p))
+                log = self.log_path_for(p.stem)
+                try:
+                    size = st.st_size + log.stat().st_size
+                except OSError:  # no log (or removed mid-scan)
+                    size = st.st_size
+                entries.append((max(st.st_atime, st.st_mtime), size, p))
             total = sum(size for _, size, _ in entries)
             for _, size, p in sorted(entries, key=lambda e: (e[0], e[2])):
                 if total <= cap:
@@ -534,6 +618,7 @@ class PlanStore:
                     p.unlink()
                 except OSError:  # pragma: no cover — already gone
                     continue
+                self.log_path_for(p.stem).unlink(missing_ok=True)
                 removed.append(p.stem)
         if removed:
             self._gc_removed.inc(len(removed))

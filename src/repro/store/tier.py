@@ -40,11 +40,14 @@ DISK_BW = 20e9
 OPEN_OVERHEAD_S = 20e-6
 
 
-def modeled_load_time(header: dict, device="A100") -> float:
-    """Modeled seconds to warm-start from an artifact *header*."""
+def modeled_load_time(header: dict, device="A100", *,
+                      log_bytes: int = 0) -> float:
+    """Modeled seconds to warm-start from an artifact *header*, plus
+    streaming *log_bytes* of its delta log (replaying the deltas is
+    priced by the caller)."""
     md = header["modeled"]
     t = OPEN_OVERHEAD_S
-    t += float(md["payload_bytes"]) / DISK_BW     # stream + CRC the payload
+    t += (float(md["payload_bytes"]) + log_bytes) / DISK_BW  # stream + CRC
     t += float(md["packed_bytes"]) / HOST_BW      # upload packed arrays
     return float(t)
 

@@ -544,6 +544,33 @@ class TestPlanCommand:
         assert "FAILED" in captured.err
         assert "1/2 artifacts verified" in captured.out
 
+    def test_verify_checks_the_delta_log(self, tmp_path, capsys):
+        """`plan verify` CRC-checks each versioned artifact's delta log
+        too, and a corrupt record fails it with exit code 1."""
+        from repro.core import random_delta
+        from repro.store import PlanStore
+
+        rc, store_dir = self._build(tmp_path)
+        store = PlanStore(store_dir)
+        fp = store.fingerprints()[0]
+        plan, _ = store.load(fp, gate=False)
+        rng = np.random.default_rng(0)
+        for v in (1, 2, 3):
+            d = random_delta(plan.csr, rng, n_entries=4)
+            store.put_delta(fp, v, d)
+            plan, _ = store.load(fp, gate=False)
+        capsys.readouterr()
+        assert main(["plan", "verify", "--store", str(store_dir)]) == 0
+        assert "2/2 artifacts verified" in capsys.readouterr().out
+        log = store.log_path_for(fp)
+        blob = bytearray(log.read_bytes())
+        blob[len(blob) // 2] ^= 0xFF  # inside the middle record
+        log.write_bytes(bytes(blob))
+        assert main(["plan", "verify", "--store", str(store_dir)]) == 1
+        captured = capsys.readouterr()
+        assert "FAILED" in captured.err and "delta" in captured.err
+        assert "1/2 artifacts verified" in captured.out
+
     def test_warm(self, tmp_path, capsys):
         rc, store = self._build(tmp_path)
         assert main(["plan", "warm", "scircuit", "cop20k_A",

@@ -403,3 +403,91 @@ class TestOverloadIntegration:
         table = stats.summary_table()
         assert "hedges issued / won / wasted" in table
         assert "lost requests" in table
+
+
+class TestSharedDerivation:
+    """A broadcast delta is derived once per cluster run: replicas whose
+    input plan provably derives the same version adopt it."""
+
+    @staticmethod
+    def _count_patches(monkeypatch):
+        from repro.core import delta as core_delta
+
+        calls = []
+        real = core_delta.apply_update
+
+        def counting(plan, delta, **kw):
+            calls.append(delta)
+            return real(plan, delta, **kw)
+
+        monkeypatch.setattr(core_delta, "apply_update", counting)
+        return calls
+
+    def test_one_derivation_per_delta(self, monkeypatch):
+        calls = self._count_patches(monkeypatch)
+        stats = run_cluster_workload(cluster_cfg(
+            n_replicas=3, n_requests=1200, update_mix=0.1,
+            structural_frac=0.3, rate_rps=150000.0))
+        per_replica = [s.delta_value_updates + s.delta_structural_updates
+                       for s in stats.replicas.values()]
+        assert per_replica == [stats.n_updates] * 3 and stats.n_updates > 0
+        assert len(calls) == stats.n_updates
+        assert len({id(d) for d in calls}) == stats.n_updates
+
+    def test_divergent_input_derives_its_own(self, monkeypatch, tmp_path,
+                                             rng):
+        """Replica r2 loses its plans mid-stream and reloads from the
+        store, so its input is no longer the shared derivation's: it
+        patches for itself, and every version it holds equals a
+        standalone registry fed the same stream and the same eviction —
+        and, like every replica's, a from_csr rebuild."""
+        from repro.core import DASPMatrix, dasp_spmv, random_delta
+        from repro.gpu.device import get_device
+        from repro.serve.plan_cache import PlanRegistry, matrix_fingerprint
+        from repro.store import PlanStore
+
+        from .conftest import ROW_PROFILES, random_csr
+        from .test_delta_versioning import evolve
+
+        matrix = random_csr(80, 400, rng,
+                            row_len_sampler=ROW_PROFILES["mixed"])
+        fp = matrix_fingerprint(matrix)
+        dev = get_device("A100")
+        replicas = [PlanRegistry(store=PlanStore(tmp_path / "shared"))
+                    for _ in range(3)]
+        alone = PlanRegistry(store=PlanStore(tmp_path / "alone"))
+        for reg in (*replicas, alone):
+            reg.get(matrix, fingerprint=fp)
+        calls = self._count_patches(monkeypatch)
+        memo: dict = {}
+        x = rng.standard_normal(matrix.shape[1])
+        csr = matrix
+        evict_at = 3
+        for v in range(1, 7):
+            d = random_delta(csr, rng, structural=v % 2 == 1, n_entries=6)
+            prev, csr = csr, evolve(csr, d)
+            if v == evict_at:
+                # evicted, then reloaded by a read before the delta lands
+                for reg in (replicas[2], alone):
+                    reg.clear()
+                    assert reg.get_ex(None, fingerprint=fp)[1] == "store"
+            before = len(calls)
+            got = [reg.update(fp, d, csr=prev, derivations=memo,
+                              persist=i == 0)
+                   for i, reg in enumerate(replicas)]
+            derived = len(calls) - before
+            _, info_alone, plan_alone = alone.update(fp, d)
+            # one shared derivation, plus r2's own while it diverges
+            own = got[2][2] is not got[0][2]
+            if v <= evict_at:
+                assert own == (v == evict_at), v
+            assert derived == 1 + own, v
+            assert got[0][2] is got[1][2]
+            _, info2, plan2 = got[2]
+            assert info2.seconds(dev) == info_alone.seconds(dev)
+            assert np.array_equal(dasp_spmv(plan2, x),
+                                  dasp_spmv(plan_alone, x))
+            ref = dasp_spmv(DASPMatrix.from_csr(csr), x)
+            for version, info, plan in got:
+                assert version == v
+                assert np.array_equal(dasp_spmv(plan, x), ref)

@@ -7,9 +7,10 @@ The serving-side contract for dynamic matrices:
   stale-version regression test);
 * in-flight requests pinned to an old version keep draining against it
   untouched;
-* ``PlanStore`` persists deltas as CRC-checked ``aux.delta.*`` records,
+* ``PlanStore`` appends deltas to a CRC-framed log beside the artifact,
   replays them on load (including after a process restart), folds old
-  records past the retention window, and rolls back cheaply;
+  records past the retention window, rolls back by truncating the log,
+  and survives torn appends and corrupt records;
 * all of it is *bitwise* equivalent to rebuilding from the updated CSR
   — including sharded plans and stored/reloaded plans.
 """
@@ -29,7 +30,14 @@ from repro.core import (
 )
 from repro.serve.plan_cache import PlanRegistry, matrix_fingerprint
 from repro.shard import build_sharded_plan
-from repro.store import DELTA_RETAIN, PlanStore
+from repro.store import (
+    DELTA_RETAIN,
+    ArtifactError,
+    PlanStore,
+    encode_delta_frame,
+    read_delta_log,
+    save_artifact,
+)
 
 from .conftest import ROW_PROFILES, random_csr
 from .test_delta import apply_to_dense, from_dense, to_dense
@@ -197,6 +205,13 @@ class TestStoreDeltaPersistence:
         # outside the retained window -> refused, chain unchanged
         assert reg.rollback(fp, 99) is None
         assert reg.version_of(fp) == 4
+        # the rollback truncated the log: v4 is the post-rollback delta,
+        # and nothing of the rolled-back chain is left on disk
+        log = store.log_path_for(fp)
+        records, ends = read_delta_log(log)
+        assert [v for v, _ in records] == [1, 2, 3, 4]
+        assert ends[-1] == log.stat().st_size
+        assert store.delta_state(fp) == (0, [1, 2, 3, 4])
 
     def test_seed_plan_with_overlay_consolidated(self, matrix, rng,
                                                  tmp_path):
@@ -255,3 +270,215 @@ class TestStoreDeltaPersistence:
         y_ref = np.concatenate([dasp_spmv(s.dasp, x) for s in ref.shards])
         y_got = np.concatenate([dasp_spmv(s.dasp, x) for s in loaded.shards])
         assert np.array_equal(y_got, y_ref)
+
+
+def _stored_chain(matrix, rng, tmp_path, n=3, **kw):
+    """A store holding *matrix*'s v0 artifact plus *n* logged deltas;
+    returns ``(store, fp, [csr_v0 .. csr_vn], [d1 .. dn])``."""
+    store = PlanStore(tmp_path, **kw)
+    fp = matrix_fingerprint(matrix)
+    store.put(fp, DASPMatrix.from_csr(matrix))
+    csrs, deltas = [matrix], []
+    for v in range(1, n + 1):
+        d = random_delta(csrs[-1], rng, structural=v == 2, n_entries=6)
+        assert store.put_delta(fp, v, d) is not None
+        csrs.append(evolve(csrs[-1], d))
+        deltas.append(d)
+    return store, fp, csrs, deltas
+
+
+def _assert_loads_as(store, fp, csr, rng):
+    got = store.load(fp, gate=False)
+    assert got is not None
+    x = rng.standard_normal(csr.shape[1])
+    assert np.array_equal(dasp_spmv(got[0], x),
+                          dasp_spmv(DASPMatrix.from_csr(csr), x))
+
+
+class TestDeltaLog:
+    """The append-only delta log: an O(delta) write per version, and
+    every fault leaves either a consistent version or a quarantine."""
+
+    def test_append_leaves_artifact_untouched(self, matrix, rng, tmp_path):
+        store, fp, csrs, _ = _stored_chain(matrix, rng, tmp_path, n=1)
+        artifact = store.path_for(fp).read_bytes()
+        d = random_delta(csrs[-1], rng, n_entries=4)
+        store.put_delta(fp, 2, d)
+        assert store.path_for(fp).read_bytes() == artifact
+        assert [v for v, _ in read_delta_log(store.log_path_for(fp))[0]] \
+            == [1, 2]
+        _assert_loads_as(store, fp, evolve(csrs[-1], d), rng)
+
+    @pytest.mark.parametrize("cut", [1, 23, 24, 40, -1])
+    def test_torn_final_frame(self, matrix, rng, tmp_path, cut):
+        """A crash mid-append: the torn version stays invisible, and the
+        next put_delta continues from the last good record."""
+        store, fp, csrs, _ = _stored_chain(matrix, rng, tmp_path)
+        d4 = random_delta(csrs[-1], rng, n_entries=5)
+        frame = encode_delta_frame(4, {"kind": np.array([0]),
+                                       "rows": np.arange(9)})
+        with open(store.log_path_for(fp), "ab") as f:
+            f.write(frame[:cut])
+        assert store.current_version(fp) == 3
+        _assert_loads_as(store, fp, csrs[3], rng)
+        assert store.put_delta(fp, 4, d4) is not None
+        assert store.current_version(fp) == 4
+        _assert_loads_as(store, fp, evolve(csrs[3], d4), rng)
+        assert store.snapshot()["quarantined"] == 0
+
+    @pytest.mark.parametrize("where", ["middle_body", "middle_magic",
+                                       "middle_length", "middle_version"])
+    def test_corrupt_middle_record_quarantines(self, matrix, rng, tmp_path,
+                                               where):
+        store, fp, _, _ = _stored_chain(matrix, rng, tmp_path)
+        log = store.log_path_for(fp)
+        _, ends = read_delta_log(log)
+        blob = bytearray(log.read_bytes())
+        start = ends[0]  # record v2
+        at = {"middle_body": (start + ends[1]) // 2,
+              "middle_magic": start,
+              "middle_length": start + 6,  # would read as a torn tail
+              "middle_version": start + 8}[where]
+        blob[at] ^= 0x7F
+        log.write_bytes(bytes(blob))
+        with pytest.raises(ArtifactError):
+            store.verify(fp)
+        assert store.load(fp, gate=False) is None
+        assert not store.path_for(fp).exists() and not log.exists()
+        q = store.quarantine_dir
+        assert (q / store.path_for(fp).name).exists()
+        assert (q / log.name).exists()
+        assert store.snapshot()["quarantined"] == 1
+
+    @pytest.mark.parametrize("op", ["gc", "delete", "quarantine"])
+    def test_removal_leaves_no_orphan_log(self, matrix, rng, tmp_path, op):
+        store, fp, _, _ = _stored_chain(matrix, rng, tmp_path)
+        {"gc": lambda: store.gc(capacity_bytes=0),
+         "delete": lambda: store.delete(fp),
+         "quarantine": lambda: store.quarantine(fp, "test")}[op]()
+        assert list(store.plans_dir.iterdir()) == []
+        assert store.nbytes() == 0
+        assert store.current_version(fp) is None
+
+    def test_put_drops_stale_log(self, matrix, rng, tmp_path):
+        """Publishing a plan over a versioned fingerprint starts a fresh
+        chain: the old log is never replayed onto the new payload."""
+        store, fp, _, _ = _stored_chain(matrix, rng, tmp_path)
+        store.put(fp, DASPMatrix.from_csr(matrix))
+        assert not store.log_path_for(fp).exists()
+        assert store.current_version(fp) == 0
+        assert store.delta_state(fp) == (0, [])
+        _assert_loads_as(store, fp, matrix, rng)
+
+    def test_bytes_count_the_log(self, matrix, rng, tmp_path):
+        store, fp, _, _ = _stored_chain(matrix, rng, tmp_path)
+        on_disk = (store.path_for(fp).stat().st_size
+                   + store.log_path_for(fp).stat().st_size)
+        assert store.nbytes() == on_disk
+        assert store.obs.gauge("store.bytes").value == on_disk
+        assert store.snapshot()["bytes"] == on_disk
+
+    def test_modeled_load_counts_log_bytes(self, matrix, rng, tmp_path):
+        from repro.store import modeled_load_time, read_header
+
+        store, fp, _, _ = _stored_chain(matrix, rng, tmp_path, n=1)
+        header, _ = read_header(store.path_for(fp))
+        log_bytes = store.log_path_for(fp).stat().st_size
+        _, load_s = store.load(fp, gate=False)
+        assert load_s > modeled_load_time(header, store.device,
+                                          log_bytes=log_bytes)
+        assert modeled_load_time(header, store.device, log_bytes=log_bytes) \
+            > modeled_load_time(header, store.device)
+
+    def test_fold_rewrites_artifact_then_log(self, matrix, rng, tmp_path):
+        """A fold publishes the artifact at the new base first; a crash
+        before the log rename leaves records at or below the base, which
+        are skipped rather than replayed twice."""
+        store, fp, csrs, _ = _stored_chain(matrix, rng, tmp_path,
+                                           n=DELTA_RETAIN)
+        stale_log = store.log_path_for(fp).read_bytes()
+        d = random_delta(csrs[-1], rng, n_entries=5)
+        store.put_delta(fp, DELTA_RETAIN + 1, d)
+        assert store.delta_state(fp) == (1, list(range(2, DELTA_RETAIN + 2)))
+        _assert_loads_as(store, fp, evolve(csrs[-1], d), rng)
+        # simulate the crash window: new artifact, pre-fold log
+        store.log_path_for(fp).write_bytes(stale_log)
+        assert store.delta_state(fp) == (1, list(range(2, DELTA_RETAIN + 1)))
+        _assert_loads_as(store, fp, csrs[-1], rng)
+
+    def test_log_gap_quarantines(self, matrix, rng, tmp_path):
+        store, fp, _, _ = _stored_chain(matrix, rng, tmp_path, n=1)
+        with open(store.log_path_for(fp), "ab") as f:
+            f.write(encode_delta_frame(5, {"kind": np.array([0])}))
+        assert store.current_version(fp) is None
+        assert store.snapshot()["quarantined"] == 1
+
+
+def _write_parent_layout(path, plan, fp, deltas):
+    """An artifact in the retired layout: the base plan plus
+    ``aux.delta.base`` and ``aux.delta.{v}.*`` records.  The writer
+    refuses those names, so they are written under a same-length
+    placeholder prefix and renamed in place (the header is JSON and no
+    CRC covers a record name)."""
+    from repro.core import delta_to_arrays
+
+    aux = {"zelta.base": np.array([0], dtype=np.int64)}
+    for v, d in enumerate(deltas, start=1):
+        aux.update({f"zelta.{v}.{n}": a
+                    for n, a in delta_to_arrays(d).items()})
+    save_artifact(path, plan, fingerprint=fp, aux=aux)
+    path.write_bytes(path.read_bytes().replace(b'"aux.zelta.',
+                                               b'"aux.delta.')
+                     .replace(b'"zelta.', b'"delta.'))
+
+
+class TestRetiredLayout:
+    def test_writer_refuses_delta_aux(self, matrix, tmp_path):
+        with pytest.raises(ArtifactError):
+            save_artifact(tmp_path / "a.daspz", DASPMatrix.from_csr(matrix),
+                          aux={"delta.base": np.array([0])})
+
+    def test_old_layout_quarantined_then_rebuilt(self, matrix, rng,
+                                                 tmp_path):
+        """Regression: an artifact with ``aux.delta.*`` records must not
+        be served at its base version (its deltas would be silently
+        dropped): it is quarantined and the plan rebuilt."""
+        store = PlanStore(tmp_path)
+        fp = matrix_fingerprint(matrix)
+        d = random_delta(matrix, rng, n_entries=6)
+        _write_parent_layout(store.path_for(fp), DASPMatrix.from_csr(matrix),
+                             fp, [d])
+        header_names = store.path_for(fp).read_bytes()[:4096]
+        assert b'"aux.delta.1.kind"' in header_names
+        assert b'"delta.base"' in header_names
+        assert store.current_version(fp) is None
+        assert store.snapshot()["quarantined"] == 1
+        reason = (store.quarantine_dir / f"{fp}.reason").read_text()
+        assert "retired" in reason
+        reg = PlanRegistry(store=store)
+        plan, source, _ = reg.get_ex(matrix, fingerprint=fp)
+        assert source == "built" and reg.version_of(fp) == 0
+        # the rebuilt plan is re-published in the current layout
+        assert store.current_version(fp) == 0
+        x = rng.standard_normal(matrix.shape[1])
+        assert np.array_equal(dasp_spmv(store.load(fp, gate=False)[0], x),
+                              dasp_spmv(DASPMatrix.from_csr(matrix), x))
+
+    @pytest.mark.parametrize("reader", ["load", "load_aux", "peek_header",
+                                        "delta_state", "put_delta"])
+    def test_every_reader_rejects_it(self, matrix, rng, tmp_path, reader):
+        store = PlanStore(tmp_path)
+        fp = matrix_fingerprint(matrix)
+        d = random_delta(matrix, rng, n_entries=6)
+        _write_parent_layout(store.path_for(fp), DASPMatrix.from_csr(matrix),
+                             fp, [d])
+        call = {"load": lambda: store.load(fp, gate=False),
+                "load_aux": lambda: store.load_aux(fp),
+                "peek_header": lambda: store.peek_header(fp),
+                "delta_state": lambda: store.delta_state(fp),
+                "put_delta": lambda: store.put_delta(
+                    fp, 2, random_delta(evolve(matrix, d), rng,
+                                        n_entries=3))}[reader]
+        assert call() is None
+        assert store.snapshot()["quarantined"] == 1
+        assert not store.contains(fp)
