@@ -32,9 +32,16 @@ giving up the bitwise contract:
     The overlay grows with every structural patch; once its stored
     elements exceed ``compact_threshold`` × the base plan's, the cost
     model says patching has gotten slower than rebuilding and
-    :func:`apply_update` compacts — a full ``from_csr`` rebuild for a
-    single plan, or *per-band* rebuilds for a :class:`~repro.shard.plan.
-    ShardedPlan` (only bands over threshold are rebuilt).
+    :func:`apply_update` compacts — a full ``from_csr`` rebuild of the
+    band over threshold.
+
+A plan is its row bands (``plan.bands()``): a plain plan is one band,
+a :class:`~repro.shard.plan.ShardedPlan` one per shard.
+:func:`apply_update`, :func:`clone_for_patch`, :func:`consolidate_plan`,
+:func:`rebuild_debt` and :func:`rebuild_events` take either kind and run
+one loop over its bands, never asking which kind it is; the band-level
+:func:`apply_value_update`, :func:`apply_structural_update` and
+:func:`compact_plan` take one :class:`DASPMatrix`.
 
 All patch paths report modeled work as :class:`~repro.gpu.events.
 PreprocessEvents`, so patch-vs-rebuild time flows through the same
@@ -178,10 +185,6 @@ class PatchInfo:
         return estimate_preprocess_time(self.events, device)
 
 
-def _zero_events() -> PreprocessEvents:
-    return PreprocessEvents()
-
-
 def _sum_events(*evs: PreprocessEvents) -> PreprocessEvents:
     return PreprocessEvents(
         device_bytes=sum(e.device_bytes for e in evs),
@@ -197,10 +200,8 @@ def rebuild_events(plan) -> PreprocessEvents:
     the ≥3× patch-advantage gate compares against)."""
     from .preprocess import dasp_preprocess_events
 
-    if hasattr(plan, "shards"):           # ShardedPlan duck-type
-        return _sum_events(*[dasp_preprocess_events(s.dasp)
-                             for s in plan.shards])
-    return dasp_preprocess_events(plan)
+    return _sum_events(*[dasp_preprocess_events(d)
+                         for _, _, d in plan.bands()])
 
 
 # ----------------------------------------------------------------------
@@ -338,17 +339,15 @@ def ensure_state(plan: DASPMatrix) -> DeltaState:
 
 def clone_for_patch(plan):
     """Shallow-copy *plan* so in-place value patches cannot corrupt the
-    original: value slabs and ``csr.data`` are copied, structure arrays
-    and the scatter map are shared.  The registry uses this so in-flight
-    requests drain against the pre-update version."""
+    original: each band's value slabs and ``csr.data`` are copied,
+    structure arrays and the scatter map are shared.  The registry uses
+    this so in-flight requests drain against the pre-update version."""
+    return plan._with_bands([_clone_band(d) for _, _, d in plan.bands()])
+
+
+def _clone_band(plan: DASPMatrix) -> DASPMatrix:
     from ..formats.csr import CSRMatrix
 
-    if hasattr(plan, "shards"):            # ShardedPlan duck-type
-        shards = [replace(s, dasp=clone_for_patch(s.dasp))
-                  for s in plan.shards]
-        csr = CSRMatrix(plan.csr.shape, plan.csr.indptr, plan.csr.indices,
-                        plan.csr.data.copy())
-        return replace(plan, csr=csr, shards=shards)
     csr = CSRMatrix(plan.csr.shape, plan.csr.indptr, plan.csr.indices,
                     plan.csr.data.copy())
     st = plan.delta
@@ -395,7 +394,7 @@ def apply_value_update(plan: DASPMatrix, delta: ValueUpdate) -> PatchInfo:
     ``from_csr`` would store.
     """
     if delta.n_entries == 0:
-        return PatchInfo("value", 0, 0, 0, False, _zero_events())
+        return PatchInfo("value", 0, 0, 0, False, PreprocessEvents())
     m, n = plan.shape
     check(bool(np.all((delta.rows >= 0) & (delta.rows < m))), "row out of range")
     check(bool(np.all((delta.cols >= 0) & (delta.cols < n))), "col out of range")
@@ -534,7 +533,8 @@ def apply_structural_update(plan: DASPMatrix, delta: StructuralUpdate, *,
     :func:`clone_for_patch`.
     """
     if delta.n_entries == 0:
-        return plan, PatchInfo("structural", 0, 0, 0, False, _zero_events())
+        return plan, PatchInfo("structural", 0, 0, 0, False,
+                               PreprocessEvents())
     state = ensure_state(plan)
     new_csr, touched = apply_structural_to_csr(plan.csr, delta)
     dirty = np.union1d(state.dirty, touched)
@@ -564,15 +564,17 @@ def apply_structural_update(plan: DASPMatrix, delta: StructuralUpdate, *,
 
 
 def rebuild_debt(plan) -> float:
-    """Fraction of the base plan's stored elements duplicated in the
-    overlay — the extra kernel work every SpMV pays for dirty rows.
-    Sharded plans report the worst band."""
-    if hasattr(plan, "shards"):
-        return max((rebuild_debt(s.dasp) for s in plan.shards), default=0.0)
-    state = getattr(plan, "delta", None)
-    if state is None or state.overlay is None or state.overlay.mini is None:
-        return 0.0
-    return state.overlay.mini.stored_elements / max(1, plan.stored_elements)
+    """Fraction of a band's stored elements duplicated in its overlay —
+    the extra kernel work every SpMV pays for dirty rows — in the worst
+    band of *plan*."""
+    debt = 0.0
+    for _, _, d in plan.bands():
+        state = d.delta
+        if state is not None and state.overlay is not None \
+                and state.overlay.mini is not None:
+            debt = max(debt, state.overlay.mini.stored_elements
+                       / max(1, d.stored_elements))
+    return debt
 
 
 def compact_plan(plan: DASPMatrix):
@@ -592,46 +594,70 @@ def consolidate_plan(plan):
 
     The artifact format stores only the packed slabs and the CSR — an
     overlay would be silently dropped, leaving stale slab values for
-    dirty rows on reload.  Any plan (or band of a sharded plan) with an
-    overlay is therefore compacted first; overlay-free plans are
-    returned unchanged."""
-    if hasattr(plan, "shards"):
-        shards = list(plan.shards)
-        changed = False
-        for i, s in enumerate(shards):
-            fresh = consolidate_plan(s.dasp)
-            if fresh is not s.dasp:
-                shards[i] = replace(s, dasp=fresh)
-                changed = True
-        return replace(plan, shards=shards) if changed else plan
-    state = getattr(plan, "delta", None)
-    if state is not None and state.overlay is not None:
-        return compact_plan(plan)[0]
-    return plan
+    dirty rows on reload.  Every band with an overlay is therefore
+    compacted first; an overlay-free plan is returned unchanged."""
+    dasps = [d for _, _, d in plan.bands()]
+    if not any(map(has_overlay, dasps)):
+        return plan
+    return plan._with_bands([compact_plan(d)[0] if has_overlay(d) else d
+                             for d in dasps])
 
 
 # ----------------------------------------------------------------------
-# Unified entry — plain or sharded plans, either delta type
+# Unified entry — one loop over the plan's bands, either delta type
 # ----------------------------------------------------------------------
 def apply_update(plan, delta, *, auto_compact: bool = True,
                  compact_threshold: float = DEFAULT_COMPACT_THRESHOLD):
     """Apply *delta* (value or structural) to a plain or sharded plan.
 
-    Returns ``(new_plan, PatchInfo)``.  Value updates mutate in place
-    (the returned plan is the input); structural updates return a new
-    top-level object.  Sharded plans are patched band-by-band —
-    compaction happens per band, so the blast radius of a hot band's
-    churn never exceeds that band's rebuild.
+    Returns ``(new_plan, PatchInfo)``.  Each band the delta touches is
+    patched with its entries, rows made band-local (value updates in
+    place), and compacts on its own debt, so a hot band's churn never
+    costs more than that band's rebuild.  The ``PatchInfo`` sums the
+    bands'; a sharded plan's CSR is the concatenation of its bands'.
     """
-    if hasattr(plan, "shards"):
-        return _apply_sharded(plan, delta, auto_compact=auto_compact,
-                              compact_threshold=compact_threshold)
+    # the delta's parallel arrays, grouped behind the row array they key
     if isinstance(delta, ValueUpdate):
-        return plan, apply_value_update(plan, delta)
-    if isinstance(delta, StructuralUpdate):
-        return apply_structural_update(plan, delta, auto_compact=auto_compact,
-                                       compact_threshold=compact_threshold)
-    raise TypeError(f"unknown delta type {type(delta).__name__}")
+        kind, groups = "value", (("rows", "cols", "vals"),)
+    elif isinstance(delta, StructuralUpdate):
+        kind, groups = "structural", (
+            ("insert_rows", "insert_cols", "insert_vals"),
+            ("delete_rows", "delete_cols"))
+    else:
+        raise TypeError(f"unknown delta type {type(delta).__name__}")
+    if delta.n_entries == 0:
+        return plan, PatchInfo(kind, 0, 0, 0, False, PreprocessEvents())
+    bands = plan.bands()
+    starts = np.array([a for a, _, _ in bands], dtype=np.int64)
+    # Out-of-range rows land in the first or last band, whose patch
+    # rejects them.
+    owner = [np.maximum(np.searchsorted(starts, getattr(delta, g[0]),
+                                        side="right") - 1, 0)
+             for g in groups]
+    dasps, infos = [], []
+    for i, (a, _, dasp) in enumerate(bands):
+        masks = [o == i for o in owner]
+        if any(m.any() for m in masks):
+            fields = {}
+            for (rows, *rest), m in zip(groups, masks):
+                fields[rows] = getattr(delta, rows)[m] - a
+                fields.update((f, getattr(delta, f)[m]) for f in rest)
+            if kind == "value":
+                info = apply_value_update(dasp, replace(delta, **fields))
+            else:
+                dasp, info = apply_structural_update(
+                    dasp, replace(delta, **fields), auto_compact=auto_compact,
+                    compact_threshold=compact_threshold)
+            infos.append(info)
+        dasps.append(dasp)
+    return plan._with_bands(dasps), PatchInfo(
+        kind=kind,
+        touched_rows=sum(i.touched_rows for i in infos),
+        nnz_touched=sum(i.nnz_touched for i in infos),
+        migrations=sum(i.migrations for i in infos),
+        compacted=any(i.compacted for i in infos),
+        events=_sum_events(*[i.events for i in infos]),
+    )
 
 
 def apply_delta_to_csr(csr, delta):
@@ -652,77 +678,10 @@ def apply_delta_to_csr(csr, delta):
         out = CSRMatrix(csr.shape, csr.indptr, csr.indices, csr.data.copy())
         k = delta.rows * np.int64(csr.shape[1]) + delta.cols
         sel = _dedupe_last(k)
-        _patch_csr_values(out, k[sel], delta.vals[sel])
+        pos = _lookup(_csr_keys(out), k[sel], "value update (top-level)")
+        out.data[pos] = np.asarray(delta.vals[sel]).astype(out.data.dtype)
         return out
     raise TypeError(f"unknown delta type {type(delta).__name__}")
-
-
-def _band_split(row_starts: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    return np.searchsorted(row_starts, rows, side="right").astype(np.int64) - 1
-
-
-def _patch_csr_values(csr, k: np.ndarray, vals: np.ndarray) -> None:
-    pos = _lookup(_csr_keys(csr), k, "value update (top-level)")
-    csr.data[pos] = np.asarray(vals).astype(csr.data.dtype)
-
-
-def _apply_sharded(sp, delta, *, auto_compact: bool,
-                   compact_threshold: float):
-    row_starts = np.asarray(sp.row_starts, dtype=np.int64)
-    infos: list[PatchInfo] = []
-    if isinstance(delta, ValueUpdate):
-        if delta.n_entries == 0:
-            return sp, PatchInfo("value", 0, 0, 0, False, _zero_events())
-        band = _band_split(row_starts, delta.rows)
-        for b in np.unique(band):
-            msk = band == b
-            sub = ValueUpdate(rows=delta.rows[msk] - row_starts[b],
-                              cols=delta.cols[msk], vals=delta.vals[msk])
-            infos.append(apply_value_update(sp.shards[b].dasp, sub))
-        # Keep the top-level CSR (fingerprints, fallback path) in sync.
-        k = delta.rows * np.int64(sp.shape[1]) + delta.cols
-        sel = _dedupe_last(k)
-        _patch_csr_values(sp.csr, k[sel], delta.vals[sel])
-        return sp, _merge_infos("value", infos, compacted=False)
-
-    if isinstance(delta, StructuralUpdate):
-        if delta.n_entries == 0:
-            return sp, PatchInfo("structural", 0, 0, 0, False, _zero_events())
-        ib = _band_split(row_starts, delta.insert_rows)
-        db = _band_split(row_starts, delta.delete_rows)
-        shards = list(sp.shards)
-        compacted = False
-        for b in np.unique(np.concatenate([ib, db])):
-            im, dm = ib == b, db == b
-            sub = StructuralUpdate(
-                insert_rows=delta.insert_rows[im] - row_starts[b],
-                insert_cols=delta.insert_cols[im],
-                insert_vals=delta.insert_vals[im],
-                delete_rows=delta.delete_rows[dm] - row_starts[b],
-                delete_cols=delta.delete_cols[dm])
-            new_dasp, info = apply_structural_update(
-                shards[b].dasp, sub, auto_compact=auto_compact,
-                compact_threshold=compact_threshold)
-            shards[b] = replace(shards[b], dasp=new_dasp)
-            compacted = compacted or info.compacted
-            infos.append(info)
-        new_top, _ = apply_structural_to_csr(sp.csr, delta)
-        new_sp = replace(sp, csr=new_top, shards=shards)
-        return new_sp, _merge_infos("structural", infos, compacted=compacted)
-
-    raise TypeError(f"unknown delta type {type(delta).__name__}")
-
-
-def _merge_infos(kind: str, infos: list, *, compacted: bool) -> PatchInfo:
-    return PatchInfo(
-        kind=kind,
-        touched_rows=sum(i.touched_rows for i in infos),
-        nnz_touched=sum(i.nnz_touched for i in infos),
-        migrations=sum(i.migrations for i in infos),
-        compacted=compacted,
-        events=_sum_events(*[i.events for i in infos]) if infos
-        else _zero_events(),
-    )
 
 
 # ----------------------------------------------------------------------

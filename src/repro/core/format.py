@@ -96,6 +96,18 @@ class DASPMatrix:
         (e.g. 0.85% fill for 'rel19' means ratio 1.0085)."""
         return self.stored_elements / self.nnz if self.nnz else 1.0
 
+    def bands(self) -> tuple:
+        """Row bands ``(row_start, row_end, dasp)`` of this plan: a plain
+        plan is one band starting at row 0 (a sharded plan has one per
+        shard, see :meth:`repro.shard.ShardedPlan.bands`)."""
+        return ((0, self.shape[0], self),)
+
+    def _with_bands(self, dasps) -> "DASPMatrix":
+        """Inverse of :meth:`bands`: the plan over the band layouts
+        *dasps* — for a plain plan, its one band."""
+        (dasp,) = dasps
+        return dasp
+
     def category_nnz(self) -> dict[str, int]:
         """Real nonzeros per category (Figure 12b's numerator)."""
         return {

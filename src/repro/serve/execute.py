@@ -48,6 +48,7 @@ from ..resilience import (CircuitOpenError, DeadlineExceededError,
                           FallbackExecutor, NumericFault, RetryPolicy)
 from ..shard import (ShardedPlan, choose_shards, sharded_batch_cost,
                      traced_preprocess_sharded)
+from ..shard.execute import run_bands
 from .batcher import MMA_N
 from .plan_cache import PlanRegistry
 
@@ -192,11 +193,12 @@ class NumericExecutor:
 
     Unsharded batches run :func:`~repro.core.spmm.dasp_spmm` (k <= 8;
     its column folds are bitwise ``dasp_spmv``) or the tuner's large-k
-    strategy.  A sharded plan fans its bands out: ``submit_task``
-    (e.g. :meth:`Scheduler.submit_task`) borrows up to ``lanes - 1``
-    idle workers, and the calling thread claims every band no helper
-    picked up, so the join cannot deadlock.  Bands are concatenated in
-    order — bitwise the unsharded result.
+    strategy.  A sharded plan fans its bands out through
+    :func:`repro.shard.execute.run_bands`: ``submit_task`` (e.g.
+    :meth:`Scheduler.submit_task`) borrows up to ``lanes - 1`` idle
+    workers, and the calling thread claims every band no helper picked
+    up.  Bands are concatenated in order — bitwise the unsharded
+    result.
     """
 
     def __init__(self, obs=None, *, submit_task=None, lanes: int = 1) -> None:
@@ -207,52 +209,17 @@ class NumericExecutor:
     def kernel(self, plan, batch, strategy):
         X = batch.assemble_x()
         if isinstance(plan, ShardedPlan):
-            return self._fan_out(plan, X)
+            # the un-spanned entry point: helper threads must not open
+            # root spans in the thread-local tracer
+            return run_bands(plan, lambda band: dasp_spmm_on_plan(band, X),
+                             obs=self.obs, submit_task=self.submit_task,
+                             lanes=self.lanes)
         if strategy is not None:
             return dasp_spmm_large(plan, X, strategy)
         return dasp_spmm(plan, X, obs=self.obs)
 
     def fallback(self, fallback: FallbackExecutor, key: str, csr, batch):
         return fallback.run(key, csr, batch.assemble_x())
-
-    def _fan_out(self, plan, X):
-        S = plan.n_shards
-        parts: list = [None] * S
-        errors: list[Exception] = []
-        state = {"next": 0, "done": 0}
-        cond = threading.Condition()
-
-        def helper() -> None:
-            while True:
-                with cond:
-                    if state["next"] >= S or errors:
-                        return
-                    i = state["next"]
-                    state["next"] += 1
-                try:
-                    # the un-spanned entry points: helper threads must
-                    # not open root spans in the thread-local tracer
-                    band = plan.shards[i].dasp
-                    parts[i] = dasp_spmm_on_plan(band, X)
-                    if self.obs is not None:
-                        self.obs.counter("core.shard_executions_total").inc()
-                except Exception as exc:  # noqa: BLE001 — joined below
-                    with cond:
-                        errors.append(exc)
-                finally:
-                    with cond:
-                        state["done"] += 1
-                        cond.notify_all()
-
-        if self.submit_task is not None:
-            for _ in range(min(S, self.lanes) - 1):
-                self.submit_task(helper)
-        helper()
-        with cond:
-            cond.wait_for(lambda: state["done"] >= state["next"])
-            if errors:
-                raise errors[0]
-        return np.concatenate(parts, axis=0)
 
 
 class ExecutionCore:

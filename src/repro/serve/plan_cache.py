@@ -26,7 +26,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .._util import check
+from ..core.classify import DEFAULT_MAX_LEN
 from ..core.format import DASPMatrix
+from ..core.medium_rows import DEFAULT_THRESHOLD
+from ..gpu.mma import shape_for_dtype
 from ..resilience.errors import PlanTooLargeError
 from ..store import fingerprint_csr
 
@@ -74,30 +77,34 @@ def _clean_layout(plan):
     """Layout key of a plan that carries no patch state, else ``None``.
 
     A plan is clean when no band has dirty rows or an overlay.  Two
-    clean plans of one matrix version with equal keys (plan kind, band
-    row starts and each band's MMA shape, MAX_LEN and threshold) hold
-    the same packed arrays, so one delta derives the same next plan and
-    the same :class:`~repro.core.delta.PatchInfo` from either.
+    clean plans of one matrix version with equal keys (plan kind and
+    each band's rows, MMA shape, MAX_LEN and threshold) hold the same
+    packed arrays, so one delta derives the same next plan and the same
+    :class:`~repro.core.delta.PatchInfo` from either.
     """
-    shards = getattr(plan, "shards", None)
-    dasps = [s.dasp for s in shards] if shards is not None else [plan]
-    for d in dasps:
+    bands = plan.bands()
+    for _, _, d in bands:
         st = d.delta
         if st is not None and (st.dirty.size or st.overlay is not None):
             return None
-    bands = (tuple(np.asarray(plan.row_starts).tolist())
-             if shards is not None else None)
-    return bands, tuple((d.mma_shape, d.max_len, d.threshold) for d in dasps)
+    return type(plan), tuple((a, b, d.mma_shape, d.max_len, d.threshold)
+                             for a, b, d in bands)
 
 
-def _adoptable(memo: Derivation | None, delta, version: int, plan) -> bool:
+def _adoptable(memo: Derivation | None, delta, version: int, plan,
+               csr=None) -> bool:
     """Whether *memo* is exactly what applying *delta* to *plan* as
-    version *version* would derive."""
+    version *version* would derive — or, with no *plan*, to the default
+    :meth:`DASPMatrix.from_csr` build of *csr*."""
     if memo is None or memo.delta is not delta or memo.version != version:
         return False
     if memo.source is plan:
         return True
-    key = _clean_layout(plan)
+    if plan is not None:
+        key = _clean_layout(plan)
+    else:
+        key = (DASPMatrix, ((0, csr.shape[0], shape_for_dtype(csr.data.dtype),
+                             DEFAULT_MAX_LEN, DEFAULT_THRESHOLD),))
     return key is not None and key == _clean_layout(memo.source)
 
 
@@ -467,8 +474,11 @@ class PlanRegistry:
         first to derive ``fp@v{n+1}`` records it, and the others adopt
         its immutable plan and ``PatchInfo`` instead of patching again
         when their current plan is the recorded input, or when both are
-        clean with the same layout (:func:`_clean_layout`).  Any other
-        input derives its own version.  Counters, the modeled patch
+        clean with the same layout (:func:`_clean_layout`).  A registry
+        with no current plan to load adopts it without building when the
+        recorded input is clean with the layout of a default build (and
+        seeds ``put_delta`` with that input).  Any other input derives
+        its own version.  Counters, the modeled patch
         charge and persistence stay per registry.  Returns
         ``(new_version, PatchInfo, new_plan)``.
 
@@ -501,14 +511,18 @@ class PlanRegistry:
                                                gate=False)
                 if loaded is not None:
                     plan = loaded[0]
+            new_v = cur_v + 1
+            memo = derivations.get(base) if derivations is not None else None
+            if plan is None and csr is not None and _adoptable(
+                    memo, delta, new_v, None, csr):
+                # the recorded input is what a rebuild would produce
+                plan = memo.source
             if plan is None:
                 if csr is None:
                     raise KeyError(
                         f"no current plan for {base[:8]}… and no csr= "
                         f"fallback to rebuild from")
                 plan = DASPMatrix.from_csr(csr)
-            new_v = cur_v + 1
-            memo = derivations.get(base) if derivations is not None else None
             if _adoptable(memo, delta, new_v, plan):
                 new_plan, info = memo.plan, memo.info
             else:

@@ -4,7 +4,11 @@ Partitions a matrix into ``S`` contiguous, nnz-balanced row bands
 (:func:`shard_csr`), builds each band its own DASP layout
 (:class:`ShardedPlan`), and executes one request's shards concurrently
 across the serving worker pool — gathering per-shard outputs by pure
-concatenation.
+concatenation.  Like a plain :class:`~repro.core.DASPMatrix`, a
+sharded plan is its bands: ``plan.bands()`` yields ``(row_start,
+row_end, dasp)`` per shard, the loop that patches, clones and sizes
+either kind of plan (:mod:`repro.core.delta`) and that runs them
+(:func:`repro.shard.execute.run_bands`).
 
 Guarantees:
 

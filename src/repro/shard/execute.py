@@ -1,10 +1,11 @@
 """Sharded execution and its cost model.
 
-Execution: each shard's DASP kernels run independently (serially here;
-the server fans shards out across its worker pool) and the per-shard
-outputs are concatenated — bit-identical to the unsharded kernels
-because shard boundaries never split rows and every row's value is
-computed with row-local floating-point association.
+Execution: each shard's DASP kernels run independently through one
+band runner (:func:`run_bands`: serially here, across borrowed worker
+threads in the server) and the per-shard outputs are concatenated —
+bit-identical to the unsharded kernels because shard boundaries never
+split rows and every row's value is computed with row-local
+floating-point association.
 
 Cost model: each shard pays its own kernel events plus one modeled
 dispatch overhead; ``workers`` concurrent lanes execute the shards by
@@ -16,6 +17,7 @@ intra-kernel parallelism) shows up as a worse modeled time.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -46,20 +48,62 @@ def _as_sharded(matrix, shards, *, mma_shape=None) -> ShardedPlan:
     return build_sharded_plan(csr, shards, mma_shape=mma_shape)
 
 
+def run_bands(plan, fn, *, obs=None, submit_task=None,
+              lanes: int = 1) -> np.ndarray:
+    """``fn(dasp)`` on every band of *plan*, stacked in band order; each
+    band run counts one ``core.shard_executions_total`` on *obs*.
+
+    ``submit_task`` (e.g. :meth:`repro.serve.scheduler.Scheduler.
+    submit_task`) borrows up to ``lanes - 1`` idle workers; the calling
+    thread claims every band no helper picked up, so the join cannot
+    deadlock, and without helpers the bands run serially on the caller.
+    The gather is a concatenation, so the result does not depend on
+    completion order.
+    """
+    dasps = [d for _, _, d in plan.bands()]
+    S = len(dasps)
+    parts: list = [None] * S
+    errors: list[Exception] = []
+    state = {"next": 0, "done": 0}
+    cond = threading.Condition()
+
+    def helper() -> None:
+        while True:
+            with cond:
+                if state["next"] >= S or errors:
+                    return
+                i = state["next"]
+                state["next"] += 1
+            try:
+                parts[i] = fn(dasps[i])
+                if obs is not None:
+                    obs.counter("core.shard_executions_total").inc()
+            except Exception as exc:  # noqa: BLE001 — joined below
+                with cond:
+                    errors.append(exc)
+            finally:
+                with cond:
+                    state["done"] += 1
+                    cond.notify_all()
+
+    if submit_task is not None:
+        for _ in range(min(S, lanes) - 1):
+            submit_task(helper)
+    helper()
+    with cond:
+        cond.wait_for(lambda: state["done"] >= state["next"])
+        if errors:
+            raise errors[0]
+    return np.concatenate(parts, axis=0)
+
+
 def dasp_spmv_sharded(matrix, x: np.ndarray, *, shards: int = 2,
-                      pool=None, obs=None) -> np.ndarray:
+                      obs=None) -> np.ndarray:
     """``y = A @ x`` over row shards; bit-identical to ``dasp_spmv``.
 
-    Parameters
-    ----------
-    matrix:
-        A :class:`ShardedPlan` (used as-is), a :class:`DASPMatrix`, or
-        a CSR matrix (partitioned on the fly into ``shards`` bands).
-    pool:
-        Optional executor with a ``map(fn, iterable)`` method (e.g.
-        ``concurrent.futures.ThreadPoolExecutor``); shards run serially
-        without one.  The gather is a concatenation either way, so the
-        result does not depend on completion order.
+    ``matrix`` is a :class:`ShardedPlan` (used as-is), a
+    :class:`DASPMatrix`, or a CSR matrix (partitioned on the fly into
+    ``shards`` bands).
     """
     from ..core.spmv import dasp_spmv
     from ..obs import get_obs
@@ -71,18 +115,11 @@ def dasp_spmv_sharded(matrix, x: np.ndarray, *, shards: int = 2,
     check(x.shape == (plan.shape[1],),
           f"x must have shape ({plan.shape[1]},)")
     obs.counter("core.shard_spmv_calls_total").inc()
-    obs.counter("core.shard_executions_total").inc(plan.n_shards)
-
-    def run(shard):
-        return dasp_spmv(shard.dasp, x, obs=obs)
-
-    parts = list(pool.map(run, plan.shards)) if pool is not None \
-        else [run(s) for s in plan.shards]
-    return np.concatenate(parts) if parts else np.zeros(0)
+    return run_bands(plan, lambda d: dasp_spmv(d, x, obs=obs), obs=obs)
 
 
 def dasp_spmm_sharded(matrix, X: np.ndarray, *, shards: int = 2,
-                      pool=None, obs=None) -> np.ndarray:
+                      obs=None) -> np.ndarray:
     """``Y = A @ X`` over row shards; bit-identical to ``dasp_spmm``."""
     from ..core.spmm import dasp_spmm
     from ..obs import get_obs
@@ -94,15 +131,7 @@ def dasp_spmm_sharded(matrix, X: np.ndarray, *, shards: int = 2,
     check(X.ndim == 2 and X.shape[0] == plan.shape[1],
           f"X must be ({plan.shape[1]}, k)")
     obs.counter("core.shard_spmm_calls_total").inc()
-    obs.counter("core.shard_executions_total").inc(plan.n_shards)
-
-    def run(shard):
-        return dasp_spmm(shard.dasp, X, obs=obs)
-
-    parts = list(pool.map(run, plan.shards)) if pool is not None \
-        else [run(s) for s in plan.shards]
-    return np.concatenate(parts, axis=0) if parts \
-        else np.zeros((0, X.shape[1]))
+    return run_bands(plan, lambda d: dasp_spmm(d, X, obs=obs), obs=obs)
 
 
 # ----------------------------------------------------------------------

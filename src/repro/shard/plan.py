@@ -11,7 +11,7 @@ row's value is computed with row-local floating-point association (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -51,7 +51,6 @@ def shard_csr(csr, shards: int) -> np.ndarray:
 class RowShard:
     """One contiguous row band of a :class:`ShardedPlan`."""
 
-    index: int
     row_start: int
     row_end: int
     dasp: DASPMatrix
@@ -70,17 +69,37 @@ class ShardedPlan:
     """A matrix partitioned into row shards, each with its own DASP plan.
 
     Duck-types the :class:`DASPMatrix` attributes the serving layer
-    reads (``shape`` / ``dtype`` / ``csr`` / ``mma_shape``), so it can
-    live in the :class:`~repro.serve.plan_cache.PlanRegistry` as a
-    composite entry.
+    reads (``shape`` / ``dtype`` / ``csr`` / ``mma_shape`` /
+    ``bands()``), so it can live in the
+    :class:`~repro.serve.plan_cache.PlanRegistry` as a composite entry.
+    Left out, ``csr`` is the concatenation of the band CSRs — bitwise
+    the whole matrix: bands are contiguous row slices, so values and
+    column indices line up exactly and the pointer array is the
+    shifted concatenation.
     """
 
     shape: tuple[int, int]
     dtype: np.dtype
-    csr: object
     mma_shape: object
     row_starts: np.ndarray
     shards: list
+    csr: object = None
+
+    def __post_init__(self) -> None:
+        if self.csr is None:
+            from ..formats.csr import CSRMatrix
+
+            sub_csrs = [s.dasp.csr for s in self.shards]
+            offsets = np.concatenate(
+                ([0], np.cumsum([c.indptr[-1] for c in sub_csrs])))
+            indptr = np.concatenate(
+                [np.asarray(c.indptr[:-1]) + off
+                 for c, off in zip(sub_csrs, offsets[:-1])]
+                + [offsets[-1:]]).astype(np.int64)
+            self.csr = CSRMatrix(
+                self.shape, indptr,
+                np.concatenate([np.asarray(c.indices) for c in sub_csrs]),
+                np.concatenate([np.asarray(c.data) for c in sub_csrs]))
 
     @property
     def n_shards(self) -> int:
@@ -89,6 +108,17 @@ class ShardedPlan:
     @property
     def nnz(self) -> int:
         return sum(s.nnz for s in self.shards)
+
+    def bands(self) -> tuple:
+        """Row bands ``(row_start, row_end, dasp)``, one per shard."""
+        return tuple((s.row_start, s.row_end, s.dasp) for s in self.shards)
+
+    def _with_bands(self, dasps) -> "ShardedPlan":
+        """Inverse of :meth:`bands`: this partition over the band layouts
+        *dasps*, its CSR the concatenation of theirs."""
+        return replace(self, csr=None,
+                       shards=[replace(s, dasp=d)
+                               for s, d in zip(self.shards, dasps)])
 
     def summary(self) -> str:
         sizes = ", ".join(f"{s.n_rows}r/{s.nnz}nnz" for s in self.shards)
@@ -104,11 +134,10 @@ class ShardedPlan:
         Shard ``i``'s arrays are prefixed ``s{i}.``; with
         ``include_csr=True`` the ``row_starts`` partition and each
         band's sub-CSR join the inventory.  The *top-level* CSR is
-        deliberately absent even then: band boundaries never split a
-        row, so concatenating the band CSRs reproduces it bitwise —
-        storing it too would double the artifact's CSR payload.  The
-        default covers only the device-resident packed arrays,
-        matching :func:`repro.serve.plan_nbytes` on composites.
+        deliberately absent even then: it is the concatenation of the
+        band CSRs — storing it too would double the artifact's CSR
+        payload.  The default covers only the device-resident packed
+        arrays, matching :func:`repro.serve.plan_nbytes` on composites.
         """
         inv: dict = {}
         if include_csr:
@@ -135,43 +164,42 @@ class ShardedPlan:
 
     @classmethod
     def from_arrays(cls, meta: dict, arrays: dict) -> "ShardedPlan":
-        """Rebuild a composite plan from a :meth:`to_arrays` pair.
-
-        The top-level CSR is regenerated by concatenating the band
-        CSRs (bitwise-identical to the original: bands are contiguous
-        row slices, so values and column indices line up exactly and
-        the pointer array is the shifted concatenation).
-        """
-        from ..formats.csr import CSRMatrix
-
-        shape = (int(meta["shape"][0]), int(meta["shape"][1]))
+        """Rebuild a composite plan from a :meth:`to_arrays` pair (the
+        top-level CSR is regenerated from the band CSRs)."""
         bands = []
         for i, sm in enumerate(meta["shards"]):
             prefix = f"s{i}."
             sub = {name[len(prefix):]: arr for name, arr in arrays.items()
                    if name.startswith(prefix)}
             dasp = DASPMatrix.from_arrays(sm["dasp"], sub)
-            bands.append(RowShard(index=i, row_start=int(sm["row_start"]),
+            bands.append(RowShard(row_start=int(sm["row_start"]),
                                   row_end=int(sm["row_end"]), dasp=dasp))
-        sub_csrs = [b.dasp.csr for b in bands]
-        offsets = np.concatenate(
-            ([0], np.cumsum([c.indptr[-1] for c in sub_csrs])))
-        indptr = np.concatenate(
-            [np.asarray(c.indptr[:-1]) + off
-             for c, off in zip(sub_csrs, offsets[:-1])]
-            + [offsets[-1:]]).astype(np.int64)
-        csr = CSRMatrix(
-            shape, indptr,
-            np.concatenate([np.asarray(c.indices) for c in sub_csrs]),
-            np.concatenate([np.asarray(c.data) for c in sub_csrs]))
         return cls(
-            shape=shape,
+            shape=(int(meta["shape"][0]), int(meta["shape"][1])),
             dtype=np.dtype(meta["dtype"]),
-            csr=csr,
             mma_shape=bands[0].dasp.mma_shape if bands else None,
             row_starts=np.asarray(arrays["row_starts"]),
             shards=bands,
         )
+
+
+def _cut_bands(csr, shards: int, build) -> ShardedPlan:
+    """Partition *csr* into ``shards`` row bands, band ``i``'s layout
+    ``build(i, sub_csr)``."""
+    row_starts = shard_csr(csr, shards)
+    bands = []
+    for i in range(row_starts.size - 1):
+        a, b = int(row_starts[i]), int(row_starts[i + 1])
+        sub = csr.row_slice(np.arange(a, b, dtype=np.int64))
+        bands.append(RowShard(row_start=a, row_end=b, dasp=build(i, sub)))
+    return ShardedPlan(
+        shape=tuple(csr.shape),
+        dtype=np.dtype(csr.data.dtype),
+        mma_shape=bands[0].dasp.mma_shape,
+        row_starts=row_starts,
+        shards=bands,
+        csr=csr,
+    )
 
 
 def build_sharded_plan(csr, shards: int, *, max_len: int = DEFAULT_MAX_LEN,
@@ -179,22 +207,8 @@ def build_sharded_plan(csr, shards: int, *, max_len: int = DEFAULT_MAX_LEN,
                        mma_shape=None) -> ShardedPlan:
     """Partition *csr* into ``shards`` row bands and build each band's
     DASP layout."""
-    row_starts = shard_csr(csr, shards)
-    bands = []
-    for i in range(row_starts.size - 1):
-        a, b = int(row_starts[i]), int(row_starts[i + 1])
-        sub = csr.row_slice(np.arange(a, b, dtype=np.int64))
-        dasp = DASPMatrix.from_csr(sub, max_len=max_len, threshold=threshold,
-                                   mma_shape=mma_shape)
-        bands.append(RowShard(index=i, row_start=a, row_end=b, dasp=dasp))
-    return ShardedPlan(
-        shape=tuple(csr.shape),
-        dtype=np.dtype(csr.data.dtype),
-        csr=csr,
-        mma_shape=bands[0].dasp.mma_shape if bands else mma_shape,
-        row_starts=row_starts,
-        shards=bands,
-    )
+    return _cut_bands(csr, shards, lambda i, sub: DASPMatrix.from_csr(
+        sub, max_len=max_len, threshold=threshold, mma_shape=mma_shape))
 
 
 def traced_preprocess_sharded(csr, device, shards: int, *, obs,
@@ -212,24 +226,16 @@ def traced_preprocess_sharded(csr, device, shards: int, *, obs,
     """
     from ..core.preprocess import traced_preprocess
 
-    row_starts = shard_csr(csr, shards)
-    bands = []
     pre_total = 0.0
-    for i in range(row_starts.size - 1):
-        a, b = int(row_starts[i]), int(row_starts[i + 1])
-        sub = csr.row_slice(np.arange(a, b, dtype=np.int64))
+
+    def build(i, sub):
+        nonlocal pre_total
         sub_fp = f"{fingerprint}#s{i}" if fingerprint is not None else None
         dasp, pre = traced_preprocess(sub, device, obs=obs, injector=injector,
                                       fingerprint=sub_fp, max_len=max_len,
                                       threshold=threshold)
         pre_total += pre
-        bands.append(RowShard(index=i, row_start=a, row_end=b, dasp=dasp))
-    plan = ShardedPlan(
-        shape=tuple(csr.shape),
-        dtype=np.dtype(csr.data.dtype),
-        csr=csr,
-        mma_shape=bands[0].dasp.mma_shape if bands else None,
-        row_starts=row_starts,
-        shards=bands,
-    )
+        return dasp
+
+    plan = _cut_bands(csr, shards, build)
     return plan, pre_total

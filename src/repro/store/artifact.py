@@ -121,8 +121,7 @@ def _modeled_scalars(plan) -> dict:
     the medium-row sort term, ``allocations`` the per-plan device
     allocations (4 per band).
     """
-    shards = getattr(plan, "shards", None)
-    plans = [s.dasp for s in shards] if shards is not None else [plan]
+    plans = [d for _, _, d in plan.bands()]
     return {
         "rows": int(plan.shape[0]),
         "nnz": int(plan.nnz),

@@ -491,3 +491,54 @@ class TestSharedDerivation:
             for version, info, plan in got:
                 assert version == v
                 assert np.array_equal(dasp_spmv(plan, x), ref)
+
+    def test_absent_plan_adopts_without_building(self, monkeypatch,
+                                                 tmp_path, rng):
+        """A replica with no resident plan adopts a derivation whose
+        input is clean with the default build's layout instead of
+        rebuilding that input from CSR — and, as the home replica,
+        seeds the store with the recorded input.  A dirty recorded
+        input still means a rebuild."""
+        from repro.core import DASPMatrix, dasp_spmv, random_delta
+        from repro.serve.plan_cache import PlanRegistry, matrix_fingerprint
+        from repro.store import PlanStore
+
+        from .conftest import ROW_PROFILES, random_csr
+        from .test_delta_versioning import evolve
+
+        matrix = random_csr(80, 400, rng,
+                            row_len_sampler=ROW_PROFILES["mixed"])
+        fp = matrix_fingerprint(matrix)
+        first, bare = PlanRegistry(), PlanRegistry()
+        home = PlanRegistry(store=PlanStore(tmp_path / "s"))
+        first.get(matrix, fingerprint=fp)
+        builds = []
+        real = DASPMatrix.from_csr
+
+        def counting(cls, *args, **kw):
+            builds.append(args)
+            return real(*args, **kw)
+
+        monkeypatch.setattr(DASPMatrix, "from_csr", classmethod(counting))
+        memo: dict = {}
+        d1 = random_delta(matrix, rng, structural=True, n_entries=6)
+        v1, info1, plan1 = first.update(fp, d1, csr=matrix, derivations=memo)
+        builds.clear()
+        for reg, persist in ((bare, False), (home, True)):
+            assert reg.update(fp, d1, csr=matrix, derivations=memo,
+                              persist=persist) == (v1, info1, plan1)
+        assert builds == []
+        csr1 = evolve(matrix, d1)
+        x = rng.standard_normal(matrix.shape[1])
+        fresh = PlanRegistry(store=PlanStore(tmp_path / "s"))
+        stored, source, _ = fresh.get_ex(None, fingerprint=fp)
+        assert source == "store" and fresh.version_of(fp) == 1
+        assert np.array_equal(dasp_spmv(stored, x),
+                              dasp_spmv(real(csr1), x))
+        # v1 carries an overlay: a replica without it must rebuild
+        d2 = random_delta(csr1, rng, structural=False, n_entries=6)
+        first.update(fp, d2, csr=csr1, derivations=memo)
+        bare.clear()
+        builds.clear()
+        bare.update(fp, d2, csr=csr1, derivations=memo)
+        assert [a[0].shape for a in builds] == [csr1.shape]

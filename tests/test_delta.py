@@ -86,14 +86,12 @@ def assert_matches_rebuild(plan, csr, x, *, what=""):
 
 
 def dasp_spmm_on_plan_any(plan, X):
-    if hasattr(plan, "shards"):
-        return np.concatenate([dasp_spmm_on_plan(s.dasp, X)
-                               for s in plan.shards], axis=0)
-    return dasp_spmm_on_plan(plan, X)
+    return np.concatenate([dasp_spmm_on_plan(d, X)
+                           for _, _, d in plan.bands()], axis=0)
 
 
 def sharded_spmv(plan, x):
-    return np.concatenate([dasp_spmv(s.dasp, x) for s in plan.shards])
+    return np.concatenate([dasp_spmv(d, x) for _, _, d in plan.bands()])
 
 
 @pytest.fixture
@@ -385,6 +383,77 @@ class TestShardedDelta:
         assert rebuild_debt(plan) <= 0.3
         # untouched bands never compacted: their plans carry no overlay
         assert not has_overlay(plan.shards[2].dasp)
+
+
+# ----------------------------------------------------------------------
+# PatchInfo golden — one seeded stream, plain and 4-band
+# ----------------------------------------------------------------------
+# (kind, touched_rows, nnz_touched, migrations, compacted, device_bytes,
+#  host_bytes, sort_keys, kernel_launches, allocations) per delta
+_PLAIN_INFOS = [
+    ("value", 8, 8, 0, False, 0.0, 256.0, 0.0, 0, 0),
+    ("structural", 8, 8, 0, False, 0.0, 5036.0, 6.0, 0, 4),
+    ("structural", 8, 8, 0, False, 0.0, 9556.0, 14.0, 0, 4),
+    ("value", 8, 8, 0, False, 0.0, 256.0, 0.0, 0, 0),
+    ("structural", 8, 8, 1, False, 0.0, 13520.0, 21.0, 0, 4),
+    ("structural", 8, 8, 0, False, 0.0, 17860.0, 28.0, 0, 4),
+    ("value", 8, 8, 0, False, 0.0, 17796.0, 28.0, 0, 4),
+    ("structural", 8, 8, 0, False, 0.0, 20912.0, 35.0, 0, 4),
+    ("structural", 8, 8, 0, False, 0.0, 25344.0, 42.0, 0, 4),
+    ("value", 8, 8, 0, False, 0.0, 25280.0, 42.0, 0, 4),
+    ("structural", 8, 8, 0, True, 0.0, 139456.0, 254.0, 0, 8),
+    ("structural", 8, 8, 0, False, 0.0, 4688.0, 7.0, 0, 4),
+]
+_SHARDED_INFOS = [
+    ("value", 8, 8, 0, False, 0.0, 256.0, 0.0, 0, 0),
+    ("structural", 8, 8, 0, False, 0.0, 5836.0, 6.0, 0, 12),
+    ("structural", 8, 8, 0, False, 0.0, 10372.0, 14.0, 0, 16),
+    ("value", 8, 8, 0, False, 0.0, 256.0, 0.0, 0, 0),
+    ("structural", 8, 8, 1, False, 0.0, 14576.0, 21.0, 0, 16),
+    ("structural", 8, 8, 0, False, 0.0, 17884.0, 28.0, 0, 16),
+    ("value", 8, 8, 0, False, 0.0, 6440.0, 12.0, 0, 4),
+    ("structural", 8, 8, 0, False, 0.0, 18176.0, 30.0, 0, 12),
+    ("structural", 8, 8, 0, True, 0.0, 54876.0, 95.0, 0, 20),
+    ("value", 8, 8, 0, False, 0.0, 9876.0, 14.0, 0, 8),
+    ("structural", 8, 8, 0, True, 0.0, 51256.0, 89.0, 0, 20),
+    ("structural", 8, 8, 0, False, 0.0, 16808.0, 24.0, 0, 16),
+]
+
+
+class TestPatchInfoGolden:
+    """Every field of every ``PatchInfo`` of a seeded 12-delta stream
+    (value, structural — some hitting dirty rows — and compactions),
+    pinned on a plain plan and on a 4-band sharded plan."""
+
+    @staticmethod
+    def _run(shards):
+        rng = np.random.default_rng(2026)
+        csr = random_csr(256, 400, rng, row_len_sampler=ROW_PROFILES["uniform"])
+        plan = (build_sharded_plan(csr, shards) if shards
+                else DASPMatrix.from_csr(csr))
+        got = []
+        for i in range(12):
+            d = random_delta(plan.csr, rng, structural=i % 3 != 0,
+                             n_entries=8)
+            work = clone_for_patch(plan) if isinstance(d, ValueUpdate) else plan
+            plan, info = apply_update(work, d)
+            e = info.events
+            got.append((info.kind, info.touched_rows, info.nnz_touched,
+                        info.migrations, info.compacted, e.device_bytes,
+                        e.host_bytes, e.sort_keys, e.kernel_launches,
+                        e.allocations))
+        return plan, got
+
+    def test_plain(self):
+        assert self._run(0)[1] == _PLAIN_INFOS
+
+    def test_four_bands(self):
+        sharded, got = self._run(4)
+        assert got == _SHARDED_INFOS
+        plain, _ = self._run(0)
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(sharded.csr, name),
+                                  getattr(plain.csr, name)), name
 
 
 # ----------------------------------------------------------------------

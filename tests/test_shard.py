@@ -83,6 +83,22 @@ class TestShardedPlan:
         assert plan_nbytes(plan) == sum(plan_nbytes(s.dasp)
                                         for s in plan.shards)
 
+    def test_bands_view(self, rng):
+        """A plan is its bands: one from row 0 for a plain plan, one per
+        shard otherwise, and new band layouts rebuild the partition with
+        its CSR the concatenation of the bands' — bitwise the source."""
+        csr = random_csr(100, 70, rng)
+        plain = DASPMatrix.from_csr(csr)
+        assert plain.bands() == ((0, 100, plain),)
+        plan = build_sharded_plan(csr, 4)
+        assert plan.bands() == tuple((s.row_start, s.row_end, s.dasp)
+                                     for s in plan.shards)
+        again = plan._with_bands([d for _, _, d in plan.bands()])
+        assert again.csr is not plan.csr
+        for name in ("indptr", "indices", "data"):
+            got, want = getattr(again.csr, name), getattr(csr, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
     def test_modeled_cost_monotone_in_workers(self, rng):
         csr = random_csr(128, 700, rng,
                          row_len_sampler=ROW_PROFILES["long"])
@@ -96,6 +112,33 @@ class TestShardedPlan:
         assert lpt_makespan([3.0, 3.0, 2.0, 2.0], 2) == pytest.approx(5.0)
         assert lpt_makespan([4.0], 8) == pytest.approx(4.0)
         assert lpt_makespan([], 2) == 0.0
+
+
+class TestRunBands:
+    def test_borrowed_helpers_claim_each_band_once(self, rng):
+        """More helper threads than cores race on the claim counter: every
+        run stays bitwise the serial gather and counts each band once."""
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        from repro.obs import Obs
+        from repro.shard.execute import run_bands
+
+        plan = build_sharded_plan(random_csr(160, 90, rng), 16)
+        x = rng.standard_normal(90)
+        want = dasp_spmv(DASPMatrix.from_csr(plan.csr), x)
+        obs = Obs()
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                for _ in range(30):
+                    y = run_bands(plan, lambda d: dasp_spmv(d, x), obs=obs,
+                                  submit_task=pool.submit, lanes=8)
+                    np.testing.assert_array_equal(y, want)
+        finally:
+            sys.setswitchinterval(old)
+        assert obs.counter("core.shard_executions_total").value == 30 * 16
 
 
 class TestChooseShards:
