@@ -4,8 +4,13 @@ Public entry points:
 
 * :class:`DASPMatrix` / :meth:`DASPMatrix.from_csr` — the MMA-friendly
   data structure (Section 3.2).
-* :func:`dasp_spmv` — the SpMV kernels (Section 3.3), with a vectorized
-  engine and a lane-accurate ``engine="warp"`` validation engine.
+* :func:`run_long_rows` / :func:`run_medium_rows` /
+  :func:`run_short_rows` — the vectorized kernels (Section 3.3), one per
+  row category, each taking one x vector or an ``(n, c)`` block of them.
+* :func:`dasp_spmv` / :func:`dasp_spmm` — SpMV is the ``k = 1`` column
+  of the SpMM on the same kernels (so column ``j`` of ``dasp_spmm`` is
+  bitwise ``dasp_spmv``); ``engine="warp"`` runs the lane-accurate
+  validation engine instead.
 * :class:`DASPMethod` — the method wrapped for benchmarking against the
   baselines.
 """

@@ -72,7 +72,6 @@ __all__ = [
     "ValueScatter",
     "ValueUpdate",
     "apply_overlay_spmm",
-    "apply_overlay_spmv",
     "apply_structural_to_csr",
     "apply_structural_update",
     "apply_update",
@@ -687,22 +686,10 @@ def apply_delta_to_csr(csr, delta):
 # ----------------------------------------------------------------------
 # Execution hooks — overlay application
 # ----------------------------------------------------------------------
-def apply_overlay_spmv(plan, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Overwrite dirty rows of *y* with the overlay mini-plan's results
-    (called by ``dasp_spmv`` after the base kernels ran)."""
-    from .spmv import _dasp_spmv_vectorized
-
-    ov = plan.delta.overlay
-    if ov.empty_rows.size:
-        y[ov.empty_rows] = 0
-    if ov.mini is not None:
-        y[ov.rows] = _dasp_spmv_vectorized(ov.mini, x)
-    return y
-
-
 def apply_overlay_spmm(plan, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """2-D form of :func:`apply_overlay_spmv` (called by
-    ``dasp_spmm_on_plan``)."""
+    """Overwrite dirty rows of *Y* with the overlay mini-plan's results
+    (called by ``dasp_spmm_on_plan`` after the base kernels ran, and by
+    the warp engine's ``dasp_spmv`` on one-column blocks)."""
     from .spmm import dasp_spmm_on_plan
 
     ov = plan.delta.overlay

@@ -19,7 +19,7 @@ from .._util import ceil_div
 from ..gpu.device import WARP_SIZE
 from ..gpu.events import KernelEvents
 from ..gpu.mma import MmaShape, MmaUnit
-from ._pack import exclusive_cumsum, gather_rows_padded
+from ._pack import exclusive_cumsum, gather_rows_padded, lane_dots, rhs_block
 
 #: Blocks consumed by one warp per group (Algorithm 2's inner loop runs
 #: twice) — fixed by the paper.
@@ -101,35 +101,42 @@ def build_long_rows(csr, rows: np.ndarray, shape: MmaShape) -> LongRowsPlan:
 
 def run_long_rows(plan: LongRowsPlan, x: np.ndarray, *,
                   unit: MmaUnit | None = None) -> np.ndarray:
-    """Vectorized long-rows kernel: per-row sums in original row order.
+    """Long-rows kernel: per-row sums in original row order.
 
-    Reproduces the MMA arithmetic exactly: per-block row dot products in
-    the unit's accumulator dtype, fragment accumulation across the two
-    blocks of a group, shuffle-tree summation of the eight diagonal
-    values, then the second-pass per-row reduction over group partials.
+    ``x`` is one vector ``(n,)`` or a block of ``c`` right-hand sides
+    ``(n, c)``; the result has the matching shape, so a vector is the
+    ``c = 1`` column of the block.  Reproduces the MMA arithmetic
+    exactly: per-block row dot products in the accumulator dtype,
+    fragment accumulation across the two blocks of a group, shuffle-tree
+    summation of the eight diagonal values, then the second-pass per-row
+    reduction over group partials.  ``unit`` counts the issued blocks.
     """
-    unit = unit or MmaUnit(plan.shape)
-    s = unit.shape
-    if plan.n_rows == 0:
-        return np.zeros(0, dtype=s.acc_dtype)
-    a_blocks = plan.val.reshape(-1, s.m, s.k)
-    safe_cid = plan.cid.astype(np.int64)
-    x_blocks = np.asarray(x)[safe_cid].reshape(-1, s.m, s.k)
-    diag = unit.block_row_dots(a_blocks, x_blocks)      # (nblocks, m)
+    s = plan.shape
+    if unit is not None:
+        unit.issue_count += plan.n_groups * BLOCKS_PER_GROUP
+    X = rhs_block(s, x)
+    c = X.shape[1]
+    d = lane_dots(s, plan.val, plan.cid, X)                  # (nb*m, c)
     # fragY accumulates over the BLOCKS_PER_GROUP blocks of a group, then
-    # the shuffle tree sums the m diagonal lanes.
-    per_group = diag.reshape(-1, BLOCKS_PER_GROUP * s.m).sum(axis=1, dtype=s.acc_dtype)
-    # Second kernel: warp-per-row reduction of warpVal.  No trailing pad
-    # element: reduceat's vectorized inner loop associates by segment
-    # *length*, so appending a zero to the final segment would give the
-    # plan's last row a different rounding than the same row computed
-    # mid-plan — breaking shard/unsharded bit-equality.
+    # the shuffle tree sums the m diagonal lanes: one contiguous run of
+    # 2m values per (column, group), reduced along the last axis.
+    g = np.ascontiguousarray(
+        d.reshape(-1, BLOCKS_PER_GROUP * s.m, c).transpose(2, 0, 1))
+    per_group = g.sum(axis=2, dtype=s.acc_dtype)             # (c, ng)
     if per_group.size == 0:
-        return np.zeros(plan.n_rows, dtype=s.acc_dtype)
-    starts = np.minimum(plan.group_ptr[:-1], per_group.size - 1)
-    y = np.add.reduceat(per_group, starts).astype(s.acc_dtype, copy=False)
-    y[np.diff(plan.group_ptr) == 0] = 0
-    return y
+        y = np.zeros((c, plan.n_rows), dtype=s.acc_dtype)
+    else:
+        # Second kernel: warp-per-row reduction of warpVal, along the
+        # last axis of the C-contiguous partials.  No trailing pad
+        # element: reduceat's vectorized inner loop associates by
+        # segment *length*, so appending a zero to the final segment
+        # would give the plan's last row a different rounding than the
+        # same row computed mid-plan — breaking shard/unsharded
+        # bit-equality.
+        starts = np.minimum(plan.group_ptr[:-1], per_group.shape[1] - 1)
+        y = np.add.reduceat(per_group, starts, axis=1)
+        y[:, np.diff(plan.group_ptr) == 0] = 0
+    return y.T if np.ndim(x) == 2 else y[0]
 
 
 def long_rows_events(plan: LongRowsPlan, device, *, x_bytes: float) -> KernelEvents:

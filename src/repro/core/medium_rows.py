@@ -21,7 +21,7 @@ from .._util import check
 from ..gpu.device import WARP_SIZE
 from ..gpu.events import KernelEvents
 from ..gpu.mma import MmaShape, MmaUnit
-from ._pack import exclusive_cumsum
+from ._pack import acc_values, exclusive_cumsum, fold_lanes, lane_dots, rhs_block
 
 #: The paper's chunk-occupancy threshold for forming a regular block.
 DEFAULT_THRESHOLD = 0.75
@@ -183,52 +183,69 @@ def build_medium_rows(csr, rows_sorted: np.ndarray, shape: MmaShape, *,
     )
 
 
+def _fold_segments(acc: np.ndarray, parts: np.ndarray, ptr: np.ndarray) -> None:
+    """``acc[i] += parts[ptr[i]]``, then ``parts[ptr[i] + 1]``, ... in place.
+
+    The sequential order of ``np.add.at(acc, owner, parts)``, with one
+    vectorized step per position within a segment: segments are visited
+    longest first, so step ``j`` adds to a prefix of them.
+    (``np.add.reduceat`` over a 2-D array associates pairwise instead.)
+    """
+    lens = np.diff(ptr)
+    if not lens.any():
+        return
+    order = np.argsort(-lens, kind="stable")
+    starts = ptr[:-1][order]
+    live = lens.size - np.searchsorted(np.sort(lens), np.arange(lens.max()),
+                                       side="right")
+    folded = acc[order]
+    for j, n in enumerate(live):
+        folded[:n] += parts.take(starts[:n] + j, axis=0)
+    acc[order] = folded
+
+
 def run_medium_rows(plan: MediumRowsPlan, x: np.ndarray, *,
                     unit: MmaUnit | None = None) -> np.ndarray:
-    """Vectorized medium-rows kernel: per-row sums in packed order."""
-    unit = unit or MmaUnit(plan.shape)
-    s = unit.shape
-    n_med = plan.n_rows
-    if n_med == 0:
-        return np.zeros(0, dtype=s.acc_dtype)
+    """Medium-rows kernel: per-row sums in packed order.
+
+    ``x`` is ``(n,)`` or ``(n, c)``, as for
+    :func:`repro.core.long_rows.run_long_rows`; ``unit`` counts the
+    regular blocks issued.
+    """
+    s = plan.shape
     M, K = s.m, s.k
-    nb = plan.n_rowblocks
-    x = np.asarray(x)
-
-    acc = np.zeros((nb, M), dtype=s.acc_dtype)
+    if unit is not None:
+        unit.issue_count += plan.n_blocks
+    X = rhs_block(s, x)
+    c = X.shape[1]
+    acc = np.zeros((plan.n_rowblocks, M, c), dtype=s.acc_dtype)
     if plan.reg_nnz:
-        a_blocks = plan.reg_val.reshape(-1, M, K)
-        x_blocks = x[plan.reg_cid.astype(np.int64)].reshape(-1, M, K)
-        diag = unit.block_row_dots(a_blocks, x_blocks)  # (n_blocks, M)
-        blocks_per_rb = np.diff(plan.rowblock_ptr) // (M * K)
-        owner = np.repeat(np.arange(nb, dtype=np.int64), blocks_per_rb)
-        np.add.at(acc, owner, diag)
-
-    res = acc.reshape(-1)[:n_med].copy()
-
+        d = lane_dots(s, plan.reg_val, plan.reg_cid, X)
+        _fold_segments(acc, d.reshape(-1, M, c), plan.rowblock_ptr // (M * K))
+    out = acc.reshape(-1, c)[:plan.n_rows].copy()
     if plan.irreg_nnz:
         # Chunk-invariant tail: the regular/irregular boundary of a row
         # always falls on a multiple of K, so summing the tail in
-        # zero-padded K-element chunks — with the same cast chain and
-        # sequential-sum association as ``block_row_dots`` — makes each
-        # row's value a fold over identical chunk sums no matter how
-        # many of its chunks were regular.  Row values are therefore
-        # independent of row-block composition (and of sharding).
-        prod = (
-            plan.irreg_val.astype(s.in_dtype, copy=False).astype(s.acc_dtype)
-            * x[plan.irreg_cid.astype(np.int64)].astype(s.in_dtype, copy=False).astype(s.acc_dtype)
-        )
+        # zero-padded K-element chunks (exact zeros, not ``0 * x``),
+        # each lane-folded like a block row, makes each row's value a
+        # fold over identical chunk sums no matter how many of its
+        # chunks were regular.  Row values are therefore independent of
+        # row-block composition (and of sharding).
         tails = np.diff(plan.irreg_ptr)
-        nchunks = -(-tails // K)
-        chunk_ptr = exclusive_cumsum(nchunks)
-        owner = np.repeat(np.arange(n_med, dtype=np.int64), tails)
-        slot = np.arange(prod.size, dtype=np.int64) - plan.irreg_ptr[owner]
-        padded = np.zeros((int(chunk_ptr[-1]), K), dtype=s.acc_dtype)
-        padded[chunk_ptr[owner] + slot // K, slot % K] = prod
-        chunk_sums = padded.sum(axis=1, dtype=s.acc_dtype)
-        chunk_owner = np.repeat(np.arange(n_med, dtype=np.int64), nchunks)
-        np.add.at(res, chunk_owner, chunk_sums)
-    return res
+        chunk_ptr = exclusive_cumsum(-(-tails // K))
+        n_chunks = int(chunk_ptr[-1])
+        # Tail slot j of row i is lane j % K of chunk chunk_ptr[i] + j // K;
+        # ``pos`` numbers the slots chunk by chunk, the lanes are stored
+        # lane-major so each folds as one contiguous slab.
+        pos = np.arange(plan.irreg_nnz) + np.repeat(
+            chunk_ptr[:-1] * K - plan.irreg_ptr[:-1], tails)
+        t = X.take(plan.irreg_cid, axis=0)
+        t *= acc_values(s, plan.irreg_val)[:, None]
+        padded = np.zeros((K, n_chunks, c), dtype=s.acc_dtype)
+        padded.reshape(-1, c)[pos % K * n_chunks + pos // K] = t
+        _fold_segments(out, fold_lanes(padded, (n_chunks, c), s.acc_dtype),
+                       chunk_ptr)
+    return out if np.ndim(x) == 2 else out[:, 0]
 
 
 def medium_rows_events(plan: MediumRowsPlan, device, *, x_bytes: float) -> KernelEvents:

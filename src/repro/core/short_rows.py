@@ -25,7 +25,7 @@ import numpy as np
 from ..gpu.device import WARP_SIZE
 from ..gpu.events import KernelEvents
 from ..gpu.mma import MmaShape, MmaUnit
-from ._pack import gather_rows_padded
+from ._pack import acc_values, gather_rows_padded, lane_dots, rhs_block
 
 
 @dataclass
@@ -169,72 +169,61 @@ def build_short_rows(csr, short: dict[int, np.ndarray], shape: MmaShape) -> Shor
     )
 
 
-def _masked_block_dots(unit: MmaUnit, val: np.ndarray, cid: np.ndarray,
-                       x: np.ndarray, cols: slice) -> np.ndarray:
-    """Row sums of one MMA pass with x loaded only for ``cols`` slots.
+def _short_dots(s: MmaShape, val: np.ndarray, cid: np.ndarray, X: np.ndarray,
+                x_lanes=None) -> np.ndarray:
+    """One MMA pass over packed rows, x loaded for ``x_lanes`` only.
 
-    Models the paper's double x-load trick: A is loaded once, the
-    fragment holding x is populated only for the selected columns (the
-    rest stay zero), so each MMA pass yields the partial products of one
-    pieced sub-row.  Returns per-packed-row values, flattened.
+    A short row's block-row dot is its ``y`` value, so it keeps the
+    accumulator's start at ``+0.0`` (``C = 0`` in ``D = A @ B + C``): a
+    row of four ``-0.0`` products gives ``+0.0``, as the unit's
+    ``sum`` does (see :func:`repro.core._pack.fold_lanes`).
     """
-    s = unit.shape
-    if val.size == 0:
-        return np.zeros(0, dtype=s.acc_dtype)
-    a_blocks = val.reshape(-1, s.m, s.k)
-    xg = np.zeros_like(a_blocks, dtype=np.asarray(x).dtype)
-    gathered = np.asarray(x)[cid.astype(np.int64)].reshape(-1, s.m, s.k)
-    xg[:, :, cols] = gathered[:, :, cols]
-    return unit.block_row_dots(a_blocks, xg).reshape(-1)
+    d = lane_dots(s, val, cid, X, x_lanes)
+    d += 0.0
+    return d
 
 
 def run_short_rows(plan: ShortRowsPlan, x: np.ndarray, *,
                    unit: MmaUnit | None = None):
-    """Vectorized short-rows kernels.
+    """Short-rows kernels.
 
     Returns ``(row_indices, values)`` covering every short row exactly
-    once, in subcategory order.
+    once, in subcategory order; ``values`` is ``(rows,)`` for a vector
+    ``x`` and ``(rows, c)`` for an ``(n, c)`` block.  ``unit`` counts
+    the issued blocks (two x-load passes per pieced block).
     """
-    unit = unit or MmaUnit(plan.shape)
-    s = unit.shape
-    x = np.asarray(x)
-
-    out_rows: list[np.ndarray] = []
-    out_vals: list[np.ndarray] = []
-
-    # 1&3: pass one loads x for slot 0, pass two for slots 1-3.
-    if plan.rows13_one.size:
-        y_one = _masked_block_dots(unit, plan.val13, plan.cid13, x, slice(0, 1))
-        y_three = _masked_block_dots(unit, plan.val13, plan.cid13, x, slice(1, 4))
-        n = plan.rows13_one.size
-        out_rows += [plan.rows13_one, plan.rows13_three]
-        out_vals += [y_one[:n], y_three[:n]]
-
-    # 2&2: slots 0-1 then 2-3.
-    if plan.rows22_a.size:
-        y_a = _masked_block_dots(unit, plan.val22, plan.cid22, x, slice(0, 2))
-        y_b = _masked_block_dots(unit, plan.val22, plan.cid22, x, slice(2, 4))
-        n = plan.rows22_a.size
-        out_rows += [plan.rows22_a, plan.rows22_b]
-        out_vals += [y_a[:n], y_b[:n]]
-
+    s = plan.shape
+    if unit is not None:
+        unit.issue_count += 2 * plan.blocks13 + 2 * plan.blocks22 + plan.blocks4
+    X = rhs_block(s, x)
+    out_rows, out_vals = [], []
+    # Pieced pairs: A is loaded once and x twice — 1&3 loads slot 0,
+    # then slots 1-3; 2&2 slots 0-1, then 2-3.  Each lane is gathered by
+    # the one pass that loads it.
+    for val, cid, first, second, split in (
+            (plan.val13, plan.cid13, plan.rows13_one, plan.rows13_three, 1),
+            (plan.val22, plan.cid22, plan.rows22_a, plan.rows22_b, 2)):
+        if first.size:
+            n = first.size * s.k
+            out_rows += [first, second]
+            out_vals += [_short_dots(s, val[:n], cid[:n], X, range(split)),
+                         _short_dots(s, val[:n], cid[:n], X, range(split, s.k))]
     # len-4: one full-x MMA per block.
     if plan.rows4.size:
-        y4 = _masked_block_dots(unit, plan.val4, plan.cid4, x, slice(0, 4))
+        n = plan.rows4.size * s.k
         out_rows.append(plan.rows4)
-        out_vals.append(y4[:plan.rows4.size])
-
+        out_vals.append(_short_dots(s, plan.val4[:n], plan.cid4[:n], X))
     # singles: plain CUDA-core products (Algorithm 5).
     if plan.rows1.size:
-        prod = (plan.val1.astype(s.in_dtype, copy=False).astype(s.acc_dtype)
-                * x[plan.cid1.astype(np.int64)].astype(s.in_dtype, copy=False).astype(s.acc_dtype))
+        t = X.take(plan.cid1, axis=0)
+        t *= acc_values(s, plan.val1)[:, None]
         out_rows.append(plan.rows1)
-        out_vals.append(prod)
-
-    if not out_rows:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=s.acc_dtype)
-    return (np.concatenate(out_rows),
-            np.concatenate([v.astype(s.acc_dtype, copy=False) for v in out_vals]))
+        out_vals.append(t)
+    if out_rows:
+        rows, vals = np.concatenate(out_rows), np.vstack(out_vals)
+    else:
+        rows, vals = np.zeros(0, np.int64), np.zeros((0, X.shape[1]), s.acc_dtype)
+    return rows, vals if np.ndim(x) == 2 else vals[:, 0]
 
 
 def short_rows_events(plan: ShortRowsPlan, device, *, x_bytes: float) -> KernelEvents:

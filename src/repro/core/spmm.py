@@ -8,10 +8,11 @@ layout fills the B operand with one x-vector per column, so one
 at ``k = MMA_N = 8`` the MMA units run at full utilization while the
 matrix is streamed **once** for all right-hand sides.
 
-This module generalizes the three category kernels to 2-D ``X`` and
-provides the matching event model; ``benchmarks/test_spmm_extension.py``
-quantifies the utilization gain.  The NumPy kernels get the same
-saving: they gather each nonzero's x row once for all ``k`` columns.
+This module runs the three category kernels on a 2-D ``X`` (they take
+``(n, c)`` blocks; SpMV is the ``c = 1`` column) and provides the
+matching event model; ``benchmarks/test_spmm_extension.py`` quantifies
+the utilization gain.  The NumPy kernels get the same saving: they
+gather each nonzero's x row once for all ``k`` columns.
 """
 
 from __future__ import annotations
@@ -21,9 +22,10 @@ import numpy as np
 from .._util import check
 from ..gpu.events import KernelEvents
 from ..gpu.memory import rhs_block_factor_from_counts, sector_counts
-from ..gpu.mma import MmaShape
-from ._pack import exclusive_cumsum
 from .format import DASPMatrix
+from .long_rows import run_long_rows
+from .medium_rows import run_medium_rows
+from .short_rows import run_short_rows
 
 
 def dasp_spmm(matrix, X: np.ndarray, *, engine: str = "vectorized",
@@ -71,10 +73,10 @@ def dasp_spmm_on_plan(dasp: DASPMatrix, X: np.ndarray, *,
 
     The plan-typed entry point: no CSR re-dispatch, no observability
     span — callers that already hold a plan (the serving layer, shard
-    execution, the large-k engine) use this directly.  Column ``j`` of
-    the result is bitwise-identical to ``dasp_spmv(dasp, X[:, j])``:
-    every reduction below folds in exactly the same order as the 1-D
-    category kernels.
+    execution, the large-k engine, ``dasp_spmv``) use this directly.
+    The vectorized engine runs the three category kernels on column
+    chunks of ``X``; ``dasp_spmv`` is its ``k = 1`` column, so column
+    ``j`` of the result is bitwise ``dasp_spmv(dasp, X[:, j])``.
     """
     if engine == "warp":
         from .spmv import dasp_spmv
@@ -85,21 +87,18 @@ def dasp_spmm_on_plan(dasp: DASPMatrix, X: np.ndarray, *,
         return Y.astype(dasp.dtype) if cast_output else Y
     if engine != "vectorized":
         raise ValueError(f"unknown engine {engine!r}")
-    s = dasp.mma_shape
     k = X.shape[1]
-    Y = np.zeros((dasp.shape[0], k), dtype=s.acc_dtype)
-    # The x side of the MMA cast chain, once per call (a no-op in FP64).
-    Xa = X.astype(s.in_dtype, copy=False).astype(s.acc_dtype, copy=False)
+    Y = np.zeros((dasp.shape[0], k), dtype=dasp.mma_shape.acc_dtype)
     lp, mp, sp = dasp.long_plan, dasp.medium_plan, dasp.short_plan
     for j0 in range(0, k, _COL_CHUNK):
         cols = slice(j0, j0 + _COL_CHUNK)
-        Xj = np.ascontiguousarray(Xa[:, cols])
+        Xj = np.ascontiguousarray(X[:, cols])
         if lp.n_rows:
-            Y[lp.row_idx, cols] = _long_spmm(lp, Xj, s)
+            Y[lp.row_idx, cols] = run_long_rows(lp, Xj)
         if mp.n_rows:
-            Y[mp.row_idx, cols] = _medium_spmm(mp, Xj, s)
+            Y[mp.row_idx, cols] = run_medium_rows(mp, Xj)
         if sp.n_rows:
-            rows, vals = _short_spmm(sp, Xj, s)
+            rows, vals = run_short_rows(sp, Xj)
             Y[rows, cols] = vals
     if dasp.delta is not None and dasp.delta.overlay is not None:
         # Patched plan: overwrite dirty rows from the delta overlay
@@ -113,149 +112,10 @@ def dasp_spmm_on_plan(dasp: DASPMatrix, X: np.ndarray, *,
     return Y
 
 
-#: RHS columns per pass of the 2-D helpers — bounds the transient
-#: ``(nnz, chunk)`` products at large k.  Chunking is invisible in the
-#: results: every output column is an independent fold.
+#: RHS columns per pass of the category kernels — bounds their transient
+#: ``(rows, chunk)`` lane products at large k.  Chunking is invisible in
+#: the results: every output column is an independent fold.
 _COL_CHUNK = 16
-
-# Every helper below takes ``Xj``, a C-contiguous ``(n, c)`` column chunk
-# of X already in the accumulator dtype, gathers it once per stored
-# nonzero, and folds the products in the order of the matching 1-D
-# kernel, so column ``j`` is bitwise ``dasp_spmv(X[:, j])``.
-
-
-def _products(s: MmaShape, val: np.ndarray, cid: np.ndarray, Xj: np.ndarray,
-              lanes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lane-major products of rows of ``lanes`` nonzeros each.
-
-    Returns ``(P, a)``: ``P[i, r]`` is the ``(c,)`` product of nonzero
-    ``r * lanes + i`` with its x row, and ``a[i, r]`` that nonzero's
-    value, both in the accumulator dtype.  Lane-major, each lane of the
-    fold below is one contiguous ``(R, c)`` slab.
-    """
-    a = (val.astype(s.in_dtype, copy=False).astype(s.acc_dtype, copy=False)
-         .reshape(-1, lanes).T)
-    P = np.take(Xj, cid.reshape(-1, lanes).T.ravel(), axis=0)
-    P = P.reshape(lanes, -1, Xj.shape[1])
-    P *= a[:, :, None]
-    return P, a
-
-
-def _block_dots_2d(P: np.ndarray, a: np.ndarray | None = None,
-                   x_lanes=None) -> np.ndarray:
-    """Per-(block row, rhs) dot products ``(R, c)``: the K lanes of the
-    products ``P`` folded left to right.
-
-    This is bitwise NumPy's ``sum`` over a length-4 axis, the fold of
-    :meth:`MmaUnit.block_row_dots`; a pairwise association is not.
-    With ``x_lanes``, only those lanes carry x and the others add
-    ``a * 0``, exactly as the 1-D short-row kernel's zeroed x fragment
-    does (the paper's double x-load of pieced rows).
-    """
-    terms = [P[i] if x_lanes is None or i in x_lanes else a[i, :, None] * 0
-             for i in range(P.shape[0])]
-    out = np.add(terms[0], terms[1], out=np.empty(P.shape[1:], P.dtype))
-    for t in terms[2:]:
-        out += t
-    return out
-
-
-def _fold_segments(acc: np.ndarray, parts: np.ndarray, ptr: np.ndarray) -> None:
-    """``acc[i] += parts[ptr[i]]``, then ``parts[ptr[i] + 1]``, ... in place.
-
-    The sequential order of ``np.add.at(acc, owner, parts)``, with one
-    vectorized step per position within a segment: segments are visited
-    longest first, so step ``j`` adds to a prefix of them.
-    (``np.add.reduceat`` over a 2-D array associates pairwise instead.)
-    """
-    lens = np.diff(ptr)
-    if not lens.any():
-        return
-    order = np.argsort(-lens, kind="stable")
-    starts = ptr[:-1][order]
-    live = lens.size - np.searchsorted(np.sort(lens), np.arange(lens.max()),
-                                       side="right")
-    folded = acc[order]
-    for j, n in enumerate(live):
-        folded[:n] += parts[starts[:n] + j]
-    acc[order] = folded
-
-
-def _long_spmm(plan, Xj: np.ndarray, s: MmaShape) -> np.ndarray:
-    from .long_rows import BLOCKS_PER_GROUP
-
-    c = Xj.shape[1]
-    P, _ = _products(s, plan.val, plan.cid, Xj, s.k)
-    d = _block_dots_2d(P)                                    # (nb*m, c)
-    # fragY accumulation across the group's blocks + shuffle tree: the
-    # 1-D kernel reduces a contiguous last axis of 2m values, whose
-    # basecase association differs from a strided middle-axis sum —
-    # transpose so each column reduces the same contiguous 2m run.
-    g = np.ascontiguousarray(
-        d.reshape(-1, BLOCKS_PER_GROUP * s.m, c).transpose(2, 0, 1))
-    per_group = g.sum(axis=2, dtype=s.acc_dtype)             # (c, ng)
-    if per_group.size == 0:
-        return np.zeros((plan.n_rows, c), dtype=s.acc_dtype)
-    # Second kernel, as run_long_rows: reduceat over each column's
-    # contiguous group partials (see the no-trailing-pad note there).
-    # Along the last axis of a C-contiguous array it folds every column
-    # exactly as the 1-D call does.
-    starts = np.minimum(plan.group_ptr[:-1], per_group.shape[1] - 1)
-    y = np.add.reduceat(per_group, starts, axis=1)
-    y[:, np.diff(plan.group_ptr) == 0] = 0
-    return y.T
-
-
-def _medium_spmm(plan, Xj: np.ndarray, s: MmaShape) -> np.ndarray:
-    c = Xj.shape[1]
-    M, K = s.m, s.k
-    acc = np.zeros((plan.n_rowblocks, M, c), dtype=s.acc_dtype)
-    if plan.reg_nnz:
-        P, _ = _products(s, plan.reg_val, plan.reg_cid, Xj, K)
-        d = _block_dots_2d(P)
-        _fold_segments(acc, d.reshape(-1, M, c), plan.rowblock_ptr // (M * K))
-    out = acc.reshape(-1, c)[:plan.n_rows].copy()
-    if plan.irreg_nnz:
-        # Chunk-invariant tail (see run_medium_rows): the products go
-        # into zero-padded K-element chunks (exact zeros, not ``0 * x``),
-        # each chunk is lane-folded like a block row, and the chunk sums
-        # are folded per row in chunk order.
-        tails = np.diff(plan.irreg_ptr)
-        chunk_ptr = exclusive_cumsum(-(-tails // K))
-        owner = np.repeat(np.arange(plan.n_rows, dtype=np.int64), tails)
-        slot = np.arange(plan.irreg_nnz, dtype=np.int64) - plan.irreg_ptr[owner]
-        padded = np.zeros((K, int(chunk_ptr[-1]), c), dtype=s.acc_dtype)
-        P, _ = _products(s, plan.irreg_val, plan.irreg_cid, Xj, 1)
-        padded[slot % K, chunk_ptr[owner] + slot // K] = P[0]
-        _fold_segments(out, _block_dots_2d(padded), chunk_ptr)
-    return out
-
-
-def _short_spmm(plan, Xj: np.ndarray, s: MmaShape):
-    c = Xj.shape[1]
-    out_rows, out_vals = [], []
-    # Pieced pairs: one gather serves both x-load passes.
-    for val, cid, first, second, split in (
-            (plan.val13, plan.cid13, plan.rows13_one, plan.rows13_three, 1),
-            (plan.val22, plan.cid22, plan.rows22_a, plan.rows22_b, 2)):
-        if first.size:
-            n = first.size * s.k
-            P, a = _products(s, val[:n], cid[:n], Xj, s.k)
-            out_rows += [first, second]
-            out_vals += [_block_dots_2d(P, a, range(split)),
-                         _block_dots_2d(P, a, range(split, s.k))]
-    if plan.rows4.size:
-        n = plan.rows4.size * s.k
-        P, _ = _products(s, plan.val4[:n], plan.cid4[:n], Xj, s.k)
-        out_rows.append(plan.rows4)
-        out_vals.append(_block_dots_2d(P))
-    if plan.rows1.size:
-        P, _ = _products(s, plan.val1, plan.cid1, Xj, 1)
-        out_rows.append(plan.rows1)
-        out_vals.append(P[0])
-    if not out_rows:
-        return np.zeros(0, np.int64), np.zeros((0, c), dtype=s.acc_dtype)
-    return np.concatenate(out_rows), np.vstack(out_vals)
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,9 @@
-"""DASP SpMV orchestration — runs the three category kernels and scatters
-results into ``y`` (empty rows stay zero).
+"""DASP SpMV — the ``k = 1`` column of :func:`repro.core.spmm.dasp_spmm_on_plan`.
+
+The vectorized engine runs the same three category kernels as SpMM on
+``x`` as a one-column block, so ``dasp_spmm(A, X)[:, j]`` is
+``dasp_spmv(A, X[:, j])`` by construction; ``engine="warp"`` runs the
+lane-accurate emulation instead.
 """
 
 from __future__ import annotations
@@ -7,11 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from .._util import check
-from ..gpu.mma import MmaUnit
 from .format import DASPMatrix
-from .long_rows import run_long_rows
-from .medium_rows import run_medium_rows
-from .short_rows import run_short_rows
+from .spmm import dasp_spmm_on_plan
 
 
 def dasp_spmv(matrix, x: np.ndarray, *, engine: str = "vectorized",
@@ -25,7 +26,8 @@ def dasp_spmv(matrix, x: np.ndarray, *, engine: str = "vectorized",
     x:
         Dense input vector of length ``A.shape[1]``.
     engine:
-        ``"vectorized"`` (default; NumPy batch kernels) or ``"warp"``
+        ``"vectorized"`` (default; the NumPy category kernels, shared
+        with SpMM) or ``"warp"``
         (lane-accurate emulation of the paper's Algorithms 2-5 on the
         8x4 fragment layout, FP64 and FP16; intended for small matrices
         and validation).
@@ -52,39 +54,15 @@ def dasp_spmv(matrix, x: np.ndarray, *, engine: str = "vectorized",
             from .warp_kernels import dasp_spmv_warp
 
             y = dasp_spmv_warp(dasp, x)
-        elif engine == "vectorized":
-            y = _dasp_spmv_vectorized(dasp, x)
+            if dasp.delta is not None and dasp.delta.overlay is not None:
+                # Patched plan: dirty rows were computed from stale slabs —
+                # overwrite them from the delta overlay (repro.core.delta).
+                from .delta import apply_overlay_spmm
+
+                y = apply_overlay_spmm(dasp, x[:, None], y[:, None])[:, 0]
         else:
-            raise ValueError(f"unknown engine {engine!r}")
-
-        if dasp.delta is not None and dasp.delta.overlay is not None:
-            # Patched plan: dirty rows were computed from stale slabs —
-            # overwrite them from the delta overlay (repro.core.delta).
-            from .delta import apply_overlay_spmv
-
-            y = apply_overlay_spmv(dasp, x, y)
+            y = dasp_spmm_on_plan(dasp, x[:, None], engine=engine)[:, 0]
 
     if cast_output:
         return y.astype(dasp.dtype)
-    return y
-
-
-def _dasp_spmv_vectorized(dasp: DASPMatrix, x: np.ndarray) -> np.ndarray:
-    acc_dtype = dasp.mma_shape.acc_dtype
-    y = np.zeros(dasp.shape[0], dtype=acc_dtype)
-    unit = MmaUnit(dasp.mma_shape)
-
-    lp = dasp.long_plan
-    if lp.n_rows:
-        y[lp.row_idx] = run_long_rows(lp, x, unit=unit)
-
-    mp = dasp.medium_plan
-    if mp.n_rows:
-        y[mp.row_idx] = run_medium_rows(mp, x, unit=unit)
-
-    sp = dasp.short_plan
-    if sp.n_rows:
-        rows, vals = run_short_rows(sp, x, unit=unit)
-        y[rows] = vals
-
     return y

@@ -5,7 +5,10 @@ Two levels of fidelity:
 * :class:`MmaUnit` — a *functional* MMA unit: given whole operand blocks it
   performs ``D = A @ B + C`` with tensor-core precision semantics (inputs
   cast to the unit's input dtype, products and accumulation carried in the
-  accumulator dtype).  Used by the fast vectorized kernels.
+  accumulator dtype).  The vectorized kernels fold the same arithmetic
+  for a whole ``(n, c)`` block of right-hand sides
+  (:func:`repro.core._pack.lane_dots`) and count their issued blocks
+  on a unit.
 
 * The ``m8n8k4`` FP64 *fragment layout* of the PTX ``mma.sync.aligned.
   m8n8k4.row.col.f64.f64.f64.f64`` instruction (paper Listing 1 and
@@ -116,10 +119,12 @@ class MmaUnit:
 
         DASP builds ``B`` so that column ``j`` of ``B`` holds the ``x``
         values gathered for row ``j`` of ``A``; only the diagonal of the
-        product is meaningful (Section 3.3).  For the vectorized engine we
-        compute exactly those diagonal entries: given ``a_blocks`` of shape
+        product is meaningful (Section 3.3).  This computes exactly those
+        diagonal entries for one x vector: given ``a_blocks`` of shape
         ``(nb, m, k)`` and matching gathered ``x_blocks``, return row sums
-        ``(nb, m)`` with the unit's precision semantics.
+        ``(nb, m)`` with the unit's precision semantics.  (The vectorized
+        kernels fold the same products lane by lane for a block of
+        right-hand sides: :func:`repro.core._pack.lane_dots`.)
 
         Every block still counts as a full MMA instruction (the hardware
         cannot skip the off-diagonal work — that inefficiency is part of
@@ -130,9 +135,9 @@ class MmaUnit:
               f"a_blocks must be (nb, {s.m}, {s.k})")
         check(x_blocks.shape == a_blocks.shape, "x_blocks must match a_blocks")
         self.issue_count += int(a_blocks.shape[0])
-        prod = a_blocks.astype(s.in_dtype, copy=False).astype(s.acc_dtype) * \
-            x_blocks.astype(s.in_dtype, copy=False).astype(s.acc_dtype)
-        return prod.sum(axis=2, dtype=s.acc_dtype)
+        a, x = (v.astype(s.in_dtype, copy=False).astype(s.acc_dtype, copy=False)
+                for v in (a_blocks, x_blocks))
+        return (a * x).sum(axis=2, dtype=s.acc_dtype)
 
 
 # ----------------------------------------------------------------------

@@ -537,9 +537,10 @@ class ReplicaSim:
             return 0
         with self.obs.span("plan.patch", attrs={"matrix": fp[:8]}
                            if self.tracing else None) as sp:
+            csr = self.csr_by_fp[fp]
             version, info, plan = self.registry.update(
-                fp, delta, csr=self.csr_by_fp[fp], persist=persist,
-                derivations=derivations)
+                fp, delta, csr=csr, builder=self.core.rebuilder(fp, csr),
+                persist=persist, derivations=derivations)
             patch_s = self.clock.scale(info.seconds(self.device))
             sp.set_device_time(patch_s)
             if self.tracing:

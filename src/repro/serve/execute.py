@@ -46,8 +46,8 @@ from ..core.spmm_block import (BlockPlan, choose_spmm_strategy,
 from ..gpu.cost_model import estimate_time
 from ..resilience import (CircuitOpenError, DeadlineExceededError,
                           FallbackExecutor, NumericFault, RetryPolicy)
-from ..shard import (ShardedPlan, choose_shards, sharded_batch_cost,
-                     traced_preprocess_sharded)
+from ..shard import (ShardedPlan, build_sharded_plan, choose_shards,
+                     sharded_batch_cost, traced_preprocess_sharded)
 from ..shard.execute import run_bands
 from .batcher import MMA_N
 from .plan_cache import PlanRegistry
@@ -311,6 +311,17 @@ class ExecutionCore:
                 fingerprint=fp)
         return traced_preprocess(csr, self.device, obs=self.obs,
                                  injector=self.injector, fingerprint=fp)
+
+    def rebuilder(self, fp: str, csr):
+        """:meth:`PlanRegistry.update`'s ``builder`` for *fp*: ``None``
+        (the registry's plain ``DASPMatrix.from_csr``) for an unsharded
+        matrix, else an untraced build with *fp*'s shard count, so a
+        delta that reaches a matrix before its first read starts the
+        version chain with the layout :meth:`build` would give it."""
+        S = self.shards_for(fp, csr)
+        if S == 1:
+            return None
+        return lambda c: build_sharded_plan(c, S)
 
     def fetch(self, fp: str, key: str, *, speculative: bool = False):
         """Fetch or build version *key*'s plan through the registry's

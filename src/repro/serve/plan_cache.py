@@ -446,7 +446,7 @@ class PlanRegistry:
                 sp.set_attr("modeled_s", load_s)
         return plan, load_s, stored_v
 
-    def update(self, fingerprint: str, delta, *, csr=None,
+    def update(self, fingerprint: str, delta, *, csr=None, builder=None,
                persist: bool = True, derivations: dict | None = None):
         """Advance *fingerprint*'s version chain by applying *delta*.
 
@@ -463,7 +463,10 @@ class PlanRegistry:
         the old, fully consistent version.
 
         ``csr`` (the **pre**-update CSR) is the rebuild fallback when
-        the current plan is neither cached nor loadable.
+        the current plan is neither cached nor loadable; ``builder(csr)
+        -> plan`` overrides its default :meth:`DASPMatrix.from_csr`
+        build, as in :meth:`get_ex` (the serving core passes its shard
+        policy, :meth:`repro.serve.execute.ExecutionCore.rebuilder`).
         ``persist=False`` skips the store write — cluster replicas that
         share one store directory designate a single *home* replica as
         the delta writer, since concurrent ``put_delta`` calls would
@@ -475,11 +478,11 @@ class PlanRegistry:
         its immutable plan and ``PatchInfo`` instead of patching again
         when their current plan is the recorded input, or when both are
         clean with the same layout (:func:`_clean_layout`).  A registry
-        with no current plan to load adopts it without building when the
-        recorded input is clean with the layout of a default build (and
-        seeds ``put_delta`` with that input).  Any other input derives
-        its own version.  Counters, the modeled patch
-        charge and persistence stay per registry.  Returns
+        with no current plan to load and no ``builder`` adopts it
+        without building when the recorded input is clean with the
+        layout of a default build (and seeds ``put_delta`` with that
+        input).  Any other input derives its own version.  Counters, the
+        modeled patch charge and persistence stay per registry.  Returns
         ``(new_version, PatchInfo, new_plan)``.
 
         Rides the single-flight machinery on the *new* key: concurrent
@@ -513,8 +516,8 @@ class PlanRegistry:
                     plan = loaded[0]
             new_v = cur_v + 1
             memo = derivations.get(base) if derivations is not None else None
-            if plan is None and csr is not None and _adoptable(
-                    memo, delta, new_v, None, csr):
+            if plan is None and csr is not None and builder is None \
+                    and _adoptable(memo, delta, new_v, None, csr):
                 # the recorded input is what a rebuild would produce
                 plan = memo.source
             if plan is None:
@@ -522,7 +525,8 @@ class PlanRegistry:
                     raise KeyError(
                         f"no current plan for {base[:8]}… and no csr= "
                         f"fallback to rebuild from")
-                plan = DASPMatrix.from_csr(csr)
+                plan = (builder(csr) if builder is not None
+                        else DASPMatrix.from_csr(csr))
             if _adoptable(memo, delta, new_v, plan):
                 new_plan, info = memo.plan, memo.info
             else:

@@ -177,7 +177,8 @@ class TestServeSim:
 
     def test_sharded_update_golden(self, capsys):
         """Value and structural deltas patched band by band into 4-band
-        plans, pinned byte for byte."""
+        plans, pinned byte for byte (every version chain starts sharded,
+        also for a matrix whose first event is an update)."""
         assert main(["serve-sim", "--requests", "400", "--matrices", "3",
                      "--shards", "4", "--update-mix", "0.12",
                      "--structural-frac", "0.3"]) == 0
@@ -189,17 +190,17 @@ class TestServeSim:
             "| rejected / shed | 0 / 0 |\n"
             "| batches (mean size) | 61 (5.84) |\n"
             "| batch-size histogram | 1:5 2:5 3:3 4:5 5:3 6:9 7:5 8:26 |\n"
-            "| plan cache hit / miss / evict | 27 / 34 / 0 |\n"
-            "| cache hit rate | 44.3% |\n"
-            "| device busy (kernels) | 0.844 ms |\n"
-            "| preprocessing | 31.618 ms |\n"
-            "| makespan | 32.467 ms |\n"
-            "| throughput (kernel time) | 421,758 req/s |\n"
-            "| goodput (incl. preprocess) | 10,967 req/s |\n"
+            "| plan cache hit / miss / evict | 26 / 35 / 0 |\n"
+            "| cache hit rate | 42.6% |\n"
+            "| device busy (kernels) | 0.816 ms |\n"
+            "| preprocessing | 33.676 ms |\n"
+            "| makespan | 34.492 ms |\n"
+            "| throughput (kernel time) | 436,314 req/s |\n"
+            "| goodput (incl. preprocess) | 10,321 req/s |\n"
             "| MMA utilization | 72.5% |\n"
-            "| latency p50 / p95 / p99 | 16530.9 us / 31553.3 us / 31596.6 us |\n"
+            "| latency p50 / p95 / p99 | 18572.6 us / 33580.0 us / 33621.4 us |\n"
             "| matrix updates value / structural / compactions | 30 / 14 / 0 |\n"
-            "| modeled patch vs rebuild-per-update | 0.905 ms vs 37.773 ms |\n"
+            "| modeled patch vs rebuild-per-update | 1.793 ms vs 40.847 ms |\n"
         )
 
     def test_unbatched_width(self, capsys):

@@ -6,7 +6,10 @@ k = 1 column-vector edge case and widths crossing the MMA_N = 8
 boundary) and every precision, ``dasp_spmm(A, X)[:, j]`` must equal
 ``dasp_spmv(A, X[:, j])`` bit for bit.  Row lengths are drawn so that
 long rows, every short-row piecing (1&3, 2&2, len-4, singles) and
-medium rows with irregular tails all appear.
+medium rows with irregular tails all appear.  Since ``dasp_spmv`` runs
+the same category kernels as a one-column block, this equality holds by
+construction; ``tests/test_core_kernel_oracle.py`` checks both against
+an independent copy of the original 1-D arithmetic.
 """
 
 import numpy as np

@@ -119,6 +119,21 @@ class TestSingleDriverUpdateStream:
                 + stats.delta_structural_updates) > 0
         assert stats.n_completed == stats.n_requests
 
+    def test_sharded_chain_stays_sharded(self, tmp_path):
+        """A delta that reaches a matrix before its first read rebuilds
+        it with the run's shard policy: every version served, and every
+        artifact persisted, is a 4-band plan."""
+        from repro.shard import ShardedPlan
+
+        stats = run_workload(_cfg(update_mix=0.12, structural_frac=0.3,
+                                  shards=4, n_requests=400, store=tmp_path))
+        assert stats.n_completed == stats.n_requests
+        store = PlanStore(tmp_path)
+        assert len(store.fingerprints()) == 3
+        for fp in store.fingerprints():
+            plan = store.load(fp, gate=False)[0]
+            assert isinstance(plan, ShardedPlan) and len(plan.shards) == 4
+
     def test_spmm_mix_and_update_mix_compose(self):
         stats = run_workload(_cfg(update_mix=0.1, spmm_mix=0.15,
                                   n_requests=300))
