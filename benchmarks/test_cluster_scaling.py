@@ -13,16 +13,12 @@ deterministic virtual-time Zipf workload.  Three gates:
   into permanent kernel errors: health marks it down, its traffic
   reroutes along the ring preference walk, and >= 99% of offered
   requests still complete in deadline with no lost futures.
-
-Each gate run appends a perf-trajectory record to
-``results/BENCH_cluster.json`` (modeled throughput, p50/p99 latency,
-wall-clock), so CI keeps a diffable history.
 """
 
 import time
 
 from benchmarks.conftest import emit
-from repro.bench import markdown_table, record_bench
+from repro.bench import markdown_table
 from repro.cluster import ClusterConfig, run_cluster_workload
 from repro.matrices import synthetic_collection
 from repro.serve import WorkloadConfig, run_workload
@@ -81,20 +77,6 @@ def test_cluster_scaling_with_failover():
          "p50/p99 (us)", "failovers", "wall s"), rows)
         + f"\n\nN=4 vs N=1 modeled aggregate throughput: {ratio:.2f}x "
         f"(target >= 3x with one replica fault-injected)")
-
-    for n, stats, pct, wall in ((1, one, pct_one, wall_one),
-                                (4, four, pct_four, wall_four)):
-        record_bench("cluster", {
-            "replicas": n, "seed": SEED,
-            "requests": stats.n_requests,
-            "completed": stats.n_completed,
-            "throughput_rps": stats.throughput_rps,
-            "in_deadline_fraction": stats.in_deadline_fraction,
-            "p50_latency_s": pct[50.0], "p99_latency_s": pct[99.0],
-            "failovers": stats.n_failover,
-            "fail_replica": 3 if n == 4 else None,
-            "wall_s": round(wall, 3),
-        })
 
     # --- the acceptance gates -----------------------------------------
     # scale-out: >= 3x aggregate modeled throughput at N=4, even with

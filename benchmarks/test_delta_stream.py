@@ -13,17 +13,12 @@ The `repro.delta` subsystem's three headline claims, each a hard gate:
 * **serving parity** — updates interleaved with reads under the
   chaos/deadline machinery lose no futures and keep the in-deadline
   rate within 5% of a static-matrix run at the same operating point.
-
-Appends the headline numbers to ``results/BENCH_delta.json`` so the
-nightly delta-stream lane has a diffable trajectory.
 """
-
-import time
 
 import numpy as np
 
 from benchmarks.conftest import emit
-from repro.bench import markdown_table, record_bench
+from repro.bench import markdown_table
 from repro.cluster.driver import ClusterConfig, run_cluster_workload
 from repro.core import DASPMatrix, dasp_spmv
 from repro.core.delta import (DEFAULT_COMPACT_THRESHOLD, apply_delta_to_csr,
@@ -47,11 +42,9 @@ def _entries():
 def test_patch_vs_rebuild_advantage():
     """Modeled preprocessing via patching >= 3x cheaper than
     rebuild-per-update at the 10% structural mix."""
-    t0 = time.perf_counter()
     stats = run_workload(WorkloadConfig(
         entries=_entries(), n_matrices=POOL, n_requests=4000, seed=SEED,
         update_mix=UPDATE_MIX, structural_frac=STRUCTURAL_FRAC))
-    wall_s = time.perf_counter() - t0
 
     patch_s = stats.delta_patch_modeled_s
     rebuild_s = stats.delta_rebuild_modeled_s
@@ -67,14 +60,6 @@ def test_patch_vs_rebuild_advantage():
          ("modeled patch time", f"{patch_s * 1e3:.3f} ms"),
          ("modeled rebuild-per-update", f"{rebuild_s * 1e3:.3f} ms"),
          ("patch advantage", f"{advantage:.1f}x (target >= 3x)")]))
-    record_bench("delta", {
-        "patch_advantage": round(advantage, 2),
-        "patch_modeled_s": patch_s, "rebuild_modeled_s": rebuild_s,
-        "n_value_updates": stats.delta_value_updates,
-        "n_structural_updates": stats.delta_structural_updates,
-        "n_compactions": stats.delta_compactions,
-        "wall_s": round(wall_s, 3),
-    })
 
     assert n_updates > 100  # the mix actually exercised the stream
     assert stats.delta_structural_updates > 0
@@ -141,12 +126,6 @@ def test_update_stream_chaos_deadline_parity():
           str(static.lost_requests), "0"),
          ("update stream", f"{updated.in_deadline_fraction:.4f}",
           str(updated.lost_requests), f"{updated.n_updates:,}")]))
-    record_bench("delta", {
-        "scenario": "chaos_parity",
-        "in_deadline_static": static.in_deadline_fraction,
-        "in_deadline_updates": updated.in_deadline_fraction,
-        "n_updates": updated.n_updates,
-    })
 
     assert updated.n_updates > 0
     assert static.lost_requests == 0

@@ -23,9 +23,7 @@ by collapse:
 * **the layer is free when off** — with no ``OverloadConfig`` the run
   is bit-identical to one with every mechanism disabled.
 
-Each scenario appends a perf-trajectory record to
-``results/BENCH_overload.json`` so nightly CI keeps a diffable
-history across seeds x {overload, slow_replica, partition}.
+``OVERLOAD_SEED`` (default 3) picks the traffic seed.
 """
 
 import os
@@ -34,7 +32,7 @@ import time
 import numpy as np
 
 from benchmarks.conftest import emit
-from repro.bench import markdown_table, record_bench
+from repro.bench import markdown_table
 from repro.cluster import ClusterConfig, run_cluster_workload
 from repro.gpu import get_device
 from repro.matrices import synthetic_collection
@@ -70,30 +68,6 @@ def _overload_cfg(capacity: float) -> OverloadConfig:
         retry_budget=RetryBudgetConfig(),
         hedge=HedgeConfig(),
         batch_fraction=0.3)
-
-
-def _record(scenario: str, stats, wall: float, **extra) -> None:
-    record = {
-        "scenario": scenario, "seed": SEED,
-        "replicas": stats.n_replicas,
-        "offered": stats.n_offered,
-        "shed": stats.n_shed,
-        "link_failed": stats.n_link_failed,
-        "completed": stats.n_completed,
-        "deadline_exceeded": stats.n_deadline_exceeded,
-        "failed": stats.n_failed,
-        "lost_requests": stats.lost_requests,
-        "hedges_issued": stats.n_hedges_issued,
-        "hedges_won": stats.n_hedges_won,
-        "hedges_wasted": stats.n_hedges_wasted,
-        "retries": stats.n_retries,
-        "retry_budget_granted": stats.retry_budget_granted,
-        "retry_budget_denied": stats.retry_budget_denied,
-        "priorities": stats.priorities,
-        "wall_s": round(wall, 3),
-    }
-    record.update(extra)
-    record_bench("overload", record)
 
 
 def test_overload_with_slow_replica():
@@ -132,8 +106,6 @@ def test_overload_with_slow_replica():
     ]
     emit("overload_slow_replica",
          markdown_table(("metric", "value"), rows))
-    _record("overload_slow_replica", stats, wall,
-            interactive_in_deadline=interactive)
 
     # --- the acceptance gates -----------------------------------------
     # interactive traffic the cluster accepted is answered in deadline
@@ -162,14 +134,8 @@ def test_partition_chaos_deterministic():
                         entries=synthetic_collection(8, seed=5),
                         partition_replica=0,
                         partition_window=(0.25, 0.75))
-    t0 = time.perf_counter()
     stats = run_cluster_workload(cfg)
-    wall = time.perf_counter() - t0
     again = run_cluster_workload(cfg)
-
-    _record("partition", stats, wall,
-            transitions_down=stats.n_transitions_down,
-            transitions_up=stats.n_transitions_up)
 
     merged = [lat for rid in sorted(stats.replicas)
               for lat in stats.replicas[rid].latencies_s]
@@ -186,9 +152,7 @@ def test_disabled_overload_is_bit_identical():
     mechanism disabled changes nothing vs no config at all."""
     kw = dict(n_requests=3_000, n_replicas=N_REPLICAS, seed=SEED,
               deadline_s=0.02, entries=synthetic_collection(8, seed=5))
-    t0 = time.perf_counter()
     plain = run_cluster_workload(ClusterConfig(**kw))
-    wall = time.perf_counter() - t0
     noop = run_cluster_workload(ClusterConfig(**kw,
                                               overload=OverloadConfig()))
 
@@ -198,7 +162,6 @@ def test_disabled_overload_is_bit_identical():
     assert plain.n_completed == noop.n_completed
     assert plain.n_deadline_exceeded == noop.n_deadline_exceeded
     assert plain.routed == noop.routed
-    _record("disabled_parity", plain, wall)
 
 
 def test_admission_shed_is_typed_and_fast():

@@ -31,7 +31,7 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import emit
-from repro.bench import markdown_table, record_bench
+from repro.bench import markdown_table
 from repro.matrices import synthetic_collection
 from repro.pipeline import PipelineConfig, WarmerConfig
 from repro.serve import WorkloadConfig, run_workload
@@ -76,18 +76,6 @@ def test_pipeline_cold_p99_gate(off_vs_on):
           f"{on_p[99] * 1e6:.1f}", f"{on.goodput_rps:,.0f}",
           str(on.parked_batches), str(on.warm_loads + on.warm_builds))])
         + f"\n\ncold-heavy p99 reduction: {speedup:.2f}x (target >= 3x)")
-    record_bench("pipeline", {
-        "seed": SEED,
-        "warmer": True,
-        "p99_speedup": speedup,
-        "off_p99_us": off_p[99] * 1e6,
-        "on_p99_us": on_p[99] * 1e6,
-        "off_goodput_rps": off.goodput_rps,
-        "on_goodput_rps": on.goodput_rps,
-        "parked_batches": on.parked_batches,
-        "warm_loads": on.warm_loads,
-        "warm_builds": on.warm_builds,
-    })
 
     # the tentpole gate: >= 3x modeled p99 reduction on the cold-heavy
     # workload, with no throughput regression
@@ -137,16 +125,6 @@ def test_pipeline_sweep(tmp_path_factory, seed, warmer_on):
         warmer=WarmerConfig(**WARMER) if warmer_on else False))
     speedup = (off.latency_percentiles((99,))[99]
                / on.latency_percentiles((99,))[99])
-    record_bench("pipeline", {
-        "seed": seed,
-        "warmer": warmer_on,
-        "p99_speedup": speedup,
-        "off_goodput_rps": off.goodput_rps,
-        "on_goodput_rps": on.goodput_rps,
-        "parked_batches": on.parked_batches,
-        "warm_loads": on.warm_loads,
-        "warm_builds": on.warm_builds,
-    })
     assert speedup >= 3.0
     assert on.goodput_rps >= off.goodput_rps * (1.0 - 1e-9)
     assert on.n_completed == off.n_completed

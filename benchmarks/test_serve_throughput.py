@@ -15,7 +15,7 @@ over representative-suite matrices):
 import numpy as np
 
 from benchmarks.conftest import emit
-from repro.bench import markdown_table, record_bench
+from repro.bench import markdown_table
 from repro.serve import WorkloadConfig, run_workload
 
 #: Pool drawn from the representative suite (Zipf-ranked in this order).
@@ -42,11 +42,7 @@ def _report_rows(name, stats):
 
 
 def test_batched_serving_throughput(benchmark):
-    import time
-
-    t0 = time.perf_counter()
     batched = run_workload(_cfg())
-    wall_s = time.perf_counter() - t0
     unbatched = run_workload(_cfg(max_batch=1, queue_depth=10**9))
 
     speedup = batched.throughput_rps / unbatched.throughput_rps
@@ -59,15 +55,6 @@ def test_batched_serving_throughput(benchmark):
     emit("serve_throughput",
          table + f"\n\nbatched vs request-at-a-time throughput: "
          f"{speedup:.2f}x (target >= 4x)")
-    pct = batched.latency_percentiles()
-    record_bench("serve", {
-        "throughput_rps": batched.throughput_rps,
-        "goodput_rps": batched.goodput_rps,
-        "batching_speedup": speedup,
-        "p50_latency_s": pct[50], "p99_latency_s": pct[99],
-        "mma_utilization": batched.mma_utilization,
-        "wall_s": round(wall_s, 3),
-    })
 
     # the tentpole claim: batching to k = MMA_N multiplies modeled
     # device-time throughput >= 4x on the same traffic

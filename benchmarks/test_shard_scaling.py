@@ -18,7 +18,7 @@ import time
 import numpy as np
 
 from benchmarks.conftest import emit
-from repro.bench import markdown_table, record_bench
+from repro.bench import markdown_table
 from repro.formats import CSRMatrix
 from repro.serve import SpMVRequest, SpMVServer
 from repro.shard import build_sharded_plan, choose_shards, sharded_batch_cost
@@ -82,12 +82,6 @@ def test_shard_scaling():
           f"{shard_wall * 1e3:.1f}", f"{wall_speedup:.2f}x")])
         + f"\n\nhost cores: {os.cpu_count()}; per-shard modeled times "
         f"pack to a {cost.speedup:.2f}x makespan win at S={max(best, 2)}")
-    record_bench("shard", {
-        "best_shards": best,
-        "modeled_speedup": modeled_speedup,
-        "device_speedup": device_speedup,
-        "wall_s": shard_wall,
-    })
 
     # sharding must actually be chosen in this regime
     assert best >= 2, f"autotuner kept S=1 on a long-row-heavy matrix"

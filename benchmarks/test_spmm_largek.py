@@ -11,8 +11,7 @@ on the medium/irregular suite:
 * every strategy's output is bitwise the column-wise ``dasp_spmv``.
 
 The slow-marked nightly sweep runs k in {8, 32, 128, 512} x 3 RHS
-seeds, times the executions, and appends perf-trajectory records to
-``results/BENCH_spmm_largek.json``.
+seeds and times the executions.
 """
 
 import time
@@ -94,10 +93,8 @@ def test_bitwise_identity_k32_smoke():
 
 
 @pytest.mark.slow
-def test_nightly_k_sweep_trajectory():
-    """k in {8, 32, 128, 512} x 3 seeds; appends BENCH_spmm_largek.json."""
-    from repro.bench import record_bench
-
+def test_nightly_k_sweep():
+    """k in {8, 32, 128, 512} x 3 seeds; best wall-clock per k."""
     rows = []
     for name in GATE_SUITE:
         plan = _plan(name)
@@ -115,18 +112,6 @@ def test_nightly_k_sweep_trajectory():
                     ref = np.stack([dasp_spmv(plan, X[:, j])
                                     for j in range(k)], axis=1)
                     assert np.array_equal(Y, ref), (name, k)
-                record_bench("spmm_largek", {
-                    "matrix": name,
-                    "k": k,
-                    "seed": seed,
-                    "strategy": strat.name,
-                    "tile_k": strat.tile_k,
-                    "modeled_s": strat.modeled_s,
-                    "looped_s": strat.looped_s,
-                    "modeled_speedup": strat.speedup,
-                    "modeled_gflops": strat.modeled_gflops,
-                    "wall_s": walls[-1],
-                })
             rows.append((name, k, strat.name, f"{strat.speedup:.2f}x",
                          f"{min(walls) * 1e3:.1f}"))
         # large k must never model slower than looped

@@ -27,7 +27,7 @@ import time
 import pytest
 
 from benchmarks.conftest import emit
-from repro.bench import markdown_table, record_bench
+from repro.bench import markdown_table
 from repro.core import DASPMatrix
 from repro.matrices import synthetic_collection
 from repro.serve import WorkloadConfig, matrix_fingerprint, run_workload
@@ -70,12 +70,6 @@ def test_warm_start_first_response(cold_then_warm):
           f"{warm.store_loads} loads", f"{warm.goodput_rps:,.0f}")])
         + f"\n\nwarm-start first-response speedup: {speedup:.2f}x "
           f"(target >= 3x)")
-    record_bench("store", {
-        "first_response_speedup": speedup,
-        "warm_goodput_rps": warm.goodput_rps,
-        "cold_goodput_rps": cold.goodput_rps,
-        "store_loads": warm.store_loads,
-    })
 
     # the tentpole claim: a restart over the populated store answers
     # its first request >= 3x sooner than a cold rebuild

@@ -1,6 +1,6 @@
-"""Benchmark harness: sweep runner, reporting helpers and per-suite
-perf-trajectory records.  The paper-figure pipelines that drive them
-live in the ``benchmarks/`` pytest files."""
+"""Benchmark harness: sweep runner and reporting helpers.  The
+paper-figure pipelines that drive them live in the ``benchmarks/``
+pytest files."""
 
 from .report import (
     RESULTS_DIR,
@@ -10,13 +10,9 @@ from .report import (
     save_csv,
 )
 from .runner import ComparisonResult, run_comparison
-from .trajectory import bench_path, load_trajectory, record_bench
 
 __all__ = [
     "ComparisonResult",
-    "bench_path",
-    "load_trajectory",
-    "record_bench",
     "RESULTS_DIR",
     "markdown_table",
     "paper_vs_measured",

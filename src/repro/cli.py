@@ -30,8 +30,7 @@ Commands
 ``cluster-sim``
     Simulate N serving replicas behind consistent-hash routing with
     health-aware failover and optional elastic scaling
-    (:mod:`repro.cluster`); ``--bench-json`` appends a perf-trajectory
-    record to ``results/BENCH_cluster.json``.
+    (:mod:`repro.cluster`).
 ``stats``
     Run a small traced workload and print the :mod:`repro.obs` output
     in table, JSON or Prometheus form.
@@ -71,6 +70,14 @@ def _positive_float(text: str) -> float:
     value = float(text)
     if not value > 0.0:
         raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    """argparse type: an int of at least one."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
     return value
 
 
@@ -224,29 +231,6 @@ def cmd_spmm(args) -> int:
         path = store.put(fp, plan, aux=aux or None)
         note = " (+ reorder permutation)" if aux else ""
         print(f"published {fp[:16]}… -> {path}{note}")
-    if args.bench_json:
-        from .bench import record_bench
-
-        record = {
-            "matrix": args.matrix,
-            "device": args.device,
-            "dtype": args.dtype,
-            "seed": args.seed,
-            "reorder": reorder,
-            "sweep": [{
-                "k": k,
-                "strategy": s.name,
-                "tile_k": s.tile_k,
-                "modeled_s": s.modeled_s,
-                "looped_s": s.looped_s,
-                "speedup": s.speedup,
-                "modeled_gflops": s.modeled_gflops,
-                "padding_waste": (s.stats.padding_waste
-                                  if s.stats else None),
-            } for k, s in strategies.items()],
-        }
-        path = record_bench("spmm", record, results_dir=args.bench_dir)
-        print(f"trajectory record appended to {path}")
     return 0 if exact else 1
 
 
@@ -304,17 +288,18 @@ def _print_trace_report(obs, stats, *, json_path=None, prom_path=None,
         print(f"Prometheus metrics written to {prom_path}")
 
 
-def _parse_shards(value):
-    """``--shards`` parser: None, ``auto``, or a positive int."""
-    if value is None or value == "auto":
-        return value
+def _shards(text: str):
+    """argparse type of ``--shards``: ``auto`` or a positive int."""
+    if text == "auto":
+        return text
     try:
-        s = int(value)
+        value = int(text)
     except ValueError:
-        raise SystemExit(f"--shards must be an integer or 'auto', got {value!r}")
-    if s < 1:
-        raise SystemExit("--shards must be >= 1")
-    return None if s == 1 else s
+        raise argparse.ArgumentTypeError(
+            f"must be an integer or 'auto', got {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
+    return value
 
 
 def cmd_serve_sim(args) -> int:
@@ -326,7 +311,7 @@ def cmd_serve_sim(args) -> int:
         WorkloadConfig,
         **_workload_fields(args),
         cache_budget_bytes=int(args.cache_mb * 1024 * 1024),
-        shards=_parse_shards(args.shards),
+        shards=None if args.shards == 1 else args.shards,
         shard_workers=args.shard_workers,
         spmm_mix=args.spmm_mix,
         spmm_ks=tuple(args.spmm_ks) if args.spmm_ks is not None else None,
@@ -403,11 +388,7 @@ def cmd_cluster_sim(args) -> int:
                           if args.partition_window is not None else None),
     )
     obs = Obs(tracer=Tracer()) if args.trace else Obs()
-    import time as _time
-
-    t0 = _time.perf_counter()
     stats = run_cluster_workload(cfg, obs=obs)
-    wall_s = _time.perf_counter() - t0
     print(stats.summary_table())
     rows = [(rid, f"{s.n_requests:,}", f"{s.n_completed:,}",
              f"{s.retries:,}",
@@ -429,39 +410,6 @@ def cmd_cluster_sim(args) -> int:
                 [(rid, f"{sec * 1e3:.3f}")
                  for rid, sec in sorted(by_replica.items(),
                                         key=lambda kv: str(kv[0]))]))
-    if args.bench_json:
-        from .bench import record_bench
-
-        pct = stats.latency_percentiles((50.0, 99.0))
-        record = {
-            "replicas": stats.n_replicas,
-            "seed": cfg.seed,
-            "requests": stats.n_requests,
-            "completed": stats.n_completed,
-            "throughput_rps": stats.throughput_rps,
-            "in_deadline_fraction": stats.in_deadline_fraction,
-            "p50_latency_s": pct[50.0],
-            "p99_latency_s": pct[99.0],
-            "failovers": stats.n_failover,
-            "wall_s": round(wall_s, 3),
-        }
-        if stats.n_updates:
-            record["updates"] = stats.n_updates
-        if stats.overload_enabled:
-            record.update({
-                "offered": stats.n_offered,
-                "shed": stats.n_shed,
-                "link_failed": stats.n_link_failed,
-                "hedges_issued": stats.n_hedges_issued,
-                "hedges_won": stats.n_hedges_won,
-                "hedges_wasted": stats.n_hedges_wasted,
-                "retry_budget_granted": stats.retry_budget_granted,
-                "retry_budget_denied": stats.retry_budget_denied,
-                "lost_requests": stats.lost_requests,
-                "priorities": stats.priorities,
-            })
-        path = record_bench("cluster", record, results_dir=args.bench_dir)
-        print(f"\ntrajectory record appended to {path}")
     return 0
 
 
@@ -507,7 +455,7 @@ def _build_one_plan(spec: str, args):
 
     csr = load_matrix(spec).astype(np.dtype(args.dtype))
     fp = fingerprint_csr(csr)
-    shards = _parse_shards(args.shards)
+    shards = args.shards
     if shards == "auto":
         from .shard import choose_shards
 
@@ -641,7 +589,7 @@ def _bench_shards(entries, args) -> None:
     """Modeled sharded-vs-single-chain speedup table for ``bench``."""
     from .shard import build_sharded_plan, choose_shards, sharded_batch_cost
 
-    shards = _parse_shards(args.shards)
+    shards = args.shards
     workers = _shard_workers(args)
     dtype = np.dtype(args.dtype)
     print(f"\nrow sharding (modeled, {workers} lanes):")
@@ -745,7 +693,6 @@ _NEEDS = {
     "--structural-frac": "--update-mix",
     "--update-entries": "--update-mix",
     "--shard-workers": "--shards",
-    "--bench-dir": "--bench-json",
 }
 
 
@@ -792,11 +739,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--store", default=None,
                    help="publish the plan (+ winning reorder permutation) "
                         "to this plan-store directory")
-    p.add_argument("--bench-json", action="store_true",
-                   help="append the sweep to results/BENCH_spmm.json")
-    p.add_argument("--bench-dir", default=None,
-                   help="directory for --bench-json output "
-                        "(default: ./results; needs --bench-json)")
     p.set_defaults(fn=cmd_spmm)
 
     p = sub.add_parser("convert", help="convert .mtx <-> .npz")
@@ -811,7 +753,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="plan-cache budget (MiB)")
     p.add_argument("--compare", action="store_true",
                    help="also run request-at-a-time and print the speedup")
-    p.add_argument("--shards", default=None, metavar="S|auto",
+    p.add_argument("--shards", type=_shards, default=None, metavar="S|auto",
                    help="row-shard every matrix into S bands ('auto' picks "
                         "S per matrix from the makespan cost model)")
     p.add_argument("--shard-workers", type=int, default=None,
@@ -893,12 +835,6 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar=("START", "END"),
                    help="partition window as fractions of the arrival span "
                         "(default 0.25 0.75; needs --partition)")
-    p.add_argument("--bench-json", action="store_true",
-                   help="append a perf-trajectory record to "
-                        "results/BENCH_cluster.json")
-    p.add_argument("--bench-dir", metavar="DIR", default=None,
-                   help="trajectory output directory (default: results/; "
-                        "needs --bench-json)")
     p.set_defaults(fn=cmd_cluster_sim)
 
     p = sub.add_parser(
@@ -930,7 +866,7 @@ def build_parser() -> argparse.ArgumentParser:
         "build", help="build plans and publish .daspz artifacts")
     sp.add_argument("matrix", nargs="+", help="named matrices or .mtx files")
     _plan_common(sp, matrices=True)
-    sp.add_argument("--shards", default=None, metavar="S|auto",
+    sp.add_argument("--shards", type=_shards, default=None, metavar="S|auto",
                     help="persist a sharded plan (S row bands)")
     sp.add_argument("--shard-workers", type=int, default=None,
                     help="lanes --shards auto models (default 4; needs "
@@ -967,8 +903,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_plan_gc)
 
     p = sub.add_parser("bench", help="mini Figure 10 sweep")
-    p.add_argument("--count", type=int, default=20)
-    p.add_argument("--shards", default=None, metavar="S|auto",
+    p.add_argument("--count", type=_positive_int, default=20,
+                   help="synthetic matrices to sweep (>= 1)")
+    p.add_argument("--shards", type=_shards, default=None, metavar="S|auto",
                    help="also print the modeled row-sharding speedup table")
     p.add_argument("--shard-workers", type=int, default=None,
                    help="lanes the sharded makespan is modeled over "

@@ -180,8 +180,7 @@ class ClusterStats:
     #: generated; ``n_shed`` were turned away by admission control,
     #: ``n_rejected_logical`` by primary-replica backpressure,
     #: ``n_link_failed`` by a full partition.  ``overload_enabled``
-    #: only decides what the summary table and the trajectory record
-    #: report.
+    #: only decides what the summary table reports.
     overload_enabled: bool = False
     n_offered: int = 0
     #: Arrival slots that carried a matrix delta instead of a read

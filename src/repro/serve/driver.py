@@ -254,6 +254,7 @@ def _matrix_pool(cfg: WorkloadConfig):
     else:
         from ..matrices import representative_suite
 
+        check(cfg.n_matrices >= 1, "n_matrices must be >= 1")
         entries = representative_suite()[:cfg.n_matrices]
     dtype = np.dtype(cfg.dtype)
     pool = []
@@ -342,6 +343,7 @@ class ReplicaSim:
                  modeled: CostModel | None = None, store=None,
                  replica_id: str = "r0", time_scale: float = 1.0,
                  overload=None) -> None:
+        check(cfg.queue_depth >= 1, "queue_depth must be >= 1")
         if obs is None or not obs.enabled:
             obs = Obs()
         self.cfg = cfg
@@ -742,6 +744,7 @@ class Traffic:
     def __init__(self, cfg: WorkloadConfig, pool, rate: float, *,
                  batch_fraction: float | None = None) -> None:
         check(cfg.n_requests >= 1, "n_requests must be >= 1")
+        check(rate > 0.0, "rate_rps must be > 0")
         check(0.0 <= cfg.spmm_mix <= 1.0, "spmm_mix must be in [0, 1]")
         check(0.0 <= cfg.update_mix < 1.0, "update_mix must be in [0, 1)")
         n = cfg.n_requests

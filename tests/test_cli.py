@@ -8,6 +8,12 @@ from repro.formats import write_matrix_market
 from tests.conftest import random_csr
 
 
+def _table_rows(out: str) -> list[list[str]]:
+    """The cells of every markdown table row in *out*."""
+    return [[c.strip() for c in line.strip("|").split("|")]
+            for line in out.splitlines() if line.startswith("| ")]
+
+
 class TestList:
     def test_lists_all_named(self, capsys):
         assert main(["list"]) == 0
@@ -80,11 +86,16 @@ class TestSpmv:
 
 class TestSpmm:
     def test_strategy_table_and_bitwise_check(self, capsys):
-        assert main(["spmm", "scircuit", "--k", "8", "64"]) == 0
+        assert main(["spmm", "scircuit", "--k", "8", "32", "64"]) == 0
         out = capsys.readouterr().out
         assert "| strategy |" in out
         assert "looped" in out
         assert "bitwise identical" in out
+        # the tuner never picks a strategy modeled slower than looped
+        speedups = {int(cells[0]): float(cells[5].rstrip("x"))
+                    for cells in _table_rows(out) if cells[0].isdigit()}
+        assert sorted(speedups) == [8, 32, 64]
+        assert all(s >= 1.0 for s in speedups.values())
 
     def test_store_publishes_reorder_aux(self, tmp_path, capsys):
         from repro.store import PlanStore, fingerprint_csr
@@ -104,17 +115,6 @@ class TestSpmm:
             assert np.array_equal(perm[inv], np.arange(perm.size))
         else:  # tuner kept natural order: plan published without aux
             assert aux == {}
-
-    def test_bench_json(self, tmp_path, capsys):
-        assert main(["spmm", "scircuit", "--k", "8", "32", "--bench-json",
-                     "--bench-dir", str(tmp_path)]) == 0
-        import json
-
-        records = json.loads((tmp_path / "BENCH_spmm.json").read_text())
-        assert len(records) == 1
-        sweep = records[0]["sweep"]
-        assert [row["k"] for row in sweep] == [8, 32]
-        assert all(row["speedup"] >= 1.0 for row in sweep)
 
     def test_no_reorder_flag(self, capsys):
         assert main(["spmm", "mac_econ_fwd500", "--k", "8", "32",
@@ -236,11 +236,39 @@ class TestParser:
         assert exc.value.code == 2
         assert "--deadline-us" in capsys.readouterr().err
 
-    def test_validation_error_is_a_clean_exit(self, capsys):
-        assert main(["serve-sim", "--requests", "0"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("repro: error: ")
-        assert "n_requests" in err and "Traceback" not in err
+    def test_validation_error_is_a_clean_exit(self, tmp_path, capsys):
+        """Bad values exit 2 with one ``error:`` line naming the value,
+        whether argparse or the library's validation rejects them."""
+        small = ["--requests", "10"]
+        cases = [
+            (["serve-sim", "--requests", "0"], "n_requests"),
+            (["serve-sim", *small, "--rate", "0"], "rate_rps"),
+            (["serve-sim", *small, "--rate", "-5"], "rate_rps"),
+            (["cluster-sim", *small, "--rate", "0"], "rate_rps"),
+            (["serve-sim", *small, "--matrices", "0"], "n_matrices"),
+            (["cluster-sim", *small, "--matrices", "0"], "n_matrices"),
+            (["serve-sim", *small, "--queue-depth", "0"], "queue_depth"),
+            (["cluster-sim", *small, "--synthetic", "2",
+              "--queue-depth", "0"], "queue_depth"),
+            (["bench", "--count", "0"], "--count"),
+        ]
+        for value in ("foo", "0", "-3"):
+            cases += [
+                (["serve-sim", *small, "--shards", value], "--shards"),
+                (["plan", "build", "scircuit", "--store", str(tmp_path),
+                  "--shards", value], "--shards"),
+                (["bench", "--count", "2", "--shards", value], "--shards"),
+            ]
+        for argv, name in cases:
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse usage error
+                code = exc.code
+            err = capsys.readouterr().err
+            errors = [line for line in err.splitlines() if "error:" in line]
+            assert code == 2, (argv, code, err)
+            assert len(errors) == 1 and name in errors[0], (argv, err)
+            assert "Traceback" not in err
 
     def test_chaos_knobs_apply_with_chaos(self, capsys):
         assert main(["serve-sim", "--requests", "200", "--matrices", "2",
@@ -267,7 +295,7 @@ SIM_FLAGS = {
         "--min-replicas", "--max-replicas", "--overload", "--admission-rate",
         "--batch-fraction", "--hedge-factor", "--straggler-factor",
         "--slow-replica", "--slow-factor", "--partition",
-        "--partition-window", "--bench-json", "--bench-dir"},
+        "--partition-window"},
 }
 
 
@@ -350,7 +378,6 @@ class TestSimFlags:
         ("serve-sim", "--structural-frac", ["0.5"], "--update-mix"),
         ("cluster-sim", "--update-entries", ["4"], "--update-mix"),
         ("serve-sim", "--shard-workers", ["2"], "--shards"),
-        ("cluster-sim", "--bench-dir", ["out"], "--bench-json"),
     ])
     def test_inert_flag_needs_its_switch(self, cmd, flag, value, switch,
                                          capsys):
@@ -637,6 +664,12 @@ class TestClusterSim:
         assert "| replicas | 2 |" in out
         assert "failovers" in out
         assert "| r0 |" in out and "| r1 |" in out
+        metric = {cells[0]: cells[1] for cells in _table_rows(out)}
+        assert float(metric["throughput"].split()[0].replace(",", "")) > 0
+        assert 0.0 <= float(metric["in-deadline fraction"]) <= 1.0
+        latency = metric["p50 / p95 / p99 latency"].removesuffix(" us")
+        p50, _, p99 = map(float, latency.split(" / "))
+        assert p50 <= p99
 
     def test_single_replica_matches_serve_driver(self, capsys):
         """N=1 cluster-sim reports the single driver's numbers."""
@@ -659,20 +692,3 @@ class TestClusterSim:
                      "1", "--deadline-us", "20000", "--trace"]) == 0
         out = capsys.readouterr().out
         assert "attributed device ms" in out
-
-    def test_bench_json_trajectory(self, tmp_path, capsys):
-        for _ in range(2):
-            assert main(["cluster-sim", "--replicas", "2", "--requests",
-                         "400", "--synthetic", "3", "--seed", "3",
-                         "--bench-json", "--bench-dir",
-                         str(tmp_path)]) == 0
-        import json
-
-        records = json.loads((tmp_path / "BENCH_cluster.json").read_text())
-        assert len(records) == 2
-        for rec in records:
-            assert rec["replicas"] == 2
-            assert rec["throughput_rps"] > 0
-            assert 0.0 <= rec["in_deadline_fraction"] <= 1.0
-            assert rec["p50_latency_s"] <= rec["p99_latency_s"]
-            assert "wall_s" in rec and "recorded_unix" in rec
