@@ -756,7 +756,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shards", type=_shards, default=None, metavar="S|auto",
                    help="row-shard every matrix into S bands ('auto' picks "
                         "S per matrix from the makespan cost model)")
-    p.add_argument("--shard-workers", type=int, default=None,
+    p.add_argument("--shard-workers", type=_positive_int, default=None,
                    help="concurrent lanes the sharded makespan is modeled "
                         "over (default 4; needs --shards)")
     p.add_argument("--spmm-mix", type=float, default=None, metavar="P",
@@ -868,7 +868,7 @@ def build_parser() -> argparse.ArgumentParser:
     _plan_common(sp, matrices=True)
     sp.add_argument("--shards", type=_shards, default=None, metavar="S|auto",
                     help="persist a sharded plan (S row bands)")
-    sp.add_argument("--shard-workers", type=int, default=None,
+    sp.add_argument("--shard-workers", type=_positive_int, default=None,
                     help="lanes --shards auto models (default 4; needs "
                          "--shards)")
     sp.add_argument("--force", action="store_true",
@@ -907,7 +907,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="synthetic matrices to sweep (>= 1)")
     p.add_argument("--shards", type=_shards, default=None, metavar="S|auto",
                    help="also print the modeled row-sharding speedup table")
-    p.add_argument("--shard-workers", type=int, default=None,
+    p.add_argument("--shard-workers", type=_positive_int, default=None,
                    help="lanes the sharded makespan is modeled over "
                         "(default 4; needs --shards)")
     p.add_argument("--device", default="A100", choices=("A100", "H800"))

@@ -40,7 +40,6 @@ from .delta import (
     apply_structural_update,
     apply_update,
     apply_value_update,
-    build_value_scatter,
     clone_for_patch,
     compact_plan,
     consolidate_plan,
@@ -118,7 +117,6 @@ __all__ = [
     "build_long_rows",
     "build_medium_rows",
     "build_short_rows",
-    "build_value_scatter",
     "categorize_lengths",
     "choose_spmm_strategy",
     "classify_rows",

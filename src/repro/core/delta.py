@@ -10,11 +10,11 @@ giving up the bitwise contract:
     ``reg_val``/``irreg_val``, the four short slabs) **in place** — no
     reclassification, no repacking — and the patched plan is
     bitwise-identical to a fresh ``dasp_preprocess`` of the updated
-    CSR.  The slab slot of every nonzero is recovered with a
-    *position matrix*: the three builders are re-run once over the same
-    structure with ``data = arange(1, nnz + 1)`` (float64 — exact up to
-    2**53), so every filled slot ends up holding ``source_index + 1``
-    and inverting that gives an O(1) nnz → (slab, offset) scatter map.
+    CSR.  The slab slot of a nonzero is located from the layout arrays
+    the plan already holds (:class:`RowSlots`: each packed row starts at
+    a known slot of one slab; only a medium row's regular part needs a
+    formula), so a patch costs its delta plus one O(m) row table per
+    plan lineage, never a re-pack.
 
 ``StructuralUpdate``
     Insert/delete entries as COO triples.  :func:`apply_structural_update`
@@ -58,9 +58,6 @@ from .._util import check
 from ..gpu.events import PreprocessEvents
 from .classify import categorize_lengths
 from .format import DASPMatrix
-from .long_rows import build_long_rows
-from .medium_rows import build_medium_rows
-from .short_rows import build_short_rows
 
 __all__ = [
     "DEFAULT_COMPACT_THRESHOLD",
@@ -69,14 +66,12 @@ __all__ = [
     "DeltaState",
     "PatchInfo",
     "StructuralUpdate",
-    "ValueScatter",
     "ValueUpdate",
     "apply_overlay_spmm",
     "apply_structural_to_csr",
     "apply_structural_update",
     "apply_update",
     "apply_value_update",
-    "build_value_scatter",
     "clone_for_patch",
     "compact_plan",
     "consolidate_plan",
@@ -204,56 +199,70 @@ def rebuild_events(plan) -> PreprocessEvents:
 
 
 # ----------------------------------------------------------------------
-# Position-matrix value scatter
+# Value slots — located from the plan's own layout arrays
 # ----------------------------------------------------------------------
+#: Slab ids, in :meth:`DASPMatrix.value_slabs` order.
+_LONG, _REG, _IRREG, _S13, _S22, _S4, _S1 = range(7)
+
+
 @dataclass(frozen=True)
-class ValueScatter:
-    """O(1) map from a CSR nonzero index to its packed slab slot.
+class RowSlots:
+    """Row → slab table over a plan's packed layout.
 
-    ``slab_of[i]`` indexes :meth:`DASPMatrix.value_slabs` order;
-    ``pos_of[i]`` is the flat offset inside that slab.
+    Nonzero ``j`` of row ``i`` lives at flat offset ``start[i] + j`` of
+    slab ``slab[i]`` (an index into :meth:`DASPMatrix.value_slabs`;
+    -1 for rows the plan does not pack), except for medium rows: their
+    ``start`` is the packed row index and :meth:`locate` derives the
+    regular or irregular slot from the row-block.  O(m) to build from
+    the category plans' row arrays and pointers; nothing is re-packed.
     """
 
-    slab_of: np.ndarray            # int8 (nnz,)
-    pos_of: np.ndarray             # int64 (nnz,)
+    slab: np.ndarray               # int8 (m,)
+    start: np.ndarray              # int64 (m,)
 
+    @classmethod
+    def of(cls, plan: DASPMatrix) -> "RowSlots":
+        m, K = plan.shape[0], plan.mma_shape.k
+        slab = np.full(m, -1, dtype=np.int8)
+        start = np.zeros(m, dtype=np.int64)
+        lp, mp, sp = plan.long_plan, plan.medium_plan, plan.short_plan
 
-def build_value_scatter(plan: DASPMatrix, base_csr=None) -> ValueScatter:
-    """Invert the slab layout of *plan* into a nonzero → slot map.
+        def packed(rows, first=0, stride=K):
+            """Row ``i`` of *rows* starts at ``first + stride * i``."""
+            return first + stride * np.arange(rows.size, dtype=np.int64)
 
-    Re-runs the three builders over the plan's (base) structure with
-    ``data = arange(1, nnz + 1)`` as float64: layout depends only on
-    structure, so every filled slot of the fake slabs holds its source
-    index + 1 and padding holds 0.
-    """
-    from ..formats.csr import CSRMatrix
+        for rows, sid, starts in (
+                (lp.row_idx, _LONG, lp.group_ptr[:-1] * lp.group_elems),
+                (mp.row_idx, _REG, packed(mp.row_idx, stride=1)),
+                (sp.rows13_one, _S13, packed(sp.rows13_one)),
+                (sp.rows13_three, _S13, packed(sp.rows13_three, 1)),
+                (sp.rows22_a, _S22, packed(sp.rows22_a)),
+                (sp.rows22_b, _S22, packed(sp.rows22_b, 2)),
+                (sp.rows4, _S4, packed(sp.rows4)),
+                (sp.rows1, _S1, packed(sp.rows1, stride=1))):
+            slab[rows] = sid
+            start[rows] = starts
+        return cls(slab=slab, start=start)
 
-    csr = base_csr if base_csr is not None else plan.csr
-    nnz = int(csr.indptr[-1])
-    fake = CSRMatrix(csr.shape, csr.indptr, csr.indices,
-                     np.arange(1, nnz + 1, dtype=np.float64))
-    cls = plan.classification
-    shape = plan.mma_shape
-    fakes = DASPMatrix(
-        shape=csr.shape, dtype=np.dtype(np.float64), csr=fake,
-        mma_shape=shape, max_len=plan.max_len, threshold=plan.threshold,
-        classification=cls,
-        long_plan=build_long_rows(fake, cls.long, shape),
-        medium_plan=build_medium_rows(fake, cls.medium, shape,
-                                      threshold=plan.threshold),
-        short_plan=build_short_rows(fake, cls.short, shape),
-    )
-    slab_of = np.full(nnz, -1, dtype=np.int8)
-    pos_of = np.zeros(nnz, dtype=np.int64)
-    for sid, (_, arr) in enumerate(fakes.value_slabs()):
-        flat = _flat(arr)
-        filled = np.flatnonzero(flat)
-        src = flat[filled].astype(np.int64) - 1
-        slab_of[src] = sid
-        pos_of[src] = filled
-    check(bool(np.all(slab_of >= 0)),
-          "value scatter failed to place every nonzero")
-    return ValueScatter(slab_of=slab_of, pos_of=pos_of)
+    def locate(self, plan: DASPMatrix, rows: np.ndarray, j: np.ndarray):
+        """``(slab id, flat offset)`` of nonzero ``j[e]`` of row
+        ``rows[e]`` (``j`` counts within the row, as packed)."""
+        sid = self.slab[rows].astype(np.int64)
+        check(bool(np.all(sid >= 0)), "row is not packed in the plan")
+        start = self.start[rows]
+        off = start + j
+        med = sid == _REG
+        if med.any():
+            mp, M, K = plan.medium_plan, plan.mma_shape.m, plan.mma_shape.k
+            p, jm = start[med], j[med]
+            b = p // M
+            ptr = mp.rowblock_ptr
+            reg_cols = (ptr[b + 1] - ptr[b]) // M      # K_b * K
+            reg = jm < reg_cols
+            off[med] = np.where(reg, ptr[b] + jm // K * (M * K) + p % M * K
+                                + jm % K, mp.irreg_ptr[p] + jm - reg_cols)
+            sid[med] = np.where(reg, _REG, _IRREG)
+        return sid, off
 
 
 def _flat(arr: np.ndarray) -> np.ndarray:
@@ -261,23 +270,32 @@ def _flat(arr: np.ndarray) -> np.ndarray:
     return arr.reshape(-1)
 
 
-def _csr_keys(csr) -> np.ndarray:
-    """Row-major ``row * ncols + col`` keys; strictly increasing for a
-    duplicate-free CSR with sorted column indices."""
-    lens = csr.row_lengths()
-    rows = np.repeat(np.arange(csr.shape[0], dtype=np.int64), lens)
-    return rows * np.int64(csr.shape[1]) + csr.indices.astype(np.int64)
+def _search_rows(csr, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """CSR position of the first entry of row ``rows[e]`` whose column is
+    ``>= cols[e]``: ``searchsorted`` within each row's sorted column
+    indices, bisected for all entries at once — O(delta · log row)."""
+    lo, hi, idx = csr.indptr[rows], csr.indptr[rows + 1], csr.indices
+    live = lo < hi
+    while live.any():
+        mid = (lo + hi) >> 1
+        below = live & (idx[np.where(live, mid, 0)] < cols)
+        lo = np.where(below, mid + 1, lo)
+        hi = np.where(live & ~below, mid, hi)
+        live = lo < hi
+    return lo
 
 
-def _lookup(keys: np.ndarray, wanted: np.ndarray, what: str) -> np.ndarray:
-    if keys.size == 0:
-        if wanted.size:
-            raise DeltaError(f"{what}: entry not present in sparsity pattern")
-        return np.zeros(0, dtype=np.int64)
-    pos = np.searchsorted(keys, wanted)
-    bad = pos >= keys.size
-    bad |= keys[np.minimum(pos, keys.size - 1)] != wanted
-    if np.any(bad):
+def _found(csr, rows: np.ndarray, cols: np.ndarray, pos: np.ndarray):
+    """Which ``pos`` (from :func:`_search_rows`) hold ``(rows, cols)``."""
+    hit = pos < csr.indptr[rows + 1]
+    hit[hit] = csr.indices[pos[hit]] == cols[hit]
+    return hit
+
+
+def _lookup(csr, rows: np.ndarray, cols: np.ndarray, what: str) -> np.ndarray:
+    """CSR positions of existing entries ``(rows, cols)``."""
+    pos = _search_rows(csr, rows, cols)
+    if not _found(csr, rows, cols, pos).all():
         raise DeltaError(f"{what}: entry not present in sparsity pattern")
     return pos
 
@@ -309,25 +327,14 @@ class DeltaState:
     dirty: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
     overlay: DeltaOverlay | None = None
     patches: int = 0
-    _scatter: ValueScatter | None = None
-    _base_key: np.ndarray | None = None
-    _cur_key: np.ndarray | None = None
+    _slots: RowSlots | None = None
 
-    def base_key(self) -> np.ndarray:
-        if self._base_key is None:
-            self._base_key = _csr_keys(self.base_csr)
-        return self._base_key
-
-    def cur_key(self, csr) -> np.ndarray:
-        if self._cur_key is None:
-            self._cur_key = (self.base_key() if csr is self.base_csr
-                             else _csr_keys(csr))
-        return self._cur_key
-
-    def scatter(self, plan) -> ValueScatter:
-        if self._scatter is None:
-            self._scatter = build_value_scatter(plan, self.base_csr)
-        return self._scatter
+    def slots(self, plan) -> RowSlots:
+        """The row table of *plan*'s slabs, built on first use and shared
+        by every version until compaction re-packs them."""
+        if self._slots is None:
+            self._slots = RowSlots.of(plan)
+        return self._slots
 
 
 def ensure_state(plan: DASPMatrix) -> DeltaState:
@@ -339,8 +346,9 @@ def ensure_state(plan: DASPMatrix) -> DeltaState:
 def clone_for_patch(plan):
     """Shallow-copy *plan* so in-place value patches cannot corrupt the
     original: each band's value slabs and ``csr.data`` are copied,
-    structure arrays and the scatter map are shared.  The registry uses
-    this so in-flight requests drain against the pre-update version."""
+    structure arrays and the row-slot table are shared.  The registry
+    uses this so in-flight requests drain against the pre-update
+    version."""
     return plan._with_bands([_clone_band(d) for _, _, d in plan.bands()])
 
 
@@ -352,10 +360,7 @@ def _clone_band(plan: DASPMatrix) -> DASPMatrix:
     st = plan.delta
     new_st = None
     if st is not None:
-        new_st = DeltaState(base_csr=st.base_csr, dirty=st.dirty,
-                            overlay=st.overlay, patches=st.patches,
-                            _scatter=st._scatter, _base_key=st._base_key,
-                            _cur_key=st._cur_key)
+        new_st = replace(st)
     return replace(
         plan, csr=csr, delta=new_st,
         long_plan=replace(plan.long_plan, val=plan.long_plan.val.copy()),
@@ -398,13 +403,10 @@ def apply_value_update(plan: DASPMatrix, delta: ValueUpdate) -> PatchInfo:
     check(bool(np.all((delta.rows >= 0) & (delta.rows < m))), "row out of range")
     check(bool(np.all((delta.cols >= 0) & (delta.cols < n))), "col out of range")
     state = ensure_state(plan)
-    k = delta.rows * np.int64(n) + delta.cols
-    sel = _dedupe_last(k)
-    rows, k = delta.rows[sel], k[sel]
-    vals = delta.vals[sel]
+    sel = _dedupe_last(delta.rows * np.int64(n) + delta.cols)
+    rows, vals = delta.rows[sel], delta.vals[sel]
 
-    cur = state.cur_key(plan.csr)
-    pos_cur = _lookup(cur, k, "value update")
+    pos_cur = _lookup(plan.csr, rows, delta.cols[sel], "value update")
     plan.csr.data[pos_cur] = np.asarray(vals).astype(plan.csr.data.dtype)
     cast = plan.csr.data[pos_cur]
 
@@ -417,11 +419,12 @@ def apply_value_update(plan: DASPMatrix, delta: ValueUpdate) -> PatchInfo:
 
     clean = ~is_dirty
     if clean.any():
-        sc = state.scatter(plan)
-        # Clean rows have identical (row, col) membership in the base
-        # structure, so their slab slots are found via the base keys.
-        pos_base = _lookup(state.base_key(), k[clean], "value update (base)")
-        sid, off, cv = sc.slab_of[pos_base], sc.pos_of[pos_base], cast[clean]
+        # Clean rows hold the entries the slabs were packed from, so an
+        # entry's index within its current row is its packed index.
+        r = rows[clean]
+        sid, off = state.slots(plan).locate(
+            plan, r, pos_cur[clean] - plan.csr.indptr[r])
+        cv = cast[clean]
         slabs = [arr for _, arr in plan.value_slabs()]
         for s in np.unique(sid):
             msk = sid == s
@@ -432,13 +435,13 @@ def apply_value_update(plan: DASPMatrix, delta: ValueUpdate) -> PatchInfo:
         state.overlay = _build_overlay(plan, state.dirty)
 
     vb = plan.csr.data.dtype.itemsize
-    ev = PreprocessEvents(host_bytes=float(k.size) * (2 * vb + 16))
+    ev = PreprocessEvents(host_bytes=float(rows.size) * (2 * vb + 16))
     if is_dirty.any() and state.overlay is not None:
         from .preprocess import dasp_preprocess_events
 
         ev = _sum_events(ev, dasp_preprocess_events(state.overlay.mini))
     state.patches += 1
-    return PatchInfo("value", int(np.unique(rows).size), int(k.size),
+    return PatchInfo("value", int(np.unique(rows).size), int(rows.size),
                      0, False, ev)
 
 
@@ -448,9 +451,10 @@ def apply_value_update(plan: DASPMatrix, delta: ValueUpdate) -> PatchInfo:
 def apply_structural_to_csr(csr, delta: StructuralUpdate):
     """Apply *delta* to a CSR matrix; returns ``(new_csr, touched_rows)``.
 
-    Pure array splice — the result keeps sorted, duplicate-free column
-    indices.  Raises :class:`DeltaError` on a delete of an absent entry
-    or an out-of-range coordinate.
+    Pure array splice: one copy of the kept runs of ``indices`` and
+    ``data`` plus O(m + delta · log row) index work — the result keeps
+    sorted, duplicate-free column indices.  Raises :class:`DeltaError`
+    on a delete of an absent entry or an out-of-range coordinate.
     """
     from ..formats.csr import CSRMatrix
 
@@ -459,41 +463,47 @@ def apply_structural_to_csr(csr, delta: StructuralUpdate):
                  (delta.delete_rows, delta.delete_cols)):
         check(bool(np.all((r >= 0) & (r < m))), "row out of range")
         check(bool(np.all((c >= 0) & (c < n))), "col out of range")
-    keys = _csr_keys(csr)
-    data = csr.data.copy()
-    keep = np.ones(keys.size, dtype=bool)
-
-    if delta.delete_rows.size:
-        dk = np.unique(delta.delete_rows * np.int64(n) + delta.delete_cols)
-        pos = _lookup(keys, dk, "delete")
-        keep[pos] = False
-
-    ins_k = delta.insert_rows * np.int64(n) + delta.insert_cols
-    if ins_k.size:
-        sel = _dedupe_last(ins_k)
-        ins_k = ins_k[sel]
-        ins_v = np.asarray(delta.insert_vals)[sel].astype(data.dtype)
-        pos = np.searchsorted(keys, ins_k)
-        safe = np.minimum(pos, keys.size - 1)
-        exists = (pos < keys.size) & (keys[safe] == ins_k) & keep[safe] \
-            if keys.size else np.zeros(ins_k.size, dtype=bool)
-        data[safe[exists]] = ins_v[exists]       # upsert in place
-        new_k, new_v = ins_k[~exists], ins_v[~exists]
-    else:
-        new_k = np.zeros(0, dtype=np.int64)
-        new_v = np.zeros(0, dtype=data.dtype)
-
-    merged_k = np.concatenate([keys[keep], new_k])
-    merged_v = np.concatenate([data[keep], new_v])
-    order = np.argsort(merged_k, kind="stable")
-    merged_k, merged_v = merged_k[order], merged_v[order]
-
-    rows_of = merged_k // np.int64(n)
-    indptr = np.zeros(m + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows_of, minlength=m), out=indptr[1:])
-    out = CSRMatrix((m, n), indptr,
-                    (merged_k % np.int64(n)).astype(np.int32), merged_v)
+    _, first = np.unique(delta.delete_rows * np.int64(n) + delta.delete_cols,
+                         return_index=True)
+    drows = delta.delete_rows[first]
+    dpos = _lookup(csr, drows, delta.delete_cols[first], "delete")
+    sel = _dedupe_last(delta.insert_rows * np.int64(n) + delta.insert_cols)
+    irows, icols = delta.insert_rows[sel], delta.insert_cols[sel]
+    ivals = np.asarray(delta.insert_vals)[sel].astype(csr.data.dtype)
+    ipos = _search_rows(csr, irows, icols)
+    # An insert onto an entry (an upsert, or a re-insert of a delete)
+    # drops that entry and takes its place with the new value.
+    old = _found(csr, irows, icols, ipos)
+    drop, first = np.unique(np.concatenate([dpos, ipos[old]]),
+                            return_index=True)
+    drop_rows = np.concatenate([drows, irows[old]])[first]
+    indptr = csr.indptr + np.cumsum(
+        np.bincount(irows + 1, minlength=m + 1)
+        - np.bincount(drop_rows + 1, minlength=m + 1))
+    indices = _splice(csr.indices, drop, ipos, icols)
+    data = _splice(csr.data, drop, ipos, ivals)
+    out = CSRMatrix((m, n), indptr, indices, data)
     return out, delta.touched_rows()
+
+
+def _splice(arr: np.ndarray, drop: np.ndarray, at: np.ndarray,
+            vals: np.ndarray) -> np.ndarray:
+    """A new copy of *arr* without positions *drop*, with ``vals[e]``
+    inserted before position ``at[e]`` (both sorted; an insert goes
+    before a drop at the same position): one copy of the kept runs."""
+    vals = vals.astype(arr.dtype)
+    cuts = np.concatenate([at, drop])
+    pieces, prev = [], 0
+    for e in np.argsort(cuts, kind="stable").tolist():
+        p = int(cuts[e])
+        pieces.append(arr[prev:p])
+        if e < at.size:
+            pieces.append(vals[e:e + 1])
+            prev = p
+        else:
+            prev = p + 1
+    pieces.append(arr[prev:])
+    return np.concatenate(pieces)
 
 
 def _build_overlay(plan: DASPMatrix, dirty: np.ndarray) -> DeltaOverlay | None:
@@ -539,8 +549,7 @@ def apply_structural_update(plan: DASPMatrix, delta: StructuralUpdate, *,
     dirty = np.union1d(state.dirty, touched)
     new_state = DeltaState(base_csr=state.base_csr, dirty=dirty,
                            patches=state.patches + 1,
-                           _scatter=state._scatter,
-                           _base_key=state._base_key)
+                           _slots=state._slots)
     new_plan = replace(plan, csr=new_csr, delta=new_state)
     new_state.overlay = _build_overlay(new_plan, dirty)
 
@@ -675,9 +684,9 @@ def apply_delta_to_csr(csr, delta):
         from ..formats.csr import CSRMatrix
 
         out = CSRMatrix(csr.shape, csr.indptr, csr.indices, csr.data.copy())
-        k = delta.rows * np.int64(csr.shape[1]) + delta.cols
-        sel = _dedupe_last(k)
-        pos = _lookup(_csr_keys(out), k[sel], "value update (top-level)")
+        sel = _dedupe_last(delta.rows * np.int64(csr.shape[1]) + delta.cols)
+        pos = _lookup(out, delta.rows[sel], delta.cols[sel],
+                      "value update (top-level)")
         out.data[pos] = np.asarray(delta.vals[sel]).astype(out.data.dtype)
         return out
     raise TypeError(f"unknown delta type {type(delta).__name__}")

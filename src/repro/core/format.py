@@ -121,7 +121,7 @@ class DASPMatrix:
         matrix *values* (as opposed to column ids / pointers) — the
         arrays a :class:`~repro.core.delta.ValueUpdate` patches in
         place.  Order is load-bearing: ``repro.core.delta`` indexes it
-        from the scatter map's slab ids."""
+        by the slab ids of its row-slot table."""
         from .long_rows import VALUE_SLAB_FIELDS as _LONG
         from .medium_rows import VALUE_SLAB_FIELDS as _MEDIUM
         from .short_rows import VALUE_SLAB_FIELDS as _SHORT

@@ -251,6 +251,10 @@ class TestParser:
             (["cluster-sim", *small, "--synthetic", "2",
               "--queue-depth", "0"], "queue_depth"),
             (["bench", "--count", "0"], "--count"),
+            (["bench", "--count", "2", "--shards", "2",
+              "--shard-workers", "0"], "--shard-workers"),
+            (["serve-sim", *small, "--shards", "2",
+              "--shard-workers", "-1"], "--shard-workers"),
         ]
         for value in ("foo", "0", "-3"):
             cases += [
