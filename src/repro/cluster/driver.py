@@ -403,9 +403,9 @@ class _Cluster:
             self.spawn(warm=False)
 
     # ------------------------------------------------------------------
-    def spawn(self, *, warm: bool = True) -> str:
-        """Add one replica; with ``warm``, re-warm the fingerprints the
-        rebalanced ring moved onto it (:meth:`ReplicaSim.warm`)."""
+    def spawn(self, now: float = 0.0, *, warm: bool = True) -> str:
+        """Add one replica at *now*; with ``warm``, re-warm from *now*
+        the fingerprints the ring moved onto it (:meth:`ReplicaSim.warm`)."""
         cfg = self.cfg
         index = self._spawned
         rid = f"r{index}"
@@ -436,7 +436,7 @@ class _Cluster:
             moved = [fp for fp in fps if self.ring.lookup(fp) != before[fp]]
             self._moved.inc(len(moved))
             if moved:
-                replica.warm(moved)
+                replica.warm(moved, now)
         return rid
 
     def drain_replica(self, rid: str, now: float) -> None:
@@ -609,7 +609,7 @@ class _Cluster:
         mean_depth = sum(depths) / len(depths) if depths else 0.0
         if (mean_depth >= policy.scale_up_depth
                 and len(active) < policy.max_replicas):
-            self.spawn()
+            self.spawn(now)
             self._scale_up.inc()
             return now
         if (mean_depth <= policy.scale_down_depth

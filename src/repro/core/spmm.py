@@ -60,10 +60,16 @@ def dasp_spmm(matrix, X: np.ndarray, *, engine: str = "vectorized",
     check(X.ndim == 2 and X.shape[0] == dasp.shape[1],
           f"X must be ({dasp.shape[1]}, k)")
     check(X.shape[1] >= 1, "X must have at least one column")
-    obs.counter("core.spmm_calls_total", {"engine": engine}).inc()
-    with obs.span("spmm", attrs={"engine": engine, "k": X.shape[1]}
-                  if obs.tracing else None):
+    with spmm_span(obs, engine, X.shape[1]):
         return dasp_spmm_on_plan(dasp, X, engine=engine, cast_output=cast_output)
+
+
+def spmm_span(obs, engine: str, k: int):
+    """Count one k-wide SpMM call on *obs* and return its ``spmm`` span
+    (:func:`dasp_spmm`'s and every numeric serving batch's telemetry)."""
+    obs.counter("core.spmm_calls_total", {"engine": engine}).inc()
+    return obs.span("spmm", attrs={"engine": engine, "k": k}
+                    if obs.tracing else None)
 
 
 def dasp_spmm_on_plan(dasp: DASPMatrix, X: np.ndarray, *,

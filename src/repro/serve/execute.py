@@ -10,6 +10,11 @@ final bookkeeping — lives here exactly once, in
 :class:`ExecutionCore`.  Every batch is priced by one memoized
 :class:`CostModel` entry keyed by ``(plan version key, k)``.
 
+Every plan is its row bands (``plan.bands()``; a plain plan is one):
+one price over them (:func:`repro.shard.sharded_batch_cost`), one kernel
+path (:func:`repro.shard.execute.run_bands`) and a large-k tuner
+strategy per band — the core never asks which kind of plan it holds.
+
 The two serving shells differ only in what they plug in:
 
 * a **clock** — :class:`VirtualClock` (the simulator's modeled device
@@ -17,8 +22,8 @@ The two serving shells differ only in what they plug in:
   their modeled seconds) or :class:`WallClock` (``perf_counter`` time;
   retry backoff really sleeps);
 * an **executor** — :class:`ModeledExecutor` (price only, no numerics)
-  or :class:`NumericExecutor` (``dasp_spmm`` / ``dasp_spmm_large`` /
-  the sharded fan-out, plus the same pricing);
+  or :class:`NumericExecutor` (each band through ``dasp_spmm_on_plan``
+  or its large-k strategy, plus the same pricing);
 * **outcomes** — any object with ``terminal(reqs) -> int`` (how many
   logical requests a failure ends), ``settle(batch, Y, end, degraded)
   -> winners`` (hand out results; return the requests that count as
@@ -34,28 +39,23 @@ from __future__ import annotations
 
 import threading
 import time
+from functools import reduce
 
 import numpy as np
 
 from .._util import ReproError, check
 from ..core.preprocess import traced_preprocess
-from ..core.spmm import (dasp_spmm, dasp_spmm_on_plan, mma_phase_fraction,
-                         mma_utilization_from_events, spmm_events)
+from ..core.spmm import dasp_spmm_on_plan, mma_phase_fraction, spmm_span
 from ..core.spmm_block import (BlockPlan, choose_spmm_strategy,
                                dasp_spmm_large, reorder_from_perm)
-from ..gpu.cost_model import estimate_time
+from ..obs import get_obs
 from ..resilience import (CircuitOpenError, DeadlineExceededError,
                           FallbackExecutor, NumericFault, RetryPolicy)
-from ..shard import (ShardedPlan, build_sharded_plan, choose_shards,
-                     sharded_batch_cost, traced_preprocess_sharded)
+from ..shard import (build_sharded_plan, choose_shards, sharded_batch_cost,
+                     traced_preprocess_sharded)
 from ..shard.execute import run_bands
 from .batcher import MMA_N
 from .plan_cache import PlanRegistry
-
-
-def _is_large(plan, k: int) -> bool:
-    """Does a k-wide batch go through the large-k strategy tier?"""
-    return not isinstance(plan, ShardedPlan) and k > plan.mma_shape.n
 
 
 class CostModel:
@@ -63,16 +63,15 @@ class CostModel:
 
     The key is the registry's version key (``fp`` or ``fp@vN``), so a
     delta — which lands under a new key — never reuses the pre-update
-    entry.  A :class:`~repro.shard.ShardedPlan` is charged the LPT
-    makespan of its per-shard times over ``workers`` lanes; an
-    unsharded batch wider than the MMA tile is charged the large-k
-    strategy the caller's tuner picked for that key and k (its
-    double-buffered time when ``double_buffer`` is set).  A cold price
-    runs the x-gather analysis once (once per shard band; for a large-k
-    batch inside the tuner), and everything read off a batch — charge,
-    MMA flops, events, the tracer's phase split — comes from this one
-    entry.  One instance may be shared by several replicas: prices
-    depend only on the plan.
+    entry.  A batch is charged the LPT makespan of its band prices over
+    ``workers`` lanes (:func:`repro.shard.sharded_batch_cost`): each
+    band at its k-wide events or, wider than the MMA tile, at the
+    large-k strategy the caller's tuner picked for it (double-buffered
+    with ``double_buffer``).  A cold price runs the x-gather analysis
+    once per band (for a large-k batch inside the tuner), and
+    everything read off a batch — charge, MMA flops, events, the
+    tracer's phase split — comes from this one entry.  One instance may
+    be shared by several replicas: prices depend only on the plan.
     """
 
     def __init__(self, device, *, workers: int = 1,
@@ -82,41 +81,26 @@ class CostModel:
         self.double_buffer = bool(double_buffer)
         self._entries: dict[tuple[str, int], tuple] = {}
 
-    def batch_cost(self, key: str, plan, k: int, strategy=None) -> tuple:
+    def batch_cost(self, key: str, plan, k: int, strategies=None) -> tuple:
         """``(device seconds, useful MMA flops, issued MMA flops,
         KernelEvents, bands)`` of one k-wide batch.  ``bands`` holds one
-        ``(modeled seconds, regular-MMA share)`` pair per shard band
-        (one pair for an unsharded plan) for span attribution.  A
-        large-k batch is priced by its tuner *strategy*
-        (:meth:`ExecutionCore.strategy`), which carries its price."""
+        ``(modeled seconds, regular-MMA share)`` pair per band for span
+        attribution.  A large-k batch is priced by its per-band tuner
+        *strategies* (:meth:`ExecutionCore.strategy`), which carry
+        their prices."""
         got = self._entries.get((key, k))
         if got is not None:
             return got
-        if isinstance(plan, ShardedPlan):
-            cost = sharded_batch_cost(plan, self.device, k,
-                                      workers=self.workers,
-                                      double_buffer=self.double_buffer)
-            combined = cost.events[0]
-            for e in cost.events[1:]:
-                combined = combined.combine(e)
-            bands = tuple(zip(cost.per_shard, (mma_phase_fraction(s.dasp)
-                                               for s in plan.shards)))
-            got = (cost.makespan, cost.useful_mma, cost.issued_mma, combined,
-                   bands)
-        else:
-            if _is_large(plan, k):
-                check(strategy is not None,
-                      "a large-k batch is priced by its tuner strategy")
-                ev = strategy.events
-                t = (strategy.overlapped_s if self.double_buffer
-                     else strategy.modeled_s)
-            else:
-                ev = spmm_events(plan, self.device, k)
-                t = estimate_time(ev, self.device,
-                                  dtype_bits=plan.dtype.itemsize * 8).total
-            util = mma_utilization_from_events(plan, k, ev)
-            got = (t, util * ev.flops_mma, ev.flops_mma, ev,
-                   ((t, mma_phase_fraction(plan)),))
+        check(strategies is not None or k <= plan.mma_shape.n,
+              "a large-k batch is priced by its tuner strategies")
+        cost = sharded_batch_cost(plan, self.device, k, workers=self.workers,
+                                  double_buffer=self.double_buffer,
+                                  strategies=strategies)
+        combined = reduce(lambda a, b: a.combine(b), cost.events)
+        bands = tuple(zip(cost.per_shard, (mma_phase_fraction(d)
+                                           for _, _, d in plan.bands())))
+        got = (cost.makespan, cost.useful_mma, cost.issued_mma, combined,
+               bands)
         return self._entries.setdefault((key, k), got)
 
 
@@ -191,32 +175,33 @@ class ModeledExecutor:
 class NumericExecutor:
     """Computes batches with the DASP kernels.
 
-    Unsharded batches run :func:`~repro.core.spmm.dasp_spmm` (k <= 8;
-    its column folds are bitwise ``dasp_spmv``) or the tuner's large-k
-    strategy.  A sharded plan fans its bands out through
-    :func:`repro.shard.execute.run_bands`: ``submit_task`` (e.g.
+    Every plan runs its bands through
+    :func:`repro.shard.execute.run_bands`, each band
+    :func:`~repro.core.spmm.dasp_spmm_on_plan` (column folds bitwise
+    ``dasp_spmv``) or its large-k strategy.  ``submit_task`` (e.g.
     :meth:`Scheduler.submit_task`) borrows up to ``lanes - 1`` idle
-    workers, and the calling thread claims every band no helper picked
-    up.  Bands are concatenated in order — bitwise the unsharded
-    result.
+    workers for the other bands; the result is bitwise the unsharded
+    one.  The batch's ``spmm`` span and ``core.spmm_calls_total`` are
+    recorded on the calling thread: helper threads run un-spanned band
+    kernels, so they never open root spans.
     """
 
     def __init__(self, obs=None, *, submit_task=None, lanes: int = 1) -> None:
-        self.obs = obs
+        self.obs = obs if obs is not None else get_obs()
         self.submit_task = submit_task
         self.lanes = int(lanes)
 
-    def kernel(self, plan, batch, strategy):
+    def kernel(self, plan, batch, strategies):
         X = batch.assemble_x()
-        if isinstance(plan, ShardedPlan):
-            # the un-spanned entry point: helper threads must not open
-            # root spans in the thread-local tracer
-            return run_bands(plan, lambda band: dasp_spmm_on_plan(band, X),
-                             obs=self.obs, submit_task=self.submit_task,
-                             lanes=self.lanes)
-        if strategy is not None:
-            return dasp_spmm_large(plan, X, strategy)
-        return dasp_spmm(plan, X, obs=self.obs)
+
+        def band(i, dasp):
+            if strategies is None:
+                return dasp_spmm_on_plan(dasp, X)
+            return dasp_spmm_large(dasp, X, strategies[i])
+
+        with spmm_span(self.obs, "vectorized", X.shape[1]):
+            return run_bands(plan, band, obs=self.obs,
+                             submit_task=self.submit_task, lanes=self.lanes)
 
     def fallback(self, fallback: FallbackExecutor, key: str, csr, batch):
         return fallback.run(key, csr, batch.assemble_x())
@@ -405,33 +390,35 @@ class ExecutionCore:
         return ("warm.load" if action == "load" else "build"), seconds
 
     def strategy(self, fp: str, key: str, plan, k: int):
-        """The tuner's choice for a k-wide batch of version *key*, or
-        ``None`` below the large-k tier (and for sharded plans).
+        """The tuner's choices for a k-wide batch of version *key*, one
+        per band of *plan*, or ``None`` at ``k <= plan.mma_shape.n``.
 
-        The version's row order is derived once (:meth:`_row_order`) and
-        kept, with the per-k choices beside it, in the registry's
+        The per-band row orders are derived once (:meth:`_row_order`)
+        and kept, with the per-k choices beside them, in the registry's
         per-version slot, so all of it retires with the version.
         Racing callers keep the first stored choice, so every batch of
         a given width executes identically.
         """
-        if not _is_large(plan, k):
+        if k <= plan.mma_shape.n:
             return None
-        order, chosen = self.registry.derived(
+        orders, chosen = self.registry.derived(
             key, lambda: (self._row_order(fp, plan), {}))
         got = chosen.get(k)
         if got is None:
-            got = chosen.setdefault(k, choose_spmm_strategy(
-                plan, k, self.cost.device, order=order))
+            got = chosen.setdefault(k, tuple(
+                choose_spmm_strategy(d, k, self.cost.device, order=order)
+                for (_, _, d), order in zip(plan.bands(), orders)))
         return got
 
-    def _row_order(self, fp: str, plan) -> BlockPlan:
-        """Derive the large-k row order of one plan version.
+    def _row_order(self, fp: str, plan) -> tuple:
+        """Derive the large-k row order of each band of one plan version.
 
         A ``spmm.reorder_perm`` persisted with the base artifact is a
-        decision about the matrix, read once per base fingerprint; its
-        tile stats are recomputed on this version's rows.  Without one
-        the candidate sweep runs.  Counted per version as
-        ``spmm.reorder.{loaded,derived}_total``.
+        decision about the matrix, read once per base fingerprint; a
+        band gets its rows in perm order, shifted by its first row (a
+        plain plan, the perm itself), tile stats recomputed on this
+        version's rows.  Without one the candidate sweep runs.  Counted
+        per version as ``spmm.reorder.{loaded,derived}_total``.
         """
         if fp not in self._perms:
             aux = self.registry.load_aux(fp)
@@ -439,12 +426,16 @@ class ExecutionCore:
                                if aux and "spmm.reorder_perm" in aux
                                else None)
         perm = self._perms[fp]
+        bands = plan.bands()
         if perm is None:
             self.obs.counter("spmm.reorder.derived_total").inc()
-            return BlockPlan(plan)
+            return tuple(BlockPlan(d) for _, _, d in bands)
         self.obs.counter("spmm.reorder.loaded_total").inc()
-        return BlockPlan(plan, reorder_from_perm(
-            plan.csr, perm, mma_shape=plan.mma_shape))
+        return tuple(
+            BlockPlan(d, reorder_from_perm(
+                d.csr, perm[(perm >= lo) & (perm < hi)] - lo,
+                mma_shape=d.mma_shape))
+            for lo, hi, d in bands)
 
     # ------------------------------------------------------------------
     # batch execution
@@ -489,8 +480,7 @@ class ExecutionCore:
                 self.breaker.record_failure(fp, now)
             self._degrade(batch, key, exc)
             return
-        strat = self.strategy(fp, key, plan, batch.k)
-        if strat is not None:
+        for strat in self.strategy(fp, key, plan, batch.k) or ():
             self.stats.observe_spmm_large(strat.name)
         retry = self.retry
         for attempt in range(retry.max_retries + 1):
@@ -532,9 +522,9 @@ class ExecutionCore:
         tracing = self.obs.tracing
         with self.obs.span("kernel", attrs={"attempt": attempt}
                            if tracing else None) as sp:
-            strat = self.strategy(fp, key, plan, k)
+            strats = self.strategy(fp, key, plan, k)
             t, useful, issued, ev, bands = self.cost.batch_cost(
-                key, plan, k, strat)
+                key, plan, k, strats)
             t = self.clock.scale(t)
             Y, extra, fault = None, 0.0, None
             try:
@@ -544,7 +534,7 @@ class ExecutionCore:
                     decision = self.injector.check_kernel(fp)
                     extra = self.clock.scale(decision.latency_s)
                     corrupt = decision.corrupt
-                Y = self.executor.kernel(plan, batch, strat)
+                Y = self.executor.kernel(plan, batch, strats)
                 if corrupt and Y is not None:
                     Y = self.injector.corrupt_output(Y)
                 if corrupt or (Y is not None and not np.isfinite(Y).all()):
@@ -558,28 +548,31 @@ class ExecutionCore:
                     sp.set_attr("fault", type(fault).__name__)
                 else:
                     # only successful attempts reach the stats counters
-                    self._trace_kernel(sp, plan, t + extra, ev, bands, strat)
+                    self._trace_kernel(sp, t + extra, ev, bands, strats)
         return Y, t, useful, issued, extra, fault
 
-    def _trace_kernel(self, sp, plan, total, ev, bands, strat) -> None:
-        if isinstance(plan, ShardedPlan):
+    def _trace_kernel(self, sp, total, ev, bands, strats) -> None:
+        owners = [sp]     # the span(s) that carry each band's strategy
+        if len(bands) > 1:
             # one `shard` span per band, phase children scaled so the
             # attributed sum equals the makespan the batch is charged
-            sp.set_attr("shards", plan.n_shards)
+            sp.set_attr("shards", len(bands))
             serial = sum(t_i for t_i, _ in bands)
             scale = (total / serial) if serial else 0.0
+            owners = []
             for i, (t_i, frac_i) in enumerate(bands):
                 ssp = sp.child("shard", attrs={"shard": i, "modeled_s": t_i})
                 ssp.child("regular_mma", device_s=t_i * scale * frac_i)
                 ssp.child("irregular_csr",
                           device_s=t_i * scale * (1.0 - frac_i))
+                owners.append(ssp)
         else:
             (_, frac), = bands
             sp.child("regular_mma", device_s=total * frac)
             sp.child("irregular_csr", device_s=total * (1.0 - frac))
-        if strat is not None:
-            sp.set_attr("spmm_strategy", strat.name)
-            sp.set_attr("tile_k", strat.tile_k)
+        for owner, strat in zip(owners, strats or ()):
+            owner.set_attr("spmm_strategy", strat.name)
+            owner.set_attr("tile_k", strat.tile_k)
         for name, value in ev.as_attrs().items():
             sp.set_attr(name, value)
 

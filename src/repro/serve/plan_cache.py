@@ -394,7 +394,7 @@ class PlanRegistry:
 
         ``make()`` runs on the first call for *key*, outside the lock
         (racing callers keep the first stored result) — e.g. the
-        large-k row order of :meth:`ExecutionCore.strategy`.  An entry
+        per-band row orders of :meth:`ExecutionCore.strategy`.  An entry
         lives as long as its version: the v/v-1 retention of
         :meth:`update` and :meth:`rollback` drop it with the version's
         plan; LRU eviction of the plan does not.

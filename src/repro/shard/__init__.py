@@ -7,8 +7,8 @@ across the serving worker pool — gathering per-shard outputs by pure
 concatenation.  Like a plain :class:`~repro.core.DASPMatrix`, a
 sharded plan is its bands: ``plan.bands()`` yields ``(row_start,
 row_end, dasp)`` per shard, the loop that patches, clones and sizes
-either kind of plan (:mod:`repro.core.delta`) and that runs them
-(:func:`repro.shard.execute.run_bands`).
+either kind of plan (:mod:`repro.core.delta`), runs them
+(:func:`repro.shard.execute.run_bands`) and prices them (below).
 
 Guarantees:
 

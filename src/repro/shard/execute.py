@@ -1,18 +1,19 @@
-"""Sharded execution and its cost model.
+"""Band execution and its cost model, for every plan (``plan.bands()``:
+a plain plan is one band, a :class:`ShardedPlan` one per shard).
 
-Execution: each shard's DASP kernels run independently through one
+Execution: each band's DASP kernels run independently through one
 band runner (:func:`run_bands`: serially here, across borrowed worker
-threads in the server) and the per-shard outputs are concatenated —
+threads in the server) and the per-band outputs are concatenated —
 bit-identical to the unsharded kernels because shard boundaries never
 split rows and every row's value is computed with row-local
 floating-point association.
 
-Cost model: each shard pays its own kernel events plus one modeled
-dispatch overhead; ``workers`` concurrent lanes execute the shards by
-longest-processing-time list scheduling, and the batch is charged the
-resulting **makespan**.  :func:`choose_shards` sweeps candidate shard
-counts against that model, so over-sharding (dispatch overhead, lost
-intra-kernel parallelism) shows up as a worse modeled time.
+Cost model: each band pays its own kernel events (or large-k strategy
+price), plus one modeled dispatch overhead when there is more than one;
+``workers`` lanes execute the bands by longest-processing-time list
+scheduling, and the batch is charged the resulting **makespan**.
+:func:`choose_shards` sweeps shard counts against that model, so
+over-sharding shows up as a worse modeled time.
 """
 
 from __future__ import annotations
@@ -25,9 +26,12 @@ import numpy as np
 from .._util import check
 from ..core.autotune import TuneResult
 from ..core.format import DASPMatrix
-from ..core.spmm import mma_utilization_from_events, spmm_events
+from ..core.spmm import dasp_spmm, mma_utilization_from_events, spmm_events
+from ..core.spmm_block import overlap_schedule
+from ..core.spmv import dasp_spmv
 from ..gpu.cost_model import estimate_time
 from ..gpu.device import get_device
+from ..obs import get_obs
 from .plan import ShardedPlan, build_sharded_plan
 
 #: Default shard-count candidates are drawn from powers of two up to
@@ -41,17 +45,20 @@ MAX_SHARD_FACTOR = 2
 # ----------------------------------------------------------------------
 
 
-def _as_sharded(matrix, shards, *, mma_shape=None) -> ShardedPlan:
+def _as_sharded(matrix, shards) -> ShardedPlan:
+    """The public sharded entry points' input: a :class:`ShardedPlan`
+    as is, else *matrix* (a plan or a CSR) cut into ``shards`` bands."""
     if isinstance(matrix, ShardedPlan):
         return matrix
     csr = matrix.csr if isinstance(matrix, DASPMatrix) else matrix
-    return build_sharded_plan(csr, shards, mma_shape=mma_shape)
+    return build_sharded_plan(csr, shards)
 
 
-def run_bands(plan, fn, *, obs=None, submit_task=None,
+def run_bands(plan, fn, *, obs, submit_task=None,
               lanes: int = 1) -> np.ndarray:
-    """``fn(dasp)`` on every band of *plan*, stacked in band order; each
-    band run counts one ``core.shard_executions_total`` on *obs*.
+    """``fn(i, dasp)`` on every band ``i`` of *plan*, stacked in band
+    order (a lone band's output uncopied); each band run counts one
+    ``core.shard_executions_total`` on *obs* (plain batches included).
 
     ``submit_task`` (e.g. :meth:`repro.serve.scheduler.Scheduler.
     submit_task`) borrows up to ``lanes - 1`` idle workers; the calling
@@ -75,9 +82,8 @@ def run_bands(plan, fn, *, obs=None, submit_task=None,
                 i = state["next"]
                 state["next"] += 1
             try:
-                parts[i] = fn(dasps[i])
-                if obs is not None:
-                    obs.counter("core.shard_executions_total").inc()
+                parts[i] = fn(i, dasps[i])
+                obs.counter("core.shard_executions_total").inc()
             except Exception as exc:  # noqa: BLE001 — joined below
                 with cond:
                     errors.append(exc)
@@ -94,7 +100,7 @@ def run_bands(plan, fn, *, obs=None, submit_task=None,
         cond.wait_for(lambda: state["done"] >= state["next"])
         if errors:
             raise errors[0]
-    return np.concatenate(parts, axis=0)
+    return parts[0] if S == 1 else np.concatenate(parts, axis=0)
 
 
 def dasp_spmv_sharded(matrix, x: np.ndarray, *, shards: int = 2,
@@ -105,9 +111,6 @@ def dasp_spmv_sharded(matrix, x: np.ndarray, *, shards: int = 2,
     :class:`DASPMatrix`, or a CSR matrix (partitioned on the fly into
     ``shards`` bands).
     """
-    from ..core.spmv import dasp_spmv
-    from ..obs import get_obs
-
     if obs is None:
         obs = get_obs()
     plan = _as_sharded(matrix, shards)
@@ -115,15 +118,12 @@ def dasp_spmv_sharded(matrix, x: np.ndarray, *, shards: int = 2,
     check(x.shape == (plan.shape[1],),
           f"x must have shape ({plan.shape[1]},)")
     obs.counter("core.shard_spmv_calls_total").inc()
-    return run_bands(plan, lambda d: dasp_spmv(d, x, obs=obs), obs=obs)
+    return run_bands(plan, lambda _, d: dasp_spmv(d, x, obs=obs), obs=obs)
 
 
 def dasp_spmm_sharded(matrix, X: np.ndarray, *, shards: int = 2,
                       obs=None) -> np.ndarray:
     """``Y = A @ X`` over row shards; bit-identical to ``dasp_spmm``."""
-    from ..core.spmm import dasp_spmm
-    from ..obs import get_obs
-
     if obs is None:
         obs = get_obs()
     plan = _as_sharded(matrix, shards)
@@ -131,7 +131,7 @@ def dasp_spmm_sharded(matrix, X: np.ndarray, *, shards: int = 2,
     check(X.ndim == 2 and X.shape[0] == plan.shape[1],
           f"X must be ({plan.shape[1]}, k)")
     obs.counter("core.shard_spmm_calls_total").inc()
-    return run_bands(plan, lambda d: dasp_spmm(d, X, obs=obs), obs=obs)
+    return run_bands(plan, lambda _, d: dasp_spmm(d, X, obs=obs), obs=obs)
 
 
 # ----------------------------------------------------------------------
@@ -141,12 +141,12 @@ def dasp_spmm_sharded(matrix, X: np.ndarray, *, shards: int = 2,
 
 @dataclass(frozen=True)
 class ShardCost:
-    """Modeled cost of one sharded batch.
+    """Modeled cost of one batch over a plan's row bands.
 
-    ``per_shard`` holds each shard's seconds (kernel estimate plus one
-    dispatch overhead when ``S > 1``); ``makespan`` is the LPT-schedule
-    finish time over the worker lanes; ``serial`` is the sum — what a
-    single lane would pay; ``events`` each shard's k-wide
+    ``per_shard`` holds each band's seconds (dispatch included);
+    ``makespan`` is the LPT-schedule finish time over the worker lanes —
+    what the batch is charged; ``serial`` is the sum — what a single
+    lane would pay; ``events`` each band's k-wide
     :class:`~repro.gpu.events.KernelEvents`.
     """
 
@@ -165,18 +165,15 @@ class ShardCost:
 
 def lpt_makespan(times, workers: int) -> float:
     """Finish time of longest-processing-time list scheduling on
-    ``workers`` lanes — the standard 4/3-approximation bound."""
-    lanes = [0.0] * max(1, int(workers))
-    for t in sorted(times, reverse=True):
-        i = min(range(len(lanes)), key=lanes.__getitem__)
-        lanes[i] += t
-    return max(lanes) if lanes else 0.0
+    ``workers`` lanes (the standard 4/3-approximation bound): the max
+    over lanes of the per-lane sums of :func:`lpt_assign`."""
+    return max(sum((times[i] for i in lane), 0.0)
+               for lane in lpt_assign(times, workers))
 
 
 def lpt_assign(times, workers: int) -> list:
     """LPT lane assignment: a list of per-lane index lists, in the
-    order each lane executes its shards.  ``lpt_makespan`` is the max
-    over lanes of the per-lane sums of the same assignment."""
+    order each lane executes its shards."""
     lanes = [0.0] * max(1, int(workers))
     assign = [[] for _ in lanes]
     order = sorted(range(len(times)), key=lambda i: -times[i])
@@ -187,59 +184,67 @@ def lpt_assign(times, workers: int) -> list:
     return assign
 
 
-def sharded_batch_cost(plan: ShardedPlan, device, k: int = 1, *,
-                       workers: int = 1,
-                       dtype_bits: int | None = None,
-                       double_buffer: bool = False) -> ShardCost:
-    """Modeled cost of running one k-RHS batch over *plan*'s shards.
+def sharded_batch_cost(plan, device, k: int = 1, *, workers: int = 1,
+                       double_buffer: bool = False,
+                       strategies=None) -> ShardCost:
+    """Modeled cost of running one k-RHS batch over *plan*'s row bands.
 
-    Each shard is priced from its own k-wide events (one x-gather
-    analysis per band, kept in ``events``) and charged its cost-model
-    time plus one ``device.launch_overhead_s`` dispatch overhead (the
-    fan-out coordination a single-kernel launch does not pay; ``S = 1``
-    is the plain path and pays none), then the shards are LPT-scheduled
-    on ``workers`` lanes.
+    Any plan is its bands (a :class:`~repro.core.DASPMatrix` is one).
+    Each band pays its k-wide events' time (one x-gather analysis per
+    band) or, given *strategies* (one large-k tuner
+    :class:`~repro.core.spmm_block.SpmmStrategy` per band), its
+    strategy's price — plus, with more than one band, one
+    ``device.launch_overhead_s`` fan-out dispatch; the bands are
+    LPT-scheduled on ``workers`` lanes.
 
     With ``double_buffer=True`` each lane overlaps the *next* band's
-    packed-array stream (values / column ids / pointers) with the
-    current band's compute under
-    :func:`repro.core.overlap_schedule` — the pipeline mode's modeled
-    clock; ``serial`` and ``per_shard`` still report the unoverlapped
-    figures, so the makespan never exceeds the plain schedule's.
+    packed-array stream with the current band's compute
+    (:func:`repro.core.overlap_schedule`): a band enters its lane as
+    (its stream, the rest of its own double-buffered price — the plain
+    time at ``k <= MMA_N``, else its strategy's ``overlapped_s``, the
+    stream capped at it); a one-band plan pays that own price as is.
+    ``serial`` and ``per_shard`` stay unoverlapped, so the makespan
+    never exceeds the plain schedule's.
     """
     device = get_device(device)
-    if dtype_bits is None:
-        dtype_bits = np.dtype(plan.dtype).itemsize * 8
-    dispatch = device.launch_overhead_s if plan.n_shards > 1 else 0.0
-    events = []
-    per_shard = []
-    loads = []
-    computes = []
-    useful = 0.0
-    issued = 0.0
-    for shard in plan.shards:
-        ev = spmm_events(shard.dasp, device, k)
-        events.append(ev)
-        t = estimate_time(ev, device, dtype_bits=dtype_bits).total + dispatch
-        per_shard.append(t)
-        if double_buffer:
-            c = estimate_time(
-                replace(ev, bytes_val=0.0, bytes_idx=0.0, bytes_ptr=0.0),
-                device, dtype_bits=dtype_bits).total + dispatch
-            computes.append(c)
-            loads.append(max(t - c, 0.0))
-        useful += mma_utilization_from_events(shard.dasp, k, ev) * ev.flops_mma
-        issued += ev.flops_mma
-    if double_buffer:
-        from ..core.spmm_block import overlap_schedule
+    bands = plan.bands()
+    dtype_bits = np.dtype(plan.dtype).itemsize * 8
+    staged = double_buffer and len(bands) > 1
+    dispatch = device.launch_overhead_s if len(bands) > 1 else 0.0
 
-        makespan = 0.0
-        for lane in lpt_assign(per_shard, workers):
-            if lane:
-                makespan = max(makespan, overlap_schedule(
-                    [loads[i] for i in lane], [computes[i] for i in lane]))
-    else:
-        makespan = lpt_makespan(per_shard, workers)
+    def seconds(ev) -> float:
+        return estimate_time(ev, device, dtype_bits=dtype_bits).total
+
+    def unstreamed(ev) -> float:
+        return seconds(replace(ev, bytes_val=0.0, bytes_idx=0.0,
+                               bytes_ptr=0.0))
+
+    events, per_shard, loads, computes = [], [], [], []
+    useful = issued = 0.0
+    for i, (_, _, dasp) in enumerate(bands):
+        if strategies is None:
+            ev = spmm_events(dasp, device, k)
+            t = own = seconds(ev) + dispatch
+            if staged:
+                computes.append(unstreamed(ev) + dispatch)
+                loads.append(max(t - computes[-1], 0.0))
+        else:
+            s = strategies[i]
+            ev, t = s.events, s.modeled_s + dispatch
+            own = s.overlapped_s + dispatch
+            if staged:
+                loads.append(min(max(seconds(ev) - unstreamed(ev), 0.0), own))
+                computes.append(own - loads[-1])
+        events.append(ev)
+        per_shard.append(t)
+        useful += mma_utilization_from_events(dasp, k, ev) * ev.flops_mma
+        issued += ev.flops_mma
+    if staged:
+        makespan = max(overlap_schedule([loads[i] for i in lane],
+                                        [computes[i] for i in lane])
+                       for lane in lpt_assign(per_shard, workers) if lane)
+    else:   # with one band, its own (double-buffered) price
+        makespan = own if double_buffer else lpt_makespan(per_shard, workers)
     return ShardCost(
         per_shard=tuple(per_shard),
         makespan=makespan,

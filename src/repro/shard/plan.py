@@ -120,11 +120,6 @@ class ShardedPlan:
                        shards=[replace(s, dasp=d)
                                for s, d in zip(self.shards, dasps)])
 
-    def summary(self) -> str:
-        sizes = ", ".join(f"{s.n_rows}r/{s.nnz}nnz" for s in self.shards)
-        return (f"ShardedPlan {self.shape[0]}x{self.shape[1]} "
-                f"S={self.n_shards} [{sizes}]")
-
     # ------------------------------------------------------------------
     # serialization inventory (repro.store)
     # ------------------------------------------------------------------

@@ -194,6 +194,40 @@ class TestElastic:
             elastic=ElasticConfig(max_replicas=2)))
         assert stats.n_replicas <= 2
 
+    def test_spawned_replica_rewarms_from_its_spawn_time(self, monkeypatch):
+        """With the warmer on, a scale-up's re-warm of the moved
+        fingerprints is booked on the new replica's prefetch lane from
+        the spawn time, never before it (not from t=0)."""
+        from repro.cluster import driver as cluster_driver
+        from repro.pipeline import PrefetchLane
+
+        spawned = {}    # id(prefetch lane) -> virtual spawn time
+        first = {}      # id(prefetch lane) -> `now` of its first booking
+        real_autoscale = cluster_driver._Cluster.autoscale
+        real_schedule = PrefetchLane.schedule
+
+        def autoscale(self, now, last_action):
+            before = set(self.replicas)
+            got = real_autoscale(self, now, last_action)
+            for rid in set(self.replicas) - before:
+                spawned[id(self.replicas[rid]._lane)] = now
+            return got
+
+        def schedule(self, now, cost_s, **kw):
+            first.setdefault(id(self), now)
+            return real_schedule(self, now, cost_s, **kw)
+
+        monkeypatch.setattr(cluster_driver._Cluster, "autoscale", autoscale)
+        monkeypatch.setattr(PrefetchLane, "schedule", schedule)
+        stats = run_cluster_workload(cluster_cfg(
+            n_replicas=1, n_requests=8000, entries=entries(6), warmer=True,
+            elastic=ElasticConfig(max_replicas=6)))
+        assert stats.n_scale_up >= 1 and stats.n_moved_fingerprints >= 1
+        booked = [lane for lane in spawned if lane in first]
+        assert booked, "no spawned replica re-warmed anything"
+        for lane in booked:
+            assert first[lane] >= spawned[lane] > 0.0
+
     def test_validation(self):
         with pytest.raises(Exception):
             ElasticConfig(min_replicas=0)

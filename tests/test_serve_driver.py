@@ -154,3 +154,34 @@ class TestAutoRateProbe:
         want = sharded_batch_cost(build_sharded_plan(csr0, 4),
                                   get_device("A100"), 1, workers=2)
         assert models[0]._entries[(fp0, 1)][0] == want.makespan
+
+    def test_sharded_large_k_is_priced_per_band_strategy(self, monkeypatch):
+        """``serve-sim --shards 2 --spmm-mix 0.2``: every k > 8 batch of
+        a sharded plan goes through the large-k tier, one tuner strategy
+        per band, and is charged the LPT makespan of the band strategy
+        prices plus dispatch."""
+        from repro.core.spmm_block import choose_spmm_strategy
+        from repro.gpu import get_device
+        from repro.serve import MMA_N, driver
+        from repro.shard import build_sharded_plan, lpt_makespan
+
+        models = []
+        real = driver._modeled_for
+        monkeypatch.setattr(driver, "_modeled_for", lambda cfg, device: (
+            models.append(real(cfg, device)) or models[-1]))
+        cfg = WorkloadConfig(n_requests=300, n_matrices=3, shards=2,
+                             spmm_mix=0.2)
+        stats = run_workload(cfg)
+        assert stats.spmm_large_by_strategy
+        A100 = get_device("A100")
+        csrs = {fp: csr for _, fp, csr in driver._matrix_pool(cfg)}
+        large = [(fp, k) for fp, k in models[0]._entries if k > MMA_N]
+        assert large
+        for fp, k in large:
+            bands = build_sharded_plan(csrs[fp], 2).bands()
+            assert len(bands) == 2
+            want = lpt_makespan(
+                [choose_spmm_strategy(d, k, A100).modeled_s
+                 + A100.launch_overhead_s for _, _, d in bands],
+                cfg.shard_workers)
+            assert models[0]._entries[(fp, k)][0] == want

@@ -10,6 +10,8 @@ server; these tests pin what that buys:
 * the server after a matrix delta: DASP and forced-fallback batches both
   compute the patched matrix, and the next batch is priced on it;
 * the server never loses a future under queue-full backpressure;
+* a plain plan is priced as one band, bitwise the reference plain
+  arithmetic at k <= MMA_N on the whole suite;
 * the cost model runs once per (version, k), not once per batch, and
   a cold price runs the x-gather analysis once (once per shard) — the
   large-k tuner and the tracer included;
@@ -29,11 +31,14 @@ import pytest
 
 from repro.core import DASPMatrix, dasp_spmv
 from repro.core.delta import random_delta
-from repro.core.spmm import gather_analysis, mma_utilization, spmm_events
+from repro.core.spmm import (gather_analysis, mma_phase_fraction,
+                             mma_utilization, mma_utilization_from_events,
+                             spmm_events)
 from repro.core.spmm_block import spmm_block_events, spmm_tiled_overlap_cost
 from repro.gpu import get_device
 from repro.gpu import memory as gpu_memory
 from repro.gpu.cost_model import estimate_time
+from repro.matrices import representative_suite, suite_by_name
 from repro.obs import Obs, Tracer
 from repro.resilience import (BreakerConfig, CircuitBreaker,
                               DeadlineExceededError, FaultInjector, FaultPlan,
@@ -41,14 +46,14 @@ from repro.resilience import (BreakerConfig, CircuitBreaker,
 from repro.serve import (Batch, PlanRegistry, QueueFullError, ServerStats,
                          SpMMRequest, SpMVRequest, SpMVServer,
                          matrix_fingerprint)
-from repro.serve import execute
 from repro.serve.execute import (CostModel, ExecutionCore, ModeledExecutor,
                                  NumericExecutor, VirtualClock)
 from repro.shard import build_sharded_plan, sharded_batch_cost
+from repro.shard import execute as shard_execute
 from tests.conftest import ROW_PROFILES, random_csr
 
 A100 = get_device("A100")
-SPMM_K = 12  # > MMA_N: the large-k strategy tier (or column tiles if sharded)
+SPMM_K = 12  # > MMA_N: the large-k strategy tier (one strategy per band)
 
 
 class Recorder:
@@ -185,8 +190,9 @@ class TestCostMemo:
     def test_server_prices_each_version_and_width_once(self, rng,
                                                        monkeypatch):
         calls = []
-        real = execute.spmm_events
-        monkeypatch.setattr(execute, "spmm_events",
+        # every plan is priced as its bands by the band cost model
+        real = shard_execute.spmm_events
+        monkeypatch.setattr(shard_execute, "spmm_events",
                             lambda *a, **kw: calls.append(a[2]) or real(*a, **kw))
         csr = random_csr(40, 50, rng)
         with SpMVServer(workers=1, max_batch=1) as s:
@@ -256,8 +262,9 @@ class TestOneAnalysisPerPrice:
         core = _core([csr], CostModel(A100, double_buffer=double_buffer))
         plan = core.acquire(fp, fp)
         calls = count_sector_counts(monkeypatch)
-        strat = core.strategy(fp, fp, plan, k)
-        price = core.cost.batch_cost(fp, plan, k, strat)
+        strats = core.strategy(fp, fp, plan, k)
+        strat, = strats         # a plain plan is one band
+        price = core.cost.batch_cost(fp, plan, k, strats)
         assert len(calls) == 1
         assert core.cost.batch_cost(
             fp, plan, k, core.strategy(fp, fp, plan, k)) is price
@@ -298,6 +305,37 @@ class TestOneAnalysisPerPrice:
                 == list(want.per_shard)
 
 
+@pytest.fixture(scope="module")
+def suite_plans():
+    """name -> plain plan of every representative-suite matrix, built
+    on first use."""
+    return {}
+
+
+class TestPlainPriceReference:
+    """A plain plan is one band: the band pricing path charges it the
+    reference arithmetic of an unsharded ``k <= MMA_N`` batch — charge,
+    MMA flops, events and the tracer's phase split, bitwise."""
+
+    @pytest.mark.parametrize("double_buffer", [False, True])
+    @pytest.mark.parametrize("k", range(1, 9))
+    @pytest.mark.parametrize("name",
+                             [e.name for e in representative_suite()])
+    def test_matches_inline_plain_price(self, suite_plans, name, k,
+                                        double_buffer):
+        plan = suite_plans.get(name)
+        if plan is None:
+            plan = suite_plans.setdefault(name, DASPMatrix.from_csr(
+                suite_by_name(name).matrix()))
+        got = CostModel(A100, double_buffer=double_buffer).batch_cost(
+            "m", plan, k)
+        ev = spmm_events(plan, A100, k)
+        t = estimate_time(ev, A100, dtype_bits=plan.dtype.itemsize * 8).total
+        assert got == (t, mma_utilization_from_events(plan, k, ev)
+                       * ev.flops_mma, ev.flops_mma, ev,
+                       ((t, mma_phase_fraction(plan)),))
+
+
 class TestSharedMemoUnderThreads:
     def test_concurrent_batches_share_one_price_per_key(self, rng):
         """Worker threads race on the core's memos (costs, shard and
@@ -331,8 +369,12 @@ class TestSharedMemoUnderThreads:
                                                                    rng):
         """Worker threads race on the per-version large-k state: every
         block stays bitwise the column-wise SpMV, one order is kept per
-        matrix, and each width keeps one strategy."""
+        matrix, and each width keeps one strategy per band — on a plain
+        server and on a 2-shard one, whose bands also run on borrowed
+        workers."""
         csrs = [random_csr(60 + 8 * i, 64, rng) for i in range(3)]
+        csrs.append(random_csr(90, 64, rng,
+                               row_len_sampler=ROW_PROFILES["mixed"]))
         blocks = [rng.uniform(-1, 1, (64, k)) for k in (16, 32, 16, 32)]
         want = [[np.stack([dasp_spmv(DASPMatrix.from_csr(a), X[:, j])
                            for j in range(X.shape[1])], axis=1)
@@ -340,19 +382,26 @@ class TestSharedMemoUnderThreads:
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with SpMVServer(workers=4, queue_depth=4096) as s:
-                fps = [s.register(a) for a in csrs]
-                futs = [(i, j, s.submit(SpMMRequest(fps[i], blocks[j])))
-                        for _ in range(4) for i in range(3)
-                        for j in range(len(blocks))]
-                done, pending = wait([f for _, _, f in futs], timeout=60.0)
-                assert not pending
-                for i, j, f in futs:
-                    np.testing.assert_array_equal(f.result(), want[i][j])
-                slots = s.registry._derived
-                assert set(slots) == set(fps)
-                assert all(set(chosen) == {16, 32}
-                           for _, chosen in slots.values())
+            for shards in (None, 2):
+                with SpMVServer(workers=4, queue_depth=4096,
+                                shards=shards) as s:
+                    fps = [s.register(a) for a in csrs]
+                    futs = [(i, j, s.submit(SpMMRequest(fps[i], blocks[j])))
+                            for _ in range(4) for i in range(len(csrs))
+                            for j in range(len(blocks))]
+                    done, pending = wait([f for _, _, f in futs],
+                                         timeout=60.0)
+                    assert not pending
+                    for i, j, f in futs:
+                        np.testing.assert_array_equal(f.result(),
+                                                      want[i][j])
+                    slots = s.registry._derived
+                    assert set(slots) == set(fps)
+                    for orders, chosen in slots.values():
+                        assert len(orders) == (shards or 1)
+                        assert set(chosen) == {16, 32}
+                        assert all(len(c) == len(orders)
+                                   for c in chosen.values())
         finally:
             sys.setswitchinterval(old)
 

@@ -138,13 +138,30 @@ class TestSpMMServing:
         assert np.array_equal(Y, ref)
 
     def test_shards_hint_on_request(self, rng):
-        with SpMVServer(workers=1) as s:
+        """A sharded k > 8 batch runs the large-k tier band by band: the
+        result is bitwise the column-wise reference, every band counts
+        its strategy, and the batch is charged the LPT makespan of the
+        per-band strategy prices plus dispatch."""
+        from repro.core import dasp_spmv
+        from repro.shard import lpt_makespan
+
+        with SpMVServer(workers=2) as s:
             csr = random_csr(64, 64, rng)
             fp = s.register(csr)
             X = rng.uniform(-1, 1, (64, 16))
             fut = s.submit(SpMMRequest(fp, X, shards=2))
-            assert fut.result(timeout=10.0).shape == (64, 16)
+            Y = fut.result(timeout=10.0)
+            plan = s.registry.peek(fp)
+            strats = s.core.strategy(fp, fp, plan, 16)
         assert s.stats.n_completed >= 1
+        dasp = DASPMatrix.from_csr(csr)
+        ref = np.stack([dasp_spmv(dasp, X[:, j]) for j in range(16)], axis=1)
+        assert np.array_equal(Y, ref)
+        assert len(plan.bands()) == len(strats) == 2
+        assert sum(s.stats.spmm_large_by_strategy.values()) == 2
+        dispatch = s.device.launch_overhead_s
+        assert s.stats.device_busy_s == lpt_makespan(
+            [st.modeled_s + dispatch for st in strats], 2)
 
     def test_bad_block_shape_rejected(self, server, rng):
         csr = random_csr(20, 30, rng)

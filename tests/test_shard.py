@@ -133,7 +133,7 @@ class TestRunBands:
         try:
             with ThreadPoolExecutor(8) as pool:
                 for _ in range(30):
-                    y = run_bands(plan, lambda d: dasp_spmv(d, x), obs=obs,
+                    y = run_bands(plan, lambda _, d: dasp_spmv(d, x), obs=obs,
                                   submit_task=pool.submit, lanes=8)
                     np.testing.assert_array_equal(y, want)
         finally:
