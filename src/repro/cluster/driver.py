@@ -427,9 +427,12 @@ class _Cluster:
             # A replica spawned mid-run must see the *current* matrix
             # state, not the pristine pool: under an update stream the
             # deltas are drawn against the evolved CSRs, and replaying
-            # e.g. a delete of a never-inserted entry would fault.
+            # e.g. a delete of a never-inserted entry would fault; its
+            # chains start at its peers' versions (one key, one matrix).
             src = next(iter(self.replicas.values()))
             replica.csr_by_fp.update(src.csr_by_fp)
+            for fp in fps:
+                replica.registry.start_at(fp, src.registry.version_of(fp))
         self.replicas[rid] = replica
         self.ring.add(rid)
         if before:

@@ -111,6 +111,8 @@ class Router:
         self._lock = threading.Lock()
         self._closed = False
         self._timers: set[threading.Timer] = set()
+        #: the replicas' shared ``derivations`` memo (:meth:`update`)
+        self.derivations: dict = {}
 
     # ------------------------------------------------------------------
     def register(self, csr) -> str:
@@ -123,6 +125,19 @@ class Router:
         for server in self.servers.values():
             fp = server.register(csr)
         return fp
+
+    def update(self, fingerprint: str, delta) -> int:
+        """Broadcast one matrix *delta* to every replica, as the cluster
+        driver does: any failover target serves the new version (the
+        return value), only the ring home persists it, and it is derived
+        once and shared through :attr:`derivations`."""
+        if self._closed:
+            raise RouterClosedError("router is closed")
+        home = self.placement.ring.lookup(fingerprint)
+        for rid, server in self.servers.items():
+            version = server.update(fingerprint, delta, persist=rid == home,
+                                    derivations=self.derivations)
+        return version
 
     # ------------------------------------------------------------------
     def _try_submit(self, candidates, request):

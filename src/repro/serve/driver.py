@@ -43,7 +43,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .._util import ReproError, check, default_rng
-from ..core.delta import apply_delta_to_csr, random_delta
+from ..core.delta import random_delta
 from ..core.format import DASPMatrix
 from ..gpu.device import get_device
 from ..obs import Obs
@@ -350,7 +350,6 @@ class ReplicaSim:
         self.device = device
         self.dtype = dtype
         self.obs = obs
-        self.tracing = obs.tracing
         self.replica_id = replica_id
         if injector is not None:
             injector.bind(obs)
@@ -367,7 +366,7 @@ class ReplicaSim:
             cost=modeled if modeled is not None
             else _modeled_for(cfg, device),
             clock=self.clock, executor=ModeledExecutor(), outcomes=self,
-            matrices={fp: csr for _, fp, csr in pool},
+            matrices={fp: csr for _, fp, csr in pool}, batcher=self.batcher,
             breaker=self.breaker, injector=injector, retry=cfg.retry,
             retry_rng=retry_rng if retry_rng is not None
             else default_rng(cfg.seed + 1),
@@ -376,8 +375,7 @@ class ReplicaSim:
             fallback=cfg.fallback, shards=cfg.shards,
             shard_workers=cfg.shard_workers, shard_k=cfg.max_batch,
             plan_cache=cfg.plan_cache)
-        #: fingerprint -> CSR at the head of its version chain (shared
-        #: with the core: the build source on a plan miss)
+        #: fingerprint -> head CSR (the core's; :meth:`apply_update` moves it)
         self.csr_by_fp = self.core.matrices
         self.backlog: deque = deque()  # flushed batches awaiting the device
         self.completed: list[SpMVRequest] = []
@@ -463,7 +461,7 @@ class ReplicaSim:
         ``pipeline.warm_failed_total``; the batch's own acquisition
         retries (and pays) later."""
         try:
-            _, source, seconds = self.core.fetch(fp, fp)
+            _, source, seconds = self.core.fetch(fp, self.core.current_key(fp))
         except ReproError:
             self.obs.counter("pipeline.warm_failed_total").inc()
             return
@@ -510,49 +508,14 @@ class ReplicaSim:
     def apply_update(self, fp: str, delta, now: float, *,
                      persist: bool = True, derivations: dict | None = None
                      ) -> int:
-        """Apply one matrix *delta* at virtual time *now*.
-
-        Pending reads for the matrix are fenced out of the batcher
-        first (they were admitted against the old version and must
-        execute against it), then the registry patches the resident
-        plan and advances the version chain; the modeled patch time
-        occupies the device timeline exactly like the rebuild it
-        replaces would.  ``persist=False`` suppresses the store delta
-        write — cluster replicas other than the matrix's home replica.
-        ``derivations`` is the cluster's shared memo of derived versions
-        (:meth:`PlanRegistry.update`); the patch is charged either way.
-
-        With the plan cache off there is no plan to patch: the
-        reference CSR evolves through
-        :func:`repro.core.apply_delta_to_csr` and the next batch's
-        rebuild pays the full preprocessing cost, which is exactly the
-        rebuild-per-update baseline the patch path is gated against.
-        Returns the new version (0 on the no-cache path).
-        """
-        fence = self.batcher.flush(fp, now)
+        """Apply one matrix *delta* at virtual time *now*
+        (:meth:`ExecutionCore.update`: fence, patch, charge, head move)
+        and queue the fenced batch of pending reads on the backlog.
+        Returns the new version (0 on the no-cache path)."""
+        version, fence = self.core.update(fp, delta, now, persist=persist,
+                                          derivations=derivations)
         if fence is not None:
             self.enqueue([fence])
-        if not self.cfg.plan_cache:
-            self.csr_by_fp[fp] = apply_delta_to_csr(self.csr_by_fp[fp], delta)
-            kind = "structural" if hasattr(delta, "insert_rows") else "value"
-            self.obs.counter(f"delta.{kind}_total").inc()
-            return 0
-        with self.obs.span("plan.patch", attrs={"matrix": fp[:8]}
-                           if self.tracing else None) as sp:
-            csr = self.csr_by_fp[fp]
-            version, info, plan = self.registry.update(
-                fp, delta, csr=csr, builder=self.core.rebuilder(fp, csr),
-                persist=persist, derivations=derivations)
-            patch_s = self.clock.scale(info.seconds(self.device))
-            sp.set_device_time(patch_s)
-            if self.tracing:
-                sp.set_attr("version", version)
-                sp.set_attr("kind", info.kind)
-        self.stats.observe_preprocess(patch_s)
-        self.clock.charge(patch_s)
-        # keep the reference CSR at the head of the chain — the next
-        # delta is drawn against (and the fallback partitions) this
-        self.csr_by_fp[fp] = plan.csr
         return version
 
     # ------------------------------------------------------------------
@@ -660,11 +623,10 @@ class ReplicaSim:
         if self._warmer is not None:
             self._warmer.observe(req.fingerprint)
             self.warm(self._warmer.due(resident=lambda f: (
-                f in self._prefetching or self.registry.peek(f) is not None)),
-                now)
+                f in self._prefetching or self.core.resident(f))), now)
         if self.pipeline_cfg is not None and self.cfg.plan_cache \
                 and req.fingerprint not in self._prefetching \
-                and self.registry.peek(req.fingerprint) is None:
+                and not self.core.resident(req.fingerprint):
             self._prefetch(req.fingerprint, now)
         if isinstance(req, SpMMRequest):
             # an SpMM block already is a batch; bypass the coalescer

@@ -2,12 +2,13 @@
 
 DASP splits a one-time analysis (CSR -> MMA-friendly plan) from a cheap
 execution that repeats.  The serving policy wrapped around that
-execution — which plan version a batch reads, the circuit-breaker gate,
-plan acquisition (shard choice, traced build, store load — on demand,
-or ahead of it through :meth:`ExecutionCore.warm`), the
-attempt / retry / retry-budget loop, merge-CSR degradation and the
-final bookkeeping — lives here exactly once, in
-:class:`ExecutionCore`.  Every batch is priced by one memoized
+execution — the version fence (which plan version a batch reads; each
+matrix update's fence, patch, charge and head move), the
+circuit-breaker gate, plan acquisition (shard choice, traced build,
+store load — on demand, or ahead of it through
+:meth:`ExecutionCore.warm`), the attempt / retry / retry-budget loop,
+merge-CSR degradation and the final bookkeeping — lives here exactly
+once, in :class:`ExecutionCore`.  Every batch is priced by one memoized
 :class:`CostModel` entry keyed by ``(plan version key, k)``.
 
 Every plan is its row bands (``plan.bands()``; a plain plan is one):
@@ -44,6 +45,7 @@ from functools import reduce
 import numpy as np
 
 from .._util import ReproError, check
+from ..core.delta import apply_delta_to_csr
 from ..core.preprocess import traced_preprocess
 from ..core.spmm import dasp_spmm_on_plan, mma_phase_fraction, spmm_span
 from ..core.spmm_block import (BlockPlan, choose_spmm_strategy,
@@ -219,9 +221,11 @@ class ExecutionCore:
         The pluggable parts: a (possibly shared) :class:`CostModel`, a
         clock, an executor and the shell's outcome hooks.
     matrices:
-        ``fingerprint -> CSR`` dict shared with the shell (the build
-        source on a plan miss; the fallback reads the resident plan's
-        CSR for the batch's version when there is one).
+        ``fingerprint -> head CSR`` (the current version's; the build
+        source, and the fallback's without a resident plan) shared with
+        the shell; :meth:`update` moves it.
+    batcher:
+        The shell's batcher, whose pending reads :meth:`update` fences.
     breaker / injector / retry / retry_rng / retry_budget / fallback:
         Resilience knobs; ``breaker``, ``injector`` and ``retry_budget``
         may be ``None``.  ``fallback=False`` fails un-servable batches
@@ -236,7 +240,7 @@ class ExecutionCore:
     """
 
     def __init__(self, *, device, registry: PlanRegistry, stats, obs, cost,
-                 clock, executor, outcomes, matrices: dict,
+                 clock, executor, outcomes, matrices: dict, batcher,
                  breaker=None, injector=None,
                  retry: RetryPolicy | None = None, retry_rng=None,
                  retry_budget=None, fallback: bool = True,
@@ -251,6 +255,7 @@ class ExecutionCore:
         self.executor = executor
         self.outcomes = outcomes
         self.matrices = matrices
+        self.batcher = batcher
         self.breaker = breaker
         self.injector = injector
         self.retry = retry if retry is not None else RetryPolicy()
@@ -308,26 +313,29 @@ class ExecutionCore:
             return None
         return lambda c: build_sharded_plan(c, S)
 
-    def fetch(self, fp: str, key: str, *, speculative: bool = False):
+    def fetch(self, fp: str, key: str, *, reads=(),
+              speculative: bool = False):
         """Fetch or build version *key*'s plan through the registry's
         single-flight: ``(plan, source, seconds)``.
 
+        *reads* are re-stamped if it retired (:meth:`PlanRegistry.pin`);
+        a build reads the head CSR, which cannot move meanwhile.
         ``source`` is the registry's (``"ram"``, ``"store"`` or
         ``"built"``); *seconds* is the modeled load or traced build
         time, scaled by the clock and counted in ``preprocess_s`` (0.0
         for a RAM hit).  Nothing is charged to a clock — the caller
         books it.  ``speculative`` is the registry's ahead-of-demand
-        accounting (:meth:`PlanRegistry.get_ex`).  Raises on injected
-        preprocess faults or an over-budget plan."""
+        accounting.  Raises on injected preprocess faults or an
+        over-budget plan."""
         pre: dict[str, float] = {}
 
-        def build(csr):
-            plan, pre["s"] = self.build(fp, csr)
+        def build(_):
+            plan, pre["s"] = self.build(fp, self.matrices[fp])
             return plan
 
         plan, source, load_s = self.registry.get_ex(
-            self.matrices[fp], fingerprint=key, builder=build,
-            speculative=speculative)
+            None, fingerprint=key, builder=build, speculative=speculative,
+            reads=reads)
         if source == "ram":
             return plan, source, 0.0
         seconds = self.clock.scale(pre.get("s", 0.0) if source == "built"
@@ -335,11 +343,11 @@ class ExecutionCore:
         self.stats.observe_preprocess(seconds)
         return plan, source, seconds
 
-    def acquire(self, fp: str, key: str):
+    def acquire(self, fp: str, key: str, reads=()):
         """The demand path: :meth:`fetch` (or, with the plan cache off,
         a fresh build) with its seconds charged to the clock."""
         if self.plan_cache:
-            plan, _, seconds = self.fetch(fp, key)
+            plan, _, seconds = self.fetch(fp, key, reads=reads)
         else:
             plan, seconds = self.build(fp, self.matrices[fp])
             seconds = self.clock.scale(seconds)
@@ -347,16 +355,22 @@ class ExecutionCore:
         self.clock.charge(seconds)
         return plan
 
+    def current_key(self, fp: str) -> str:
+        """The version key of *fp*'s current version."""
+        return self.registry.versioned_key(fp, self.registry.version_of(fp))
+
+    def resident(self, fp: str) -> bool:
+        """Whether *fp*'s current version is in the RAM tier."""
+        return self.registry.peek(self.current_key(fp)) is not None
+
     def warm(self, fp: str, *, build: bool):
-        """Acquire *fp*'s plan ahead of demand — the one warm path.
+        """Acquire *fp*'s current plan ahead of demand — the one warm path.
 
         ``build=False`` is the store-only preload
-        (:meth:`PlanRegistry.warm`): the load-vs-rebuild gate is
-        bypassed, since the load is paid off the serving clock, and
-        nothing is built.  ``build=True`` is the speculative
-        acquisition — the demand path's :meth:`fetch` run early: the
-        store's gated load, else a traced :meth:`build` (only a build
-        counts a cache miss) — counted as
+        (:meth:`PlanRegistry.warm`), off the serving clock, so the
+        load-vs-rebuild gate is bypassed and nothing is built.
+        ``build=True`` is the demand path's :meth:`fetch` run early
+        (gated load, else a traced build), counted as
         ``pipeline.warm_total{action}`` and
         ``pipeline.warm_{load,build}_total``; a failed build counts
         ``pipeline.warm_failed_total`` instead of raising (the demand
@@ -366,17 +380,18 @@ class ExecutionCore:
         and counted in ``preprocess_s`` — or ``None`` when the plan is
         already resident or nothing was acquired.
         """
-        if self.registry.peek(fp) is not None:
+        if self.resident(fp):
             return None
+        key = self.current_key(fp)
         if not build:
-            load_s = self.registry.warm(fp)
+            load_s = self.registry.warm(key)
             if load_s is None:
                 return None
             seconds = self.clock.scale(load_s)
             self.stats.observe_preprocess(seconds)
             return "load", seconds
         try:
-            _, source, seconds = self.fetch(fp, fp, speculative=True)
+            _, source, seconds = self.fetch(fp, key, speculative=True)
         except ReproError:          # only a build can fail
             source = None
         if source == "ram":         # another thread landed it first
@@ -388,6 +403,36 @@ class ExecutionCore:
             self.obs.counter("pipeline.warm_failed_total").inc()
             return None
         return ("warm.load" if action == "load" else "build"), seconds
+
+    def update(self, fp: str, delta, now: float, *, persist: bool = True,
+               derivations: dict | None = None):
+        """Apply one matrix *delta* at *now*: fence *fp*'s pending reads
+        (they keep their admission version), patch, advance the chain
+        and move the head CSR in one step (:meth:`PlanRegistry.update`),
+        and charge the patch like the rebuild it replaces.  Returns
+        ``(new version, fenced batch or None)`` for the shell to queue.
+        With the plan cache off the head CSR evolves and the next
+        batch's rebuild pays — the rebuild-per-update baseline."""
+        fence = self.batcher.flush(fp, now)
+        if not self.plan_cache:
+            self.matrices[fp] = apply_delta_to_csr(self.matrices[fp], delta)
+            kind = "structural" if hasattr(delta, "insert_rows") else "value"
+            self.obs.counter(f"delta.{kind}_total").inc()
+            return 0, fence
+        with self.obs.span("plan.patch", attrs={"matrix": fp[:8]}
+                           if self.obs.tracing else None) as sp:
+            version, info, _ = self.registry.update(
+                fp, delta, builder=self.rebuilder(fp, self.matrices[fp]),
+                persist=persist, derivations=derivations,
+                heads=self.matrices)
+            patch_s = self.clock.scale(info.seconds(self.device))
+            sp.set_device_time(patch_s)
+            if self.obs.tracing:
+                sp.set_attr("version", version)
+                sp.set_attr("kind", info.kind)
+        self.stats.observe_preprocess(patch_s)
+        self.clock.charge(patch_s)
+        return version, fence
 
     def strategy(self, fp: str, key: str, plan, k: int):
         """The tuner's choices for a k-wide batch of version *key*, one
@@ -450,36 +495,31 @@ class ExecutionCore:
                 f"batch missed their deadline at t={now:.6f}s"),
                 deadline=True)
 
-    def execute(self, batch, version: int | None = None) -> None:
-        """Run one batch to its outcome.
-
-        ``version`` is the matrix version the batch reads; ``None``
-        means the version its requests were pinned to at admission.
-        """
+    def execute(self, batch) -> None:
+        """Run one batch to its outcome at the version its requests were
+        stamped with at admission (re-stamped if it retired)."""
         self.expire(batch)
         if not batch.requests:
             return
         fp = batch.fingerprint
-        if version is None:
-            version = batch.requests[0].version
-        key = self.registry.versioned_key(fp, version)
         with self.obs.span("batch", attrs={"matrix": fp[:8], "k": batch.k}
                            if self.obs.tracing else None):
-            self._run(batch, fp, key)
+            self._run(batch, fp)
 
-    def _run(self, batch, fp: str, key: str) -> None:
+    def _run(self, batch, fp: str) -> None:
         now = self.clock.now(batch)
         if self.breaker is not None and not self.breaker.allow(fp, now):
-            self._degrade(batch, key, CircuitOpenError(
+            self._degrade(batch, CircuitOpenError(
                 f"circuit open for matrix {fp[:8]}…"))
             return
         try:
-            plan = self.acquire(fp, key)
+            plan = self.acquire(fp, self._key(batch), batch.requests)
         except Exception as exc:  # noqa: BLE001 — degrade, never crash a worker
             if self.breaker is not None:
                 self.breaker.record_failure(fp, now)
-            self._degrade(batch, key, exc)
+            self._degrade(batch, exc)
             return
+        key = self._key(batch)      # re-stamped when its version retired
         for strat in self.strategy(fp, key, plan, batch.k) or ():
             self.stats.observe_spmm_large(strat.name)
         retry = self.retry
@@ -508,8 +548,13 @@ class ExecutionCore:
                 continue
             # out of attempts, a permanent fault, or the retry budget is
             # dry: straight to the merge-CSR fallback
-            self._degrade(batch, key, fault)
+            self._degrade(batch, fault)
             return
+
+    def _key(self, batch) -> str:
+        """The version key a (version-homogeneous) batch is stamped with."""
+        return self.registry.versioned_key(batch.fingerprint,
+                                           batch.requests[0].version)
 
     def _allow_retry(self) -> bool:
         """Spend one global retry token (always allowed with no budget)."""
@@ -576,14 +621,15 @@ class ExecutionCore:
         for name, value in ev.as_attrs().items():
             sp.set_attr(name, value)
 
-    def _degrade(self, batch, key: str, cause: Exception) -> None:
+    def _degrade(self, batch, cause: Exception) -> None:
         """Serve *batch* from the merge-CSR path (or fail it)."""
         if not self.fallback_enabled:
             self._lose(batch.requests, cause)
             return
         fp = batch.fingerprint
-        # the version's own CSR: a fallback after a delta must compute
-        # (and be priced on) the patched matrix, not the registered one
+        # the version's own CSR (a retired version re-stamps to the
+        # head's): a fallback after a delta computes the patched matrix
+        key = self.registry.pin(self._key(batch), batch.requests)
         plan = self.registry.peek(key)
         csr = plan.csr if plan is not None else self.matrices[fp]
         with self.obs.span("fallback", attrs={

@@ -230,14 +230,12 @@ class PlanRegistry:
     # MatrixVersion chain (repro.core.delta)
     # ------------------------------------------------------------------
     @staticmethod
-    def split_version(key: str) -> tuple[str, int | None]:
-        """``"fp@v3" -> ("fp", 3)``; a bare key returns ``(key, None)``.
-
-        ``None`` (no suffix) means *current* — distinct from an explicit
-        ``"fp@v0"``, which pins the original pre-update version for a
-        drain even after the chain has advanced."""
+    def split_version(key: str) -> tuple[str, int]:
+        """``"fp@v3" -> ("fp", 3)``; a bare fingerprint is version 0 —
+        never "current" (a caller that means current asks
+        :meth:`version_of`)."""
         base, sep, v = key.partition("@v")
-        return (base, int(v)) if sep else (key, None)
+        return (base, int(v)) if sep else (key, 0)
 
     @staticmethod
     def versioned_key(base: str, version: int) -> str:
@@ -247,20 +245,34 @@ class PlanRegistry:
         """Current version of a base fingerprint (0 until updated) —
         the figure the serving layer stamps onto requests at submit
         time (the version fence)."""
-        base, _ = self.split_version(fingerprint)
         with self._lock:
-            return self._versions.get(base, 0)
+            return self._versions.get(fingerprint, 0)
 
-    def _resolve(self, base: str, req_version: int | None) -> str:
-        """Map a requested key to a cache key (caller holds the lock).
+    def start_at(self, fingerprint: str, version: int) -> None:
+        """Place *fingerprint*'s chain at *version* with no plan resident
+        (a replica joining peers whose chain has advanced)."""
+        with self._lock:
+            self._versions[fingerprint] = int(version)
 
-        An unversioned request (``None``) means *current* — after an
-        update, a pre-update plan can never satisfy it; an explicitly
-        versioned request (a drain against a retained old version,
-        including ``@v0``) resolves to exactly that key."""
-        if req_version is not None:
-            return self.versioned_key(base, req_version)
-        return self.versioned_key(base, self._versions.get(base, 0))
+    def pin(self, key: str, reads=()) -> str:
+        """The key a read of version *key* is served at: its own when
+        current or resident, else the current version's.  Only the
+        current version is ever built or loaded, so a retired version is
+        never rebuilt from a newer matrix.  *reads* (the requests
+        served) are re-stamped to it and counted in
+        ``serve.version_restamped_total``."""
+        base, version = self.split_version(key)
+        key = self.versioned_key(base, version)
+        with self._lock:
+            cur = self._versions.get(base, 0)
+            if version == cur or key in self._plans:
+                return key
+            for r in reads:
+                r.version = cur
+            if reads:
+                self.obs.counter("serve.version_restamped_total").inc(
+                    len(reads))
+            return self.versioned_key(base, cur)
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -268,9 +280,9 @@ class PlanRegistry:
             return len(self._plans)
 
     def __contains__(self, fingerprint: str) -> bool:
-        base, req_v = self.split_version(fingerprint)
+        key = self.versioned_key(*self.split_version(fingerprint))
         with self._lock:
-            return self._resolve(base, req_v) in self._plans
+            return key in self._plans
 
     def get(self, csr, *, fingerprint: str | None = None,
             builder=None) -> tuple[DASPMatrix, bool]:
@@ -295,8 +307,11 @@ class PlanRegistry:
         return plan, source == "ram"
 
     def get_ex(self, csr, *, fingerprint: str | None = None, builder=None,
-               load_only: bool = False, speculative: bool = False):
-        """Two-tier lookup; returns ``(plan, source, load_s)``.
+               load_only: bool = False, speculative: bool = False,
+               reads=()):
+        """Two-tier lookup of version key *fingerprint*, served as
+        :meth:`pin` says (re-stamping *reads*, the requests it serves);
+        returns ``(plan, source, load_s)``.
 
         ``source`` is ``"ram"`` (cache hit), ``"store"`` (loaded from
         the disk tier; ``load_s`` is the *modeled* load seconds the
@@ -304,38 +319,33 @@ class PlanRegistry:
         builder ran), or — only with ``load_only=True`` — ``"absent"``
         with ``plan=None`` when nothing was cached or stored, or
         ``"pending"`` when another thread is already loading/building
-        this fingerprint.  ``load_only`` never builds, never counts a
-        miss, and never blocks: it is the warm-start / speculative
-        prefetch path, and stalling it behind an in-flight build would
-        serialize the warmer on the very cold matrix it is trying to
-        hide (the in-flight owner lands the plan either way).
-        ``speculative=True`` is an acquisition ahead of demand (the
-        speculative warmer's): it loads or builds like a demand miss,
-        but only a build counts as a cache miss — a plan read back from
-        the store is not, just as a ``load_only`` preload is not.
+        it.  ``load_only`` never builds, never counts a miss, and never
+        blocks: it is the warm-start / speculative prefetch path, which
+        must not serialize behind the in-flight build it tries to hide.
+        ``speculative=True`` is an acquisition ahead of demand: it loads
+        or builds like a demand miss, but only a build counts as a miss.
 
         Store loads happen inside the same single-flight section as
-        builds, so concurrent misses on one fingerprint do one disk
-        read, not N — including a `warm` racing a `get`, which must not
-        double-load the artifact or double-count ``store.*`` counters.
-        A corrupt artifact is quarantined by the store and falls
-        through to a fresh build.
+        builds, so concurrent misses do one disk read, not N — a `warm`
+        racing a `get` included.  A load only succeeds when the store's
+        chain head is exactly the version asked for; a corrupt artifact
+        is quarantined by the store and falls through to a fresh build.
         """
-        req = fingerprint if fingerprint is not None else matrix_fingerprint(csr)
-        base, req_v = self.split_version(req)
+        key = fingerprint if fingerprint is not None else matrix_fingerprint(csr)
         with self._lock:
             while True:
-                key = self._resolve(base, req_v)
+                key = self.pin(key, reads)
                 entry = self._plans.get(key)
-                if entry is not None:
-                    self._plans.move_to_end(key)
-                    self._hits.inc()
-                    return entry[0], "ram", 0.0
-                if key not in self._building:
+                if entry is not None or key not in self._building:
                     break
                 if load_only:
                     return None, "pending", 0.0
                 self._build_cond.wait()
+            base, version = self.split_version(key)
+            if entry is not None:
+                self._plans.move_to_end(key)
+                self._hits.inc()
+                return entry[0], "ram", 0.0
             if load_only and (self.store is None
                               or not self.store.contains(base)):
                 return None, "absent", 0.0
@@ -346,22 +356,11 @@ class PlanRegistry:
         # must not serialize concurrent misses on other matrices.
         try:
             if self.store is not None:
-                # Pin the load to the version the request resolved to;
-                # a bare base key (no local chain yet) loads whatever
-                # the store reconstructs and adopts its version below.
-                want = (req_v if req_v is not None
-                        else self.split_version(key)[1])
-                loaded = self._load_from_store(
-                    base, want_version=want, gate=not load_only)
+                loaded = self._load_from_store(base, version,
+                                               gate=not load_only)
                 if loaded is not None:
-                    plan, load_s, stored_v = loaded
-                    actual = self.versioned_key(base, stored_v)
-                    with self._lock:
-                        # Version-aware warm-up: a fresh registry over a
-                        # shared store adopts the store's current chain.
-                        if stored_v > self._versions.get(base, 0):
-                            self._versions[base] = stored_v
-                    self._insert(actual, plan)
+                    plan, load_s = loaded
+                    self._insert(key, plan)
                     return plan, "store", load_s
             if load_only:
                 return None, "absent", 0.0
@@ -419,21 +418,16 @@ class PlanRegistry:
             return None
         return self.store.load_aux(fingerprint)
 
-    def _load_from_store(self, base: str, *, want_version: int | None = None,
+    def _load_from_store(self, base: str, version: int, *,
                          gate: bool = True):
         """One traced disk-tier load attempt (inside single-flight).
 
-        Returns ``(plan, load_s, stored_version)`` or ``None``.  A
-        pinned request (``want_version`` not ``None``) only succeeds
-        when the store reconstructs exactly that version — a divergent
-        chain (deltas not yet persisted here) falls through to a
-        rebuild from the caller's current CSR."""
+        Returns ``(plan, load_s)``, or ``None`` unless the store
+        reconstructs exactly *version* — a chain the store holds ahead
+        of (or behind) this registry's is never adopted."""
         attrs = {"matrix": base[:8]} if self.obs.tracing else None
         with self.obs.span("plan.load", attrs=attrs) as sp:
-            stored_v = self.store.current_version(base)
-            if stored_v is None:
-                return None
-            if want_version is not None and stored_v != want_version:
+            if self.store.current_version(base) != version:
                 return None
             got = self.store.load(base, gate=gate)
             if got is None:
@@ -444,50 +438,41 @@ class PlanRegistry:
             sp.set_device_time(load_s)
             if self.obs.tracing:
                 sp.set_attr("modeled_s", load_s)
-        return plan, load_s, stored_v
+        return plan, load_s
 
     def update(self, fingerprint: str, delta, *, csr=None, builder=None,
-               persist: bool = True, derivations: dict | None = None):
-        """Advance *fingerprint*'s version chain by applying *delta*.
+               persist: bool = True, derivations: dict | None = None,
+               heads: dict | None = None):
+        """Advance *fingerprint*'s version chain by applying *delta*;
+        returns ``(new_version, PatchInfo, new_plan)``.
 
         Patches the current plan instead of rebuilding: value updates
-        patch a **clone** of the resident plan (in-flight requests
-        pinned to the old version drain against unmodified slabs),
-        structural updates reclassify only the touched rows into the
-        patch overlay.  The new plan lands under ``fp@v{n+1}``; the
-        immediately preceding version is retained in RAM for drains and
-        anything older is retired.  With a store configured the delta is
-        appended to the fingerprint's CRC-framed delta log
-        (:meth:`repro.store.PlanStore.put_delta`) *before* the version
-        becomes visible, so a crash between the two leaves readers on
-        the old, fully consistent version.
+        patch a **clone** (reads pinned to the old version drain against
+        unmodified slabs), structural updates reclassify only the
+        touched rows into the patch overlay.  The new plan lands under
+        ``fp@v{n+1}``; v-1 stays resident for drains, older versions
+        retire.  With a store the delta is appended to the
+        fingerprint's delta log (:meth:`repro.store.PlanStore.put_delta`)
+        *before* the version becomes visible, so a crash leaves readers
+        on the old, consistent version.  Rides single-flight on the new
+        key: readers that resolved to it block until it lands.
 
         ``csr`` (the **pre**-update CSR) is the rebuild fallback when
-        the current plan is neither cached nor loadable; ``builder(csr)
-        -> plan`` overrides its default :meth:`DASPMatrix.from_csr`
-        build, as in :meth:`get_ex` (the serving core passes its shard
-        policy, :meth:`repro.serve.execute.ExecutionCore.rebuilder`).
-        ``persist=False`` skips the store write — cluster replicas that
-        share one store directory designate a single *home* replica as
-        the delta writer, since concurrent ``put_delta`` calls would
-        trip the version-contiguity check.
+        the current plan is neither cached nor loadable, built by
+        ``builder(csr)`` as in :meth:`get_ex`.  ``heads`` (fingerprint
+        -> head CSR) supplies ``csr`` and moves to the new CSR in the
+        step that makes the new version current.  ``persist=False``
+        skips the store write: replicas sharing one store let only the
+        *home* replica write, or ``put_delta``'s contiguity check trips.
 
         ``derivations`` (fingerprint -> latest :class:`Derivation`) is a
-        memo shared by registries that apply one delta stream: the
-        first to derive ``fp@v{n+1}`` records it, and the others adopt
-        its immutable plan and ``PatchInfo`` instead of patching again
-        when their current plan is the recorded input, or when both are
-        clean with the same layout (:func:`_clean_layout`).  A registry
-        with no current plan to load and no ``builder`` adopts it
-        without building when the recorded input is clean with the
-        layout of a default build (and seeds ``put_delta`` with that
-        input).  Any other input derives its own version.  Counters, the
-        modeled patch charge and persistence stay per registry.  Returns
-        ``(new_version, PatchInfo, new_plan)``.
-
-        Rides the single-flight machinery on the *new* key: concurrent
-        readers of the old key proceed untouched, while readers that
-        already resolved to the new version block until it lands.
+        memo shared by registries applying one delta stream: the first
+        to derive ``fp@v{n+1}`` records it; the others adopt its plan
+        and ``PatchInfo`` when their current plan is the recorded input
+        or both are clean with the same layout (:func:`_clean_layout`),
+        and a registry with no plan and no ``builder`` adopts it when
+        the recorded input has a default build's layout.  Counters, the
+        patch charge and persistence stay per registry.
         """
         from ..core.delta import (ValueUpdate, apply_update, clone_for_patch,
                                   rebuild_events)
@@ -508,10 +493,11 @@ class PlanRegistry:
             self._building.add(new_key)
             entry = self._plans.get(cur_key)
             plan = entry[0] if entry is not None else None
+            if heads is not None:
+                csr = heads[base]
         try:
             if plan is None and self.store is not None:
-                loaded = self._load_from_store(base, want_version=cur_v,
-                                               gate=False)
+                loaded = self._load_from_store(base, cur_v, gate=False)
                 if loaded is not None:
                     plan = loaded[0]
             new_v = cur_v + 1
@@ -542,6 +528,8 @@ class PlanRegistry:
                 self.store.put_delta(base, new_v, delta, seed_plan=plan)
             with self._lock:
                 self._versions[base] = new_v
+                if heads is not None:
+                    heads[base] = new_plan.csr
             self._insert(new_key, new_plan)
             if isinstance(delta, ValueUpdate):
                 self._delta_value.inc()
@@ -574,7 +562,7 @@ class PlanRegistry:
         versions ``v`` with ``drop(v)`` (caller holds the lock)."""
         def stale(key: str) -> bool:
             b, v = self.split_version(key)
-            return b == base and drop(v or 0)
+            return b == base and drop(v)
 
         for k in [k for k in self._plans if stale(k)]:
             self._account(-self._plans.pop(k)[1])
@@ -615,13 +603,11 @@ class PlanRegistry:
                 self._build_cond.notify_all()
 
     def peek(self, fingerprint: str) -> DASPMatrix | None:
-        """Return a cached plan without touching LRU order or counters.
-
-        Version-resolved like every lookup: an unversioned fingerprint
-        peeks at the *current* version of its chain."""
-        base, req_v = self.split_version(fingerprint)
+        """Return version key *fingerprint*'s cached plan without
+        touching LRU order or counters (``None`` when not resident)."""
+        key = self.versioned_key(*self.split_version(fingerprint))
         with self._lock:
-            entry = self._plans.get(self._resolve(base, req_v))
+            entry = self._plans.get(key)
             return entry[0] if entry is not None else None
 
     def effective_budget(self) -> int:
@@ -644,24 +630,24 @@ class PlanRegistry:
         """
         nbytes = plan_nbytes(plan)
         budget = self.effective_budget()
-        # Versioned plans never write through as standalone artifacts:
-        # update() appends the chain to the base fingerprint's delta log
-        # (via PlanStore.put_delta), and the store replays it on load —
-        # a "fp@v3" artifact would shadow that channel.
-        versioned = "@v" in fingerprint
+        # Only v0 writes through as an artifact: update() appends the
+        # chain to the base fingerprint's delta log (via
+        # PlanStore.put_delta), and the store replays it on load — an
+        # artifact per version would shadow that channel.
+        base, version = self.split_version(fingerprint)
         if nbytes > budget:
             if self.store is not None:
                 self._oversized.inc()
-                if not versioned:
-                    self.store.put(fingerprint, plan, overwrite=False)
+                if version == 0:
+                    self.store.put(base, plan, overwrite=False)
                 return
             raise PlanTooLargeError(
                 f"plan {fingerprint[:8]}… needs {nbytes:,} bytes, over the "
                 f"{budget:,}-byte cache budget")
-        self._insert(fingerprint, plan, nbytes=nbytes, budget=budget)
-        if (self.store is not None and not versioned
-                and fingerprint not in self.store):
-            self.store.put(fingerprint, plan, overwrite=False)
+        self._insert(self.versioned_key(base, version), plan, nbytes=nbytes,
+                     budget=budget)
+        if self.store is not None and version == 0 and base not in self.store:
+            self.store.put(base, plan, overwrite=False)
 
     def _insert(self, fingerprint: str, plan, *, nbytes: int | None = None,
                 budget: int | None = None) -> None:
@@ -699,12 +685,13 @@ class PlanRegistry:
         # content addressing makes both bytes identical and the rename
         # atomic.
         if self.store is not None:
-            for fp, ev_plan in evicted:
-                # Versioned entries are reconstructable from the base
+            for key, ev_plan in evicted:
+                # Later versions are reconstructable from the base
                 # artifact's delta chain — spilling them would create
                 # shadow artifacts the store never garbage-collects.
-                if "@v" not in fp and fp not in self.store:
-                    self.store.put(fp, ev_plan, overwrite=False)
+                base, version = self.split_version(key)
+                if version == 0 and base not in self.store:
+                    self.store.put(base, ev_plan, overwrite=False)
                     self._spills.inc()
 
     def clear(self) -> None:

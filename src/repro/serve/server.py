@@ -191,7 +191,8 @@ class SpMVServer:
         else:
             self.retry_budget = RetryBudget(retry_budget, obs=obs)
         self.scheduler = Scheduler(
-            self._execute_batch, workers=workers, queue_depth=queue_depth,
+            lambda batch: self.core.execute(batch), workers=workers,
+            queue_depth=queue_depth,
             policy=policy, on_shed=self._shed_batch,
             on_error=self._fail_batch, prune=self._prune_batch, obs=obs)
         self._matrices: dict[str, object] = {}
@@ -202,7 +203,8 @@ class SpMVServer:
             clock=self.clock,
             executor=NumericExecutor(obs, lanes=workers,
                                      submit_task=self.scheduler.submit_task),
-            outcomes=self, matrices=self._matrices, breaker=self.breaker,
+            outcomes=self, matrices=self._matrices, batcher=self.batcher,
+            breaker=self.breaker,
             injector=fault_injector, retry=retry, retry_rng=default_rng(seed),
             retry_budget=self.retry_budget, fallback=fallback, shards=shards,
             shard_workers=workers, shard_k=max_batch)
@@ -253,6 +255,25 @@ class SpMVServer:
         plans were loaded."""
         return sum(self.core.warm(fp, build=False) is not None
                    for fp in fingerprints)
+
+    def update(self, fingerprint: str, delta, *, persist: bool = True,
+               derivations: dict | None = None) -> int:
+        """Apply a :mod:`repro.core.delta` delta to a registered matrix
+        (:meth:`ExecutionCore.update`); returns its new version.  Queued
+        reads are dispatched at the version they were admitted at; later
+        submits read the new one.  ``persist`` / ``derivations`` serve
+        :meth:`repro.cluster.Router.update`'s broadcast."""
+        with self._lock:
+            if self._closed:
+                raise ServerClosedError("server is closed")
+            if fingerprint not in self._matrices:
+                raise ReproError(f"unknown matrix fingerprint {fingerprint!r}")
+        version, fence = self.core.update(
+            fingerprint, delta, self.clock.now(), persist=persist,
+            derivations=derivations)
+        if fence is not None:
+            self._dispatch(fence)
+        return version
 
     def submit(self, request) -> Future:
         """Queue one request; the future resolves to its result.
@@ -314,10 +335,12 @@ class SpMVServer:
             req_id = self._next_id
             self._next_id += 1
             self._futures[req_id] = future
-        # Private bookkeeping copy: the caller's object stays pristine.
+        # Private bookkeeping copy (the caller's object stays pristine),
+        # pinned to the matrix version current at admission.
         req = replace(request, x=x, req_id=req_id, arrival_s=now,
                       deadline_s=deadline, result=None,
-                      completion_s=float("nan"), pair=None, shadow=False)
+                      completion_s=float("nan"), pair=None, shadow=False,
+                      version=self.registry.version_of(fingerprint))
         self.stats.observe_request()
         if isinstance(req, SpMMRequest):
             # A block is already a batch — skip the coalescer.
@@ -449,12 +472,6 @@ class SpMVServer:
         """Scheduler dequeue hook: drop expired requests before work."""
         self.core.expire(batch)
         return batch if batch.requests else None
-
-    def _execute_batch(self, batch: Batch) -> None:
-        # no version fence on the server: a batch reads the matrix
-        # version current when it executes
-        self.core.execute(batch, version=self.registry.version_of(
-            batch.fingerprint))
 
     @staticmethod
     def terminal(reqs) -> int:

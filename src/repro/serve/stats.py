@@ -343,7 +343,6 @@ class ServerStats:
                  f"{self.breaker_transitions:,} ({breaker or 'none'})"),
             ]
         if self.prefetches or self.warms or self.parked_batches:
-            spmm_large = self.spmm_large_by_strategy
             rows += [
                 ("prefetches (modeled lane time)",
                  f"{self.prefetches:,} "
@@ -353,10 +352,12 @@ class ServerStats:
                  f"{self.warm_loads:,} / {self.warm_builds:,} "
                  f"/ {self.warm_failed:,}"),
             ]
-            if spmm_large:
-                rows.append(("large-k batches by strategy",
-                             " ".join(f"{name}:{spmm_large[name]}"
-                                      for name in sorted(spmm_large))))
+        spmm_large = self.spmm_large_by_strategy
+        if spmm_large:
+            rows.append(("large-k batches by strategy",
+                         " ".join(f"{name}:{spmm_large[name]}"
+                                  for name in sorted(spmm_large))))
+            # only a large-k batch derives an order (reads create counters)
             if self.reorder_loaded or self.reorder_derived:
                 rows.append(("reorder perm loaded / derived",
                              f"{self.reorder_loaded:,} "

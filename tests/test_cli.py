@@ -173,6 +173,8 @@ class TestServeSim:
             "| goodput (incl. preprocess) | 90,889 req/s |\n"
             "| MMA utilization | 98.5% |\n"
             "| latency p50 / p95 / p99 | 5311.3 us / 7479.2 us / 7820.8 us |\n"
+            "| large-k batches by strategy | reordered:19 tiled:155 |\n"
+            "| reorder perm loaded / derived | 0 / 4 |\n"
         )
 
     def test_sharded_update_golden(self, capsys):
@@ -190,18 +192,35 @@ class TestServeSim:
             "| rejected / shed | 0 / 0 |\n"
             "| batches (mean size) | 61 (5.84) |\n"
             "| batch-size histogram | 1:5 2:5 3:3 4:5 5:3 6:9 7:5 8:26 |\n"
-            "| plan cache hit / miss / evict | 26 / 35 / 0 |\n"
-            "| cache hit rate | 42.6% |\n"
+            "| plan cache hit / miss / evict | 60 / 1 / 0 |\n"
+            "| cache hit rate | 98.4% |\n"
             "| device busy (kernels) | 0.816 ms |\n"
-            "| preprocessing | 33.676 ms |\n"
-            "| makespan | 34.492 ms |\n"
-            "| throughput (kernel time) | 436,314 req/s |\n"
-            "| goodput (incl. preprocess) | 10,321 req/s |\n"
-            "| MMA utilization | 72.5% |\n"
-            "| latency p50 / p95 / p99 | 18572.6 us / 33580.0 us / 33621.4 us |\n"
+            "| preprocessing | 2.546 ms |\n"
+            "| makespan | 3.362 ms |\n"
+            "| throughput (kernel time) | 436,303 req/s |\n"
+            "| goodput (incl. preprocess) | 105,890 req/s |\n"
+            "| MMA utilization | 72.6% |\n"
+            "| latency p50 / p95 / p99 | 2482.1 us / 2540.0 us / 2572.3 us |\n"
             "| matrix updates value / structural / compactions | 30 / 14 / 0 |\n"
             "| modeled patch vs rebuild-per-update | 1.793 ms vs 40.847 ms |\n"
         )
+
+    @pytest.mark.parametrize("warm", [[], ["--warm-start"]],
+                             ids=["cold", "warm_start"])
+    def test_stored_chain_refused(self, tmp_path, capsys, warm):
+        """A second update run over one store starts at v0 behind the
+        store's chain: it is refused with one ``error:`` line (exit 2),
+        never adopted — with ``--warm-start`` it used to die on a
+        ``DeltaError`` traceback."""
+        args = ["serve-sim", "--requests", "400", "--matrices", "3",
+                "--seed", "1", "--update-mix", "0.12",
+                "--structural-frac", "0.3", "--store", str(tmp_path / "s")]
+        assert main(args) == 0
+        capsys.readouterr()
+        assert main(args + warm) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert "non-contiguous delta version 1" in err
 
     def test_unbatched_width(self, capsys):
         assert main(["serve-sim", "--requests", "120", "--matrices", "2",

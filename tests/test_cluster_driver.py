@@ -504,7 +504,8 @@ class TestSharedDerivation:
                 # evicted, then reloaded by a read before the delta lands
                 for reg in (replicas[2], alone):
                     reg.clear()
-                    assert reg.get_ex(None, fingerprint=fp)[1] == "store"
+                    cur = reg.versioned_key(fp, reg.version_of(fp))
+                    assert reg.get_ex(None, fingerprint=cur)[1] == "store"
             before = len(calls)
             got = [reg.update(fp, d, csr=prev, derivations=memo,
                               persist=i == 0)
@@ -565,8 +566,9 @@ class TestSharedDerivation:
         csr1 = evolve(matrix, d1)
         x = rng.standard_normal(matrix.shape[1])
         fresh = PlanRegistry(store=PlanStore(tmp_path / "s"))
-        stored, source, _ = fresh.get_ex(None, fingerprint=fp)
-        assert source == "store" and fresh.version_of(fp) == 1
+        fresh.start_at(fp, 1)
+        stored, source, _ = fresh.get_ex(None, fingerprint=fp + "@v1")
+        assert source == "store"
         assert np.array_equal(dasp_spmv(stored, x),
                               dasp_spmv(real(csr1), x))
         # v1 carries an overlay: a replica without it must rebuild

@@ -205,6 +205,48 @@ class TestWarm:
             assert n == len(assigned[rid])
 
 
+class TestUpdate:
+    def test_broadcast_keeps_replicas_in_lockstep(self, tmp_path):
+        """``Router.update`` reaches every replica, so each holds the
+        same version and any of them serves it; only the ring home
+        writes the shared store's delta log, one record per version."""
+        from repro.core import apply_delta_to_csr, random_delta
+        from repro.serve import SpMVServer
+        from repro.store import read_delta_log
+
+        rng = np.random.default_rng(4)
+        csr = make_matrices(1, seed=4)[0]
+        store_dir = tmp_path / "plans"
+        servers = [SpMVServer(workers=1, store=store_dir) for _ in range(3)]
+        with Router(servers, seed=1) as router:
+            fp = router.register(csr)
+            x = rng.uniform(-1, 1, csr.shape[1])
+            router.submit(SpMVRequest(fp, x)).result(10.0)
+            for v in range(1, 5):
+                delta = random_delta(csr, rng, structural=v % 2 == 0,
+                                     n_entries=6)
+                assert router.update(fp, delta) == v
+                csr = apply_delta_to_csr(csr, delta)
+            assert {s.registry.version_of(fp) for s in servers} == {4}
+            for server in servers:      # failover targets included
+                y = server.submit(SpMVRequest(fp, x)).result(10.0)
+                np.testing.assert_allclose(y, csr.matvec(x), rtol=1e-12,
+                                           atol=1e-12)
+        records, _ = read_delta_log(PlanStore(store_dir).log_path_for(fp))
+        assert [v for v, _ in records] == [1, 2, 3, 4]
+
+    def test_update_after_close_raises_typed(self):
+        from repro.cluster import RouterClosedError
+        from repro.core import random_delta
+
+        router = make_router(1)
+        csr = make_matrices(1)[0]
+        fp = router.register(csr)
+        router.close()
+        with pytest.raises(RouterClosedError):
+            router.update(fp, random_delta(csr, np.random.default_rng(0)))
+
+
 class TestClosed:
     def test_submit_and_warm_after_close_raise_typed(self):
         from repro import ReproError

@@ -2,9 +2,10 @@
 
 The serving-side contract for dynamic matrices:
 
-* ``PlanRegistry.update`` advances ``fp -> fp@v{n}`` by *patching*, and
-  an unversioned lookup can never again observe a pre-update plan (the
-  stale-version regression test);
+* ``PlanRegistry.update`` advances ``fp -> fp@v{n}`` by *patching*;
+  every key names one version (the bare fingerprint is v0), and a read
+  of a retired version is re-stamped to the current one, never rebuilt
+  (the stale-version regression test);
 * in-flight requests pinned to an old version keep draining against it
   untouched;
 * ``PlanStore`` appends deltas to a CRC-framed log beside the artifact,
@@ -28,6 +29,7 @@ from repro.core import (
     dasp_spmv,
     random_delta,
 )
+from repro.serve import SpMVRequest
 from repro.serve.plan_cache import PlanRegistry, matrix_fingerprint
 from repro.shard import build_sharded_plan
 from repro.store import (
@@ -71,24 +73,35 @@ class TestRegistryVersionChain:
                                   dasp_spmv(DASPMatrix.from_csr(csr), x))
 
     def test_stale_version_never_served(self, matrix, rng):
-        """Regression: after a StructuralUpdate advances the chain, an
-        unversioned (current) read must never get the pre-update plan —
-        not from RAM, not via peek, not via ``in``."""
+        """Regression: after a StructuralUpdate advances the chain, a
+        read of the current version never gets the pre-update plan —
+        not from RAM, not via peek, not via ``in``.  Every key names one
+        version: the bare fingerprint is v0, addressable while retained,
+        and a read pinned to it once it retired is re-stamped to the
+        current version instead of being rebuilt from a newer matrix."""
         reg = PlanRegistry()  # RAM-only: the pre-update plan stays cached
         fp = matrix_fingerprint(matrix)
         old_plan, _ = reg.get(matrix, fingerprint=fp)
         d = random_delta(matrix, rng, structural=True, n_entries=10)
         v, _, new_plan = reg.update(fp, d)
         assert v == 1
-        got, source, _ = reg.get_ex(None, fingerprint=fp)
+        cur = reg.versioned_key(fp, reg.version_of(fp))
+        assert cur == fp + "@v1"
+        got, source, _ = reg.get_ex(None, fingerprint=cur)
         assert got is new_plan and source == "ram"
-        assert reg.peek(fp) is new_plan
-        # the old version is still addressable — but only explicitly
-        assert reg.peek(fp + "@v0") is old_plan
+        assert reg.peek(cur) is new_plan and cur in reg
+        # the old version is still addressable — but only as v0
+        assert reg.peek(fp) is old_plan and reg.peek(fp + "@v0") is old_plan
         x = rng.standard_normal(matrix.shape[1])
         csr1 = evolve(matrix, d)
         assert np.array_equal(dasp_spmv(got, x),
                               dasp_spmv(DASPMatrix.from_csr(csr1), x))
+        _, _, plan2 = reg.update(fp, random_delta(csr1, rng, n_entries=4))
+        assert reg.peek(fp) is None and fp not in reg     # v0 retired
+        read = SpMVRequest(fp, x)
+        got, source, _ = reg.get_ex(None, fingerprint=fp, reads=[read])
+        assert got is plan2 and source == "ram" and read.version == 2
+        assert reg.obs.counter("serve.version_restamped_total").value == 1
 
     def test_old_version_drains_unmodified(self, matrix, rng):
         reg = PlanRegistry()
@@ -153,11 +166,16 @@ class TestStoreDeltaPersistence:
             reg.update(fp, d)
             csr = evolve(csr, d)
         # "restart": a fresh registry over the same store directory
+        # adopts nothing — its chain starts at v0, which the store no
+        # longer holds — and loads v4 once its chain is placed there
         reg2 = PlanRegistry(store=PlanStore(tmp_path))
-        plan, source, load_s = reg2.get_ex(None, fingerprint=fp,
+        assert reg2.get_ex(None, fingerprint=fp,
+                           load_only=True)[1] == "absent"
+        assert reg2.version_of(fp) == 0
+        reg2.start_at(fp, 4)
+        plan, source, load_s = reg2.get_ex(None, fingerprint=fp + "@v4",
                                            load_only=True)
         assert source == "store" and load_s > 0
-        assert reg2.version_of(fp) == 4, "store version not adopted"
         assert np.array_equal(dasp_spmv(plan, x),
                               dasp_spmv(DASPMatrix.from_csr(csr), x)), \
             "replayed plan != rebuild of updated CSR"

@@ -493,7 +493,8 @@ class TestLargeKOrderPerVersion:
         with SpMVServer(workers=1, store=store) as s:
             s.register(csr)
             self._spmm(s, fp, rng, 32)
-            _, _, plan = s.registry.update(fp, delta, csr=csr)
+            assert s.update(fp, delta) == 1
+            plan = s.registry.peek(f"{fp}@v1")
             self._spmm(s, fp, rng, 32)
             fresh = reorder_from_perm(plan.csr, ro.perm)
             assert fresh.stats != ro.stats
@@ -524,9 +525,8 @@ class TestLargeKOrderPerVersion:
                 assert len(calls) == 3 * (version + 1)
                 assert s.obs.counter(
                     "spmm.reorder.derived_total").value == version + 1
-                head = s.registry.peek(fp).csr
-                s.registry.update(fp, random_delta(head, rng,
-                                                   structural=True))
+                s.update(fp, random_delta(s.core.matrices[fp], rng,
+                                          structural=True))
 
     def test_retired_versions_drop_their_permuted_plans(self, rng,
                                                        monkeypatch):
@@ -553,9 +553,8 @@ class TestLargeKOrderPerVersion:
             fp = s.register(csr)
             for _ in range(6):
                 self._spmm(s, fp, rng, 32)
-                head = s.registry.peek(fp).csr
-                s.registry.update(fp, random_delta(head, rng,
-                                                   structural=True))
+                s.update(fp, random_delta(s.core.matrices[fp], rng,
+                                          structural=True))
             assert s.stats.spmm_large_by_strategy.get("reordered", 0) == 6
             gc.collect()
             alive = [r for r in permuted if r() is not None]

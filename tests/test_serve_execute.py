@@ -7,8 +7,16 @@ server; these tests pin what that buys:
   the core under a virtual clock with the modeled executor and with the
   numeric executor gives every request the same outcome and the same
   charged device seconds (unsharded and 4-shard, k in 1..8 and k > 8);
+* the same differential under an update stream: both executors serve
+  every request at the same version, each numeric result that
+  version's ``csr.matvec``;
+* the version fence: a batch pinned to v0 after an update is priced
+  and computed on v0, and a read of a retired version is re-stamped to
+  the current one, never rebuilt from a newer matrix;
 * the server after a matrix delta: DASP and forced-fallback batches both
-  compute the patched matrix, and the next batch is priced on it;
+  compute the patched matrix, and the next batch is priced on it — also
+  after the plan was evicted, and with updates landing while reads
+  queue in the batcher and the scheduler;
 * the server never loses a future under queue-full backpressure;
 * a plain plan is priced as one band, bitwise the reference plain
   arithmetic at k <= MMA_N on the whole suite;
@@ -30,7 +38,7 @@ import numpy as np
 import pytest
 
 from repro.core import DASPMatrix, dasp_spmv
-from repro.core.delta import random_delta
+from repro.core.delta import apply_delta_to_csr, random_delta
 from repro.core.spmm import (gather_analysis, mma_phase_fraction,
                              mma_utilization, mma_utilization_from_events,
                              spmm_events)
@@ -43,9 +51,9 @@ from repro.obs import Obs, Tracer
 from repro.resilience import (BreakerConfig, CircuitBreaker,
                               DeadlineExceededError, FaultInjector, FaultPlan,
                               RetryPolicy)
-from repro.serve import (Batch, PlanRegistry, QueueFullError, ServerStats,
-                         SpMMRequest, SpMVRequest, SpMVServer,
-                         matrix_fingerprint)
+from repro.serve import (Batch, PlanRegistry, QueueFullError,
+                         RequestBatcher, ServerStats, SpMMRequest,
+                         SpMVRequest, SpMVServer, matrix_fingerprint)
 from repro.serve.execute import (CostModel, ExecutionCore, ModeledExecutor,
                                  NumericExecutor, VirtualClock)
 from repro.shard import build_sharded_plan, sharded_batch_cost
@@ -62,6 +70,7 @@ class Recorder:
     def __init__(self):
         self.outcomes: dict[int, tuple] = {}
         self.results: dict[int, np.ndarray] = {}
+        self.versions: dict[int, int] = {}
 
     @staticmethod
     def terminal(reqs):
@@ -73,6 +82,7 @@ class Recorder:
         for r in batch.requests:
             self.outcomes[r.req_id] = ("degraded" if degraded
                                        else "completed", end)
+            self.versions[r.req_id] = r.version
             if Y is not None:
                 self.results[r.req_id] = r.result
         return batch.requests
@@ -117,7 +127,39 @@ def _trace(pool, seed, n_batches=60):
     return batches
 
 
-def _drive(pool, batches, executor, *, shards, fallback):
+def _update_trace(pool, seed, n_events=90):
+    """Seeded reads and deltas.  Each read batch is stamped with its
+    matrix's version at admission and executes up to three events
+    later, so some run after updates: against a retained older
+    version, or re-stamped once theirs retired.  Returns the events
+    (batches and ``(fp, delta)`` pairs) and every version's CSR."""
+    rng = np.random.default_rng(seed)
+    fps = [matrix_fingerprint(a) for a in pool]
+    history = {fp: [a] for fp, a in zip(fps, pool)}
+    timed, rid = [], 0
+    for pos in range(n_events):
+        fp = fps[int(rng.integers(len(pool)))]
+        head = history[fp][-1]
+        if rng.random() < 0.3:
+            delta = random_delta(head, rng, structural=rng.random() < 0.4,
+                                 n_entries=6)
+            history[fp].append(apply_delta_to_csr(head, delta))
+            timed.append((pos, 0, (fp, delta)))
+            continue
+        t = pos * 20e-6
+        reqs = [SpMVRequest(fp, rng.uniform(-1, 1, head.shape[1]),
+                            req_id=rid + j, arrival_s=t,
+                            version=len(history[fp]) - 1)
+                for j in range(int(rng.integers(1, 9)))]
+        rid += len(reqs)
+        timed.append((pos + int(rng.integers(0, 4)), 1 + rid,
+                      Batch(fp, reqs, t)))
+    return [ev for *_, ev in sorted(timed, key=lambda e: e[:2])], history
+
+
+def _drive(pool, events, executor, *, shards, fallback):
+    """Run *events* — batches, and ``(fp, delta)`` updates — through one
+    chaos-injected core."""
     obs = Obs()
     stats = ServerStats(obs=obs)
     injector = FaultInjector(FaultPlan.chaos_mix(
@@ -131,13 +173,18 @@ def _drive(pool, batches, executor, *, shards, fallback):
         cost=CostModel(A100, workers=4), clock=VirtualClock(),
         executor=executor, outcomes=out,
         matrices={matrix_fingerprint(a): a for a in pool},
+        batcher=RequestBatcher(),
         breaker=CircuitBreaker(BreakerConfig(), obs=obs), injector=injector,
         retry=RetryPolicy(max_retries=1),
         retry_rng=np.random.default_rng(5), fallback=fallback,
         shards=shards, shard_workers=4)
-    for b in batches:
-        core.execute(Batch(b.fingerprint, [replace(r) for r in b.requests],
-                           b.formed_s))
+    for ev in events:
+        if isinstance(ev, Batch):
+            core.execute(Batch(ev.fingerprint,
+                               [replace(r) for r in ev.requests],
+                               ev.formed_s))
+        else:
+            core.update(*ev, 0.0)
     return out, stats
 
 
@@ -148,7 +195,8 @@ def _core(csrs, cost, *, obs=None, shards=None, store=None):
         device=A100, registry=PlanRegistry(obs=obs, device=A100, store=store),
         stats=ServerStats(obs=obs), obs=obs, cost=cost, clock=VirtualClock(),
         executor=ModeledExecutor(), outcomes=Recorder(),
-        matrices={matrix_fingerprint(a): a for a in csrs}, shards=shards)
+        matrices={matrix_fingerprint(a): a for a in csrs},
+        batcher=RequestBatcher(), shards=shards)
 
 
 class TestDifferential:
@@ -184,6 +232,78 @@ class TestDifferential:
                              for j in range(X.shape[1])], axis=1)
             np.testing.assert_allclose(y.reshape(want.shape), want,
                                        rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("shards", [None, 4])
+    def test_update_stream_serves_the_same_versions(self, shards):
+        pool = _pool(5)
+        events, history = _update_trace(pool, seed=9)
+        modeled, m_stats = _drive(pool, events, ModeledExecutor(),
+                                  shards=shards, fallback=True)
+        numeric, n_stats = _drive(pool, events, NumericExecutor(),
+                                  shards=shards, fallback=True)
+        assert modeled.outcomes == numeric.outcomes
+        assert modeled.versions == numeric.versions
+        for field in ("device_busy_s", "preprocess_s", "n_completed"):
+            assert getattr(m_stats, field) == getattr(n_stats, field), field
+        stamped = {r.req_id: (b.fingerprint, r) for b in events
+                   if isinstance(b, Batch) for r in b.requests}
+        restamped = sum(numeric.versions[i] != r.version
+                        for i, (_, r) in stamped.items()
+                        if i in numeric.versions)
+        older = sum(v < len(history[stamped[i][0]]) - 1
+                    for i, v in numeric.versions.items())
+        # the trace reaches both sides of the fence: reads served at a
+        # retained old version, and reads whose version had retired
+        assert restamped > 0 and older > 0
+        assert n_stats.obs.counter(
+            "serve.version_restamped_total").value == restamped
+        for rid, y in numeric.results.items():
+            fp, req = stamped[rid]
+            want = history[fp][numeric.versions[rid]].matvec(req.x)
+            np.testing.assert_allclose(y, want, rtol=1e-12, atol=1e-12)
+
+
+class TestVersionFence:
+    def test_batch_pinned_to_v0_after_an_update_reads_v0(self, rng):
+        """Regression: the bare key of v0 used to mean "current", so a
+        batch admitted before an update was priced and computed on the
+        updated plan."""
+        csr = random_csr(90, 90, rng, row_len_sampler=ROW_PROFILES["mixed"])
+        fp = matrix_fingerprint(csr)
+        core = _core([csr], CostModel(A100))
+        core.executor = NumericExecutor()
+        x = rng.uniform(-1, 1, 90)
+        core.execute(Batch(fp, [SpMVRequest(fp, x, req_id=0)], 0.0))
+        v0 = core.registry.peek(fp)
+        assert core.update(fp, random_delta(csr, rng, structural=True,
+                                            n_entries=12), 0.0)[0] == 1
+        busy = core.stats.device_busy_s
+        pinned = SpMVRequest(fp, x, req_id=1, version=0)
+        core.execute(Batch(fp, [pinned], 0.0))
+        assert pinned.version == 0
+        np.testing.assert_allclose(pinned.result, csr.matvec(x),
+                                   rtol=1e-12, atol=1e-12)
+        assert core.stats.device_busy_s - busy == \
+            core.cost.batch_cost(fp, v0, 1)[0]
+        assert not np.allclose(pinned.result, core.matrices[fp].matvec(x))
+
+    def test_retired_version_is_restamped_not_rebuilt(self, rng):
+        csr = random_csr(90, 90, rng)
+        fp = matrix_fingerprint(csr)
+        core = _core([csr], CostModel(A100))
+        core.executor = NumericExecutor()
+        x = rng.uniform(-1, 1, 90)
+        core.execute(Batch(fp, [SpMVRequest(fp, x, req_id=0)], 0.0))
+        for _ in range(2):      # v0 retires (v and v-1 are kept)
+            core.update(fp, random_delta(core.matrices[fp], rng), 0.0)
+        misses = core.stats.cache_misses
+        late = SpMVRequest(fp, x, req_id=1, version=0)
+        core.execute(Batch(fp, [late], 0.0))
+        assert late.version == 2 and core.stats.cache_misses == misses
+        np.testing.assert_allclose(late.result, core.matrices[fp].matvec(x),
+                                   rtol=1e-12, atol=1e-12)
+        assert core.obs.counter(
+            "serve.version_restamped_total").value == 1
 
 
 class TestCostMemo:
@@ -411,7 +531,7 @@ class TestServerAfterUpdate:
     def test_dasp_and_fallback_read_the_patched_matrix(self, rng,
                                                        n_updates):
         """A ValueUpdate, then a StructuralUpdate, land through
-        ``registry.update``; the DASP batch, its price, and a batch the
+        ``SpMVServer.update``; the DASP batch, its price, and a batch the
         opened breaker forces onto the merge-CSR fallback all follow
         the patched plan."""
         csr = random_csr(60, 60, rng)
@@ -421,11 +541,11 @@ class TestServerAfterUpdate:
                                               recovery_s=1e9)) as s:
             fp = s.register(csr)
             s.submit(SpMVRequest(fp, x)).result(10.0)
-            plan = None
             for structural in (False, True)[:n_updates]:
-                head = plan.csr if plan is not None else csr
-                _, _, plan = s.registry.update(fp, random_delta(
-                    head, rng, structural=structural, n_entries=6))
+                v = s.update(fp, random_delta(
+                    s.core.matrices[fp], rng, structural=structural,
+                    n_entries=6))
+            plan = s.registry.peek(s.registry.versioned_key(fp, v))
             want = plan.csr.matvec(x)
             busy = s.stats.device_busy_s
             y = s.submit(SpMVRequest(fp, x)).result(10.0)
@@ -438,6 +558,60 @@ class TestServerAfterUpdate:
             y = s.submit(SpMVRequest(fp, x)).result(10.0)
             assert s.stats.degraded_requests == 1
             np.testing.assert_allclose(y, want, rtol=1e-12, atol=1e-12)
+
+
+    def test_read_after_update_and_eviction_sees_the_patch(self, rng):
+        """Regression: the server's head CSR never advanced, so once the
+        patched plan was evicted the rebuild read the registered
+        matrix."""
+        csr = random_csr(60, 60, rng)
+        x = rng.uniform(-1, 1, 60)
+        with SpMVServer(workers=1, max_batch=1) as s:
+            fp = s.register(csr)
+            s.submit(SpMVRequest(fp, x)).result(10.0)
+            delta = random_delta(csr, rng, structural=True, n_entries=8)
+            assert s.update(fp, delta) == 1
+            s.registry.clear()
+            y = s.submit(SpMVRequest(fp, x)).result(10.0)
+        np.testing.assert_allclose(y, apply_delta_to_csr(csr, delta).matvec(x),
+                                   rtol=1e-12, atol=1e-12)
+
+    def test_updates_while_reads_queue(self, rng):
+        """Updates land while reads sit in the batcher (fenced out and
+        dispatched at their admission version) and in the scheduler
+        queue; a budget of about two plans retires pinned versions
+        early.  Every result is its stamped version's product, or a
+        later version's when re-stamped — and the counter agrees."""
+        csr = random_csr(96, 96, rng, row_len_sampler=ROW_PROFILES["mixed"])
+        from repro.serve import plan_nbytes
+
+        budget = 2 * plan_nbytes(DASPMatrix.from_csr(csr))
+        heads, issued = [csr], []
+        with SpMVServer(workers=2, max_batch=4, flush_timeout_s=0.05,
+                        cache_budget_bytes=budget, queue_depth=256) as s:
+            fp = s.register(csr)
+            for step in range(16):
+                for _ in range(int(rng.integers(1, 8))):
+                    x = rng.uniform(-1, 1, 96)
+                    issued.append((s.submit(SpMVRequest(fp, x)), x,
+                                   len(heads) - 1))
+                delta = random_delta(heads[-1], rng,
+                                     structural=step % 3 == 0, n_entries=6)
+                assert s.update(fp, delta) == len(heads)
+                heads.append(apply_delta_to_csr(heads[-1], delta))
+            assert s.drain(30.0)
+            restamped = 0
+            for fut, x, stamped in issued:
+                y = fut.result(10.0)
+                served = [v for v in range(stamped, len(heads))
+                          if np.allclose(y, heads[v].matvec(x), rtol=1e-12,
+                                         atol=1e-12)]
+                assert served, "result matches no version from its stamp on"
+                restamped += served[0] != stamped
+            assert restamped > 0
+            assert restamped == s.obs.counter(
+                "serve.version_restamped_total").value
+            assert s.stats.n_completed == len(issued)
 
 
 class TestNoLostFutures:

@@ -112,6 +112,30 @@ class TestSingleDriverUpdateStream:
         assert stats.n_completed == stats.n_requests
         assert stats.delta_patch_modeled_s == 0.0  # nothing was patched
 
+    def test_only_current_versions_are_built(self, monkeypatch):
+        """Regression: a read fenced to a version that had retired was
+        rebuilt from the head CSR under its old key — every one of the
+        35 cache misses of ``serve-sim --requests 400 --matrices 3
+        --shards 4 --update-mix 0.12 --structural-frac 0.3``."""
+        from repro.serve import PlanRegistry
+
+        stale = []
+        real = PlanRegistry.put
+
+        def put(reg, key, plan):
+            base, version = reg.split_version(key)
+            if version != reg.version_of(base):
+                stale.append(key)
+            return real(reg, key, plan)
+
+        monkeypatch.setattr(PlanRegistry, "put", put)
+        stats = run_workload(WorkloadConfig(
+            n_requests=400, n_matrices=3, shards=4, update_mix=0.12,
+            structural_frac=0.3))
+        assert stats.n_completed == stats.n_requests
+        assert stale == []
+        assert stats.cache_misses == 1
+
     def test_sharded_update_stream(self):
         stats = run_workload(_cfg(update_mix=0.1, structural_frac=0.4,
                                   shards=2, n_requests=300))
@@ -216,3 +240,22 @@ class TestClusterUpdateStream:
         assert stats.n_updates > 0
         assert stats.n_scale_up >= 1
         assert stats.n_completed > 0
+
+    def test_spawned_home_continues_the_stored_chain(self, tmp_path):
+        """A replica spawned mid-stream starts its chains at its peers'
+        versions: as the new ring home of a moved matrix it appends the
+        next version to the shared store's delta log (no registry adopts
+        a stored chain, so starting at v0 would be refused as
+        non-contiguous)."""
+        from repro.cluster import ElasticConfig
+
+        stats = run_cluster_workload(ClusterConfig(
+            n_replicas=1, n_requests=800, entries=_entries(4), n_matrices=4,
+            update_mix=0.1, structural_frac=0.3, seed=3, store=tmp_path,
+            elastic=ElasticConfig(min_replicas=1, max_replicas=4,
+                                  scale_up_depth=1.0, cooldown_s=0.0)))
+        assert stats.n_scale_up >= 1 and stats.n_moved_fingerprints > 0
+        assert stats.lost_requests == 0
+        store = PlanStore(tmp_path)
+        for fp in store.fingerprints():
+            assert store.load(fp, gate=False) is not None
