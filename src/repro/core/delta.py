@@ -203,6 +203,7 @@ def rebuild_events(plan) -> PreprocessEvents:
 # ----------------------------------------------------------------------
 #: Slab ids, in :meth:`DASPMatrix.value_slabs` order.
 _LONG, _REG, _IRREG, _S13, _S22, _S4, _S1 = range(7)
+_ALL_SLABS = frozenset(range(7))
 
 
 @dataclass(frozen=True)
@@ -320,7 +321,9 @@ class DeltaState:
     ``base_csr`` is the structure the slabs were packed from (identical
     to ``plan.csr`` until the first structural patch, then frozen until
     compaction); ``dirty`` rows have stale slab slots and are served
-    from ``overlay`` instead.
+    from ``overlay`` instead.  ``shared`` holds the ids of the value
+    slabs another version also reads: a value patch copies such a slab
+    before its first write to it.
     """
 
     base_csr: object
@@ -328,6 +331,7 @@ class DeltaState:
     overlay: DeltaOverlay | None = None
     patches: int = 0
     _slots: RowSlots | None = None
+    shared: set = field(default_factory=set)
 
     def slots(self, plan) -> RowSlots:
         """The row table of *plan*'s slabs, built on first use and shared
@@ -345,10 +349,12 @@ def ensure_state(plan: DASPMatrix) -> DeltaState:
 
 def clone_for_patch(plan):
     """Shallow-copy *plan* so in-place value patches cannot corrupt the
-    original: each band's value slabs and ``csr.data`` are copied,
-    structure arrays and the row-slot table are shared.  The registry
-    uses this so in-flight requests drain against the pre-update
-    version."""
+    original: each band's ``csr.data`` is copied, and its value slabs
+    are shared until a value patch first writes one (``DeltaState.
+    shared``), so a patch copies only the slabs its delta touches.
+    Structure arrays, the row-slot table and the sector counts are
+    shared.  The registry uses this so in-flight requests drain against
+    the pre-update version."""
     return plan._with_bands([_clone_band(d) for _, _, d in plan.bands()])
 
 
@@ -358,21 +364,24 @@ def _clone_band(plan: DASPMatrix) -> DASPMatrix:
     csr = CSRMatrix(plan.csr.shape, plan.csr.indptr, plan.csr.indices,
                     plan.csr.data.copy())
     st = plan.delta
-    new_st = None
-    if st is not None:
-        new_st = replace(st)
-    return replace(
-        plan, csr=csr, delta=new_st,
-        long_plan=replace(plan.long_plan, val=plan.long_plan.val.copy()),
-        medium_plan=replace(plan.medium_plan,
-                            reg_val=plan.medium_plan.reg_val.copy(),
-                            irreg_val=plan.medium_plan.irreg_val.copy()),
-        short_plan=replace(plan.short_plan,
-                           val13=plan.short_plan.val13.copy(),
-                           val22=plan.short_plan.val22.copy(),
-                           val4=plan.short_plan.val4.copy(),
-                           val1=plan.short_plan.val1.copy()),
-    )
+    new_st = DeltaState(base_csr=csr) if st is None else replace(st)
+    new_st.shared = set(_ALL_SLABS)
+    return replace(plan, csr=csr, delta=new_st)
+
+
+def _own_slab(plan: DASPMatrix, state: DeltaState, slabs: list,
+              s: int) -> np.ndarray:
+    """Value slab *s* of *plan* (``slabs`` is its
+    :meth:`~DASPMatrix.value_slabs`), copied into *plan* first when
+    another version shares it."""
+    name, arr = slabs[s]
+    if s in state.shared:
+        category, attr = name.split(".")
+        arr = arr.copy()
+        owner = category + "_plan"
+        setattr(plan, owner, replace(getattr(plan, owner), **{attr: arr}))
+        state.shared.discard(s)
+    return arr
 
 
 # ----------------------------------------------------------------------
@@ -425,10 +434,10 @@ def apply_value_update(plan: DASPMatrix, delta: ValueUpdate) -> PatchInfo:
         sid, off = state.slots(plan).locate(
             plan, r, pos_cur[clean] - plan.csr.indptr[r])
         cv = cast[clean]
-        slabs = [arr for _, arr in plan.value_slabs()]
-        for s in np.unique(sid):
+        slabs = plan.value_slabs()
+        for s in np.unique(sid).tolist():
             msk = sid == s
-            _flat(slabs[s])[off[msk]] = cv[msk]
+            _flat(_own_slab(plan, state, slabs, s))[off[msk]] = cv[msk]
     if is_dirty.any() and state.overlay is not None:
         # Dirty rows are served from the overlay, which holds value
         # copies — rebuild it from the (already patched) current CSR.
@@ -537,9 +546,10 @@ def apply_structural_update(plan: DASPMatrix, delta: StructuralUpdate, *,
     """Insert/delete entries; returns ``(new_plan, PatchInfo)``.
 
     The returned plan *shares* the packed slabs with the input (only the
-    CSR and delta state are new) — callers that must keep serving the
-    old version (the registry) clone before any later value patch via
-    :func:`clone_for_patch`.
+    CSR, delta state and sector counts are new; the counts are derived
+    from the input's by re-counting the touched rows, see
+    :meth:`repro.gpu.memory.SectorMemo.derive`); a later value patch of
+    it copies each slab before its first write.
     """
     if delta.n_entries == 0:
         return plan, PatchInfo("structural", 0, 0, 0, False,
@@ -547,10 +557,14 @@ def apply_structural_update(plan: DASPMatrix, delta: StructuralUpdate, *,
     state = ensure_state(plan)
     new_csr, touched = apply_structural_to_csr(plan.csr, delta)
     dirty = np.union1d(state.dirty, touched)
+    # the new plan reads the input's slabs: a later value patch copies
+    # what it writes
     new_state = DeltaState(base_csr=state.base_csr, dirty=dirty,
                            patches=state.patches + 1,
-                           _slots=state._slots)
-    new_plan = replace(plan, csr=new_csr, delta=new_state)
+                           _slots=state._slots, shared=set(_ALL_SLABS))
+    new_plan = replace(plan, csr=new_csr, delta=new_state,
+                       sectors=plan.sectors.derive(
+                           plan.csr, new_csr, touched, plan.dtype.itemsize))
     new_state.overlay = _build_overlay(new_plan, dirty)
 
     migrations = _count_migrations(new_plan, new_state, touched)
@@ -592,6 +606,7 @@ def compact_plan(plan: DASPMatrix):
     fresh = DASPMatrix.from_csr(plan.csr, max_len=plan.max_len,
                                 threshold=plan.threshold,
                                 mma_shape=plan.mma_shape)
+    fresh.sectors = plan.sectors        # same CSR, same sector counts
     ev = dasp_preprocess_events(fresh)
     return fresh, PatchInfo("compaction", plan.shape[0], plan.nnz,
                             0, True, ev)

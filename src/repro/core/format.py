@@ -7,11 +7,12 @@ bookkeeping and the packing parameters.  Built from CSR via
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .._util import check
+from ..gpu.memory import SectorMemo
 from ..gpu.mma import MmaShape, shape_for_dtype
 from .classify import DEFAULT_MAX_LEN, RowClassification, classify_rows
 from .long_rows import LongRowsPlan, build_long_rows
@@ -52,6 +53,11 @@ class DASPMatrix:
     #: never serialized (``array_inventory`` walks only the three
     #: category plans) and ``None`` for a freshly built plan.
     delta: object = None
+    #: The x-gather sector counts of ``csr``'s structure, counted on the
+    #: first price and shared by every plan of that structure
+    #: (:class:`repro.gpu.memory.SectorMemo`; never serialized).
+    sectors: SectorMemo = field(default_factory=SectorMemo, repr=False,
+                                compare=False)
 
     # ------------------------------------------------------------------
     @classmethod

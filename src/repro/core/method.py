@@ -9,7 +9,7 @@ import numpy as np
 from ..gpu.device import DeviceSpec
 from ..gpu.events import KernelEvents, PreprocessEvents
 from ..gpu.kernel import SpMVMethod
-from ..gpu.memory import sector_counts, x_traffic_from_counts
+from ..gpu.memory import x_traffic_from_counts
 from .format import DASPMatrix
 from .long_rows import long_rows_events
 from .medium_rows import medium_rows_events
@@ -40,8 +40,9 @@ class DASPMethod(SpMVMethod):
         return dasp_spmv(plan, x)
 
     def events(self, plan: DASPMatrix, device: DeviceSpec) -> KernelEvents:
-        return self.events_for_counts(
-            plan, device, sector_counts(plan.csr, plan.dtype.itemsize))
+        from .spmm import gather_analysis
+
+        return gather_analysis(plan, device)[0]
 
     def events_for_counts(self, plan: DASPMatrix, device: DeviceSpec,
                           counts: tuple[int, int]) -> KernelEvents:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .._util import check
 from ..gpu.events import KernelEvents
-from ..gpu.memory import rhs_block_factor_from_counts, sector_counts
+from ..gpu.memory import rhs_block_factor_from_counts
 from .format import DASPMatrix
 from .long_rows import run_long_rows
 from .medium_rows import run_medium_rows
@@ -148,14 +148,16 @@ def spmm_events(dasp: DASPMatrix, device, k: int) -> KernelEvents:
 def gather_analysis(dasp: DASPMatrix, device) -> tuple[KernelEvents, int]:
     """The k-independent half of every k-wide price of *dasp*.
 
-    ``(single-RHS DASP events, per-row sector count)`` from one
-    :func:`repro.gpu.memory.sector_counts` pass; :func:`rhs_events`
-    turns it into the events at any width, so a caller pricing several
-    widths or schedules of one plan counts sectors once.
+    ``(single-RHS DASP events, per-row sector count)`` from the plan's
+    sector counts (``dasp.sectors``: one
+    :func:`repro.gpu.memory.sector_counts` pass per band structure,
+    inherited across value deltas and compaction, re-derived from the
+    touched rows by a structural delta); :func:`rhs_events` turns it
+    into the events at any width.
     """
     from .method import DASPMethod
 
-    counts = sector_counts(dasp.csr, dasp.dtype.itemsize)
+    counts = dasp.sectors.counts(dasp.csr, dasp.dtype.itemsize)
     return DASPMethod().events_for_counts(dasp, device, counts), counts[0]
 
 

@@ -46,21 +46,118 @@ def sector_counts(csr, value_bytes: int) -> tuple[int, int]:
     (:meth:`CSRMatrix.sort_indices`) and counted again.  The global
     count is the population of a sector bitmap over the columns.
     """
-    elems_per_sector = max(1, SECTOR_BYTES // value_bytes)
+    elems_per_sector = _elems_per_sector(value_bytes)
     if csr.nnz == 0:
         return 0, 0
     sectors = csr.indices // elems_per_sector
+    per_row = _runs(sectors, csr.indptr)
+    if per_row is None:
+        return sector_counts(csr.sort_indices(), value_bytes)
+    bitmap = np.zeros(csr.shape[1] // elems_per_sector + 1, dtype=bool)
+    bitmap[sectors] = True
+    return per_row, int(np.count_nonzero(bitmap))
+
+
+def _elems_per_sector(value_bytes: int) -> int:
+    return max(1, SECTOR_BYTES // value_bytes)
+
+
+def _runs(sectors: np.ndarray, indptr: np.ndarray) -> int | None:
+    """Runs of equal ids in the rows *indptr* delimits in *sectors*
+    (non-empty), summed: each row's distinct sector count when its ids
+    ascend, else ``None``.  A row's runs are its nonzero steps in
+    ``np.diff(sectors)`` plus its first entry; a negative step is
+    allowed only at a row start."""
     step = np.diff(sectors)
     # The steps into the first entry of every non-empty row but the
     # first (which starts at 0) cross a row boundary.
-    starts = csr.indptr[:-1][np.diff(csr.indptr) > 0]
+    starts = indptr[:-1][np.diff(indptr) > 0]
     boundary_step = step[starts[1:] - 1]
     if np.count_nonzero(step < 0) != np.count_nonzero(boundary_step < 0):
-        return sector_counts(csr.sort_indices(), value_bytes)
-    per_row = 1 + np.count_nonzero(step) + np.count_nonzero(boundary_step == 0)
-    bitmap = np.zeros(csr.shape[1] // elems_per_sector + 1, dtype=bool)
-    bitmap[sectors] = True
-    return int(per_row), int(np.count_nonzero(bitmap))
+        return None
+    return int(1 + np.count_nonzero(step) + np.count_nonzero(boundary_step == 0))
+
+
+def _row_sectors(csr, rows: np.ndarray, value_bytes: int):
+    """``(sector ids, distinct sectors summed per row)`` of the entries
+    of *csr*'s distinct rows *rows*: :func:`sector_counts`' per-row sum
+    restricted to *rows*, in O(entries of *rows*).  Rows whose column
+    ids do not ascend are counted as distinct ``(row, sector)`` pairs,
+    which is what the sort fallback counts."""
+    eps = _elems_per_sector(value_bytes)
+    rows = np.asarray(rows, dtype=np.int64)
+    lo = csr.indptr[rows].astype(np.int64)
+    lens = csr.indptr[rows + 1] - lo
+    ptr = np.concatenate(([0], np.cumsum(lens)))
+    if ptr[-1] == 0:
+        return np.zeros(0, dtype=np.int64), 0
+    pos = np.arange(ptr[-1], dtype=np.int64) + np.repeat(lo - ptr[:-1], lens)
+    sectors = csr.indices[pos] // eps
+    per_row = _runs(sectors, ptr)
+    if per_row is None:
+        owner = np.repeat(np.arange(rows.size, dtype=np.int64), lens)
+        per_row = np.unique(owner * (csr.shape[1] // eps + 1) + sectors).size
+    return sectors, int(per_row)
+
+
+class SectorMemo:
+    """:func:`sector_counts` of one CSR structure, counted once.
+
+    Every band plan holds one (``DASPMatrix.sectors``), and every plan
+    with the same ``indptr``/``indices`` shares it: the clone a value
+    patch writes and the rebuild a compaction makes.  :meth:`counts`
+    runs the O(nnz) pass on its first read; :meth:`derive` gives the
+    memo of a structure that differs only in some rows, re-counting
+    just those rows.  The memo holds no plan data: it is never
+    serialized, budgeted or listed in a plan's array inventory, so a
+    loaded plan counts on its first read.
+    """
+
+    __slots__ = ("_counts", "_refs")
+
+    def __init__(self, counts: tuple[int, int] | None = None,
+                 refs: np.ndarray | None = None) -> None:
+        self._counts = counts
+        #: nonzeros per sector, kept once a structural delta derives
+        #: from this structure (the distinct count is its support size)
+        self._refs = refs
+
+    def counts(self, csr, value_bytes: int) -> tuple[int, int]:
+        """:func:`sector_counts` of *csr*, this memo's structure, at
+        ``value_bytes`` (always the owning plan's value size)."""
+        if self._counts is None:
+            self._counts = sector_counts(csr, value_bytes)
+        return self._counts
+
+    def derive(self, old, new, rows: np.ndarray,
+               value_bytes: int) -> "SectorMemo":
+        """The memo of *new*, which equals *old* (this memo's structure)
+        outside the distinct rows *rows*.
+
+        The per-row sum trades *rows*' old distinct sectors for their
+        new ones (:func:`_row_sectors`); the distinct count follows the
+        per-sector reference counts, moved by the entries *rows* lost
+        and gained.  An uncounted memo derives an uncounted one: *new*
+        then counts on its first read, like a fresh build.
+        """
+        if self._counts is None:
+            return SectorMemo()
+        if self._refs is None:
+            eps = _elems_per_sector(value_bytes)
+            self._refs = np.bincount(old.indices // eps,
+                                     minlength=old.shape[1] // eps + 1)
+        gone, gone_pairs = _row_sectors(old, rows, value_bytes)
+        came, came_pairs = _row_sectors(new, rows, value_bytes)
+        refs = self._refs.copy()
+        np.subtract.at(refs, gone, 1)
+        np.add.at(refs, came, 1)
+        # a sector leaves the support only through a lost entry and
+        # joins it only through a gained one
+        left = np.unique(gone[refs[gone] == 0]).size
+        joined = np.unique(came[self._refs[came] == 0]).size
+        per_row, distinct = self._counts
+        return SectorMemo((per_row - gone_pairs + came_pairs,
+                           distinct + joined - left), refs)
 
 
 def x_traffic_from_counts(counts: tuple[int, int], device: DeviceSpec,

@@ -431,19 +431,23 @@ class ReplicaSim:
     # ------------------------------------------------------------------
     # plan acquisition off the device clock
     # ------------------------------------------------------------------
-    def warm(self, fingerprints, now: float = 0.0) -> None:
+    def warm(self, fingerprints, now: float | None = None) -> None:
         """Acquire *fingerprints*' plans ahead of demand — the one entry
         point for startup warm-start, ring warm-up, elastic re-warm and
         warmer ticks.
 
-        Each plan goes through :meth:`ExecutionCore.warm`: with the
-        speculative warmer on, the speculative acquisition (gated store
-        load, else build), its seconds booked on the prefetch lane from
-        *now*; otherwise the store-only preload, off the virtual clock
-        (a restart reading its previous run's artifacts)."""
-        speculative = self._warmer is not None  # the warmer implies a lane
+        Each plan goes through :meth:`ExecutionCore.warm`.  At startup
+        (``now`` is ``None``: no clock runs yet) that is the store-only
+        preload, off the virtual clock (a restart reading its previous
+        run's artifacts), with or without the warmer.  Later, with the
+        speculative warmer on, it is the speculative acquisition (gated
+        store load, else build), its seconds booked on the prefetch
+        lane from *now*; without the warmer, the preload again.  The
+        warmer registers every fingerprint either way."""
+        # the warmer implies a lane
+        speculative = self._warmer is not None and now is not None
         for fp in fingerprints:
-            if speculative:
+            if self._warmer is not None:
                 self._warmer.register(fp)
             if fp in self._prefetching:
                 continue

@@ -55,7 +55,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .._util import check
+from .._util import ValidationError, check
 from .artifact import (
     EXTENSION,
     LOG_EXTENSION,
@@ -455,8 +455,15 @@ class PlanStore:
             header, pending, good_end = chain
             base = int(header.get("base_version", 0))
             current = pending[-1][0] if pending else base
-            check(version == current + 1,
-                  f"non-contiguous delta version {version} (current {current})")
+            if version != current + 1:
+                msg = (f"non-contiguous delta version {version} "
+                       f"(current {current}) in store {self.root}")
+                if version <= current:
+                    # a writer behind the chain: an earlier stream's versions
+                    msg += (f": it holds an earlier chain of this matrix "
+                            f"(head v{current}) while this writer starts "
+                            f"at v{version - 1}; use a fresh store directory")
+                raise ValidationError(msg)
             n_fold = len(pending) + 1 - max(0, int(retain))
             if n_fold > 0:
                 try:

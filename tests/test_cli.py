@@ -219,8 +219,12 @@ class TestServeSim:
         capsys.readouterr()
         assert main(args + warm) == 2
         err = capsys.readouterr().err
-        assert err.count("error:") == 1
-        assert "non-contiguous delta version 1" in err
+        assert err.count("error:") == 1 and err.count("\n") == 1
+        assert "non-contiguous delta version 1 (current 24)" in err
+        # where, why and what to do
+        assert f"in store {tmp_path / 's'}" in err
+        assert "(head v24) while this writer starts at v0" in err
+        assert "use a fresh store directory" in err
 
     def test_unbatched_width(self, capsys):
         assert main(["serve-sim", "--requests", "120", "--matrices", "2",
@@ -693,6 +697,37 @@ class TestClusterSim:
         latency = metric["p50 / p95 / p99 latency"].removesuffix(" us")
         p50, _, p99 = map(float, latency.split(" / "))
         assert p50 <= p99
+
+    def test_cluster_update_golden(self, capsys):
+        """Value and structural deltas broadcast to two replicas beside
+        reads, pinned byte for byte: a version's price is read off its
+        inherited or re-derived sector counts, so no modeled number
+        depends on where the counts came from."""
+        assert main(["cluster-sim", "--replicas", "2", "--requests", "600",
+                     "--synthetic", "4", "--seed", "3", "--rate", "150000",
+                     "--update-mix", "0.1", "--structural-frac", "0.3"]) == 0
+        assert capsys.readouterr().out == (
+            "| cluster metric | value |\n"
+            "|---|---|\n"
+            "| replicas | 2 |\n"
+            "| requests offered | 534 |\n"
+            "| completed | 534 |\n"
+            "| rejected / expired / failed | 0 / 0 / 0 |\n"
+            "| degraded | 0 |\n"
+            "| in-deadline fraction | 1.0000 |\n"
+            "| throughput | 122,769 req/s |\n"
+            "| p50 / p95 / p99 latency | 60.7 / 202.5 / 207.3 us |\n"
+            "| failovers | 0 |\n"
+            "| health probes / down / up | 398 / 0 / 0 |\n"
+            "| scale up / down / moved fps | 0 / 0 / 0 |\n"
+            "| makespan | 0.0043 s |\n"
+            "| matrix updates (broadcast) | 66 |\n"
+            "\n"
+            "| replica | requests | completed | retries | req/s | cache hits | straggler | unhealthy |\n"
+            "|---|---|---|---|---|---|---|---|\n"
+            "| r0 | 392 | 392 | 0 | 1,358,557 | 100.0% | no | no |\n"
+            "| r1 | 142 | 142 | 0 | 787,023 | 97.4% | no | no |\n"
+        )
 
     def test_single_replica_matches_serve_driver(self, capsys):
         """N=1 cluster-sim reports the single driver's numbers."""

@@ -189,6 +189,35 @@ class TestValueUpdates:
             "patching a clone mutated the original plan"
         assert not np.array_equal(dasp_spmv(work, x), y_before)
 
+    def test_clone_copies_only_the_slabs_its_delta_writes(self, matrix):
+        """A value patch on the clone leaves the pre-update version's
+        slabs and ``csr.data`` byte-identical (a read drains against
+        v-1), copies ``csr.data`` and the slabs it writes, shares the
+        rest, and equals a fresh build of the updated CSR."""
+        plan = DASPMatrix.from_csr(matrix)
+        before = {n: a.copy() for n, a in plan.value_slabs()}
+        data = plan.csr.data.copy()
+        # every entry of one long row: only the long slab is written
+        r = int(plan.long_plan.row_idx[0])
+        lo, hi = matrix.indptr[r], matrix.indptr[r + 1]
+        d = ValueUpdate(rows=np.full(hi - lo, r), cols=matrix.indices[lo:hi],
+                        vals=np.linspace(2.0, 3.0, hi - lo))
+        work = clone_for_patch(plan)
+        assert work.csr.data is not plan.csr.data
+        apply_value_update(work, d)
+        for (name, a), (_, b) in zip(plan.value_slabs(), work.value_slabs()):
+            assert a.tobytes() == before[name].tobytes(), name
+            assert (a is b) == (name != "long.val"), name
+        assert plan.csr.data.tobytes() == data.tobytes()
+        dense = to_dense(matrix)
+        apply_to_dense(dense, d)
+        x = np.linspace(-1.0, 1.0, matrix.shape[1])
+        assert_matches_rebuild(work, from_dense(dense), x)
+        # a second patch of the clone writes its own copy in place
+        long_val = work.long_plan.val
+        apply_value_update(work, d)
+        assert work.long_plan.val is long_val
+
     def test_patch_cheaper_than_rebuild(self, matrix, rng):
         from repro.gpu.cost_model import estimate_preprocess_time
 

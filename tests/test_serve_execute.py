@@ -425,6 +425,53 @@ class TestOneAnalysisPerPrice:
                 == list(want.per_shard)
 
 
+class TestOnePassPerStructure:
+    def test_churn_counts_each_built_or_loaded_band_once(self, tmp_path,
+                                                         monkeypatch):
+        """A cluster run shaped like perfbench ``churn`` (2 replicas,
+        warm start from a seeded store, 10% updates of which 30%
+        structural) counts sectors once per band plan built or loaded:
+        value versions share the count, structural versions derive it
+        from their touched rows, so no later version is counted again
+        (21 passes for these 5 band plans before counts were kept)."""
+        from repro.cluster.driver import ClusterConfig, run_cluster_workload
+        from repro.store import PlanStore
+
+        entries = representative_suite()[:4]
+        store = PlanStore(tmp_path)
+        for e in entries:
+            csr = e.matrix()
+            store.put(matrix_fingerprint(csr), DASPMatrix.from_csr(csr))
+        roots = []      # band plans built or loaded
+        real_load, real_build = PlanStore.load, ExecutionCore.build
+
+        def load(self, *a, **kw):
+            got = real_load(self, *a, **kw)
+            if got is not None:
+                roots.extend(d for _, _, d in got[0].bands())
+            return got
+
+        def build(self, *a, **kw):
+            got = real_build(self, *a, **kw)
+            roots.extend(d for _, _, d in got[0].bands())
+            return got
+
+        monkeypatch.setattr(PlanStore, "load", load)
+        monkeypatch.setattr(ExecutionCore, "build", build)
+        calls = count_sector_counts(monkeypatch)
+        stats = run_cluster_workload(ClusterConfig(
+            n_requests=100, seed=7, entries=entries, rate_rps=10000.0,
+            n_replicas=2, update_mix=0.1, structural_frac=0.3,
+            warm_start=True, store=store))
+        assert stats.n_updates == 9 and stats.n_completed > 0
+        # each pass counts the structure of a distinct built or loaded band
+        owner = [[j for j, d in enumerate(roots)
+                  if np.shares_memory(csr.indices, d.csr.indices)]
+                 for csr, _ in calls]
+        assert sorted(j for o in owner for j in o) == list(range(len(roots)))
+        assert len(calls) == len(roots) == 5
+
+
 @pytest.fixture(scope="module")
 def suite_plans():
     """name -> plain plan of every representative-suite matrix, built
