@@ -1,10 +1,40 @@
-"""Shared helpers of the DASP planners (packing) and kernels (lane folds)."""
+"""Shared helpers of the DASP planners (packing) and kernels (lane folds,
+kernel schedules)."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from .._util import PTR_DTYPE, check
+
+
+class ScheduleMemo:
+    """The kernel schedule of one category plan's slab layout.
+
+    A schedule holds every index a category kernel derives from
+    structure alone (fold orders, tail slots, output rows), so a kernel
+    run is only gathers and arithmetic.  :meth:`of` builds it on the
+    plan's first run.  Every plan with the same layout shares the memo:
+    ``dataclasses.replace`` carries it into the copy a value patch makes
+    of a category plan, and a structural patch keeps the category plans.
+    A re-pack or a load makes new plans and so a new, empty memo.  Like
+    :class:`repro.gpu.memory.SectorMemo` it holds no device data: it is
+    never serialized, budgeted or listed in a plan's array inventory
+    (on a GPU these offsets are thread-index arithmetic).
+    """
+
+    __slots__ = ("schedule",)
+
+    def __init__(self) -> None:
+        self.schedule = None
+
+    def of(self, plan, build):
+        """*plan*'s schedule, ``build(plan)`` on the first call.  Racing
+        first calls may both build; the schedules are equal."""
+        schedule = self.schedule
+        if schedule is None:
+            schedule = self.schedule = build(plan)
+        return schedule
 
 
 def exclusive_cumsum(counts: np.ndarray) -> np.ndarray:

@@ -11,7 +11,8 @@ partials into ``y``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,7 +20,8 @@ from .._util import ceil_div
 from ..gpu.device import WARP_SIZE
 from ..gpu.events import KernelEvents
 from ..gpu.mma import MmaShape, MmaUnit
-from ._pack import exclusive_cumsum, gather_rows_padded, lane_dots, rhs_block
+from ._pack import (ScheduleMemo, exclusive_cumsum, gather_rows_padded,
+                    lane_dots, rhs_block)
 
 #: Blocks consumed by one warp per group (Algorithm 2's inner loop runs
 #: twice) — fixed by the paper.
@@ -44,6 +46,9 @@ class LongRowsPlan:
         MMA instruction geometry used for packing.
     orig_nnz:
         Real nonzeros before padding.
+    schedule:
+        The kernel's :class:`LongSchedule`, built on its first run
+        (:class:`~repro.core._pack.ScheduleMemo`; never serialized).
     """
 
     row_idx: np.ndarray
@@ -52,6 +57,8 @@ class LongRowsPlan:
     cid: np.ndarray
     shape: MmaShape
     orig_nnz: int
+    schedule: ScheduleMemo = field(default_factory=ScheduleMemo, repr=False,
+                                   compare=False)
 
     @property
     def group_elems(self) -> int:
@@ -99,6 +106,29 @@ def build_long_rows(csr, rows: np.ndarray, shape: MmaShape) -> LongRowsPlan:
     )
 
 
+class LongSchedule(NamedTuple):
+    """What :func:`run_long_rows` derives from a plan's layout alone
+    (kept in ``LongRowsPlan.schedule``)."""
+
+    #: ``reduceat`` start of each row's group partials.
+    starts: np.ndarray
+    #: Rows that own no group (their sum is 0).
+    empty: np.ndarray
+
+
+def long_schedule(plan: LongRowsPlan) -> LongSchedule:
+    """Build *plan*'s :class:`LongSchedule`."""
+    # No trailing pad element: reduceat's vectorized inner loop
+    # associates by segment *length*, so appending a zero to the final
+    # segment would give the plan's last row a different rounding than
+    # the same row computed mid-plan — breaking shard/unsharded
+    # bit-equality.  An empty row's start is clamped in range and its
+    # sum overwritten.
+    return LongSchedule(
+        starts=np.minimum(plan.group_ptr[:-1], max(plan.n_groups - 1, 0)),
+        empty=np.flatnonzero(np.diff(plan.group_ptr) == 0))
+
+
 def run_long_rows(plan: LongRowsPlan, x: np.ndarray, *,
                   unit: MmaUnit | None = None) -> np.ndarray:
     """Long-rows kernel: per-row sums in original row order.
@@ -109,11 +139,13 @@ def run_long_rows(plan: LongRowsPlan, x: np.ndarray, *,
     exactly: per-block row dot products in the accumulator dtype,
     fragment accumulation across the two blocks of a group, shuffle-tree
     summation of the eight diagonal values, then the second-pass per-row
-    reduction over group partials.  ``unit`` counts the issued blocks.
+    reduction over group partials (at the starts of the plan's
+    :class:`LongSchedule`).  ``unit`` counts the issued blocks.
     """
     s = plan.shape
     if unit is not None:
         unit.issue_count += plan.n_groups * BLOCKS_PER_GROUP
+    sched = plan.schedule.of(plan, long_schedule)
     X = rhs_block(s, x)
     c = X.shape[1]
     d = lane_dots(s, plan.val, plan.cid, X)                  # (nb*m, c)
@@ -127,15 +159,9 @@ def run_long_rows(plan: LongRowsPlan, x: np.ndarray, *,
         y = np.zeros((c, plan.n_rows), dtype=s.acc_dtype)
     else:
         # Second kernel: warp-per-row reduction of warpVal, along the
-        # last axis of the C-contiguous partials.  No trailing pad
-        # element: reduceat's vectorized inner loop associates by
-        # segment *length*, so appending a zero to the final segment
-        # would give the plan's last row a different rounding than the
-        # same row computed mid-plan — breaking shard/unsharded
-        # bit-equality.
-        starts = np.minimum(plan.group_ptr[:-1], per_group.shape[1] - 1)
-        y = np.add.reduceat(per_group, starts, axis=1)
-        y[:, np.diff(plan.group_ptr) == 0] = 0
+        # last axis of the C-contiguous partials.
+        y = np.add.reduceat(per_group, sched.starts, axis=1)
+        y[:, sched.empty] = 0
     return y.T if np.ndim(x) == 2 else y[0]
 
 

@@ -13,7 +13,8 @@ in the paper).  The per-row tails past the last regular chunk form the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,7 +22,8 @@ from .._util import check
 from ..gpu.device import WARP_SIZE
 from ..gpu.events import KernelEvents
 from ..gpu.mma import MmaShape, MmaUnit
-from ._pack import acc_values, exclusive_cumsum, fold_lanes, lane_dots, rhs_block
+from ._pack import (ScheduleMemo, acc_values, exclusive_cumsum, fold_lanes,
+                    lane_dots, rhs_block)
 
 #: The paper's chunk-occupancy threshold for forming a regular block.
 DEFAULT_THRESHOLD = 0.75
@@ -53,6 +55,9 @@ class MediumRowsPlan:
         Irregular per-row tails in CSR-like layout over packed rows.
     loop_num:
         Row-blocks per warp.
+    schedule:
+        The kernel's :class:`MediumSchedule`, built on its first run
+        (:class:`~repro.core._pack.ScheduleMemo`; never serialized).
     """
 
     row_idx: np.ndarray
@@ -66,6 +71,8 @@ class MediumRowsPlan:
     threshold: float
     loop_num: int
     orig_nnz: int
+    schedule: ScheduleMemo = field(default_factory=ScheduleMemo, repr=False,
+                                   compare=False)
 
     @property
     def n_rows(self) -> int:
@@ -183,25 +190,81 @@ def build_medium_rows(csr, rows_sorted: np.ndarray, shape: MmaShape, *,
     )
 
 
-def _fold_segments(acc: np.ndarray, parts: np.ndarray, ptr: np.ndarray) -> None:
-    """``acc[i] += parts[ptr[i]]``, then ``parts[ptr[i] + 1]``, ... in place.
+class FoldSteps(NamedTuple):
+    """The sequential order of summing segments of parts, one vectorized
+    step per position within a segment (:func:`fold_steps`)."""
 
-    The sequential order of ``np.add.at(acc, owner, parts)``, with one
-    vectorized step per position within a segment: segments are visited
-    longest first, so step ``j`` adds to a prefix of them.
+    #: Non-empty segments, longest first (stable among equal lengths).
+    order: np.ndarray
+    #: Step ``j``'s part indices: element ``j`` of each of the
+    #: ``takes[j].size`` longest segments (a prefix of ``order``).
+    takes: tuple
+
+
+def fold_steps(ptr: np.ndarray) -> FoldSteps:
+    """:class:`FoldSteps` of the segments ``ptr[i]:ptr[i + 1]``."""
+    lens = np.diff(ptr)
+    live = lens.size - np.searchsorted(np.sort(lens),
+                                       np.arange(lens.max(initial=0)),
+                                       side="right")
+    order = np.argsort(-lens, kind="stable")[:live[0] if live.size else 0]
+    starts = ptr[:-1][order]
+    return FoldSteps(order, tuple(starts[:n] + j for j, n in enumerate(live)))
+
+
+def fold_segments(acc: np.ndarray, parts: np.ndarray,
+                  steps: FoldSteps) -> None:
+    """``acc[i] += parts[ptr[i]]``, then ``parts[ptr[i] + 1]``, ... in
+    place, for the segments ``ptr`` *steps* was made from.
+
+    The sequential order of ``np.add.at(acc, owner, parts)``: step ``j``
+    adds to a prefix of the segments, longest first.
     (``np.add.reduceat`` over a 2-D array associates pairwise instead.)
     """
-    lens = np.diff(ptr)
-    if not lens.any():
+    if not steps.takes:
         return
-    order = np.argsort(-lens, kind="stable")
-    starts = ptr[:-1][order]
-    live = lens.size - np.searchsorted(np.sort(lens), np.arange(lens.max()),
-                                       side="right")
-    folded = acc[order]
-    for j, n in enumerate(live):
-        folded[:n] += parts.take(starts[:n] + j, axis=0)
-    acc[order] = folded
+    folded = acc[steps.order]
+    for take in steps.takes:
+        folded[:take.size] += parts.take(take, axis=0)
+    acc[steps.order] = folded
+
+
+class MediumSchedule(NamedTuple):
+    """What :func:`run_medium_rows` derives from a plan's layout alone
+    (kept in ``MediumRowsPlan.schedule``)."""
+
+    #: Regular blocks folded into their row-blocks.
+    reg: FoldSteps
+    #: Irregular tail: chunks per run, the lane-major padded slot of
+    #: each stored tail slot, and the chunks folded into their rows.
+    n_chunks: int
+    tail_dest: np.ndarray
+    tail: FoldSteps
+
+
+def medium_schedule(plan: MediumRowsPlan) -> MediumSchedule:
+    """Build *plan*'s :class:`MediumSchedule`."""
+    K = plan.shape.k
+    # Chunk-invariant tail: the regular/irregular boundary of a row
+    # always falls on a multiple of K, so the tail is summed in
+    # zero-padded K-element chunks (exact zeros, not ``0 * x``), each
+    # lane-folded like a block row; a row's value is then a fold over
+    # identical chunk sums no matter how many of its chunks were
+    # regular, so it does not depend on row-block composition (or on
+    # sharding).  Tail slot j of row i is lane j % K of chunk
+    # chunk_ptr[i] + j // K; ``pos`` numbers the slots chunk by chunk,
+    # and the lanes are laid out lane-major so each folds as one
+    # contiguous slab.
+    tails = np.diff(plan.irreg_ptr)
+    chunk_ptr = exclusive_cumsum(-(-tails // K))
+    n_chunks = int(chunk_ptr[-1])
+    pos = np.arange(plan.irreg_nnz) + np.repeat(
+        chunk_ptr[:-1] * K - plan.irreg_ptr[:-1], tails)
+    return MediumSchedule(
+        reg=fold_steps(plan.rowblock_ptr // plan.shape.a_elements),
+        n_chunks=n_chunks,
+        tail_dest=pos % K * n_chunks + pos // K,
+        tail=fold_steps(chunk_ptr))
 
 
 def run_medium_rows(plan: MediumRowsPlan, x: np.ndarray, *,
@@ -210,41 +273,28 @@ def run_medium_rows(plan: MediumRowsPlan, x: np.ndarray, *,
 
     ``x`` is ``(n,)`` or ``(n, c)``, as for
     :func:`repro.core.long_rows.run_long_rows`; ``unit`` counts the
-    regular blocks issued.
+    regular blocks issued.  Fold orders and tail slots come from the
+    plan's :class:`MediumSchedule`.
     """
     s = plan.shape
-    M, K = s.m, s.k
+    M = s.m
     if unit is not None:
         unit.issue_count += plan.n_blocks
+    sched = plan.schedule.of(plan, medium_schedule)
     X = rhs_block(s, x)
     c = X.shape[1]
     acc = np.zeros((plan.n_rowblocks, M, c), dtype=s.acc_dtype)
     if plan.reg_nnz:
         d = lane_dots(s, plan.reg_val, plan.reg_cid, X)
-        _fold_segments(acc, d.reshape(-1, M, c), plan.rowblock_ptr // (M * K))
+        fold_segments(acc, d.reshape(-1, M, c), sched.reg)
     out = acc.reshape(-1, c)[:plan.n_rows].copy()
     if plan.irreg_nnz:
-        # Chunk-invariant tail: the regular/irregular boundary of a row
-        # always falls on a multiple of K, so summing the tail in
-        # zero-padded K-element chunks (exact zeros, not ``0 * x``),
-        # each lane-folded like a block row, makes each row's value a
-        # fold over identical chunk sums no matter how many of its
-        # chunks were regular.  Row values are therefore independent of
-        # row-block composition (and of sharding).
-        tails = np.diff(plan.irreg_ptr)
-        chunk_ptr = exclusive_cumsum(-(-tails // K))
-        n_chunks = int(chunk_ptr[-1])
-        # Tail slot j of row i is lane j % K of chunk chunk_ptr[i] + j // K;
-        # ``pos`` numbers the slots chunk by chunk, the lanes are stored
-        # lane-major so each folds as one contiguous slab.
-        pos = np.arange(plan.irreg_nnz) + np.repeat(
-            chunk_ptr[:-1] * K - plan.irreg_ptr[:-1], tails)
         t = X.take(plan.irreg_cid, axis=0)
         t *= acc_values(s, plan.irreg_val)[:, None]
-        padded = np.zeros((K, n_chunks, c), dtype=s.acc_dtype)
-        padded.reshape(-1, c)[pos % K * n_chunks + pos // K] = t
-        _fold_segments(out, fold_lanes(padded, (n_chunks, c), s.acc_dtype),
-                       chunk_ptr)
+        padded = np.zeros((s.k, sched.n_chunks, c), dtype=s.acc_dtype)
+        padded.reshape(-1, c)[sched.tail_dest] = t
+        fold_segments(out, fold_lanes(padded, (sched.n_chunks, c),
+                                      s.acc_dtype), sched.tail)
     return out if np.ndim(x) == 2 else out[:, 0]
 
 

@@ -18,14 +18,15 @@ MMA blocks stay dense:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..gpu.device import WARP_SIZE
 from ..gpu.events import KernelEvents
 from ..gpu.mma import MmaShape, MmaUnit
-from ._pack import acc_values, gather_rows_padded, lane_dots, rhs_block
+from ._pack import (ScheduleMemo, acc_values, gather_rows_padded, lane_dots,
+                    rhs_block)
 
 
 @dataclass
@@ -35,6 +36,9 @@ class ShortRowsPlan:
     Each ``val``/``cid`` pair is a flat zero-padded array of
     ``n_packed_rows_padded * 4`` slots (block padding included); the
     ``rows_*`` arrays map packed outputs back to original rows.
+    ``schedule`` holds the kernels' output row map, built on their
+    first run (:class:`~repro.core._pack.ScheduleMemo`; never
+    serialized).
     """
 
     shape: MmaShape
@@ -58,6 +62,8 @@ class ShortRowsPlan:
     cid1: np.ndarray
     rows1: np.ndarray
     orig_nnz: int
+    schedule: ScheduleMemo = field(default_factory=ScheduleMemo, repr=False,
+                                   compare=False)
 
     # ------------------------------------------------------------------
     @property
@@ -183,46 +189,56 @@ def _short_dots(s: MmaShape, val: np.ndarray, cid: np.ndarray, X: np.ndarray,
     return d
 
 
+def short_schedule(plan: ShortRowsPlan) -> np.ndarray:
+    """The original row of each value :func:`run_short_rows` returns:
+    the 1&3, 2&2, length-4 and single rows' maps, concatenated.
+    Read-only: every run returns this one array."""
+    rows = np.concatenate([plan.rows13_one, plan.rows13_three, plan.rows22_a,
+                           plan.rows22_b, plan.rows4, plan.rows1])
+    rows.flags.writeable = False
+    return rows
+
+
 def run_short_rows(plan: ShortRowsPlan, x: np.ndarray, *,
                    unit: MmaUnit | None = None):
     """Short-rows kernels.
 
     Returns ``(row_indices, values)`` covering every short row exactly
     once, in subcategory order; ``values`` is ``(rows,)`` for a vector
-    ``x`` and ``(rows, c)`` for an ``(n, c)`` block.  ``unit`` counts
-    the issued blocks (two x-load passes per pieced block).
+    ``x`` and ``(rows, c)`` for an ``(n, c)`` block.  ``row_indices`` is
+    the plan's schedule (:func:`short_schedule`), shared by every run.
+    ``unit`` counts the issued blocks (two x-load passes per pieced
+    block).
     """
     s = plan.shape
     if unit is not None:
         unit.issue_count += 2 * plan.blocks13 + 2 * plan.blocks22 + plan.blocks4
+    rows = plan.schedule.of(plan, short_schedule)
     X = rhs_block(s, x)
-    out_rows, out_vals = [], []
+    out_vals = []
     # Pieced pairs: A is loaded once and x twice — 1&3 loads slot 0,
     # then slots 1-3; 2&2 slots 0-1, then 2-3.  Each lane is gathered by
     # the one pass that loads it.
-    for val, cid, first, second, split in (
-            (plan.val13, plan.cid13, plan.rows13_one, plan.rows13_three, 1),
-            (plan.val22, plan.cid22, plan.rows22_a, plan.rows22_b, 2)):
+    for val, cid, first, split in (
+            (plan.val13, plan.cid13, plan.rows13_one, 1),
+            (plan.val22, plan.cid22, plan.rows22_a, 2)):
         if first.size:
             n = first.size * s.k
-            out_rows += [first, second]
             out_vals += [_short_dots(s, val[:n], cid[:n], X, range(split)),
                          _short_dots(s, val[:n], cid[:n], X, range(split, s.k))]
     # len-4: one full-x MMA per block.
     if plan.rows4.size:
         n = plan.rows4.size * s.k
-        out_rows.append(plan.rows4)
         out_vals.append(_short_dots(s, plan.val4[:n], plan.cid4[:n], X))
     # singles: plain CUDA-core products (Algorithm 5).
     if plan.rows1.size:
         t = X.take(plan.cid1, axis=0)
         t *= acc_values(s, plan.val1)[:, None]
-        out_rows.append(plan.rows1)
         out_vals.append(t)
-    if out_rows:
-        rows, vals = np.concatenate(out_rows), np.vstack(out_vals)
+    if out_vals:
+        vals = np.vstack(out_vals)
     else:
-        rows, vals = np.zeros(0, np.int64), np.zeros((0, X.shape[1]), s.acc_dtype)
+        vals = np.zeros((0, X.shape[1]), s.acc_dtype)
     return rows, vals if np.ndim(x) == 2 else vals[:, 0]
 
 

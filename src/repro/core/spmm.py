@@ -82,7 +82,10 @@ def dasp_spmm_on_plan(dasp: DASPMatrix, X: np.ndarray, *,
     execution, the large-k engine, ``dasp_spmv``) use this directly.
     The vectorized engine runs the three category kernels on column
     chunks of ``X``; ``dasp_spmv`` is its ``k = 1`` column, so column
-    ``j`` of the result is bitwise ``dasp_spmv(dasp, X[:, j])``.
+    ``j`` of the result is bitwise ``dasp_spmv(dasp, X[:, j])``.  Each
+    kernel reads the offsets it needs from its category plan's schedule
+    (``plan.schedule``), built on the plan's first run at any width, so
+    a call is only gathers and arithmetic.
     """
     if engine == "warp":
         from .spmv import dasp_spmv
