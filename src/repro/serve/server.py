@@ -41,6 +41,9 @@ Partial failure is a first-class citizen (see :mod:`repro.resilience`):
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import os
 import threading
 from concurrent.futures import Future
 from dataclasses import replace
@@ -72,6 +75,41 @@ from .stats import ServerStats
 
 class RequestShedError(ReproError):
     """Set on futures whose batch was shed under backpressure."""
+
+
+#: glibc ``mallopt`` parameters, and the values they are pinned to: the
+#: ceilings glibc's own dynamic thresholds reach on 64-bit
+#: (``DEFAULT_MMAP_THRESHOLD_MAX`` and twice that).
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD_BYTES = 32 << 20
+_TRIM_THRESHOLD_BYTES = 64 << 20
+
+
+@functools.cache
+def pin_heap_thresholds() -> None:
+    """Fix glibc's mmap and trim thresholds for this process (a no-op
+    off glibc).
+
+    A kernel call allocates temporaries of a few MB (lane products,
+    tail slabs, outputs) and frees them on return.  Under glibc's
+    dynamic thresholds, whether the heap keeps that memory for the next
+    call or hands it back to the OS, to page-fault it in again, depends
+    on what the process allocated and freed before: a k=8 call on
+    ``scircuit`` took ~3 ms with no page fault in one process and ~4 ms
+    with ~1000 in the next.  Pinned at the ceilings the dynamic
+    thresholds grow to, a temporary under 32 MiB comes from the heap
+    and up to 64 MiB of free heap is kept, whatever ran before.
+    Process-wide; runs once per process (:class:`SpMVServer` calls it
+    on construction).
+    """
+    try:
+        if not (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc"):
+            return
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, ValueError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
 
 
 class SpMVServer:
@@ -162,6 +200,7 @@ class SpMVServer:
                  warm_start: bool = False,
                  seed: int = 0,
                  obs: Obs | None = None) -> None:
+        pin_heap_thresholds()
         self.device = get_device(device)
         if shards is not None and shards != "auto":
             shards = int(shards)

@@ -1,5 +1,9 @@
 """End-to-end tests for `SpMVServer` (real threads, futures API)."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -106,3 +110,49 @@ class TestValidation:
         assert s.stats.n_requests == 50
         assert s.stats.n_rejected == rejected
         assert s.stats.n_completed == 50 - rejected
+
+
+def _glibc() -> bool:
+    try:
+        return (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc")
+    except (AttributeError, ValueError):
+        return False
+
+
+#: Page faults of ten calls that each hold three 12 MiB temporaries and
+#: free them together, the shape of a kernel call, after one warm call;
+#: ``{server}`` is 1 to construct a server first.
+HEAP_PROBE = """
+import resource
+import numpy as np
+from repro.serve import SpMVServer
+if {server}:
+    SpMVServer(workers=1).close()
+def call():
+    parts = [np.ones(3 << 19) for _ in range(3)]
+    del parts
+call()
+before = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt
+for _ in range(10):
+    call()
+print(resource.getrusage(resource.RUSAGE_THREAD).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not (sys.platform.startswith("linux") and _glibc()),
+                    reason="glibc heap thresholds")
+class TestHeapThresholds:
+    @staticmethod
+    def faults(server: bool) -> int:
+        out = subprocess.run(
+            [sys.executable, "-c", HEAP_PROBE.format(server=int(server))],
+            capture_output=True, text=True, check=True)
+        return int(out.stdout)
+
+    def test_server_keeps_kernel_temporaries_resident(self):
+        """Under glibc's dynamic thresholds the heap hands part of the
+        freed temporaries back to the OS and every call faults it in
+        again (~1000 pages a call here); once a server pinned the
+        thresholds, the calls reuse the heap."""
+        assert self.faults(server=False) > 1000
+        assert self.faults(server=True) < 100
